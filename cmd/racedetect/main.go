@@ -1,8 +1,9 @@
 // Command racedetect runs the on-the-fly determinacy-race detector on a
 // generated fork-join workload and reports what it finds, exercising
 // every SP-maintenance backend registered in the repro/sp registry
-// through the event API, plus the scheduler-coupled parallel SP-hybrid
-// detector and the lock-aware ALL-SETS detector.
+// through the event API: a serial replay on every backend, a parallel
+// replay with real goroutines on the concurrent backends, and the
+// lock-aware ALL-SETS detector.
 //
 // Usage:
 //
@@ -20,12 +21,12 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math/rand"
 	"os"
 	"strings"
 	"time"
 
-	"repro"
-	"repro/internal/race"
+	"repro/internal/spt"
 	"repro/internal/workload"
 	"repro/sp"
 )
@@ -34,7 +35,7 @@ func main() {
 	workloadName := flag.String("workload", "planted", "workload: planted|vector|vector-buggy|fib|locks")
 	threads := flag.Int("threads", 128, "threads in the generated program")
 	seed := flag.Int64("seed", 1, "random seed")
-	workers := flag.Int("workers", 4, "workers for the parallel detector")
+	workers := flag.Int("workers", 4, "goroutines for the parallel replay")
 	backend := flag.String("backend", "all", "backend registry name, 'all', or '?' to list")
 	tracePath := flag.String("trace", "", "also record the serial event stream to this trace file")
 	flag.Parse()
@@ -45,30 +46,30 @@ func main() {
 		return
 	}
 
-	rng := repro.NewRand(*seed)
+	rng := rand.New(rand.NewSource(*seed))
 	switch *workloadName {
 	case "locks":
 		runLocks()
 		return
 	case "planted":
-		cfg := repro.DefaultPlantConfig()
+		cfg := workload.DefaultPlantConfig()
 		cfg.Threads = *threads
-		p := repro.PlantRaces(cfg, rng)
+		p := workload.PlantRaces(cfg, rng)
 		fmt.Printf("Planted workload: %d threads, %d racy locations %v, %d safe locations\n\n",
 			p.Tree.NumThreads(), len(p.RacyLocs), p.RacyLocs, len(p.SafeLocs))
-		runAll(p.Tree, *backend, *workers, *seed)
+		runAll(p.Tree, *backend, *workers)
 	case "vector":
-		tr := repro.VectorAccumulate(*threads, false)
+		tr := workload.VectorAccumulate(*threads, false)
 		fmt.Printf("Vector-accumulate (correct): %d workers + reduction\n\n", *threads)
-		runAll(tr, *backend, *workers, *seed)
+		runAll(tr, *backend, *workers)
 	case "vector-buggy":
-		tr := repro.VectorAccumulate(*threads, true)
+		tr := workload.VectorAccumulate(*threads, true)
 		fmt.Printf("Vector-accumulate (buggy: reduction parallel to loop): %d workers\n\n", *threads)
-		runAll(tr, *backend, *workers, *seed)
+		runAll(tr, *backend, *workers)
 	case "fib":
-		tr := repro.FibWithAccesses(16, 6, 128, true, rng)
+		tr := workload.FibWithAccesses(16, 6, 128, true, rng)
 		fmt.Printf("fib(16) with shared accesses: %d threads, T1=%d\n\n", tr.NumThreads(), tr.Work())
-		runAll(tr, *backend, *workers, *seed)
+		runAll(tr, *backend, *workers)
 	default:
 		fmt.Fprintf(os.Stderr, "unknown workload %q\n", *workloadName)
 		os.Exit(2)
@@ -100,7 +101,7 @@ var traceOut string
 
 // recordTrace writes tr's serial event stream to path via the shared
 // workload.RecordTrace helper.
-func recordTrace(tr *repro.Tree, path string) error {
+func recordTrace(tr *spt.Tree, path string) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
@@ -112,7 +113,21 @@ func recordTrace(tr *repro.Tree, path string) error {
 	return f.Close()
 }
 
-func runAll(tr *repro.Tree, backend string, workers int, seed int64) {
+// detect replays tr through a fresh monitor on the named backend —
+// serially, or with real goroutines at P-nodes when workers > 0 — and
+// returns the report and the elapsed time.
+func detect(tr *spt.Tree, backend string, workers int, opts ...sp.Option) (sp.Report, time.Duration) {
+	start := time.Now()
+	m := sp.MustMonitor(append([]sp.Option{sp.WithBackend(backend)}, opts...)...)
+	if workers > 0 {
+		sp.ReplayParallel(tr, m, workers)
+	} else {
+		sp.Replay(tr, m)
+	}
+	return m.Report(), time.Since(start)
+}
+
+func runAll(tr *spt.Tree, backend string, workers int) {
 	if traceOut != "" {
 		if err := recordTrace(tr, traceOut); err != nil {
 			fmt.Fprintf(os.Stderr, "recording trace: %v\n", err)
@@ -121,10 +136,7 @@ func runAll(tr *repro.Tree, backend string, workers int, seed int64) {
 		fmt.Printf("recorded serial event stream to %s (replay with: sptrace replay -backend all %s)\n\n",
 			traceOut, traceOut)
 	}
-	var names []string
-	for _, info := range sp.Backends() {
-		names = append(names, info.Name)
-	}
+	names := sp.BackendNames()
 	if backend != "all" {
 		if _, ok := sp.Lookup(backend); !ok {
 			fmt.Fprintf(os.Stderr, "unknown backend %q (available: %v, or '?' to list)\n",
@@ -133,31 +145,29 @@ func runAll(tr *repro.Tree, backend string, workers int, seed int64) {
 		}
 		names = []string{backend}
 	}
-	fmt.Printf("%-20s %10s %10s %10s  %s\n", "backend", "races", "locations", "time", "raced locations")
+	row := func(label string, rep sp.Report, el time.Duration) {
+		fmt.Printf("%-24s %10d %10d %10v  %v\n",
+			label, len(rep.Races), len(rep.Locations), el.Round(time.Microsecond), summarize(rep.Locations))
+	}
+	fmt.Printf("%-24s %10s %10s %10s  %s\n", "backend", "races", "locations", "time", "raced locations")
 	for _, name := range names {
-		start := time.Now()
-		rep := race.DetectSerialBackend(tr, name)
-		el := time.Since(start)
-		fmt.Printf("%-20s %10d %10d %10v  %v\n",
-			name, len(rep.Races), len(rep.Locations), el.Round(time.Microsecond), summarize(rep.Locations))
+		rep, el := detect(tr, name, 0)
+		row(name, rep, el)
 	}
-
-	canon := tr
-	if !repro.IsCanonical(tr) {
-		canon, _ = repro.Canonicalize(tr)
+	// The concurrent backends also accept the events of a genuinely
+	// parallel replay: goroutines fork at P-nodes.
+	var par sp.Report
+	for _, name := range names {
+		if info, _ := sp.Lookup(name); !info.Synchronized {
+			continue
+		}
+		rep, el := detect(tr, name, workers)
+		row(fmt.Sprintf("%s (parallel P=%d)", name, workers), rep, el)
+		par = rep
 	}
-	start := time.Now()
-	prep := repro.DetectParallel(canon, workers, seed, true)
-	el := time.Since(start)
-	fmt.Printf("%-20s %10d %10d %10v  %v\n",
-		fmt.Sprintf("sp-hybrid(sched P=%d)", workers), len(prep.Races), len(prep.Locations),
-		el.Round(time.Microsecond), summarize(prep.Locations))
-	fmt.Printf("\nSP-hybrid scheduler run: %d steals, %d splits, %d traces, %d query retries\n",
-		prep.Stats.Steals, prep.Stats.Splits, prep.Stats.Traces, prep.Stats.QueryRetries)
-
-	if len(prep.Races) > 0 {
+	if len(par.Races) > 0 {
 		fmt.Println("\nFirst few races:")
-		for i, r := range prep.Races {
+		for i, r := range par.Races {
 			if i == 5 {
 				break
 			}
@@ -167,7 +177,7 @@ func runAll(tr *repro.Tree, backend string, workers int, seed int64) {
 }
 
 func runLocks() {
-	tr, protected, unprotected := repro.LockProtected(6, repro.NewRand(2))
+	tr, _, unprotected := workload.LockProtected(6, rand.New(rand.NewSource(2)))
 	fmt.Println("Lock workload: 6 writers sharing one mutex-protected cell,")
 	fmt.Println("plus two unlocked parallel writers on a second cell.")
 	if traceOut != "" {
@@ -177,18 +187,17 @@ func runLocks() {
 		}
 		fmt.Printf("recorded serial event stream to %s\n", traceOut)
 	}
-	det := repro.DetectSerial(tr, repro.BackendSPOrder)
+	det, _ := detect(tr, "sp-order", 0)
 	fmt.Printf("\nDeterminacy detector flags locations %v (locks invisible to it)\n", det.Locations)
-	lrep := repro.DetectLockAware(tr)
+	lrep, _ := detect(tr, "sp-order", 0, sp.WithLockAwareness(true))
 	fmt.Printf("Lock-aware (ALL-SETS) flags locations  %v (only the unlocked cell x%d)\n",
 		lrep.Locations, unprotected)
 	for _, r := range lrep.Races {
 		fmt.Println(" ", r)
 	}
-	_ = protected
 }
 
-func summarize(locs []int) string {
+func summarize(locs []uint64) string {
 	if len(locs) <= 10 {
 		return fmt.Sprint(locs)
 	}

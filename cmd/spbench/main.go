@@ -1,7 +1,11 @@
 // Command spbench regenerates the paper's tables and the quantitative
-// claims of its theorems as text tables (the experiment index lives in
-// DESIGN.md §3; results are recorded in EXPERIMENTS.md), plus the
-// trace-driven backend benchmark over the recorded workload shapes.
+// claims of its theorems as text tables, plus the trace-driven backend
+// benchmark over the recorded workload shapes. Figure 3 and Theorem 5
+// time every registered sp backend as a bare maintainer (a
+// structure-only fork/join walk); Corollary 6 replays programs with
+// accesses through an sp.Monitor; Theorem 10 and Section 7 run the
+// scheduler-coupled SP-hybrid, the only source of steal, split, and
+// retry statistics.
 //
 // Usage:
 //
@@ -25,15 +29,18 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math/rand"
 	"os"
 	"runtime"
+	"runtime/debug"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
 
-	"repro"
 	"repro/internal/race"
+	"repro/internal/sphybrid"
+	"repro/internal/spt"
 	"repro/internal/stats"
 	"repro/internal/workload"
 	"repro/sp"
@@ -81,7 +88,7 @@ func benchMetricsFrom(snap metrics.Snapshot) *benchMetrics {
 
 var (
 	quick          = flag.Bool("quick", false, "smaller workloads, fewer repetitions")
-	backendFlag    = flag.String("backend", "all", "restrict the Corollary 6 and trace tables to one registered backend")
+	backendFlag    = flag.String("backend", "all", "restrict the Figure 3, Theorem 5, Corollary 6, and trace tables to one registered backend")
 	jsonFlag       = flag.Bool("json", false, "emit the selected benchmark (-table trace or concurrent) as JSON")
 	goroutinesFlag = flag.String("goroutines", "", "comma-separated goroutine counts for -table concurrent (default: powers of two up to max(4, NumCPU), plus NumCPU)")
 )
@@ -156,194 +163,281 @@ func reps() int {
 	return 3
 }
 
-// fig3 reproduces the comparison table of Figure 3: space per node, time
-// per thread creation, time per query, for all four serial algorithms.
-func fig3() {
-	fmt.Println("=== Figure 3: serial SP-maintenance algorithms ===")
-	n := 20000
-	qn := 200000
-	if *quick {
-		n, qn = 4000, 20000
-	}
-	cfg := repro.DefaultGenConfig(n)
-	cfg.PProb = 0.7
-	tr := repro.Generate(cfg, repro.NewRand(1))
-	canon, _ := repro.Canonicalize(tr)
-	deep := repro.WideFan(n/2, 1) // maximal nesting: worst case for labels
-	deepCanon, _ := repro.Canonicalize(deep)
-	threads := deep.Threads()
-	rng := repro.NewRand(2)
-
-	type row struct {
-		name            string
-		spaceWords      float64
-		creationNsPerTh float64
-		queryNs         float64
-	}
-	var rows []row
-
-	// English-Hebrew.
-	{
-		el := timeIt(reps(), func() { repro.LabelEnglishHebrew(tr) })
-		eh := repro.LabelEnglishHebrew(deep)
-		q := timeIt(reps(), func() {
-			for i := 0; i < qn; i++ {
-				eh.Precedes(threads[rng.Intn(len(threads))], threads[rng.Intn(len(threads))])
+// scalingTimes measures run(i) for each of n inputs of growing size and
+// returns, per input, the best wall time of one call. Each measurement
+// times rounds(i) back-to-back calls, so small inputs cover about the
+// same work as the largest; the passes visit the inputs round-robin, so
+// a transient slowdown of the host hits every size rather than skewing
+// one; and the garbage collector is paused while timing (its cost
+// tracks the live heap, not the algorithm). All three keep noise out of
+// the growth-exponent fits.
+func scalingTimes(n int, rounds func(i int) int, run func(i int)) []float64 {
+	gc := debug.SetGCPercent(-1)
+	defer debug.SetGCPercent(gc)
+	best := make([]float64, n)
+	for pass := 0; pass < 5; pass++ {
+		for i := range best {
+			runtime.GC()
+			start := time.Now()
+			for r := 0; r < rounds(i); r++ {
+				run(i)
 			}
-		})
-		rows = append(rows, row{"English-Hebrew", float64(eh.MaxLabelWords()),
-			float64(el.Nanoseconds()) / float64(n), float64(q.Nanoseconds()) / float64(qn)})
-	}
-	// Offset-span.
-	{
-		el := timeIt(reps(), func() { repro.LabelOffsetSpan(tr) })
-		osl := repro.LabelOffsetSpan(deep)
-		q := timeIt(reps(), func() {
-			for i := 0; i < qn; i++ {
-				osl.Precedes(threads[rng.Intn(len(threads))], threads[rng.Intn(len(threads))])
+			el := float64(time.Since(start).Nanoseconds()) / float64(rounds(i))
+			if pass == 0 || el < best[i] {
+				best[i] = el
 			}
-		})
-		rows = append(rows, row{"Offset-Span", float64(osl.MaxLabelWords()),
-			float64(el.Nanoseconds()) / float64(n), float64(q.Nanoseconds()) / float64(qn)})
+		}
 	}
-	// SP-bags.
-	{
-		el := timeIt(reps(), func() {
-			b := repro.NewSPBags(canon)
-			b.Run(nil)
-		})
-		b := repro.NewSPBags(deepCanon)
-		b.Run(nil)
-		dthreads := deepCanon.Threads()
-		q := timeIt(reps(), func() {
-			for i := 0; i < qn; i++ {
-				b.PrecedesCurrent(dthreads[rng.Intn(len(dthreads))])
-			}
-		})
-		rows = append(rows, row{"SP-Bags", 2,
-			float64(el.Nanoseconds()) / float64(n), float64(q.Nanoseconds()) / float64(qn)})
-	}
-	// SP-order.
-	{
-		el := timeIt(reps(), func() {
-			sp := repro.NewSPOrder(tr)
-			sp.Run(nil)
-		})
-		sp := repro.NewSPOrder(deep)
-		sp.Run(nil)
-		q := timeIt(reps(), func() {
-			for i := 0; i < qn; i++ {
-				sp.Precedes(threads[rng.Intn(len(threads))], threads[rng.Intn(len(threads))])
-			}
-		})
-		rows = append(rows, row{"SP-Order", 4,
-			float64(el.Nanoseconds()) / float64(n), float64(q.Nanoseconds()) / float64(qn)})
-	}
-
-	fmt.Printf("%-16s %18s %18s %14s\n", "algorithm", "space (words/node)", "creation (ns/thr)", "query (ns)")
-	for _, r := range rows {
-		fmt.Printf("%-16s %18.0f %18.1f %14.1f\n", r.name, r.spaceWords, r.creationNsPerTh, r.queryNs)
-	}
-	fmt.Printf("(paper: EH space Θ(f), OS space Θ(d), SP-bags/SP-order Θ(1); queries Θ(f)/Θ(d)/Θ(α)/Θ(1))\n\n")
+	return best
 }
 
-// theorem5 checks SP-order construction is O(n).
-func theorem5() {
-	fmt.Println("=== Theorem 5: SP-order construction is O(n) ===")
-	ns := []int{1000, 10000, 100000, 1000000}
+// printScaling prints one row per input size and one column per
+// backend, rendering each measurement with cell.
+func printScaling(sizeHdr, unit string, sizes, backends []string, cell func(b string, i int) string) {
+	fmt.Printf("%12s", sizeHdr)
+	for _, b := range backends {
+		fmt.Printf(" %18s", b)
+	}
+	fmt.Printf(" (%s)\n", unit)
+	for i, size := range sizes {
+		fmt.Printf("%12s", size)
+		for _, b := range backends {
+			fmt.Printf(" %18s", cell(b, i))
+		}
+		fmt.Println()
+	}
+}
+
+// selectedBackends returns the registered backends the -backend flag
+// selects, exiting with status 2 on an unknown name.
+func selectedBackends() []string {
+	if *backendFlag == "all" {
+		return sp.BackendNames()
+	}
+	if _, ok := sp.Lookup(*backendFlag); !ok {
+		fmt.Fprintf(os.Stderr, "unknown backend %q (available: %v)\n", *backendFlag, sp.BackendNames())
+		os.Exit(2)
+	}
+	return []string{*backendFlag}
+}
+
+// newMaintainer instantiates a registered backend as a bare maintainer.
+func newMaintainer(name string) sp.Maintainer {
+	m, _, err := sp.NewMaintainer(name)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	return m
+}
+
+// walkTree drives a bare maintainer through tree t's fork/join structure
+// alone — no Monitor, accesses, or race detection — in the serial
+// depth-first event order every backend accepts: Fork and Join at each
+// P-node, Begin at a thread's first action (its first leaf or its Fork),
+// as sp.Replay emits them. When leafIDs is non-nil it records each leaf's
+// event thread by node ID. It returns the number of event threads; the
+// last one allocated is the walk's final thread.
+func walkTree(m sp.Maintainer, t *spt.Tree, leafIDs []sp.ThreadID) int {
+	next := sp.ThreadID(1)
+	// rec walks n on thread cur; begun reports whether cur has acted.
+	var rec func(n *spt.Node, cur sp.ThreadID, begun bool) (sp.ThreadID, bool)
+	rec = func(n *spt.Node, cur sp.ThreadID, begun bool) (sp.ThreadID, bool) {
+		switch n.Kind() {
+		case spt.Leaf:
+			if !begun {
+				m.Begin(cur)
+			}
+			if leafIDs != nil {
+				leafIDs[n.ID] = cur
+			}
+			return cur, true
+		case spt.SNode:
+			cur, begun = rec(n.Left(), cur, begun)
+			return rec(n.Right(), cur, begun)
+		default: // PNode
+			if !begun {
+				m.Begin(cur)
+			}
+			l, r := next, next+1
+			next += 2
+			m.Fork(cur, l, r)
+			a, _ := rec(n.Left(), l, false)
+			b, _ := rec(n.Right(), r, false)
+			c := next
+			next++
+			m.Join(a, b, c)
+			return c, false
+		}
+	}
+	m.Start(0)
+	rec(t.Root(), 0, false)
+	return int(next)
+}
+
+// retainedWords walks t on a fresh instance of the named backend and
+// returns the heap the finished structure retains, in 8-byte words per
+// event thread.
+func retainedWords(name string, t *spt.Tree) float64 {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	m := newMaintainer(name)
+	threads := walkTree(m, t, nil)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(m)
+	return float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / 8 / float64(threads)
+}
+
+// fig3 reproduces the comparison table of Figure 3 — space per thread,
+// time per thread creation, time per query — for every registered
+// backend, each driven as a bare maintainer by a structure-only walk.
+func fig3() {
+	fmt.Println("=== Figure 3: SP-maintenance algorithms (bare maintainers, structure-only walk) ===")
+	n, fan, qn := 20000, 2000, 200000
 	if *quick {
-		ns = []int{1000, 10000, 100000}
+		n, fan, qn = 4000, 1000, 20000
 	}
-	var xs, ys []float64
-	fmt.Printf("%12s %14s %14s %16s\n", "n (threads)", "total", "ns/thread", "relabels/thread")
-	for _, n := range ns {
-		tr := repro.Generate(repro.DefaultGenConfig(n), repro.NewRand(int64(n)))
-		var relabels int64
-		el := timeIt(reps(), func() {
-			sp := repro.NewSPOrder(tr)
-			sp.Run(nil)
-			_, relabels, _ = sp.Stats()
+	cfg := spt.DefaultGenConfig(n)
+	cfg.PProb = 0.7
+	tr := spt.Generate(cfg, rand.New(rand.NewSource(1)))
+	// A wide fan nests every fork inside the previous one: the worst
+	// case for the labelers' Θ(f)/Θ(d) label length.
+	deep := spt.WideFan(fan, 1)
+	leaves := deep.Threads()
+	fmt.Printf("creation: random program, %d threads; space and queries: fan of %d (nesting depth %d)\n",
+		n, fan, fan-1)
+	fmt.Printf("%-18s %18s %18s %14s\n", "backend", "space (words/thr)", "creation (ns/thr)", "query (ns)")
+	for _, name := range selectedBackends() {
+		info, _ := sp.Lookup(name)
+		el := timeIt(reps(), func() { walkTree(newMaintainer(name), tr, nil) })
+		words := retainedWords(name, deep)
+
+		m := newMaintainer(name)
+		ids := make([]sp.ThreadID, deep.Len())
+		// Backends without FullQueries answer only against the current
+		// thread: after the walk, the final thread (the last allocated).
+		cur := sp.ThreadID(walkTree(m, deep, ids) - 1)
+		rng := rand.New(rand.NewSource(2))
+		pick := func() sp.ThreadID { return ids[leaves[rng.Intn(len(leaves))].ID] }
+		q := timeIt(reps(), func() {
+			for i := 0; i < qn; i++ {
+				b := cur
+				if info.FullQueries {
+					b = pick()
+				}
+				m.Precedes(pick(), b)
+			}
 		})
-		xs = append(xs, float64(n))
-		ys = append(ys, float64(el.Nanoseconds()))
-		fmt.Printf("%12d %14v %14.1f %16.2f\n", n, el.Round(time.Microsecond),
-			float64(el.Nanoseconds())/float64(n), float64(relabels)/float64(n))
+		fmt.Printf("%-18s %18.1f %18.1f %14.1f\n", name, words,
+			float64(el.Nanoseconds())/float64(n), float64(q.Nanoseconds())/float64(qn))
 	}
-	k := stats.GrowthExponent(xs, ys)
-	fmt.Printf("growth exponent (1.0 = linear): %.3f   ratio spread: %.2f\n\n",
-		k, stats.RatioSpread(xs, ys))
+	fmt.Println("(space is heap retained after the walk: every backend allocates per event thread;")
+	fmt.Println(" paper: EH space Θ(f), OS space Θ(d), SP-bags/SP-order Θ(1); queries Θ(f)/Θ(d)/Θ(α)/Θ(1))")
+	fmt.Println()
+}
+
+// theorem5 checks that SP maintenance over a fork/join stream is O(n):
+// the structure-only walk of every backend, timed against n
+// (scalingTimes). Every size exceeds the per-core L2 cache of today's
+// hosts, so the fit compares like with like.
+func theorem5() {
+	fmt.Println("=== Theorem 5: SP maintenance is O(n) (structure-only walk) ===")
+	ns, perMeasure := []int{20000, 60000, 200000, 600000}, 600000
+	if *quick {
+		ns, perMeasure = []int{20000, 60000, 200000}, 200000
+	}
+	backends := selectedBackends()
+	trees := make([]*spt.Tree, len(ns))
+	xs := make([]float64, len(ns))
+	sizes := make([]string, len(ns))
+	for i, n := range ns {
+		trees[i] = spt.Generate(spt.DefaultGenConfig(n), rand.New(rand.NewSource(int64(n))))
+		xs[i], sizes[i] = float64(n), strconv.Itoa(n)
+	}
+	times := map[string][]float64{}
+	for _, b := range backends {
+		times[b] = scalingTimes(len(ns),
+			func(i int) int { return max(1, perMeasure/ns[i]) },
+			func(i int) { walkTree(newMaintainer(b), trees[i], nil) })
+	}
+	printScaling("n (threads)", "ns/thread", sizes, backends, func(b string, i int) string {
+		return fmt.Sprintf("%.1f", times[b][i]/xs[i])
+	})
+	fmt.Println("growth exponent of time vs n (1.0 = linear):")
+	for _, b := range backends {
+		fmt.Printf("  %-18s %.3f   ratio spread: %.2f\n", b,
+			stats.GrowthExponent(xs, times[b]), stats.RatioSpread(xs, times[b]))
+	}
+	fmt.Println()
 }
 
 // corollary6 checks race detection is O(T1) with SP-order and compares
 // every backend registered in the repro/sp registry, driven through the
-// event API (-backend restricts to one).
+// event API by replaying each program into a Monitor (-backend restricts
+// to one).
 func corollary6() {
 	fmt.Println("=== Corollary 6: race detection in O(T1) ===")
 	fibs := []int{12, 15, 18, 21}
 	if *quick {
 		fibs = []int{10, 13, 16}
 	}
-	var backends []string
-	if *backendFlag == "all" {
-		backends = sp.BackendNames()
-	} else {
-		if _, ok := sp.Lookup(*backendFlag); !ok {
-			fmt.Printf("unknown backend %q (available: %v)\n\n", *backendFlag, sp.BackendNames())
-			return
-		}
-		backends = []string{*backendFlag}
+	backends := selectedBackends()
+	// All-reads sharing: race-free, but every access costs one SP query,
+	// so the measurement is maintenance + queries without race-report
+	// allocation noise.
+	trees := make([]*spt.Tree, len(fibs))
+	t1s := make([]float64, len(fibs))
+	sizes := make([]string, len(fibs))
+	for i, n := range fibs {
+		trees[i] = workload.ReadOnlyAccesses(spt.FibTree(n, 1), 8, 256, rand.New(rand.NewSource(3)))
+		t1s[i] = float64(trees[i].Work() + int64(8*trees[i].NumThreads()))
+		sizes[i] = fmt.Sprintf("fib(%d)", n)
 	}
-	fmt.Printf("%8s %12s", "fib", "T1")
+	times := map[string][]float64{}
 	for _, b := range backends {
-		fmt.Printf(" %18s", b)
+		times[b] = scalingTimes(len(fibs),
+			func(i int) int { return max(1, int(t1s[len(t1s)-1]/t1s[i])) },
+			func(i int) {
+				m := sp.MustMonitor(sp.WithBackend(b))
+				sp.Replay(trees[i], m)
+				m.Report()
+			})
 	}
-	fmt.Println(" (total detection time)")
-	perBackend := map[string][]float64{}
-	var t1s []float64
-	for _, n := range fibs {
-		// All-reads sharing: race-free, but every access costs one SP
-		// query, so the measurement is maintenance + queries without
-		// race-report allocation noise.
-		tr := workload.ReadOnlyAccesses(repro.FibTree(n, 1), 8, 256, repro.NewRand(3))
-		t1 := float64(tr.Work() + int64(8*tr.NumThreads()))
-		t1s = append(t1s, t1)
-		fmt.Printf("%8d %12.0f", n, t1)
-		for _, b := range backends {
-			el := timeIt(reps(), func() { race.DetectSerialBackend(tr, b) })
-			perBackend[b] = append(perBackend[b], float64(el.Nanoseconds()))
-			fmt.Printf(" %18v", el.Round(time.Microsecond))
-		}
-		fmt.Println()
-	}
+	fmt.Printf("T1 per program: %v\n", t1s)
+	printScaling("program", "total detection time", sizes, backends, func(b string, i int) string {
+		return time.Duration(times[b][i]).Round(time.Microsecond).String()
+	})
 	fmt.Println("growth exponent of time vs T1 (1.0 = the O(T1) claim):")
 	for _, b := range backends {
-		fmt.Printf("  %-18s %.3f\n", b, stats.GrowthExponent(t1s, perBackend[b]))
+		fmt.Printf("  %-18s %.3f\n", b, stats.GrowthExponent(t1s, times[b]))
 	}
 	fmt.Println()
 }
 
-// theorem10 compares SP-hybrid against the naive locked parallelization
-// across worker counts.
+// theorem10 compares the scheduler-coupled SP-hybrid against the naive
+// locked sp-order maintainer across worker counts.
 func theorem10() {
 	fmt.Println("=== Theorem 10: SP-hybrid vs naive locked SP-order ===")
 	fib := 18
 	if *quick {
 		fib = 14
 	}
-	tr := repro.FibWithAccesses(fib, 4, 512, true, repro.NewRand(4))
-	canon, _ := repro.Canonicalize(tr)
+	tr := workload.FibWithAccesses(fib, 4, 512, true, rand.New(rand.NewSource(4)))
+	canon, _ := spt.Canonicalize(tr)
 	fmt.Printf("workload: fib(%d), %d threads, T1=%d, T∞=%d, lg n ≈ %.1f\n",
 		fib, canon.NumThreads(), canon.Work(), canon.Span(), lg(float64(canon.NumThreads())))
 	fmt.Printf("%4s | %12s %10s %10s %12s | %12s %16s\n",
 		"P", "hybrid time", "steals", "splits", "retries", "naive time", "naive lock acqs")
 	for _, p := range []int{1, 2, 4, 8} {
-		var hst repro.ParallelRaceReport
-		hel := timeIt(reps(), func() { hst = repro.DetectParallel(canon, p, 1, true) })
-		var nst race.NaiveReport
-		nel := timeIt(reps(), func() { nst = race.DetectParallelNaive(canon, p, 1, true) })
+		var hst sphybrid.Stats
+		hel := timeIt(reps(), func() { _, hst = race.DetectParallel(canon, p, 1, true) })
+		var locks int64
+		nel := timeIt(reps(), func() { _, locks = race.DetectParallelNaive(canon, p, 1, true) })
 		fmt.Printf("%4d | %12v %10d %10d %12d | %12v %16d\n",
-			p, hel.Round(time.Microsecond), hst.Stats.Steals, hst.Stats.Splits,
-			hst.Stats.QueryRetries, nel.Round(time.Microsecond), nst.LockAcquisitions)
+			p, hel.Round(time.Microsecond), hst.Steals, hst.Splits,
+			hst.QueryRetries, nel.Round(time.Microsecond), locks)
 	}
 	fmt.Println("(hybrid's global-lock traffic is O(steals); naive locks EVERY insert+query: Θ(T1))")
 	fmt.Println()
@@ -358,20 +452,20 @@ func section7() {
 	}
 	shapes := []struct {
 		name string
-		tree *repro.Tree
+		tree *spt.Tree
 	}{
-		{"fan (tiny T∞)", repro.WideFan(n, 4)},
-		{"balanced", repro.BalancedPTree(12, 4)},
-		{"fib(16)", repro.FibTree(16, 2)},
-		{"chain (T∞=T1)", repro.DeepChain(n, 4)},
+		{"fan (tiny T∞)", spt.WideFan(n, 4)},
+		{"balanced", spt.BalancedPTree(12, 4)},
+		{"fib(16)", spt.FibTree(16, 2)},
+		{"chain (T∞=T1)", spt.DeepChain(n, 4)},
 	}
 	fmt.Printf("%-16s %10s %10s %12s %10s %10s\n", "shape", "T1", "T∞", "T∞(struct)", "steals", "traces")
 	for _, s := range shapes {
 		canon := s.tree
-		if !repro.IsCanonical(canon) {
-			canon, _ = repro.Canonicalize(canon)
+		if !spt.IsCanonical(canon) {
+			canon, _ = spt.Canonicalize(canon)
 		}
-		h := repro.NewSPHybrid(canon, func(w int, u *repro.Node) { runtime.Gosched() })
+		h := sphybrid.New(canon, func(w int, u *spt.Node) { runtime.Gosched() })
 		st := h.Run(4, 1)
 		fmt.Printf("%-16s %10d %10d %12d %10d %10d\n",
 			s.name, canon.Work(), canon.Span(), canon.StructuralSpan(), st.Steals, st.Traces)
@@ -416,14 +510,7 @@ func traceBench(jsonOut bool) {
 	if *quick {
 		n = 256
 	}
-	backends := sp.BackendNames()
-	if *backendFlag != "all" {
-		if _, ok := sp.Lookup(*backendFlag); !ok {
-			fmt.Fprintf(os.Stderr, "unknown backend %q (available: %v)\n", *backendFlag, sp.BackendNames())
-			os.Exit(2)
-		}
-		backends = []string{*backendFlag}
-	}
+	backends := selectedBackends()
 	doc := traceBenchDoc{
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 		NumCPU:     runtime.NumCPU(),

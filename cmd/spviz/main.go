@@ -17,9 +17,9 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math/rand"
 	"os"
 
-	"repro"
 	"repro/internal/spt"
 	"repro/internal/workload"
 	"repro/sp"
@@ -45,13 +45,13 @@ func main() {
 		os.Exit(2)
 	}
 
-	var tree *repro.Tree
+	var tree *spt.Tree
 	if *randomN > 0 {
-		tree = repro.Generate(repro.DefaultGenConfig(*randomN), repro.NewRand(*seed))
+		tree = spt.Generate(spt.DefaultGenConfig(*randomN), rand.New(rand.NewSource(*seed)))
 		fmt.Printf("Random SP program: %d threads, work=%d, span=%d\n\n",
 			tree.NumThreads(), tree.Work(), tree.Span())
 	} else {
-		tree = repro.PaperExample()
+		tree = spt.PaperExample()
 		fmt.Println("Paper example (Figures 1, 2, and 4)")
 		fmt.Println()
 	}
@@ -111,7 +111,7 @@ func main() {
 // recordTrace writes tree's serial event stream to path via the shared
 // workload.RecordTrace helper (race detection off: spviz only
 // visualizes structure).
-func recordTrace(tree *repro.Tree, path string) error {
+func recordTrace(tree *spt.Tree, path string) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
@@ -127,7 +127,7 @@ func recordTrace(tree *repro.Tree, path string) error {
 // answered by the selected backend through the event API. Backends that
 // only answer queries against the current thread (sp-bags) cannot relate
 // two retired threads, so the ground-truth oracle answers for them.
-func demoRelations(tree *repro.Tree, backend string) {
+func demoRelations(tree *spt.Tree, backend string) {
 	threads := tree.Threads()
 	n := len(threads)
 	if n > 8 {
@@ -136,7 +136,7 @@ func demoRelations(tree *repro.Tree, backend string) {
 	var relate func(u, v *spt.Node) string
 	if info, _ := sp.Lookup(backend); !info.FullQueries {
 		fmt.Printf("(%s answers queries against the current thread only; matrix uses the LCA oracle)\n", backend)
-		o := repro.NewOracle(tree)
+		o := spt.NewOracle(tree)
 		relate = func(u, v *spt.Node) string {
 			switch o.Relate(u, v) {
 			case spt.Precedes:

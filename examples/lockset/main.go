@@ -15,34 +15,42 @@ package main
 
 import (
 	"fmt"
+	"math/rand"
 
-	"repro"
+	"repro/internal/workload"
+	"repro/sp"
 )
 
 func main() {
-	tree, protectedLoc, unprotectedLoc := repro.LockProtected(6, repro.NewRand(7))
+	tree, protectedLoc, unprotectedLoc := workload.LockProtected(6, rand.New(rand.NewSource(7)))
 	fmt.Printf("program: %d fully parallel threads\n", tree.NumThreads())
 	fmt.Printf("  x%d: read-modify-write under mutex m0 by 6 threads\n", protectedLoc)
 	fmt.Printf("  x%d: unsynchronized writes by 2 threads\n\n", unprotectedLoc)
 
-	det := repro.DetectSerial(tree, repro.BackendSPOrder)
-	fmt.Printf("determinacy detector (locks invisible): flags %v\n", det.Locations)
+	det := sp.MustMonitor(sp.WithBackend("sp-order"))
+	sp.Replay(tree, det)
+	fmt.Printf("determinacy detector (locks invisible): flags %v\n", det.Report().Locations)
 
-	lock := repro.DetectLockAware(tree)
-	fmt.Printf("lock-aware ALL-SETS detector:           flags %v\n\n", lock.Locations)
-	for _, r := range lock.Races {
+	lock := sp.MustMonitor(sp.WithBackend("sp-order"), sp.WithLockAwareness(true))
+	sp.Replay(tree, lock)
+	rep := lock.Report()
+	fmt.Printf("lock-aware ALL-SETS detector:           flags %v\n\n", rep.Locations)
+	for _, r := range rep.Races {
 		fmt.Println("  ", r)
 	}
 
 	// Partial protection is not protection: disjoint lock sets race.
-	a := repro.NewLeaf("holderOfM1", 1)
-	a.Steps = []repro.Step{repro.Acq(1), repro.W(9), repro.Rel(1)}
-	b := repro.NewLeaf("holderOfM2", 1)
-	b.Steps = []repro.Step{repro.Acq(2), repro.W(9), repro.Rel(2)}
-	two := repro.MustTree(repro.NewP(a, b))
-	rep := repro.DetectLockAware(two)
+	m := sp.MustMonitor(sp.WithBackend("sp-order"), sp.WithLockAwareness(true))
+	a, b := m.Fork(m.Main())
+	m.Acquire(a, 1)
+	m.WriteAt(a, 9, "holderOfM1")
+	m.Release(a, 1)
+	m.Acquire(b, 2)
+	m.WriteAt(b, 9, "holderOfM2")
+	m.Release(b, 2)
+	m.Join(a, b)
 	fmt.Println("\ntwo writers holding DIFFERENT mutexes on x9:")
-	for _, r := range rep.Races {
+	for _, r := range m.Report().Races {
 		fmt.Println("  ", r)
 	}
 }

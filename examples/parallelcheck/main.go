@@ -14,11 +14,12 @@ import (
 	"runtime"
 	"sync/atomic"
 
-	"repro"
+	"repro/internal/sphybrid"
+	"repro/internal/spt"
 )
 
 func main() {
-	tree := repro.FibTree(16, 2)
+	tree := spt.FibTree(16, 2)
 	fmt.Printf("workload: fib(16) — %d threads, T1=%d, cost-span T∞=%d, structural T∞=%d\n\n",
 		tree.NumThreads(), tree.Work(), tree.Span(), tree.StructuralSpan())
 
@@ -27,10 +28,10 @@ func main() {
 	for _, p := range []int{1, 2, 4, 8} {
 		// Each thread issues one SP query against a remembered earlier
 		// thread, exactly like a race detector would.
-		var last atomic.Pointer[repro.Node]
+		var last atomic.Pointer[spt.Node]
 		var agree, total atomic.Int64
-		var h *repro.SPHybrid
-		h = repro.NewSPHybrid(tree, func(w int, u *repro.Node) {
+		var h *sphybrid.SPHybrid
+		h = sphybrid.New(tree, func(w int, u *spt.Node) {
 			if prev := last.Load(); prev != nil && prev != u {
 				total.Add(1)
 				// One of Precedes/Parallel/Follows must hold for

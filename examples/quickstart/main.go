@@ -1,5 +1,6 @@
-// Quickstart: build a fork-join program as an SP parse tree, maintain
-// series-parallel relationships on the fly with SP-order, and query them.
+// Quickstart: report a fork-join program's structure to an sp.Monitor as
+// it executes, and let SP-order maintain the series-parallel relation
+// between its threads on the fly.
 //
 // Run with:
 //
@@ -9,7 +10,7 @@ package main
 import (
 	"fmt"
 
-	"repro"
+	"repro/sp"
 )
 
 func main() {
@@ -17,55 +18,50 @@ func main() {
 	// (each half forks a nested pair of workers), then merge.
 	//
 	//	load ; ( (w0 ∥ w1) ; combineA  ∥  (w2 ∥ w3) ; combineB ) ; merge
-	load := repro.NewLeaf("load", 10)
-	w := make([]*repro.Node, 4)
-	for i := range w {
-		w[i] = repro.NewLeaf(fmt.Sprintf("worker%d", i), 25)
-	}
-	combineA := repro.NewLeaf("combineA", 5)
-	combineB := repro.NewLeaf("combineB", 5)
-	merge := repro.NewLeaf("merge", 10)
-
-	halfA := repro.NewS(repro.NewP(w[0], w[1]), combineA)
-	halfB := repro.NewS(repro.NewP(w[2], w[3]), combineB)
-	program := repro.MustTree(repro.Seq(load, repro.NewP(halfA, halfB), merge))
-
-	fmt.Printf("program: %d threads, work T1=%d, span T∞=%d, parallelism %.2f\n\n",
-		program.NumThreads(), program.Work(), program.Span(),
-		float64(program.Work())/float64(program.Span()))
-
-	// Maintain SP relationships on the fly while the program "executes"
-	// (a serial left-to-right walk, as in a serial race detector), and
-	// query inside threads.
-	sp := repro.NewSPOrder(program)
-	sp.Run(func(u *repro.Node) {
-		fmt.Printf("executing %-9s", u.Label)
-		if u != load && sp.Visited(load) {
-			fmt.Printf("  load≺%s=%v", u.Label, sp.Precedes(load, u))
+	m := sp.MustMonitor(sp.WithBackend("sp-order"))
+	names := map[sp.ThreadID]string{}
+	load := m.Main()
+	// execute names a thread as it starts running (a serial left-to-right
+	// execution, as in a serial race detector) and queries the relation
+	// to load on the fly.
+	execute := func(t sp.ThreadID, name string) sp.ThreadID {
+		names[t] = name
+		fmt.Printf("executing %-9s", name)
+		if t != load {
+			fmt.Printf("  load≺%s=%v", name, m.Precedes(load, t))
 		}
 		fmt.Println()
-	})
+		return t
+	}
+	execute(load, "load")
+	halfA, halfB := m.Fork(load)
+	w0, w1 := m.Fork(halfA)
+	execute(w0, "worker0")
+	execute(w1, "worker1")
+	combineA := execute(m.Join(w0, w1), "combineA")
+	w2, w3 := m.Fork(halfB)
+	execute(w2, "worker2")
+	execute(w3, "worker3")
+	combineB := execute(m.Join(w2, w3), "combineB")
+	merge := execute(m.Join(combineA, combineB), "merge")
 
 	fmt.Println("\nqueries after the run:")
-	pairs := [][2]*repro.Node{
-		{w[0], w[1]},      // parallel siblings
-		{w[0], combineA},  // worker precedes its combine
-		{w[0], w[2]},      // parallel across halves
+	pairs := [][2]sp.ThreadID{
+		{w0, w1},          // parallel siblings
+		{w0, combineA},    // worker precedes its combine
+		{w0, w2},          // parallel across halves
 		{combineA, merge}, // combine precedes merge
 		{load, merge},     // ends of the pipeline
 	}
 	for _, p := range pairs {
-		describe(sp, p[0], p[1])
-	}
-}
-
-func describe(sp *repro.SPOrder, u, v *repro.Node) {
-	switch {
-	case sp.Precedes(u, v):
-		fmt.Printf("  %-9s ≺ %s (series)\n", u.Label, v.Label)
-	case sp.Precedes(v, u):
-		fmt.Printf("  %-9s ≻ %s (series, reversed)\n", u.Label, v.Label)
-	case sp.Parallel(u, v):
-		fmt.Printf("  %-9s ∥ %s (logically parallel)\n", u.Label, v.Label)
+		u, v := names[p[0]], names[p[1]]
+		switch m.Relation(p[0], p[1]) {
+		case sp.Precedes:
+			fmt.Printf("  %-9s ≺ %s (series)\n", u, v)
+		case sp.Follows:
+			fmt.Printf("  %-9s ≻ %s (series, reversed)\n", u, v)
+		case sp.Parallel:
+			fmt.Printf("  %-9s ∥ %s (logically parallel)\n", u, v)
+		}
 	}
 }

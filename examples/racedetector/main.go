@@ -16,41 +16,50 @@ package main
 import (
 	"fmt"
 
-	"repro"
+	"repro/internal/spt"
+	"repro/internal/workload"
+	"repro/sp"
 )
+
+// detect replays the program's fork, join, and access events through a
+// fresh monitor on the named backend — serially, or with real goroutines
+// forking at every spawn when workers > 0.
+func detect(program *spt.Tree, backend string, workers int) sp.Report {
+	m := sp.MustMonitor(sp.WithBackend(backend))
+	if workers > 0 {
+		sp.ReplayParallel(program, m, workers)
+	} else {
+		sp.Replay(program, m)
+	}
+	return m.Report()
+}
 
 func main() {
 	const width = 6
 
 	fmt.Println("=== buggy version: reduction spawned in parallel with the loop ===")
-	buggy := repro.VectorAccumulate(width, true)
-	report := repro.DetectSerial(buggy, repro.BackendSPOrder)
+	buggy := workload.VectorAccumulate(width, true)
+	report := detect(buggy, "sp-order", 0)
 	fmt.Printf("detector found races on %d locations: %v\n", len(report.Locations), report.Locations)
 	for _, r := range report.Races {
 		fmt.Println("  ", r)
 	}
 
 	fmt.Println("\n=== fixed version: reduction after the join ===")
-	fixed := repro.VectorAccumulate(width, false)
-	report = repro.DetectSerial(fixed, repro.BackendSPOrder)
+	report = detect(workload.VectorAccumulate(width, false), "sp-order", 0)
 	fmt.Printf("detector found %d races (program is determinate)\n", len(report.Races))
 
-	// All four SP-maintenance backends agree — Figure 3's algorithms are
-	// interchangeable as the detector's oracle, differing only in cost.
+	// Every registered SP-maintenance backend agrees — Figure 3's
+	// algorithms are interchangeable as the detector's oracle, differing
+	// only in cost.
 	fmt.Println("\n=== backend agreement on the buggy version ===")
-	for _, b := range []repro.Backend{
-		repro.BackendSPOrder, repro.BackendSPBags,
-		repro.BackendEnglishHebrew, repro.BackendOffsetSpan,
-	} {
-		rep := repro.DetectSerial(buggy, b)
-		fmt.Printf("  %-16s %d racy locations, %d SP queries\n", b, len(rep.Locations), rep.Queries)
+	for _, b := range sp.BackendNames() {
+		rep := detect(buggy, b, 0)
+		fmt.Printf("  %-18s %d racy locations, %d SP queries\n", b, len(rep.Locations), rep.Queries)
 	}
 
-	// The same detection can run in parallel under SP-hybrid.
-	fmt.Println("\n=== parallel detection with SP-hybrid (4 workers) ===")
-	canon, _ := repro.Canonicalize(buggy)
-	prep := repro.DetectParallel(canon, 4, 1, true)
-	fmt.Printf("  racy locations: %v\n", prep.Locations)
-	fmt.Printf("  scheduler: %d steals → %d trace splits → %d traces\n",
-		prep.Stats.Steals, prep.Stats.Splits, prep.Stats.Traces)
+	// The concurrent backends accept the events of a genuinely parallel
+	// execution too.
+	fmt.Println("\n=== parallel detection with sp-hybrid (4 goroutines) ===")
+	fmt.Printf("  racy locations: %v\n", detect(buggy, "sp-hybrid", 4).Locations)
 }

@@ -215,11 +215,11 @@ func (r *rewriter) ifStmt(s *ast.IfStmt) []ast.Stmt {
 	case *ast.BlockStmt:
 		r.block(e)
 	}
-	var reads []access
+	var pre []ast.Stmt
 	if s.Init == nil { // init-scoped variables would leak out of scope
-		reads = r.collect(s.Cond, false)
+		pre = r.condReads(s.Cond, nil)
 	}
-	return append(r.readCalls(reads), s)
+	return append(pre, s)
 }
 
 // forStmt instruments the loop clauses that used to be skipped. The
@@ -256,15 +256,45 @@ func (r *rewriter) forStmt(s *ast.ForStmt) []ast.Stmt {
 	notLoopVar := func(a access) bool { return a.root == nil || !loopVars[a.root] }
 	var tail []ast.Stmt
 	tail = append(tail, r.postAccesses(s.Post, loopVars)...)
-	tail = append(tail, r.readCalls(filterAccesses(r.collect(s.Cond, false), notLoopVar))...)
+	tail = append(tail, r.condReads(s.Cond, notLoopVar)...)
 	if len(tail) > 0 {
 		s.Body.List = append(s.Body.List, tail...)
 	}
-	var pre []access
+	var pre []ast.Stmt
 	if s.Init == nil {
-		pre = r.collect(s.Cond, false)
+		pre = r.condReads(s.Cond, nil)
 	}
-	return append(r.readCalls(pre), s)
+	return append(pre, s)
+}
+
+// condReads returns the announcements of the shared reads condition e
+// performs, keeping only the accesses keep approves of (nil keeps all).
+// The right operand of && and || runs only when the left one lets it —
+// `j >= 0 && a[j] > v` must not evaluate &a[j] at j == -1 — so its
+// announcements are guarded by re-evaluating the left operand when that
+// has no side effects, and dropped otherwise: a missed race, never a
+// false one.
+func (r *rewriter) condReads(e ast.Expr, keep func(access) bool) []ast.Stmt {
+	b, ok := unparen(e).(*ast.BinaryExpr)
+	if !ok || (b.Op != token.LAND && b.Op != token.LOR) {
+		accs := r.collect(e, false)
+		if keep != nil {
+			accs = filterAccesses(accs, keep)
+		}
+		return r.readCalls(accs)
+	}
+	out := r.condReads(b.X, keep)
+	if !sideEffectFree(b.X) {
+		return out
+	}
+	if right := r.condReads(b.Y, keep); len(right) > 0 {
+		guard := b.X
+		if b.Op == token.LOR {
+			guard = &ast.UnaryExpr{Op: token.NOT, X: &ast.ParenExpr{X: b.X}}
+		}
+		out = append(out, &ast.IfStmt{Cond: guard, Body: &ast.BlockStmt{List: right}})
+	}
+	return out
 }
 
 // filterAccesses keeps the accesses keep() approves of.
@@ -779,13 +809,13 @@ func (r *rewriter) collectStmt(s ast.Stmt) []access {
 	return nil
 }
 
-// collect walks an expression and returns the shared reads it performs.
-// Function literal bodies are skipped (they run elsewhere, and are
-// instrumented in place); the operand of & is not itself a read (taking
-// an address reads nothing), though its index subexpressions are. When
-// lhs is set, e is an assignment target: the outermost access is the
-// write (handled by the caller), but everything evaluated on the way to
-// it still reads.
+// collect walks an expression and returns the shared reads it performs,
+// short of the right operands of && and ||. Function literal bodies are
+// skipped (they run elsewhere, and are instrumented in place); the
+// operand of & is not itself a read (taking an address reads nothing),
+// though its index subexpressions are. When lhs is set, e is an
+// assignment target: the outermost access is the write (handled by the
+// caller), but everything evaluated on the way to it still reads.
 func (r *rewriter) collect(e ast.Expr, lhs bool) []access {
 	if e == nil {
 		return nil
@@ -831,7 +861,12 @@ func (r *rewriter) collect(e ast.Expr, lhs bool) []access {
 			walk(e.X, false)
 		case *ast.BinaryExpr:
 			walk(e.X, false)
-			walk(e.Y, false)
+			// The right operand of && and || may not run at all (and may
+			// only be safe to evaluate when it does): condReads announces
+			// it under a guard; everywhere else it is skipped.
+			if e.Op != token.LAND && e.Op != token.LOR {
+				walk(e.Y, false)
+			}
 		case *ast.StarExpr:
 			walk(e.X, false)
 		case *ast.IndexExpr:

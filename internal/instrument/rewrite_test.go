@@ -4,6 +4,8 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -422,5 +424,71 @@ func main() {
 		if !strings.Contains(out, want) {
 			t.Fatalf("missing %q in:\n%s", want, out)
 		}
+	}
+}
+
+// shortCircuitSort is an insertion sort whose inner loop condition
+// guards its index with &&: evaluating a[j] unguarded at the end of the
+// body, after j-- reached -1, would panic.
+const shortCircuitSort = `package main
+
+import "fmt"
+
+func insertionSort(a []int) {
+	for i := 1; i < len(a); i++ {
+		v := a[i]
+		j := i - 1
+		for j >= 0 && a[j] > v {
+			a[j+1] = a[j]
+			j--
+		}
+		a[j+1] = v
+	}
+}
+
+func main() {
+	a := []int{5, 2, 4, 6, 1, 3}
+	insertionSort(a)
+	fmt.Println("sorted:", a)
+}
+`
+
+// TestRewriteShortCircuitLoopCond pins the short-circuit rule: the right
+// operand of && in a loop condition is announced only under its left
+// operand, and the instrumented insertion sort builds and runs without
+// an index-out-of-range panic.
+func TestRewriteShortCircuitLoopCond(t *testing.T) {
+	out, _ := rewrite(t, shortCircuitSort)
+	if !strings.Contains(out, "if j >= 0 {\n\t\t\t\tspsync.Read(&a[j], \"prog.go:9\")") {
+		t.Fatalf("right operand of && not announced under its guard:\n%s", out)
+	}
+	if testing.Short() {
+		t.Skip("builds and runs subprocesses")
+	}
+	work := t.TempDir()
+	srcDir := filepath.Join(work, "src")
+	if err := os.MkdirAll(srcDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(srcDir, "main.go"), []byte(shortCircuitSort), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(srcDir, "go.mod"),
+		[]byte("module sortprog\n\ngo 1.24\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, bin, _, err := BuildInstrumented(srcDir, work, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, stdout, err := RunInstrumented(bin, work, "sp-hybrid")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(stdout, "sorted: [1 2 3 4 5 6]") {
+		t.Fatalf("instrumented sort printed:\n%s", stdout)
+	}
+	if rep.Accesses == 0 || rep.Racy {
+		t.Fatalf("want a race-free run with announced accesses, got %+v", rep)
 	}
 }

@@ -5,10 +5,10 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/core"
 	"repro/internal/sched"
 	"repro/internal/shadow"
 	"repro/internal/spt"
+	"repro/sp"
 )
 
 // This file implements the ablation baseline of Section 3: the naive
@@ -16,71 +16,192 @@ import (
 // SP-order structure and takes a single global lock around every
 // OM-INSERT and OM-PRECEDES. It is correct but its apparent work can
 // blow up to Θ(P·T1) under contention — the failure mode SP-hybrid's
-// two-tier design exists to avoid. The Theorem 10 benchmarks run this
+// two-tier design exists to avoid. The Theorem 10 benchmark runs this
 // detector head-to-head against DetectParallel.
+//
+// The shared structure is the registered sp-order backend itself, driven
+// as a bare sp.Maintainer from the scheduler's hooks: a P-node's
+// SpawnChild (or a Steal of its continuation, whichever runs first) forks
+// the frame's current event thread into the spawned child (left) and the
+// continuation (right), Steal hands the continuation thread to the
+// thief's frame, and JoinComplete joins the two branch terminals into
+// the post-join thread. Leaves in series within one frame share an event
+// thread, exactly as sp.Replay emits them.
 
-// NaiveReport extends Report with scheduler statistics and the global
-// lock's acquisition count (every acquisition is a potential stall of
-// P−1 other workers).
-type NaiveReport struct {
-	Report
-	Sched            sched.Stats
-	LockAcquisitions int64
+// orderQuerier is sp-order's exact total-order surface, which the
+// two-reader shadow protocol needs to stay complete off the serial
+// depth-first access order — exactly the regime this detector runs in.
+type orderQuerier interface {
+	EnglishBefore(a, b sp.ThreadID) bool
+	HebrewBefore(a, b sp.ThreadID) bool
+}
+
+// naiveFrame is a frame's client payload: the event thread its code is
+// currently executing.
+type naiveFrame struct{ cur sp.ThreadID }
+
+func frameCur(f *sched.Frame) *naiveFrame { return f.Data.(*naiveFrame) }
+
+// naiveFork records, per P-node, its two branch threads and the spawned
+// child's frame (whose final thread is the left terminal at the join).
+type naiveFork struct {
+	done        bool
+	left, right sp.ThreadID
+	child       *sched.Frame
 }
 
 // naiveClient drives the work-stealing scheduler while maintaining the
-// shared, fully locked SP-order structure.
+// shared sp-order maintainer; mu guards the maintainer, the thread
+// counter, and the fork records, and counts its acquisitions.
 type naiveClient struct {
-	l     *core.LockedSPOrder
-	sh    *shadow.Memory[*spt.Node]
+	mu    sync.Mutex
+	m     sp.Maintainer
+	ord   orderQuerier
+	next  sp.ThreadID
+	forks []naiveFork // indexed by P-node ID
+	locks int64
+
+	sh    *shadow.Memory[sp.ThreadID]
 	yield bool
 
-	mu       sync.Mutex
+	raceMu   sync.Mutex
 	races    []Race
 	accesses atomic.Int64
 	queries  atomic.Int64
 }
 
-func (c *naiveClient) RootFrame() *sched.Frame { return &sched.Frame{} }
+func newNaiveClient(t *spt.Tree, yield bool) *naiveClient {
+	m, _, err := sp.NewMaintainer("sp-order")
+	if err != nil {
+		panic(err)
+	}
+	return &naiveClient{
+		m:     m,
+		ord:   m.(orderQuerier),
+		forks: make([]naiveFork, t.Len()),
+		sh:    shadow.NewMemory[sp.ThreadID](64),
+		yield: yield,
+	}
+}
+
+// lock takes the global lock and counts the acquisition.
+func (c *naiveClient) lock() {
+	c.mu.Lock()
+	c.locks++
+}
+
+// newThread allocates the next event thread; mu must be held.
+func (c *naiveClient) newThread() sp.ThreadID {
+	t := c.next
+	c.next++
+	return t
+}
+
+func (c *naiveClient) RootFrame() *sched.Frame {
+	c.lock()
+	defer c.mu.Unlock()
+	main := c.newThread()
+	c.m.Start(main)
+	return &sched.Frame{Data: &naiveFrame{cur: main}}
+}
+
+// forkOf performs pnode's fork on first use, from frame f's current
+// thread, and moves f on to the continuation. The first use is usually
+// SpawnChild, but the scheduler publishes the continuation task before
+// calling SpawnChild, so a thief may get there first. mu must be held.
+func (c *naiveClient) forkOf(pnode *spt.Node, f *sched.Frame) *naiveFork {
+	fk := &c.forks[pnode.ID]
+	if !fk.done {
+		pf := frameCur(f)
+		fk.left, fk.right = c.newThread(), c.newThread()
+		c.m.Fork(pf.cur, fk.left, fk.right)
+		pf.cur = fk.right // the continuation, if it is not stolen
+		fk.done = true
+	}
+	return fk
+}
+
 func (c *naiveClient) SpawnChild(w int, parent *sched.Frame, pnode *spt.Node) *sched.Frame {
-	return &sched.Frame{}
+	c.lock()
+	defer c.mu.Unlock()
+	fk := c.forkOf(pnode, parent)
+	fk.child = &sched.Frame{Data: &naiveFrame{cur: fk.left}}
+	return fk.child
 }
+
 func (c *naiveClient) ReturnChild(w int, parent, child *sched.Frame, pnode *spt.Node) {}
+
+// Steal starts the thief's frame on the continuation thread and
+// publishes that frame to the join, whose right terminal it will hold.
 func (c *naiveClient) Steal(thief int, t *sched.Task) *sched.Frame {
-	return &sched.Frame{}
+	c.lock()
+	defer c.mu.Unlock()
+	f := &sched.Frame{Data: &naiveFrame{cur: c.forkOf(t.Join().PNode(), t.Frame()).right}}
+	t.Join().Data = f
+	return f
 }
-func (c *naiveClient) JoinComplete(w int, j *sched.Join) {}
 
-// naiveRel answers shadow queries through the locked structure,
-// including the exact order queries the two-reader protocol needs off
-// the serial depth-first access order.
+func (c *naiveClient) JoinComplete(w int, j *sched.Join) {
+	c.lock()
+	defer c.mu.Unlock()
+	right := j.Frame()
+	if thief, ok := j.Data.(*sched.Frame); ok {
+		right = thief
+	}
+	cont := c.newThread()
+	c.m.Join(frameCur(c.forks[j.PNode().ID].child).cur, frameCur(right).cur, cont)
+	frameCur(j.Frame()).cur = cont
+}
+
+// naiveRel answers shadow queries against the current thread through
+// the locked structure, including the exact order queries.
 type naiveRel struct {
-	l   *core.LockedSPOrder
-	cur *spt.Node
+	c   *naiveClient
+	cur sp.ThreadID
 }
 
-func (r *naiveRel) PrecedesCurrent(u *spt.Node) bool      { return r.l.Precedes(u, r.cur) }
-func (r *naiveRel) ParallelCurrent(u *spt.Node) bool      { return r.l.Parallel(u, r.cur) }
-func (r *naiveRel) EnglishBeforeCurrent(u *spt.Node) bool { return r.l.EnglishBefore(u, r.cur) }
-func (r *naiveRel) HebrewBeforeCurrent(u *spt.Node) bool  { return r.l.HebrewBefore(u, r.cur) }
+func (r naiveRel) PrecedesCurrent(u sp.ThreadID) bool {
+	r.c.lock()
+	defer r.c.mu.Unlock()
+	return r.c.m.Precedes(u, r.cur)
+}
 
+func (r naiveRel) ParallelCurrent(u sp.ThreadID) bool {
+	r.c.lock()
+	defer r.c.mu.Unlock()
+	return r.c.m.Parallel(u, r.cur)
+}
+
+func (r naiveRel) EnglishBeforeCurrent(u sp.ThreadID) bool {
+	r.c.lock()
+	defer r.c.mu.Unlock()
+	return r.c.ord.EnglishBefore(u, r.cur)
+}
+
+func (r naiveRel) HebrewBeforeCurrent(u sp.ThreadID) bool {
+	r.c.lock()
+	defer r.c.mu.Unlock()
+	return r.c.ord.HebrewBefore(u, r.cur)
+}
+
+// ExecThread replays the leaf's accesses on the frame's current thread
+// (sp-order needs no Begin event). The leaf rides along as the access
+// site, so reports name parse-tree threads.
 func (c *naiveClient) ExecThread(w int, f *sched.Frame, leaf *spt.Node) {
-	// Expand the shared structure up to this thread (OM-INSERTs under
-	// the global lock).
-	c.l.EnsureVisited(leaf)
-	rel := &naiveRel{l: c.l, cur: leaf}
+	cur := frameCur(f).cur
+	rel := naiveRel{c: c, cur: cur}
 	for _, st := range leaf.Steps {
-		switch st.Op {
-		case spt.Read, spt.Write:
-			c.accesses.Add(1)
-			var q int64
-			found := c.sh.AccessOrdered(uint64(st.Loc), rel, leaf, nil, st.Op == spt.Write, &q)
-			c.queries.Add(q)
-			if found != nil {
-				c.mu.Lock()
-				c.races = append(c.races, Race{Loc: st.Loc, Kind: found.Kind, First: found.Prev, Second: leaf})
-				c.mu.Unlock()
-			}
+		if st.Op != spt.Read && st.Op != spt.Write {
+			continue
+		}
+		c.accesses.Add(1)
+		var q int64
+		found := c.sh.AccessOrdered(uint64(st.Loc), rel, cur, leaf, st.Op == spt.Write, &q)
+		c.queries.Add(q)
+		if found != nil {
+			c.raceMu.Lock()
+			c.races = append(c.races, Race{Loc: st.Loc, Kind: found.Kind, First: found.PrevSite.(*spt.Node), Second: leaf})
+			c.raceMu.Unlock()
 		}
 	}
 	if c.yield {
@@ -89,20 +210,15 @@ func (c *naiveClient) ExecThread(w int, f *sched.Frame, leaf *spt.Node) {
 }
 
 // DetectParallelNaive replays tree t under the work-stealing scheduler
-// with the globally locked SP-order structure of Section 3. The tree must
+// with the globally locked sp-order structure of Section 3, returning
+// the report and the number of global-lock acquisitions. The tree must
 // be canonical. Compare its lock-acquisition count and wall time against
 // DetectParallel's to reproduce the paper's argument for the two-tier
 // design.
-func DetectParallelNaive(t *spt.Tree, workers int, seed int64, yield bool) NaiveReport {
-	c := &naiveClient{
-		l:     core.NewLockedSPOrder(t),
-		sh:    shadow.NewMemory[*spt.Node](64),
-		yield: yield,
-	}
-	s := sched.New(workers, c, seed)
-	st := s.Run(t)
-	rep := buildReport(c.races, c.accesses.Load(), c.queries.Load())
-	return NaiveReport{Report: rep, Sched: st, LockAcquisitions: c.l.LockAcquisitions}
+func DetectParallelNaive(t *spt.Tree, workers int, seed int64, yield bool) (Report, int64) {
+	c := newNaiveClient(t, yield)
+	sched.New(workers, c, seed).Run(t)
+	return buildReport(c.races, c.accesses.Load(), c.queries.Load()), c.locks
 }
 
 var _ sched.Client = (*naiveClient)(nil)

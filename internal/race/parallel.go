@@ -26,25 +26,20 @@ func (r *hybridRel) ParallelCurrent(u *spt.Node) bool      { return r.h.Parallel
 func (r *hybridRel) EnglishBeforeCurrent(u *spt.Node) bool { return r.h.EnglishBefore(u, r.cur) }
 func (r *hybridRel) HebrewBeforeCurrent(u *spt.Node) bool  { return r.h.HebrewBefore(u, r.cur) }
 
-// ParallelReport extends Report with the SP-hybrid run statistics.
-type ParallelReport struct {
-	Report
-	Stats sphybrid.Stats
-}
-
 // DetectParallel replays tree t under the work-stealing scheduler on the
 // given number of workers, with the scheduler-coupled SP-hybrid
 // maintaining SP relationships and a lock-striped shadow memory applying
-// the Nondeterminator protocol (internal/shadow). The tree must be
-// canonical (spt.Canonicalize arbitrary trees first and detect on the
-// canonical copy). yield inserts a scheduling yield after every thread,
-// which single-CPU hosts need to exhibit steals.
+// the Nondeterminator protocol (internal/shadow), and returns the report
+// with the SP-hybrid run statistics. The tree must be canonical
+// (spt.Canonicalize arbitrary trees first and detect on the canonical
+// copy). yield inserts a scheduling yield after every thread, which
+// single-CPU hosts need to exhibit steals.
 //
 // For live (non-replay) parallel monitoring, use sp.Monitor with the
 // "sp-hybrid" backend instead; this entry point exists to reproduce the
 // paper's scheduler-dependent statistics (steals, splits, query
 // retries).
-func DetectParallel(t *spt.Tree, workers int, seed int64, yield bool) ParallelReport {
+func DetectParallel(t *spt.Tree, workers int, seed int64, yield bool) (Report, sphybrid.Stats) {
 	sh := shadow.NewMemory[*spt.Node](64)
 	var mu sync.Mutex
 	var races []Race
@@ -72,6 +67,5 @@ func DetectParallel(t *spt.Tree, workers int, seed int64, yield bool) ParallelRe
 		}
 	})
 	stats := h.Run(workers, seed)
-	rep := buildReport(races, accesses, queries)
-	return ParallelReport{Report: rep, Stats: stats}
+	return buildReport(races, accesses, queries), stats
 }

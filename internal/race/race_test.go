@@ -10,18 +10,24 @@ import (
 	"repro/internal/workload"
 )
 
-var allBackends = []Backend{SPOrder, SPBags, EnglishHebrew, OffsetSpan}
+// detectors runs each scheduler-coupled detector on a canonical tree.
+var detectors = []struct {
+	name string
+	run  func(t *spt.Tree, workers int, seed int64) Report
+}{
+	{"hybrid", func(t *spt.Tree, workers int, seed int64) Report {
+		rep, _ := DetectParallel(t, workers, seed, true)
+		return rep
+	}},
+	{"naive", func(t *spt.Tree, workers int, seed int64) Report {
+		rep, _ := DetectParallelNaive(t, workers, seed, true)
+		return rep
+	}},
+}
 
-func TestBackendStrings(t *testing.T) {
-	want := map[Backend]string{
-		SPOrder: "SP-Order", SPBags: "SP-Bags",
-		EnglishHebrew: "English-Hebrew", OffsetSpan: "Offset-Span",
-	}
-	for b, w := range want {
-		if b.String() != w {
-			t.Fatalf("%v string = %q", b, b.String())
-		}
-	}
+func canonical(t *spt.Tree) *spt.Tree {
+	c, _ := spt.Canonicalize(t)
+	return c
 }
 
 func TestAccessKindStrings(t *testing.T) {
@@ -31,88 +37,17 @@ func TestAccessKindStrings(t *testing.T) {
 	}
 }
 
-// TestObviousRace: two parallel writers to one location.
-func TestObviousRace(t *testing.T) {
-	a := spt.NewLeaf("a", 1)
-	a.Steps = []spt.Step{spt.W(0)}
-	b := spt.NewLeaf("b", 1)
-	b.Steps = []spt.Step{spt.W(0)}
-	tr := spt.MustTree(spt.NewP(a, b))
-	for _, backend := range allBackends {
-		rep := DetectSerial(tr, backend)
-		if len(rep.Races) != 1 {
-			t.Fatalf("%v: races = %d, want 1", backend, len(rep.Races))
-		}
-		if rep.Races[0].Kind != WriteWrite || rep.Races[0].Loc != 0 {
-			t.Fatalf("%v: wrong race %v", backend, rep.Races[0])
-		}
-	}
-}
-
-// TestNoRaceWhenSerial: same accesses composed in series.
-func TestNoRaceWhenSerial(t *testing.T) {
-	a := spt.NewLeaf("a", 1)
-	a.Steps = []spt.Step{spt.W(0)}
-	b := spt.NewLeaf("b", 1)
-	b.Steps = []spt.Step{spt.W(0), spt.R(0)}
-	tr := spt.MustTree(spt.NewS(a, b))
-	for _, backend := range allBackends {
-		if rep := DetectSerial(tr, backend); len(rep.Races) != 0 {
-			t.Fatalf("%v: unexpected races %v", backend, rep.Races)
-		}
-	}
-}
-
-func TestReadSharingIsSafe(t *testing.T) {
-	a := spt.NewLeaf("a", 1)
-	a.Steps = []spt.Step{spt.R(0)}
-	b := spt.NewLeaf("b", 1)
-	b.Steps = []spt.Step{spt.R(0)}
-	tr := spt.MustTree(spt.NewP(a, b))
-	for _, backend := range allBackends {
-		if rep := DetectSerial(tr, backend); len(rep.Races) != 0 {
-			t.Fatalf("%v: read sharing flagged: %v", backend, rep.Races)
-		}
-	}
-}
-
-func TestWriteReadAndReadWriteKinds(t *testing.T) {
-	// writer ∥ reader: write happens first in serial replay order.
-	w := spt.NewLeaf("w", 1)
-	w.Steps = []spt.Step{spt.W(0)}
-	r := spt.NewLeaf("r", 1)
-	r.Steps = []spt.Step{spt.R(0)}
-	tr := spt.MustTree(spt.NewP(w, r))
-	rep := DetectSerial(tr, SPOrder)
-	if len(rep.Races) != 1 || rep.Races[0].Kind != WriteRead {
-		t.Fatalf("want one write-read race, got %v", rep.Races)
-	}
-	// reader first, then parallel writer.
-	r2 := spt.NewLeaf("r2", 1)
-	r2.Steps = []spt.Step{spt.R(0)}
-	w2 := spt.NewLeaf("w2", 1)
-	w2.Steps = []spt.Step{spt.W(0)}
-	tr2 := spt.MustTree(spt.NewP(r2, w2))
-	rep2 := DetectSerial(tr2, SPOrder)
-	if len(rep2.Races) != 1 || rep2.Races[0].Kind != ReadWrite {
-		t.Fatalf("want one read-write race, got %v", rep2.Races)
-	}
-}
-
 // TestVectorAccumulate pins the intro workload: the correct version is
 // race-free, the buggy version races on every output cell.
 func TestVectorAccumulate(t *testing.T) {
-	good := workload.VectorAccumulate(8, false)
-	for _, backend := range allBackends {
-		if rep := DetectSerial(good, backend); len(rep.Races) != 0 {
-			t.Fatalf("%v: correct program flagged: %v", backend, rep.Races)
+	good := canonical(workload.VectorAccumulate(8, false))
+	bad := canonical(workload.VectorAccumulate(8, true))
+	for _, d := range detectors {
+		if rep := d.run(good, 2, 1); len(rep.Races) != 0 {
+			t.Fatalf("%s: correct program flagged: %v", d.name, rep.Races)
 		}
-	}
-	bad := workload.VectorAccumulate(8, true)
-	for _, backend := range allBackends {
-		rep := DetectSerial(bad, backend)
-		if len(rep.Locations) != 8 {
-			t.Fatalf("%v: raced locations = %v, want all 8 outputs", backend, rep.Locations)
+		if rep := d.run(bad, 2, 1); len(rep.Locations) != 8 {
+			t.Fatalf("%s: raced locations = %v, want all 8 outputs", d.name, rep.Locations)
 		}
 	}
 }
@@ -129,13 +64,13 @@ func TestDetectorsMatchFullHistory(t *testing.T) {
 		cfg.Steps = 6
 		cfg.Locations = 8
 		cfg.WriteFrac = 0.4
-		tr := spt.Generate(cfg, rng)
+		tr := canonical(spt.Generate(cfg, rng))
 		truth := FullHistory(tr)
-		for _, backend := range allBackends {
-			rep := DetectSerial(tr, backend)
+		for _, d := range detectors {
+			rep := d.run(tr, 2, int64(trial))
 			if !reflect.DeepEqual(rep.Locations, truth.Locations) {
-				t.Fatalf("trial %d %v: flagged %v, truth %v",
-					trial, backend, rep.Locations, truth.Locations)
+				t.Fatalf("trial %d %s: flagged %v, truth %v",
+					trial, d.name, rep.Locations, truth.Locations)
 			}
 		}
 	}
@@ -149,10 +84,10 @@ func TestQuickDetectorLocationSets(t *testing.T) {
 		cfg.Steps = 4
 		cfg.Locations = 6
 		cfg.WriteFrac = 0.5
-		tr := spt.Generate(cfg, rng)
+		tr := canonical(spt.Generate(cfg, rng))
 		truth := FullHistory(tr).Locations
-		for _, backend := range allBackends {
-			if !reflect.DeepEqual(DetectSerial(tr, backend).Locations, truth) {
+		for _, d := range detectors {
+			if !reflect.DeepEqual(d.run(tr, 2, seed).Locations, truth) {
 				return false
 			}
 		}
@@ -163,27 +98,13 @@ func TestQuickDetectorLocationSets(t *testing.T) {
 	}
 }
 
-func TestPlantedRacesFoundExactly(t *testing.T) {
-	rng := rand.New(rand.NewSource(71))
-	for trial := 0; trial < 10; trial++ {
-		p := workload.PlantRaces(workload.DefaultPlantConfig(), rng)
-		for _, backend := range allBackends {
-			rep := DetectSerial(p.Tree, backend)
-			if !reflect.DeepEqual(rep.Locations, p.RacyLocs) {
-				t.Fatalf("trial %d %v: flagged %v, planted %v",
-					trial, backend, rep.Locations, p.RacyLocs)
-			}
-		}
-	}
-}
-
 func TestParallelDetectorMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(81))
 	for trial := 0; trial < 6; trial++ {
 		p := workload.PlantRaces(workload.DefaultPlantConfig(), rng)
-		canon, _ := spt.Canonicalize(p.Tree)
+		canon := canonical(p.Tree)
 		for _, workers := range []int{1, 2, 4} {
-			rep := DetectParallel(canon, workers, int64(trial), true)
+			rep, _ := DetectParallel(canon, workers, int64(trial), true)
 			if !reflect.DeepEqual(rep.Locations, p.RacyLocs) {
 				t.Fatalf("trial %d P=%d: flagged %v, planted %v",
 					trial, workers, rep.Locations, p.RacyLocs)
@@ -202,104 +123,41 @@ func TestParallelDetectorUnderSteals(t *testing.T) {
 	cfg.SafeLocations = 16
 	for seed := int64(0); seed < 10; seed++ {
 		p := workload.PlantRaces(cfg, rng)
-		canon, _ := spt.Canonicalize(p.Tree)
-		rep := DetectParallel(canon, 4, seed, true)
+		rep, stats := DetectParallel(canonical(p.Tree), 4, seed, true)
 		if !reflect.DeepEqual(rep.Locations, p.RacyLocs) {
 			t.Fatalf("seed %d: flagged %v, planted %v", seed, rep.Locations, p.RacyLocs)
 		}
-		if rep.Stats.Splits > 0 {
+		if stats.Splits > 0 {
 			return // at least one run exercised real splits
 		}
 	}
 	t.Skip("no splits observed; single-CPU scheduling too serial")
 }
 
-func TestLockAwareSuppressesProtectedRaces(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	tr, protected, unprotected := workload.LockProtected(6, rng)
-	rep := DetectLockAware(tr)
-	if len(rep.Locations) != 1 || rep.Locations[0] != unprotected {
-		t.Fatalf("lock-aware flagged %v, want only x%d", rep.Locations, unprotected)
-	}
-	// The pure determinacy detector flags both locations.
-	det := DetectSerial(tr, SPOrder)
-	if len(det.Locations) != 2 {
-		t.Fatalf("determinacy detector flagged %v, want both locations", det.Locations)
-	}
-	_ = protected
-}
-
-func TestLockAwarePartialOverlap(t *testing.T) {
-	// Two parallel writers holding different locks: still a race.
-	a := spt.NewLeaf("a", 1)
-	a.Steps = []spt.Step{spt.Acq(1), spt.W(0), spt.Rel(1)}
-	b := spt.NewLeaf("b", 1)
-	b.Steps = []spt.Step{spt.Acq(2), spt.W(0), spt.Rel(2)}
-	tr := spt.MustTree(spt.NewP(a, b))
-	rep := DetectLockAware(tr)
-	if len(rep.Races) != 1 {
-		t.Fatalf("disjoint locksets must race: %v", rep.Races)
-	}
-	// Sharing one common lock suppresses the race.
-	c := spt.NewLeaf("c", 1)
-	c.Steps = []spt.Step{spt.Acq(1), spt.Acq(2), spt.W(0), spt.Rel(2), spt.Rel(1)}
-	d := spt.NewLeaf("d", 1)
-	d.Steps = []spt.Step{spt.Acq(1), spt.W(0), spt.Rel(1)}
-	tr2 := spt.MustTree(spt.NewP(c, d))
-	if rep2 := DetectLockAware(tr2); len(rep2.Races) != 0 {
-		t.Fatalf("common lock must suppress the race: %v", rep2.Races)
-	}
-}
-
-func TestLockAwareReleaseUnheldPanics(t *testing.T) {
-	a := spt.NewLeaf("a", 1)
-	a.Steps = []spt.Step{spt.Rel(3)}
-	tr := spt.MustTree(spt.NewS(a, spt.NewLeaf("b", 1)))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	DetectLockAware(tr)
-}
-
-func TestLockSetOps(t *testing.T) {
-	a := LockSet{1, 3, 5}
-	b := LockSet{2, 4}
-	c := LockSet{3}
-	if !a.Disjoint(b) || a.Disjoint(c) {
-		t.Fatal("Disjoint wrong")
-	}
-	if !a.Equal(LockSet{1, 3, 5}) || a.Equal(b) {
-		t.Fatal("Equal wrong")
-	}
-	if a.String() != "{m1,m3,m5}" || LockSet(nil).String() != "{}" {
-		t.Fatalf("String wrong: %q", a.String())
-	}
-}
-
 func TestReportCounters(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	tr := workload.FibWithAccesses(8, 4, 16, true, rng)
-	rep := DetectSerial(tr, SPOrder)
-	if rep.Accesses == 0 {
-		t.Fatal("accesses not counted")
-	}
+	tr := canonical(workload.FibWithAccesses(8, 4, 16, true, rng))
 	wantAccesses := int64(0)
 	for _, l := range tr.Threads() {
 		wantAccesses += int64(len(l.Steps))
 	}
-	if rep.Accesses != wantAccesses {
-		t.Fatalf("accesses = %d, want %d", rep.Accesses, wantAccesses)
+	for _, d := range detectors {
+		rep := d.run(tr, 2, 1)
+		if rep.Accesses != wantAccesses {
+			t.Fatalf("%s: accesses = %d, want %d", d.name, rep.Accesses, wantAccesses)
+		}
+		if rep.Queries == 0 {
+			t.Fatalf("%s: queries not counted", d.name)
+		}
 	}
 }
 
 func TestFibPrivateAccessesRaceFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
-	tr := workload.FibWithAccesses(9, 3, 0, false, rng)
-	for _, backend := range allBackends {
-		if rep := DetectSerial(tr, backend); len(rep.Races) != 0 {
-			t.Fatalf("%v: private accesses raced: %v", backend, rep.Races)
+	tr := canonical(workload.FibWithAccesses(9, 3, 0, false, rng))
+	for _, d := range detectors {
+		if rep := d.run(tr, 2, 1); len(rep.Races) != 0 {
+			t.Fatalf("%s: private accesses raced: %v", d.name, rep.Races)
 		}
 	}
 }
@@ -316,14 +174,14 @@ func TestNaiveParallelDetectorMatchesPlanted(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
 	for trial := 0; trial < 5; trial++ {
 		p := workload.PlantRaces(workload.DefaultPlantConfig(), rng)
-		canon, _ := spt.Canonicalize(p.Tree)
+		canon := canonical(p.Tree)
 		for _, workers := range []int{1, 4} {
-			rep := DetectParallelNaive(canon, workers, int64(trial), true)
+			rep, locks := DetectParallelNaive(canon, workers, int64(trial), true)
 			if !reflect.DeepEqual(rep.Locations, p.RacyLocs) {
 				t.Fatalf("trial %d P=%d: flagged %v, planted %v",
 					trial, workers, rep.Locations, p.RacyLocs)
 			}
-			if rep.LockAcquisitions == 0 {
+			if locks == 0 {
 				t.Fatal("naive detector must acquire the global lock")
 			}
 		}
@@ -335,9 +193,9 @@ func TestNaiveAndHybridAgree(t *testing.T) {
 	cfg := workload.DefaultPlantConfig()
 	cfg.Threads = 128
 	p := workload.PlantRaces(cfg, rng)
-	canon, _ := spt.Canonicalize(p.Tree)
-	naive := DetectParallelNaive(canon, 4, 1, true)
-	hybrid := DetectParallel(canon, 4, 1, true)
+	canon := canonical(p.Tree)
+	naive, _ := DetectParallelNaive(canon, 4, 1, true)
+	hybrid, _ := DetectParallel(canon, 4, 1, true)
 	if !reflect.DeepEqual(naive.Locations, hybrid.Locations) {
 		t.Fatalf("naive %v != hybrid %v", naive.Locations, hybrid.Locations)
 	}

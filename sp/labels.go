@@ -2,16 +2,15 @@ package sp
 
 import (
 	"fmt"
-
-	"repro/internal/labels"
+	"slices"
 )
 
 // This file adapts the two static labeling baselines of Figure 3 — the
 // English-Hebrew scheme of Nudler–Rudolph and the offset-span scheme of
 // Mellor-Crummey — to the event API. Both schemes generate a thread's
 // label from its creator's label at the structural event that creates
-// it, so the tree-walk context stack of internal/labels collapses to
-// per-thread labels plus two local rules:
+// it, so the tree-walk context stack of the classical formulation
+// collapses to per-thread labels plus two local rules:
 //
 //   - Fork(u) → (l, r): advance u's label past its completed block (the
 //     walk's post-leaf bump), then extend it with the two branch
@@ -27,6 +26,48 @@ import (
 // order. Labels never change once generated; their weakness, and the
 // reason SP-order beats them, is that label length (and thus query cost)
 // grows with fork nesting.
+
+// osPair is one (offset, span) component of an offset-span label. A
+// fork of span s gives child i the parent label extended with [i, s]; a
+// join pops the last pair and advances the new last pair's offset by its
+// span.
+type osPair struct {
+	offset, span int64
+}
+
+// relateOS compares two offset-span labels: -1 (first precedes), +1
+// (first follows), 0 (parallel). Two threads are ordered iff at the
+// first differing pair the offsets are congruent modulo the span (serial
+// descendants advance offsets in multiples of the span); incongruent
+// offsets mean sibling branches, hence parallel.
+func relateOS(a, b []osPair) int {
+	n := min(len(a), len(b))
+	for i := 0; i < n; i++ {
+		pa, pb := a[i], b[i]
+		if pa == pb {
+			continue
+		}
+		if pa.span != pb.span {
+			return 0 // different fork contexts at the same depth
+		}
+		if pa.offset%pa.span != pb.offset%pa.span {
+			return 0 // sibling branches of the same fork
+		}
+		if pa.offset < pb.offset {
+			return -1
+		}
+		return +1
+	}
+	// One label is a prefix of the other; the shorter thread is an
+	// ancestor position and executed first.
+	switch {
+	case len(a) < len(b):
+		return -1
+	case len(a) > len(b):
+		return +1
+	}
+	return 0
+}
 
 // englishHebrew is the event-driven Nudler–Rudolph backend.
 type englishHebrew struct {
@@ -98,7 +139,7 @@ func (e *englishHebrew) indices(a, b ThreadID) (ea, eb int64) {
 
 func (e *englishHebrew) Precedes(a, b ThreadID) bool {
 	ea, eb := e.indices(a, b)
-	return ea < eb && labels.CompareHebrew(e.heb[a], e.heb[b]) < 0
+	return ea < eb && slices.Compare(e.heb[a], e.heb[b]) < 0
 }
 
 func (e *englishHebrew) Parallel(a, b ThreadID) bool {
@@ -106,12 +147,12 @@ func (e *englishHebrew) Parallel(a, b ThreadID) bool {
 		return false
 	}
 	ea, eb := e.indices(a, b)
-	return (ea < eb) != (labels.CompareHebrew(e.heb[a], e.heb[b]) < 0)
+	return (ea < eb) != (slices.Compare(e.heb[a], e.heb[b]) < 0)
 }
 
 // offsetSpan is the event-driven Mellor-Crummey backend.
 type offsetSpan struct {
-	lab [][]labels.OSPair
+	lab [][]osPair
 }
 
 func newOffsetSpan() Maintainer { return &offsetSpan{} }
@@ -124,24 +165,24 @@ func (o *offsetSpan) grow(t ThreadID) {
 
 // advanceOS returns a copy of v with the last pair's offset advanced by
 // its span (the serial-successor rule).
-func advanceOS(v []labels.OSPair) []labels.OSPair {
-	out := make([]labels.OSPair, len(v))
+func advanceOS(v []osPair) []osPair {
+	out := make([]osPair, len(v))
 	copy(out, v)
-	out[len(out)-1].Offset += out[len(out)-1].Span
+	out[len(out)-1].offset += out[len(out)-1].span
 	return out
 }
 
 // extendOS returns a copy of v extended with the pair [offset, 2].
-func extendOS(v []labels.OSPair, offset int64) []labels.OSPair {
-	out := make([]labels.OSPair, len(v)+1)
+func extendOS(v []osPair, offset int64) []osPair {
+	out := make([]osPair, len(v)+1)
 	copy(out, v)
-	out[len(v)] = labels.OSPair{Offset: offset, Span: 2}
+	out[len(v)] = osPair{offset: offset, span: 2}
 	return out
 }
 
 func (o *offsetSpan) Start(main ThreadID) {
 	o.grow(main)
-	o.lab[main] = []labels.OSPair{{Offset: 0, Span: 1}}
+	o.lab[main] = []osPair{{offset: 0, span: 1}}
 }
 
 func (o *offsetSpan) Begin(ThreadID) {}
@@ -160,7 +201,7 @@ func (o *offsetSpan) Join(left, right, cont ThreadID) {
 	o.lab[cont] = advanceOS(b[:len(b)-1])
 }
 
-func (o *offsetSpan) labelsOf(a, b ThreadID) (la, lb []labels.OSPair) {
+func (o *offsetSpan) labelsOf(a, b ThreadID) (la, lb []osPair) {
 	la, lb = o.lab[a], o.lab[b]
 	if la == nil || lb == nil {
 		panic(fmt.Sprintf("sp: offset-span query on unknown thread (t%d, t%d)", a, b))
@@ -170,7 +211,7 @@ func (o *offsetSpan) labelsOf(a, b ThreadID) (la, lb []labels.OSPair) {
 
 func (o *offsetSpan) Precedes(a, b ThreadID) bool {
 	la, lb := o.labelsOf(a, b)
-	return labels.RelateOffsetSpan(la, lb) < 0
+	return relateOS(la, lb) < 0
 }
 
 func (o *offsetSpan) Parallel(a, b ThreadID) bool {
@@ -178,7 +219,7 @@ func (o *offsetSpan) Parallel(a, b ThreadID) bool {
 		return false
 	}
 	la, lb := o.labelsOf(a, b)
-	return labels.RelateOffsetSpan(la, lb) == 0
+	return relateOS(la, lb) == 0
 }
 
 // ehRel is the cached per-thread query handle: the current thread's
@@ -198,7 +239,7 @@ func (r ehRel) PrecedesCurrent(prev ThreadID) bool {
 		return false
 	}
 	ep, ec := r.e.indices(prev, r.cur)
-	return ep < ec && labels.CompareHebrew(r.e.heb[prev], r.heb) < 0
+	return ep < ec && slices.Compare(r.e.heb[prev], r.heb) < 0
 }
 
 func (r ehRel) ParallelCurrent(prev ThreadID) bool {
@@ -206,7 +247,7 @@ func (r ehRel) ParallelCurrent(prev ThreadID) bool {
 		return false
 	}
 	ep, ec := r.e.indices(prev, r.cur)
-	return (ep < ec) != (labels.CompareHebrew(r.e.heb[prev], r.heb) < 0)
+	return (ep < ec) != (slices.Compare(r.e.heb[prev], r.heb) < 0)
 }
 
 func (r ehRel) EnglishBeforeCurrent(prev ThreadID) bool {
@@ -218,7 +259,7 @@ func (r ehRel) EnglishBeforeCurrent(prev ThreadID) bool {
 }
 
 func (r ehRel) HebrewBeforeCurrent(prev ThreadID) bool {
-	return prev != r.cur && labels.CompareHebrew(r.e.heb[prev], r.heb) < 0
+	return prev != r.cur && slices.Compare(r.e.heb[prev], r.heb) < 0
 }
 
 // ThreadRelative implements HandleMaintainer (consumed under the
@@ -234,15 +275,15 @@ func (e *englishHebrew) ThreadRelative(t ThreadID) CurrentRelative {
 type osRel struct {
 	o   *offsetSpan
 	cur ThreadID
-	lab []labels.OSPair
+	lab []osPair
 }
 
 func (r osRel) PrecedesCurrent(prev ThreadID) bool {
-	return prev != r.cur && labels.RelateOffsetSpan(r.o.lab[prev], r.lab) < 0
+	return prev != r.cur && relateOS(r.o.lab[prev], r.lab) < 0
 }
 
 func (r osRel) ParallelCurrent(prev ThreadID) bool {
-	return prev != r.cur && labels.RelateOffsetSpan(r.o.lab[prev], r.lab) == 0
+	return prev != r.cur && relateOS(r.o.lab[prev], r.lab) == 0
 }
 
 func (r osRel) EnglishBeforeCurrent(prev ThreadID) bool { return prev != r.cur }

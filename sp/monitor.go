@@ -280,7 +280,7 @@ func NewMonitor(opts ...Option) (*Monitor, error) {
 	if cfg.workers < 1 {
 		cfg.workers = 1
 	}
-	backend, info, err := newBackend(cfg.backend)
+	backend, info, err := NewMaintainer(cfg.backend)
 	if err != nil {
 		return nil, err
 	}
@@ -317,7 +317,7 @@ func NewMonitor(opts ...Option) (*Monitor, error) {
 		// (every event reaches them under m.mu), so a serial
 		// english-hebrew mirror fed the same events answers the
 		// arbitrary-pair queries exactly.
-		m.mirror, _, err = newBackend("english-hebrew")
+		m.mirror, _, err = NewMaintainer("english-hebrew")
 		if err != nil {
 			return nil, err
 		}
@@ -1136,9 +1136,10 @@ func (m *Monitor) lockAwareAccess(t ThreadID, st *threadState, addr uint64, writ
 // synchronization on the emit path while nobody listens, so racy
 // workloads on the access fast path no longer funnel every race through
 // one global mutex. Once Races() has been called, the emit additionally
-// claims the race (advancing the shard's streamed watermark under the
-// shard lock, so the Races() catch-up scan and concurrent emits deliver
-// each race exactly once) and streams it. A race detected after Report
+// claims every race of the shard not yet streamed, its own included
+// (advancing the shard's streamed watermark under the shard lock, so the
+// Races() catch-up scan and concurrent emits deliver each race exactly
+// once), and streams them. A race detected after Report
 // closed the shard — an access still in flight on a fast-path backend —
 // lands in the shard's late list and counts as dropped.
 func (m *Monitor) emit(r Race) {
@@ -1165,10 +1166,15 @@ func (m *Monitor) emit(r Race) {
 		sh.mu.Unlock()
 		return
 	}
+	// Deliver the shard's whole unstreamed tail, not just r: races logged
+	// before requested flipped may not have been caught up by Races()
+	// yet, and advancing the watermark past them would lose them. Deliver
+	// while still holding the shard lock so the stream preserves the
+	// shard's detection order (lock order: race shard, then raceMu).
+	for _, x := range sh.races[sh.streamed:] {
+		m.deliver(x)
+	}
 	sh.streamed = len(sh.races)
-	// Deliver while still holding the shard lock so the stream preserves
-	// the shard's detection order (lock order: race shard, then raceMu).
-	m.deliver(r)
 	sh.mu.Unlock()
 }
 

@@ -77,67 +77,114 @@ func TestLiveMonitorBasics(t *testing.T) {
 	}
 }
 
-// TestLiveMonitorDetectsRace checks the parallel-writers race through
-// every backend, the streaming channel, and site-less formatting.
+// TestLiveMonitorDetectsRace checks every access-kind pair of two
+// parallel threads through every backend — the race and its kind, read
+// sharing staying race-free — plus the streaming channel and site-less
+// formatting.
 func TestLiveMonitorDetectsRace(t *testing.T) {
+	cases := []struct {
+		first, second bool // write?
+		kind          sp.AccessKind
+		race          bool
+	}{
+		{first: true, second: true, kind: sp.WriteWrite, race: true},
+		{first: true, second: false, kind: sp.WriteRead, race: true},
+		{first: false, second: true, kind: sp.ReadWrite, race: true},
+		{first: false, second: false}, // read sharing is safe
+	}
+	access := func(m *sp.Monitor, th sp.ThreadID, write bool) {
+		if write {
+			m.Write(th, 7)
+		} else {
+			m.Read(th, 7)
+		}
+	}
 	for _, name := range sp.BackendNames() {
-		m := sp.MustMonitor(sp.WithBackend(name))
-		l, r := m.Fork(m.Main())
-		m.Write(l, 7)
-		m.Write(r, 7)
-		j := m.Join(l, r)
-		m.Read(j, 7) // serial after both: no second race
-		rep := m.Report()
-		if len(rep.Races) != 1 || rep.Races[0].Kind != sp.WriteWrite || rep.Races[0].Addr != 7 {
-			t.Fatalf("%s: races = %v, want one write-write on x7", name, rep.Races)
-		}
-		if got := rep.Races[0].String(); !strings.Contains(got, "write-write race on x7") {
-			t.Fatalf("%s: race string %q", name, got)
-		}
-		select {
-		case streamed, ok := <-m.Races():
-			if !ok || streamed.Addr != 7 {
-				t.Fatalf("%s: streamed race wrong: %v %v", name, streamed, ok)
+		for _, tc := range cases {
+			m := sp.MustMonitor(sp.WithBackend(name))
+			l, r := m.Fork(m.Main())
+			access(m, l, tc.first)
+			access(m, r, tc.second)
+			j := m.Join(l, r)
+			m.Read(j, 7) // serial after both: no second race
+			rep := m.Report()
+			if !tc.race {
+				if len(rep.Races) != 0 {
+					t.Fatalf("%s: read sharing flagged: %v", name, rep.Races)
+				}
+				continue
 			}
-		default:
-			t.Fatalf("%s: race not streamed", name)
-		}
-		// Channel closes after Report.
-		if _, ok := <-m.Races(); ok {
-			t.Fatalf("%s: Races() not closed after Report", name)
+			if len(rep.Races) != 1 || rep.Races[0].Kind != tc.kind || rep.Races[0].Addr != 7 {
+				t.Fatalf("%s: races = %v, want one %v on x7", name, rep.Races, tc.kind)
+			}
+			if got := rep.Races[0].String(); !strings.Contains(got, tc.kind.String()+" race on x7") {
+				t.Fatalf("%s: race string %q", name, got)
+			}
+			select {
+			case streamed, ok := <-m.Races():
+				if !ok || streamed.Addr != 7 {
+					t.Fatalf("%s: streamed race wrong: %v %v", name, streamed, ok)
+				}
+			default:
+				t.Fatalf("%s: race not streamed", name)
+			}
+			// Channel closes after Report.
+			if _, ok := <-m.Races(); ok {
+				t.Fatalf("%s: Races() not closed after Report", name)
+			}
 		}
 	}
 }
 
 // TestLockAwareMonitor checks the ALL-SETS protocol through the Monitor:
-// a common mutex suppresses the race, disjoint mutexes do not.
+// a common mutex suppresses the race, even when one side holds more
+// locks than the other; disjoint lock sets do not.
 func TestLockAwareMonitor(t *testing.T) {
-	run := func(lockLeft, lockRight int) []sp.Race {
+	cases := []struct {
+		name          string
+		left, right   []int
+		wantRace      bool
+		leftS, rightS string // lock sets of the reported race
+	}{
+		{name: "common lock", left: []int{1}, right: []int{1}},
+		{name: "partial overlap", left: []int{1, 2}, right: []int{1}},
+		{name: "disjoint locks", left: []int{1}, right: []int{2}, wantRace: true, leftS: "{m1}", rightS: "{m2}"},
+	}
+	for _, tc := range cases {
 		m := sp.MustMonitor(sp.WithLockAwareness(true))
 		l, r := m.Fork(m.Main())
-		m.Acquire(l, lockLeft)
-		m.Write(l, 0)
-		m.Release(l, lockLeft)
-		m.Acquire(r, lockRight)
-		m.Write(r, 0)
-		m.Release(r, lockRight)
+		for _, side := range []struct {
+			t     sp.ThreadID
+			locks []int
+		}{{l, tc.left}, {r, tc.right}} {
+			for _, lk := range side.locks {
+				m.Acquire(side.t, lk)
+			}
+			m.Write(side.t, 0)
+			for i := len(side.locks) - 1; i >= 0; i-- {
+				m.Release(side.t, side.locks[i])
+			}
+		}
 		m.Join(l, r)
-		return m.Report().Races
-	}
-	if races := run(1, 1); len(races) != 0 {
-		t.Fatalf("common lock must suppress the race: %v", races)
-	}
-	races := run(1, 2)
-	if len(races) != 1 {
-		t.Fatalf("disjoint locks must race: %v", races)
-	}
-	if races[0].FirstLocks.String() != "{m1}" || races[0].SecondLocks.String() != "{m2}" {
-		t.Fatalf("lock sets wrong: %v", races[0])
+		races := m.Report().Races
+		if !tc.wantRace {
+			if len(races) != 0 {
+				t.Fatalf("%s: a common lock must suppress the race: %v", tc.name, races)
+			}
+			continue
+		}
+		if len(races) != 1 {
+			t.Fatalf("%s: disjoint lock sets must race: %v", tc.name, races)
+		}
+		if races[0].FirstLocks.String() != tc.leftS || races[0].SecondLocks.String() != tc.rightS {
+			t.Fatalf("%s: lock sets wrong: %v", tc.name, races[0])
+		}
 	}
 }
 
 // TestMonitorMisusePanics pins the guard rails: events by ended threads,
-// unbalanced releases, unknown backends, ill-nested joins.
+// unbalanced releases, unknown backends, serial-backend queries on
+// threads that have not begun, ill-nested joins.
 func TestMonitorMisusePanics(t *testing.T) {
 	mustPanic := func(name string, f func()) {
 		t.Helper()
@@ -166,6 +213,20 @@ func TestMonitorMisusePanics(t *testing.T) {
 		m := sp.MustMonitor()
 		m.Release(m.Main(), 3)
 	})
+	mustPanic("unbalanced release (lock-aware)", func() {
+		m := sp.MustMonitor(sp.WithLockAwareness(true))
+		m.Acquire(m.Main(), 3)
+		m.Release(m.Main(), 3)
+		m.Release(m.Main(), 3)
+	})
+	for _, backend := range []string{"sp-bags", "sp-order-implicit", "english-hebrew"} {
+		mustPanic(backend+" query on a thread that has not begun", func() {
+			m := sp.MustMonitor(sp.WithBackend(backend))
+			l, r := m.Fork(m.Main())
+			m.Write(r, 0)
+			m.Relation(l, r)
+		})
+	}
 	mustPanic("ill-nested join", func() {
 		m := sp.MustMonitor(sp.WithBackend("sp-bags"))
 		l, r := m.Fork(m.Main())

@@ -3,6 +3,7 @@ package sp_test
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -109,6 +110,66 @@ func TestRaceStreamSlowConsumer(t *testing.T) {
 	}
 	if len(rep.Races) <= 64 {
 		t.Fatalf("workload produced only %d races; the test needs to overflow the 64-slot buffer", len(rep.Races))
+	}
+}
+
+// TestRaceStreamFirstListenerDuringEmits is the regression test for the
+// catch-up gap: races logged on a shard before the first Races() call
+// must still be streamed when a concurrent emit on that shard runs
+// between Races() enabling streaming and its catch-up scan reaching the
+// shard. Emitters race on many addresses (so every race-log shard holds
+// a backlog) while the first listener attaches mid-run; the streamed
+// count must equal the report's race count.
+func TestRaceStreamFirstListenerDuringEmits(t *testing.T) {
+	const (
+		workers  = 4
+		perG     = 5000
+		attachAt = 2 * perG // writes issued before the first Races() call
+	)
+	for trial := 0; trial < 10; trial++ {
+		m := sp.MustMonitor(sp.WithBackend("sp-hybrid"), sp.WithWorkers(workers))
+		cur := m.Thread(m.Main())
+		ths := make([]sp.Thread, workers)
+		for i := range ths {
+			ths[i], cur = cur.Fork()
+		}
+		var writes atomic.Int64
+		var wg sync.WaitGroup
+		for i := range ths {
+			wg.Add(1)
+			go func(th sp.Thread, off int) {
+				defer wg.Done()
+				for k := 0; k < perG; k++ {
+					th.Write(uint64((k + off) % 256)) // racy against every sibling
+					writes.Add(1)
+				}
+			}(ths[i], i*64)
+		}
+		for writes.Load() < attachAt {
+			runtime.Gosched()
+		}
+		streamed := 0
+		consumerDone := make(chan struct{})
+		stream := m.Races() // first listener, with emitters still running
+		go func() {
+			defer close(consumerDone)
+			for range stream {
+				streamed++
+			}
+		}()
+		wg.Wait()
+		for i := workers - 1; i >= 0; i-- {
+			cur = ths[i].Join(cur)
+		}
+		rep := m.Report()
+		select {
+		case <-consumerDone:
+		case <-time.After(30 * time.Second):
+			t.Fatal("stream did not close")
+		}
+		if streamed != len(rep.Races) {
+			t.Fatalf("trial %d: stream delivered %d races, report holds %d", trial, streamed, len(rep.Races))
+		}
 	}
 }
 

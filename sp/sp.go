@@ -2,10 +2,9 @@
 // series-parallel relationships in fork-join multithreaded programs
 // (Bender, Fineman, Gilbert, Leiserson, SPAA 2004).
 //
-// Unlike the replay-oriented facade in package repro — which consumes a
-// pre-built SP parse tree — this package is event driven: a program (or a
-// replay adapter) reports fork, join, memory-access, and lock events to a
-// Monitor as they happen, and the Monitor maintains, on the fly, the SP
+// The package is event driven: a program (or a replay adapter) reports
+// fork, join, memory-access, and lock events to a Monitor as they
+// happen, and the Monitor maintains, on the fly, the SP
 // relationship between any previously executed thread and the currently
 // executing ones, optionally running a Nondeterminator-style determinacy
 // race detector (and an ALL-SETS-style lock-aware detector) over the
@@ -280,8 +279,13 @@ func Lookup(name string) (BackendInfo, bool) {
 	return info, ok
 }
 
-// newBackend instantiates a registered backend.
-func newBackend(name string) (Maintainer, BackendInfo, error) {
+// NewMaintainer instantiates the named registered backend as a bare
+// Maintainer, with no Monitor around it: no thread-ID allocation, race
+// detection, or event serialization. Callers drive Start/Begin/Fork/Join
+// themselves and must honor the backend's BackendInfo (event order,
+// query form, synchronization); benchmarks use it to time SP maintenance
+// alone.
+func NewMaintainer(name string) (Maintainer, BackendInfo, error) {
 	registry.Lock()
 	factory, ok := registry.factories[name]
 	info := registry.infos[name]

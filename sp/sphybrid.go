@@ -52,9 +52,9 @@ import (
 // them concurrently too (ConcurrentStructural).
 //
 // The scheduler-coupled SP-hybrid with real work-stealing and a live
-// SP-bags local tier remains available for tree replay via
-// repro.DetectParallel and internal/sphybrid; this backend is its
-// event-stream face.
+// SP-bags local tier remains in internal/sphybrid (driven by
+// internal/race.DetectParallel for the Theorem 10 and Section 7
+// statistics); this backend is its event-stream face.
 
 // batchMax bounds the pending queue: the batchMax-th deferred
 // structural event triggers a drain even with no query in sight, so a

@@ -129,6 +129,11 @@ func TestReplayRejectsInvalidTraces(t *testing.T) {
 		{"release unheld", []trace.Event{
 			{Op: trace.Release, Thread: 0, Lock: 2},
 		}, "unheld"},
+		{"release twice", []trace.Event{
+			{Op: trace.Acquire, Thread: 0, Lock: 2},
+			{Op: trace.Release, Thread: 0, Lock: 2},
+			{Op: trace.Release, Thread: 0, Lock: 2},
+		}, "unheld"},
 		{"release across fork", []trace.Event{
 			{Op: trace.Acquire, Thread: 0, Lock: 2},
 			{Op: trace.Fork, Parent: 0},
@@ -266,7 +271,8 @@ func TestStat(t *testing.T) {
 }
 
 // TestRecordedTraceStatMatchesReport cross-checks Stat against the
-// recording monitor's own counters on a generated workload.
+// recording monitor's own counters on a generated workload, and both
+// access counts against the replayed tree's Read/Write steps.
 func TestRecordedTraceStatMatchesReport(t *testing.T) {
 	tr := workload.PlantRaces(workload.DefaultPlantConfig(), rand.New(rand.NewSource(9))).Tree
 	var buf bytes.Buffer
@@ -285,6 +291,17 @@ func TestRecordedTraceStatMatchesReport(t *testing.T) {
 	}
 	if st.Reads+st.Writes != rep.Accesses {
 		t.Fatalf("accesses: stat %d+%d, report %d", st.Reads, st.Writes, rep.Accesses)
+	}
+	var steps int64
+	for _, leaf := range tr.Threads() {
+		for _, s := range leaf.Steps {
+			if s.Op == spt.Read || s.Op == spt.Write {
+				steps++
+			}
+		}
+	}
+	if rep.Accesses != steps {
+		t.Fatalf("report counts %d accesses, the tree performs %d", rep.Accesses, steps)
 	}
 	if st.PeakParallel < 2 || st.PeakParallel > st.Threads {
 		t.Fatalf("implausible peak parallelism %d (threads %d)", st.PeakParallel, st.Threads)
