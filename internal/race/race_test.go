@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/spt"
 	"repro/internal/workload"
+	"repro/sp"
 )
 
 // detectors runs each scheduler-coupled detector on a canonical tree.
@@ -30,10 +31,114 @@ func canonical(t *spt.Tree) *spt.Tree {
 	return c
 }
 
+// detectSerial is the serial detection path: tree t replayed in English
+// order through a fresh sp.Monitor on the named backend.
+func detectSerial(t *spt.Tree, backend string, lockAware bool) sp.Report {
+	m := sp.MustMonitor(sp.WithBackend(backend), sp.WithLockAwareness(lockAware))
+	sp.Replay(t, m)
+	return m.Report()
+}
+
+// locations converts a monitor report's raced addresses to ints.
+func locations(rep sp.Report) []int {
+	out := make([]int, 0, len(rep.Locations))
+	for _, l := range rep.Locations {
+		out = append(out, int(l))
+	}
+	return out
+}
+
+// paperBackends names the four serial engines of the paper's evaluation.
+var paperBackends = []string{"sp-order", "sp-bags", "english-hebrew", "offset-span"}
+
+// TestBackendStrings checks that the paper's serial engines are
+// registered under their names and that a report names its backend.
+func TestBackendStrings(t *testing.T) {
+	for _, name := range paperBackends {
+		if _, info, err := sp.NewMaintainer(name); err != nil || info.Name != name {
+			t.Fatalf("%s: registry lookup = %+v, %v", name, info, err)
+		}
+		if got := detectSerial(spt.PaperExample(), name, false).Backend; got != name {
+			t.Fatalf("report backend = %q, want %q", got, name)
+		}
+	}
+}
+
 func TestAccessKindStrings(t *testing.T) {
 	if WriteWrite.String() != "write-write" || WriteRead.String() != "write-read" ||
 		ReadWrite.String() != "read-write" {
 		t.Fatal("AccessKind strings wrong")
+	}
+}
+
+// TestObviousRace: two parallel writers to one location.
+func TestObviousRace(t *testing.T) {
+	a := spt.NewLeaf("a", 1)
+	a.Steps = []spt.Step{spt.W(0)}
+	b := spt.NewLeaf("b", 1)
+	b.Steps = []spt.Step{spt.W(0)}
+	tr := spt.MustTree(spt.NewP(a, b))
+	for _, backend := range sp.BackendNames() {
+		rep := detectSerial(tr, backend, false)
+		if len(rep.Races) != 1 {
+			t.Fatalf("%s: races = %d, want 1", backend, len(rep.Races))
+		}
+		r := rep.Races[0]
+		if r.Kind != WriteWrite || r.Addr != 0 || r.FirstSite != a || r.SecondSite != b {
+			t.Fatalf("%s: wrong race %v", backend, r)
+		}
+	}
+}
+
+// TestNoRaceWhenSerial: same accesses composed in series.
+func TestNoRaceWhenSerial(t *testing.T) {
+	a := spt.NewLeaf("a", 1)
+	a.Steps = []spt.Step{spt.W(0)}
+	b := spt.NewLeaf("b", 1)
+	b.Steps = []spt.Step{spt.W(0), spt.R(0)}
+	tr := spt.MustTree(spt.NewS(a, b))
+	for _, backend := range sp.BackendNames() {
+		if rep := detectSerial(tr, backend, false); len(rep.Races) != 0 {
+			t.Fatalf("%s: unexpected races %v", backend, rep.Races)
+		}
+	}
+}
+
+func TestReadSharingIsSafe(t *testing.T) {
+	a := spt.NewLeaf("a", 1)
+	a.Steps = []spt.Step{spt.R(0)}
+	b := spt.NewLeaf("b", 1)
+	b.Steps = []spt.Step{spt.R(0)}
+	tr := spt.MustTree(spt.NewP(a, b))
+	for _, backend := range sp.BackendNames() {
+		if rep := detectSerial(tr, backend, false); len(rep.Races) != 0 {
+			t.Fatalf("%s: read sharing flagged: %v", backend, rep.Races)
+		}
+	}
+}
+
+func TestWriteReadAndReadWriteKinds(t *testing.T) {
+	// writer ∥ reader: write happens first in serial replay order.
+	w := spt.NewLeaf("w", 1)
+	w.Steps = []spt.Step{spt.W(0)}
+	r := spt.NewLeaf("r", 1)
+	r.Steps = []spt.Step{spt.R(0)}
+	tr := spt.MustTree(spt.NewP(w, r))
+	// reader first, then parallel writer.
+	r2 := spt.NewLeaf("r2", 1)
+	r2.Steps = []spt.Step{spt.R(0)}
+	w2 := spt.NewLeaf("w2", 1)
+	w2.Steps = []spt.Step{spt.W(0)}
+	tr2 := spt.MustTree(spt.NewP(r2, w2))
+	for _, backend := range sp.BackendNames() {
+		rep := detectSerial(tr, backend, false)
+		if len(rep.Races) != 1 || rep.Races[0].Kind != WriteRead {
+			t.Fatalf("%s: want one write-read race, got %v", backend, rep.Races)
+		}
+		rep2 := detectSerial(tr2, backend, false)
+		if len(rep2.Races) != 1 || rep2.Races[0].Kind != ReadWrite {
+			t.Fatalf("%s: want one read-write race, got %v", backend, rep2.Races)
+		}
 	}
 }
 
@@ -95,6 +200,99 @@ func TestQuickDetectorLocationSets(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestPlantedRacesFoundExactly(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	for trial := 0; trial < 10; trial++ {
+		p := workload.PlantRaces(workload.DefaultPlantConfig(), rng)
+		for _, backend := range sp.BackendNames() {
+			got := locations(detectSerial(p.Tree, backend, false))
+			if !reflect.DeepEqual(got, p.RacyLocs) {
+				t.Fatalf("trial %d %s: flagged %v, planted %v",
+					trial, backend, got, p.RacyLocs)
+			}
+		}
+	}
+}
+
+func TestLockAwareSuppressesProtectedRaces(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	tr, protected, unprotected := workload.LockProtected(6, rng)
+	for _, backend := range sp.BackendNames() {
+		if got := locations(detectSerial(tr, backend, true)); !reflect.DeepEqual(got, []int{unprotected}) {
+			t.Fatalf("%s: lock-aware flagged %v, want only x%d", backend, got, unprotected)
+		}
+		// The pure determinacy detector flags both locations.
+		if got := locations(detectSerial(tr, backend, false)); len(got) != 2 || got[0] != protected {
+			t.Fatalf("%s: determinacy detector flagged %v, want both locations", backend, got)
+		}
+	}
+}
+
+func TestLockAwarePartialOverlap(t *testing.T) {
+	// Two parallel writers holding different locks: still a race.
+	a := spt.NewLeaf("a", 1)
+	a.Steps = []spt.Step{spt.Acq(1), spt.W(0), spt.Rel(1)}
+	b := spt.NewLeaf("b", 1)
+	b.Steps = []spt.Step{spt.Acq(2), spt.W(0), spt.Rel(2)}
+	tr := spt.MustTree(spt.NewP(a, b))
+	// Sharing one common lock suppresses the race.
+	c := spt.NewLeaf("c", 1)
+	c.Steps = []spt.Step{spt.Acq(1), spt.Acq(2), spt.W(0), spt.Rel(2), spt.Rel(1)}
+	d := spt.NewLeaf("d", 1)
+	d.Steps = []spt.Step{spt.Acq(1), spt.W(0), spt.Rel(1)}
+	tr2 := spt.MustTree(spt.NewP(c, d))
+	for _, backend := range sp.BackendNames() {
+		if rep := detectSerial(tr, backend, true); len(rep.Races) != 1 {
+			t.Fatalf("%s: disjoint locksets must race: %v", backend, rep.Races)
+		}
+		if rep := detectSerial(tr2, backend, true); len(rep.Races) != 0 {
+			t.Fatalf("%s: common lock must suppress the race: %v", backend, rep.Races)
+		}
+	}
+}
+
+func TestLockAwareReleaseUnheldPanics(t *testing.T) {
+	a := spt.NewLeaf("a", 1)
+	a.Steps = []spt.Step{spt.Rel(3)}
+	tr := spt.MustTree(spt.NewS(a, spt.NewLeaf("b", 1)))
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic")
+		}
+	}()
+	detectSerial(tr, "sp-order", true)
+}
+
+// TestLockSetOps checks the lock-set operations, on literal sets and on
+// the sets a lock-aware replay attaches to a race.
+func TestLockSetOps(t *testing.T) {
+	a := sp.LockSet{1, 3, 5}
+	b := sp.LockSet{2, 4}
+	c := sp.LockSet{3}
+	if !a.Disjoint(b) || a.Disjoint(c) {
+		t.Fatal("Disjoint wrong")
+	}
+	if !a.Equal(sp.LockSet{1, 3, 5}) || a.Equal(b) {
+		t.Fatal("Equal wrong")
+	}
+	if a.String() != "{m1,m3,m5}" || sp.LockSet(nil).String() != "{}" {
+		t.Fatalf("String wrong: %q", a.String())
+	}
+
+	l := spt.NewLeaf("l", 1)
+	l.Steps = []spt.Step{spt.Acq(1), spt.Acq(3), spt.W(0), spt.Rel(3), spt.Rel(1)}
+	r := spt.NewLeaf("r", 1)
+	r.Steps = []spt.Step{spt.Acq(2), spt.W(0), spt.Rel(2)}
+	rep := detectSerial(spt.MustTree(spt.NewP(l, r)), "sp-order", true)
+	if len(rep.Races) != 1 {
+		t.Fatalf("races = %v, want one", rep.Races)
+	}
+	first, second := rep.Races[0].FirstLocks, rep.Races[0].SecondLocks
+	if !first.Equal(sp.LockSet{1, 3}) || !second.Equal(sp.LockSet{2}) || !first.Disjoint(second) {
+		t.Fatalf("race lock sets %v and %v, want {m1,m3} and {m2}", first, second)
 	}
 }
 

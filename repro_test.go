@@ -1,42 +1,62 @@
-package repro_test
+// Package repro holds the module's end-to-end tests: each one drives a
+// whole pipeline of the paper from the outside, the way the cmd tools
+// do — tree replay through the registered sp backends, the
+// scheduler-coupled SP-hybrid and both parallel race detectors,
+// lock-aware detection, and the dag view of a parse tree. The module's
+// API lives in package sp; this directory has no non-test code.
+package repro
 
 import (
+	"math/rand"
 	"reflect"
 	"runtime"
 	"testing"
 
-	"repro"
+	"repro/internal/race"
+	"repro/internal/sphybrid"
+	"repro/internal/spt"
+	"repro/internal/workload"
+	"repro/sp"
 )
 
-// TestQuickstartFlow is the end-to-end integration path of the README:
-// build a program, maintain SP relationships with SP-order, query.
+// replay runs tree t through a fresh monitor on the named backend.
+func replay(t *spt.Tree, backend string, opts ...sp.Option) (*sp.Monitor, sp.ReplayIDs) {
+	m := sp.MustMonitor(append([]sp.Option{sp.WithBackend(backend)}, opts...)...)
+	return m, sp.Replay(t, m)
+}
+
+// ints converts a monitor report's raced addresses to ints.
+func ints(locs []uint64) []int {
+	out := make([]int, 0, len(locs))
+	for _, l := range locs {
+		out = append(out, int(l))
+	}
+	return out
+}
+
+// TestQuickstartFlow is the end-to-end path of the README: report a
+// program's fork/join structure to an sp-order monitor, then query.
 func TestQuickstartFlow(t *testing.T) {
-	tr := repro.PaperExample()
-	sp := repro.NewSPOrder(tr)
-	sp.Run(nil)
+	tr := spt.PaperExample()
+	m, ids := replay(tr, "sp-order", sp.WithRaceDetection(false))
 	threads := tr.Threads()
-	u1, u4, u6 := threads[1], threads[4], threads[6]
-	if !sp.Precedes(u1, u4) {
+	u1, u4, u6 := ids.Leaf(threads[1]), ids.Leaf(threads[4]), ids.Leaf(threads[6])
+	if !m.Precedes(u1, u4) {
 		t.Fatal("u1 must precede u4 (paper Section 1)")
 	}
-	if !sp.Parallel(u1, u6) {
+	if !m.Parallel(u1, u6) {
 		t.Fatal("u1 must be parallel to u6 (paper Section 1)")
 	}
 }
 
-// TestFourBackendsAgreeOnRaces integrates generators, all four serial
-// SP-maintenance backends, and the detector.
+// TestFourBackendsAgreeOnRaces integrates the race planter, the paper's
+// four serial SP-maintenance backends, and the monitor's detector.
 func TestFourBackendsAgreeOnRaces(t *testing.T) {
-	rng := repro.NewRand(7)
-	p := repro.PlantRaces(repro.DefaultPlantConfig(), rng)
-	want := p.RacyLocs
-	for _, b := range []repro.Backend{
-		repro.BackendSPOrder, repro.BackendSPBags,
-		repro.BackendEnglishHebrew, repro.BackendOffsetSpan,
-	} {
-		got := repro.DetectSerial(p.Tree, b).Locations
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%v: locations %v, want %v", b, got, want)
+	p := workload.PlantRaces(workload.DefaultPlantConfig(), rand.New(rand.NewSource(7)))
+	for _, b := range []string{"sp-order", "sp-bags", "english-hebrew", "offset-span"} {
+		m, _ := replay(p.Tree, b)
+		if got := ints(m.Report().Locations); !reflect.DeepEqual(got, p.RacyLocs) {
+			t.Fatalf("%s: locations %v, want %v", b, got, p.RacyLocs)
 		}
 	}
 }
@@ -44,30 +64,29 @@ func TestFourBackendsAgreeOnRaces(t *testing.T) {
 // TestParallelPipeline integrates canonicalization, the scheduler,
 // SP-hybrid, and the parallel detector.
 func TestParallelPipeline(t *testing.T) {
-	rng := repro.NewRand(13)
-	p := repro.PlantRaces(repro.DefaultPlantConfig(), rng)
-	canon, _ := repro.Canonicalize(p.Tree)
-	rep := repro.DetectParallel(canon, 4, 1, true)
+	p := workload.PlantRaces(workload.DefaultPlantConfig(), rand.New(rand.NewSource(13)))
+	canon, _ := spt.Canonicalize(p.Tree)
+	rep, stats := race.DetectParallel(canon, 4, 1, true)
 	if !reflect.DeepEqual(rep.Locations, p.RacyLocs) {
 		t.Fatalf("parallel: locations %v, want %v", rep.Locations, p.RacyLocs)
 	}
-	if rep.Stats.ThreadsExecuted != int64(canon.NumThreads()) {
+	if stats.ThreadsExecuted != int64(canon.NumThreads()) {
 		t.Fatal("not all threads executed")
 	}
 }
 
-// TestHybridDirectUse exercises the SPHybrid API directly from the
-// facade, with in-thread queries.
+// TestHybridDirectUse exercises the SP-hybrid API directly, with
+// in-thread queries checked against the LCA oracle.
 func TestHybridDirectUse(t *testing.T) {
-	tr := repro.FibTree(10, 1)
-	o := repro.NewOracle(tr)
+	tr := spt.FibTree(10, 1)
+	o := spt.NewOracle(tr)
 	var wrong int64
-	var h *repro.SPHybrid
-	var prev *repro.Node // safe: single-worker run is sequential
-	h = repro.NewSPHybrid(tr, func(w int, u *repro.Node) {
+	var h *sphybrid.SPHybrid
+	var prev *spt.Node // safe: single-worker run is sequential
+	h = sphybrid.New(tr, func(w int, u *spt.Node) {
 		if prev != nil && prev != u {
 			rel := o.Relate(prev, u)
-			if h.Precedes(prev, u) != (rel == repro.Precedes) {
+			if h.Precedes(prev, u) != (rel == spt.Precedes) {
 				wrong++
 			}
 		}
@@ -80,20 +99,21 @@ func TestHybridDirectUse(t *testing.T) {
 	}
 }
 
-// TestLockAwareFacade integrates the lockset detector through the facade.
+// TestLockAwareFacade integrates the lock-aware (ALL-SETS) detector: a
+// replayed program whose sharers all hold one mutex races only on its
+// unlocked location.
 func TestLockAwareFacade(t *testing.T) {
-	tr, _, unprotected := repro.LockProtected(4, repro.NewRand(3))
-	rep := repro.DetectLockAware(tr)
-	if len(rep.Locations) != 1 || rep.Locations[0] != unprotected {
-		t.Fatalf("lock-aware flagged %v", rep.Locations)
+	tr, _, unprotected := workload.LockProtected(4, rand.New(rand.NewSource(3)))
+	m, _ := replay(tr, "sp-order", sp.WithLockAwareness(true))
+	if got := m.Report().Locations; len(got) != 1 || got[0] != uint64(unprotected) {
+		t.Fatalf("lock-aware flagged %v", got)
 	}
 }
 
 // TestDagViewIntegration round-trips the paper example through the dag.
 func TestDagViewIntegration(t *testing.T) {
-	tr := repro.PaperExample()
-	d := tr.ToDag()
-	back, err := d.ToTree()
+	tr := spt.PaperExample()
+	back, err := tr.ToDag().ToTree()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,39 +122,35 @@ func TestDagViewIntegration(t *testing.T) {
 	}
 }
 
-// TestNaiveLockedBaseline integrates the Section 3 strawman via
-// EnsureVisited-driven lazy expansion.
+// TestNaiveLockedBaseline integrates the Section 3 strawman: one sp-order
+// maintainer behind a global lock, driven by the work-stealing scheduler,
+// agrees with the full-history checker, and every SP query it answers
+// costs a lock acquisition.
 func TestNaiveLockedBaseline(t *testing.T) {
-	tr := repro.FibTree(8, 1)
-	o := repro.NewOracle(tr)
-	l := repro.NewLockedSPOrder(tr)
-	var prev *repro.Node
-	repro.SerialWalk(tr, nil, func(u *repro.Node) {
-		l.EnsureVisited(u)
-		if prev != nil {
-			rel := o.Relate(prev, u)
-			if l.Precedes(prev, u) != (rel == repro.Precedes) {
-				t.Fatalf("locked SP-order wrong on (%s,%s)", prev, u)
-			}
-			if l.Parallel(prev, u) != (rel == repro.Parallel) {
-				t.Fatalf("locked SP-order parallel wrong on (%s,%s)", prev, u)
-			}
+	tr, _ := spt.Canonicalize(workload.FibWithAccesses(8, 2, 16, true, rand.New(rand.NewSource(1))))
+	truth := race.FullHistory(tr).Locations
+	for _, workers := range []int{1, 4} {
+		rep, locks := race.DetectParallelNaive(tr, workers, 1, true)
+		if !reflect.DeepEqual(rep.Locations, truth) {
+			t.Fatalf("P=%d: locations %v, want %v", workers, rep.Locations, truth)
 		}
-		prev = u
-	})
+		if rep.Queries == 0 || locks < rep.Queries {
+			t.Fatalf("P=%d: %d lock acquisitions for %d queries", workers, locks, rep.Queries)
+		}
+	}
 }
 
 // TestFullHistoryAgreesOnFacadeWorkloads ties the ground-truth checker to
-// the buggy/fixed vector workload.
+// the buggy and fixed vector workload.
 func TestFullHistoryAgreesOnFacadeWorkloads(t *testing.T) {
-	bad := repro.VectorAccumulate(6, true)
-	truth := repro.FullHistoryCheck(bad)
-	det := repro.DetectSerial(bad, repro.BackendSPOrder)
-	if !reflect.DeepEqual(truth.Locations, det.Locations) {
-		t.Fatalf("detector %v, truth %v", det.Locations, truth.Locations)
+	bad := workload.VectorAccumulate(6, true)
+	truth := race.FullHistory(bad)
+	m, _ := replay(bad, "sp-order")
+	if got := ints(m.Report().Locations); !reflect.DeepEqual(truth.Locations, got) {
+		t.Fatalf("detector %v, truth %v", got, truth.Locations)
 	}
-	good := repro.VectorAccumulate(6, false)
-	if len(repro.FullHistoryCheck(good).Locations) != 0 {
+	good := workload.VectorAccumulate(6, false)
+	if len(race.FullHistory(good).Locations) != 0 {
 		t.Fatal("correct program must be race-free")
 	}
 }
