@@ -3,6 +3,7 @@ package sp
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -139,19 +140,27 @@ type threadState struct {
 	// cache lines. Report sums them.
 	accesses atomic.Int64
 	queries  atomic.Int64
-	// ctx holds the put-tokens this thread has observed through Get
-	// (SP-maximal, deduplicated): token s here means s's Put
-	// happens-before this thread, so everything SP-preceding s is
-	// ordered before this thread too. Owned by the thread's goroutine —
-	// only its own Get replaces the slice (wholesale, never in place) —
-	// so descendants may inherit it by reference.
+	// ctx holds the put-tokens this thread has observed through Get:
+	// token s here means s's Put happens-before this thread, so
+	// everything SP-preceding s is ordered before this thread too. It is
+	// an SP antichain (no token SP-precedes another, no duplicates)
+	// stored in ascending English order, hence descending Hebrew order
+	// (Lemma 1), which is what lets edgeOrdered binary-search it. Owned
+	// by the thread's goroutine — only its own Get replaces the slice
+	// (wholesale, never in place: not even sorted) — so descendants may
+	// inherit it by reference.
 	ctx []ThreadID
-	// snap is the token set a Put publishes: the putter's pruned ctx
-	// plus the putter itself. Written once at Put and immutable after;
-	// getters read it through the real synchronization object carrying
-	// the edge (channel send/recv, WaitGroup Done/Wait), which orders
-	// the write before every read.
+	// snap is the token set a Put publishes: the putter's ctx plus the
+	// putter itself, pruned to the same English-ordered antichain form.
+	// Written once at Put and immutable after; getters read it through
+	// the real synchronization object carrying the edge (channel
+	// send/recv, WaitGroup Done/Wait), which orders the write before
+	// every read.
 	snap []ThreadID
+	// engSeq is the thread's begin stamp on monitors that keep the
+	// English order by counting begins (see Monitor.englishBefore);
+	// zero elsewhere. Written once, under the monitor mutex.
+	engSeq int64
 }
 
 type config struct {
@@ -228,6 +237,14 @@ type Monitor struct {
 	// edge-composition queries there; nil when the backend answers them
 	// itself.
 	mirror Maintainer
+	// stampBegins makes begin number threads in execution order, the
+	// English order of the serial event stream (SP-order-implicit's
+	// footnote-2 trick): set when the backend exposes neither
+	// orderQuerier nor exact per-thread handles. begins is the counter;
+	// both are only touched under mu, since such backends never take
+	// the lock-free structural path.
+	stampBegins bool
+	begins      int64
 
 	raceDetect     bool
 	lockAware      bool
@@ -310,6 +327,7 @@ func NewMonitor(opts ...Option) (*Monitor, error) {
 	}
 	m.handles, _ = backend.(HandleMaintainer)
 	m.orders, _ = backend.(orderQuerier)
+	m.stampBegins = m.orders == nil && (m.handles == nil || !info.ConcurrentQueries)
 	if !info.FullQueries {
 		// Serial fallback for sync-object edges: backends that only
 		// answer queries against the CURRENT thread cannot compose an
@@ -420,6 +438,10 @@ func (m *Monitor) checkLive(t ThreadID, st *threadState, ev string) {
 // never take the lock-free route, keeping the encoder serialized).
 func (m *Monitor) begin(t ThreadID, st *threadState) {
 	if st.begun.CompareAndSwap(false, true) {
+		if m.stampBegins {
+			m.begins++
+			st.engSeq = m.begins
+		}
 		m.backend.Begin(t)
 		if m.mirror != nil {
 			m.mirror.Begin(t)
@@ -731,33 +753,70 @@ func (m *Monitor) joinCtx(lst, rst, cst *threadState) {
 	}
 }
 
-// pruneCtx returns the SP-maximal subset of tokens, deduplicated, as a
-// fresh slice: a token SP-preceding another retained token adds no
-// ordering information (everything it orders, the later token orders
-// too). When cur is a begun thread rather than NoThread, tokens
+// pruneCtx reduces tokens to its SP-maximal subset, deduplicated, in
+// ascending English order: a token SP-preceding another retained token
+// adds no ordering information (everything it orders, the later token
+// orders too). When cur is a begun thread rather than NoThread, tokens
 // SP-preceding cur are dropped as well — the plain SP relation already
-// orders everything they could. Pruning queries are internal and not
-// counted in Report.Queries.
+// orders everything they could. tokens must be a fresh slice, which
+// pruneCtx sorts and compacts in place: never a ctx or snap, which fork
+// children, join continuations and concurrent getters share.
+//
+// After sorting by English order, one walk from the English-last token
+// suffices. The kept tokens form an antichain, so the last one kept
+// (best, the English-first so far) is also the Hebrew-last, and a
+// token SP-preceding any kept token English-after it precedes best
+// (Lemma 1: it is English-before best, and Hebrew-before some token
+// that is not Hebrew-after best). A token preceding a dropped token
+// precedes whatever dropped that one. That is O(k log k) English
+// comparisons and at most 2k SP queries for k tokens. Pruning and
+// ordering queries are internal and not counted in Report.Queries.
 func (m *Monitor) pruneCtx(tokens []ThreadID, cur ThreadID) []ThreadID {
-	var out []ThreadID
-outer:
-	for i, s := range tokens {
-		for j := 0; j < i; j++ {
-			if tokens[j] == s {
-				continue outer
-			}
+	slices.SortFunc(tokens, func(a, b ThreadID) int {
+		switch {
+		case a == b:
+			return 0
+		case m.englishBefore(a, b):
+			return -1
+		default:
+			return 1
 		}
-		if cur != NoThread && m.pairPrecedes(s, cur) {
+	})
+	best, w := NoThread, len(tokens)
+	for i := len(tokens) - 1; i >= 0; i-- {
+		s := tokens[i]
+		if s == best || (best != NoThread && m.pairPrecedes(s, best)) ||
+			(cur != NoThread && m.pairPrecedes(s, cur)) {
 			continue
 		}
-		for _, o := range tokens {
-			if o != s && m.pairPrecedes(s, o) {
-				continue outer
-			}
-		}
-		out = append(out, s)
+		w--
+		tokens[w] = s
+		best = s
 	}
-	return out
+	// Copy the kept tail out rather than pin the whole candidate array:
+	// a thread's state, token sets included, lives as long as the
+	// Monitor.
+	return slices.Clone(tokens[w:])
+}
+
+// englishBefore reports a <_E b for two begun threads, from the most
+// direct exact source the backend offers: the English order-maintenance
+// list (orderQuerier, sp-order), b's own query handle on backends whose
+// handles answer the order queries exactly (ConcurrentQueries:
+// sp-hybrid, depa), or otherwise the begin stamps, which number the
+// threads of a serial event stream in English order. Like pairPrecedes
+// it bypasses Monitor.Relation and counts toward no report.
+func (m *Monitor) englishBefore(a, b ThreadID) bool {
+	switch {
+	case a == b:
+		return false
+	case m.orders != nil:
+		return m.orders.EnglishBefore(a, b)
+	case m.stampBegins:
+		return m.state(a).engSeq < m.state(b).engSeq
+	default:
+		return m.state(b).rel.EnglishBeforeCurrent(a)
+	}
 }
 
 // pairPrecedes answers a ≺ b in the strict SP relation for
@@ -780,7 +839,9 @@ func (m *Monitor) pairPrecedes(a, b ThreadID) bool {
 // hbRel layers a thread's observed sync-object edges over the
 // backend's strict SP answers: prev happens-before the current thread
 // if the SP relation says so, or if prev is (or SP-precedes) a token
-// the thread observed through Get. The converse direction needs no
+// the thread observed through Get — one binary search over the
+// English-ordered token antichain, O(log k) order comparisons plus one
+// SP query for k observed tokens. The converse direction needs no
 // check — a thread still running has published nothing, so no edge can
 // order the CURRENT thread before a past access. The English/Hebrew
 // order answers pass through unchanged: they only steer which readers
@@ -795,14 +856,14 @@ type hbRel struct {
 }
 
 // edgeOrdered reports whether an observed edge orders prev before the
-// current thread.
+// current thread, i.e. whether prev is or SP-precedes some token in
+// ctx. Only tokens not English-before prev can qualify, and ctx lists
+// them as a suffix whose first token s is the Hebrew-last of them, so
+// prev precedes one of them iff it precedes s.
 func (r hbRel) edgeOrdered(prev ThreadID) bool {
-	for _, s := range r.st.ctx {
-		if prev == s || r.m.pairPrecedes(prev, s) {
-			return true
-		}
-	}
-	return false
+	ctx := r.st.ctx
+	i := sort.Search(len(ctx), func(i int) bool { return !r.m.englishBefore(ctx[i], prev) })
+	return i < len(ctx) && (ctx[i] == prev || r.m.pairPrecedes(prev, ctx[i]))
 }
 
 func (r hbRel) PrecedesCurrent(prev ThreadID) bool {

@@ -45,11 +45,17 @@
 //
 // Structurally a Put is an empty fork-join diamond, so every backend
 // accepts it unchanged; the edge itself lives in per-thread token sets
-// the race detector composes with the backend's answers. Backends
-// without FullQueries get a correct serial fallback (a shadow
-// english-hebrew instance answers the arbitrary-pair queries edge
-// composition needs). Relation/Precedes/Parallel stay strict-SP
-// queries; only race detection consumes the edges.
+// the race detector composes with the backend's answers. Each set is
+// an SP antichain (no token SP-precedes another) kept in ascending
+// English order, which by Lemma 1 is descending Hebrew order. For a
+// thread that has observed k tokens, asking whether an edge orders a
+// logically parallel past access before it is one binary search: O(log
+// k) order comparisons and one SP query. A Put, Get or Join merges and
+// prunes token sets in O(k log k) comparisons. Backends without
+// FullQueries get a correct serial fallback (a shadow english-hebrew
+// instance answers the arbitrary-pair queries edge composition needs).
+// Relation/Precedes/Parallel stay strict-SP queries; only race
+// detection consumes the edges.
 //
 // # Backends
 //
