@@ -4,7 +4,7 @@
 // pointers, never to publish an entry. It is the storage discipline
 // behind the sp.Monitor's thread-state lookups and sp-hybrid's
 // order-maintenance item tables — the structures every Read/Write on
-// the sharded fast path consults, which therefore must not funnel
+// a lock-free monitor consults, which therefore must not funnel
 // through a reader lock (DePa makes the same observation for its
 // per-task order-maintenance handles).
 //

@@ -16,9 +16,9 @@
 // Shadow state is sharded: Memory hashes each address onto one of N
 // power-of-two shards, each holding its own cell map under its own
 // mutex. Parallel accessors of distinct addresses therefore touch
-// disjoint locks with high probability, which is what lets the
-// sp.Monitor's access fast path scale — an access synchronizes only on
-// the owning shard, never on a global structure (the partitioned
+// disjoint locks with high probability, which is what lets a lock-free
+// sp.Monitor's accesses scale — an access synchronizes only on the
+// owning shard, never on a global structure (the partitioned
 // detector-state idea of Utterback et al.'s future-aware race
 // detection, applied to fork-join shadow memory).
 package shadow
@@ -246,12 +246,6 @@ func (s *Shard[A]) Lock() { s.mu.Lock() }
 
 // Unlock releases the shard's mutex.
 func (s *Shard[A]) Unlock() { s.mu.Unlock() }
-
-// Hit records one access against the shard's load accounting. The
-// caller must hold the shard's lock (Memory's own access paths call it
-// internally; external lockers like the monitor's fast path call it
-// between Lock and Unlock), so the increment needs no atomics.
-func (s *Shard[A]) Hit() { s.hits++ }
 
 // Cell returns (creating if needed) the shadow slot for addr, which
 // must hash to this shard. The caller must hold the shard's lock.

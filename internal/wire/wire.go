@@ -92,8 +92,7 @@ type Event struct {
 }
 
 // Encoder streams records to an io.Writer. All methods are safe for
-// concurrent use (live monitors deliver access events concurrently);
-// errors are sticky and surfaced by Err and Flush.
+// concurrent use; errors are sticky and surfaced by Err and Flush.
 type Encoder struct {
 	mu      sync.Mutex
 	w       *bufio.Writer
@@ -154,12 +153,6 @@ func (e *Encoder) Access(t int64, addr uint64, write, hasSite bool, site string)
 	if hasSite {
 		idx = e.internLocked(site)
 	}
-	e.buf = appendAccess(e.buf[:0], t, addr, write, hasSite, idx)
-	e.emit(e.buf)
-}
-
-// appendAccess appends one encoded access record to b.
-func appendAccess(b []byte, t int64, addr uint64, write, hasSite bool, siteIdx uint64) []byte {
 	op := OpRead
 	switch {
 	case write && hasSite:
@@ -169,20 +162,20 @@ func appendAccess(b []byte, t int64, addr uint64, write, hasSite bool, siteIdx u
 	case hasSite:
 		op = OpReadSite
 	}
-	b = append(b, byte(op))
+	b := append(e.buf[:0], byte(op))
 	b = binary.AppendUvarint(b, uint64(t))
 	b = binary.AppendUvarint(b, addr)
 	if hasSite {
-		b = binary.AppendUvarint(b, siteIdx)
+		b = binary.AppendUvarint(b, idx)
 	}
-	return b
+	e.buf = b
+	e.emit(e.buf)
 }
 
 // internLocked returns site's string-table index, emitting its
 // OpString definition record on first use (truncating over-long
-// sites). The caller holds e.mu. Definitions go straight to the main
-// stream, so a buffered access record flushed later always references
-// a string defined earlier in the trace.
+// sites). The caller holds e.mu, and the definition precedes the
+// record that first references it.
 func (e *Encoder) internLocked(site string) uint64 {
 	if len(site) > MaxStringLen {
 		site = site[:MaxStringLen]
@@ -200,62 +193,6 @@ func (e *Encoder) internLocked(site string) uint64 {
 		_, e.err = e.w.WriteString(site)
 	}
 	return idx
-}
-
-// AccessBuf is a staging buffer for access records, one per
-// shadow-memory shard in a concurrently monitored run: accesses on the
-// lock-free fast path append to the owning shard's buffer (under that
-// shard's lock, never the encoder's), and structural events flush every
-// buffer into the encoder's main stream in shard order before recording
-// themselves. The flush discipline keeps the trace a valid
-// linearization — a thread's accesses always appear after the fork that
-// created it and before the fork, join, or lock event that follows them
-// — so sp/trace replay of a concurrently recorded trace stays
-// deterministic given the trace bytes.
-type AccessBuf struct {
-	e     *Encoder
-	buf   []byte
-	local map[string]uint64 // shard-local intern cache, avoids e.mu on repeat sites
-}
-
-// NewAccessBuf returns an empty staging buffer feeding e. The caller
-// must serialize all calls on one AccessBuf (the shard lock).
-func (e *Encoder) NewAccessBuf() *AccessBuf {
-	return &AccessBuf{e: e}
-}
-
-// Access appends one access record to the buffer. A new site takes the
-// encoder lock once to intern; repeat sites hit the local cache.
-func (b *AccessBuf) Access(t int64, addr uint64, write, hasSite bool, site string) {
-	var idx uint64
-	if hasSite {
-		var known bool
-		idx, known = b.local[site]
-		if !known {
-			b.e.mu.Lock()
-			idx = b.e.internLocked(site)
-			b.e.mu.Unlock()
-			if b.local == nil {
-				b.local = map[string]uint64{}
-			}
-			b.local[site] = idx
-		}
-	}
-	b.buf = appendAccess(b.buf, t, addr, write, hasSite, idx)
-}
-
-// Flush moves the buffered records into the main stream and resets the
-// buffer. The caller must hold the same lock that serializes Access;
-// the order in which a recorder flushes its buffers defines the
-// records' total order in the trace.
-func (b *AccessBuf) Flush() {
-	if len(b.buf) == 0 {
-		return
-	}
-	b.e.mu.Lock()
-	b.e.emit(b.buf)
-	b.e.mu.Unlock()
-	b.buf = b.buf[:0]
 }
 
 // Put records Put(t): t publishes a sync-object edge and retires; the

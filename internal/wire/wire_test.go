@@ -158,72 +158,3 @@ func TestEncoderStickyError(t *testing.T) {
 type failWriter struct{}
 
 func (failWriter) Write([]byte) (int, error) { return 0, errors.New("sink closed") }
-
-// TestAccessBufStaging checks the per-shard staging path: buffered
-// access records reach the stream only at Flush, in flush order, with
-// site definitions interned to the main stream at Access time so a
-// late-flushed record never references an undefined string.
-func TestAccessBufStaging(t *testing.T) {
-	var buf bytes.Buffer
-	e := NewEncoder(&buf)
-	b0, b1 := e.NewAccessBuf(), e.NewAccessBuf()
-	e.Fork(0)
-	b0.Access(1, 8, true, true, "siteX")
-	b1.Access(2, 3, false, false, "")
-	b0.Access(1, 8, false, true, "siteX") // local intern cache hit
-	// Structural event: flush the shard buffers in shard order first.
-	b0.Flush()
-	b1.Flush()
-	e.Join(1, 2)
-	if err := e.Flush(); err != nil {
-		t.Fatalf("Flush: %v", err)
-	}
-	got, err := decodeAll(buf.Bytes())
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	want := []Event{
-		{Op: OpFork, T1: 0},
-		{Op: OpWrite, T1: 1, Addr: 8, Site: "siteX", HasSite: true},
-		{Op: OpRead, T1: 1, Addr: 8, Site: "siteX", HasSite: true},
-		{Op: OpRead, T1: 2, Addr: 3},
-		{Op: OpJoin, T1: 1, T2: 2},
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("decoded events\n got %+v\nwant %+v", got, want)
-	}
-	if n := bytes.Count(buf.Bytes(), []byte("siteX")); n != 1 {
-		t.Fatalf("site interned %d times, want 1", n)
-	}
-	// Flushing an empty buffer is a no-op.
-	before := buf.Len()
-	b0.Flush()
-	if err := e.Flush(); err != nil || buf.Len() != before {
-		t.Fatalf("empty Flush changed the stream (err %v)", err)
-	}
-}
-
-// TestAccessBufSharedIntern checks that two buffers interning the same
-// site agree on one string-table index.
-func TestAccessBufSharedIntern(t *testing.T) {
-	var buf bytes.Buffer
-	e := NewEncoder(&buf)
-	b0, b1 := e.NewAccessBuf(), e.NewAccessBuf()
-	b0.Access(1, 1, true, true, "shared")
-	b1.Access(2, 2, true, true, "shared")
-	b0.Flush()
-	b1.Flush()
-	if err := e.Flush(); err != nil {
-		t.Fatalf("Flush: %v", err)
-	}
-	evs, err := decodeAll(buf.Bytes())
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if len(evs) != 2 || evs[0].Site != "shared" || evs[1].Site != "shared" {
-		t.Fatalf("events = %+v", evs)
-	}
-	if n := bytes.Count(buf.Bytes(), []byte("shared")); n != 1 {
-		t.Fatalf("site interned %d times, want 1", n)
-	}
-}

@@ -22,9 +22,8 @@ import (
 //     read BOTH total orders off that one comparison — no retries, no
 //     global structure, no insertion lock to batch or amortize.
 //
-// That makes depa the one backend that declares every capability,
-// including ConcurrentStructural: a non-tracing Monitor applies its
-// structural events without the global mutex. The trade-off mirrors
+// That makes depa Synchronized: a Monitor that records no trace applies
+// all of its events without the global mutex. The trade-off mirrors
 // offset-span: query cost is O(d) in fork-nesting depth, against
 // SP-hybrid's O(1)-expected lock-free global-tier comparison.
 
@@ -155,10 +154,8 @@ func init() {
 		Name:        "depa",
 		Description: "DePa fork-path labels: O(1) lock-free fork/join, both orders from one label walk",
 		UpdateBound: "O(1) worst case, lock-free", QueryBound: "O(d)", SpaceBound: "O(1) amortized (shared fork paths)",
-		FullQueries:          true,
-		AnyOrder:             true,
-		Synchronized:         true,
-		ConcurrentQueries:    true,
-		ConcurrentStructural: true,
+		FullQueries:  true,
+		AnyOrder:     true,
+		Synchronized: true,
 	}, newDepa)
 }

@@ -124,19 +124,18 @@ type raceShard struct {
 
 // threadState is the Monitor's per-thread bookkeeping. States are
 // published through a lock-free table, and the flags are atomics,
-// because the access fast path consults them without the monitor
-// mutex; held is touched only by the owning thread's own lock events
-// (under the monitor mutex) and its own accesses.
+// because lock-free monitors consult them without the monitor mutex;
+// held is touched only by the owning thread's own events.
 type threadState struct {
 	begun   atomic.Bool
 	retired atomic.Bool
 	held    map[int]int // lock multiset; nil until first Acquire
-	// rel is the cached SP query handle for this thread — the "label/
-	// bag reference" of the backend, bound at thread creation on
-	// fast-path monitors, nil otherwise.
+	// rel is the cached SP query view of this thread, bound at thread
+	// creation: the backend's handle (its "label/bag reference") or the
+	// by-ID adapter, wrapped in the edge composer (see bindRel).
 	rel CurrentRelative
 	// accesses and queries are this thread's event counters; keeping
-	// them per thread keeps the fast path free of shared contended
+	// them per thread keeps concurrent accesses off shared contended
 	// cache lines. Report sums them.
 	accesses atomic.Int64
 	queries  atomic.Int64
@@ -189,42 +188,41 @@ func WithRaceDetection(on bool) Option { return func(c *config) { c.raceDetect =
 
 // WithLockAwareness switches race detection to the ALL-SETS protocol: a
 // pair of parallel conflicting accesses races only if the lock sets held
-// at the two accesses are disjoint. Implies race detection and disables
-// the sharded access fast path (ALL-SETS keeps full per-location access
-// histories under one lock).
+// at the two accesses are disjoint. Implies race detection. The access
+// histories are sharded by address like the shadow memory, so it keeps
+// the Monitor's locking rule: on a lock-free monitor an access still
+// synchronizes only on the history shard of its address.
 func WithLockAwareness(on bool) Option { return func(c *config) { c.lockAware = on } }
 
 // WithTrace records every event the Monitor applies — Fork, Join,
-// Begin, Read, Write, Acquire, Release — to w in the binary trace
-// format that package repro/sp/trace reads back (trace.Replay feeds a
-// recorded stream through any registered backend). Access sites are
-// rendered with fmt.Sprint and interned in the trace's string table.
-// The stream is buffered; Report flushes it, and write errors are
-// sticky and surfaced by TraceErr. On fast-path monitors, access
-// records stage in per-shard buffers that structural events flush in
-// shard order, so the recorded stream is always a valid linearization
-// of the run.
+// Begin, Read, Write, Acquire, Release, Put, Get — to w in the binary
+// trace format that package repro/sp/trace reads back (trace.Replay
+// feeds a recorded stream through any registered backend). Access
+// sites are rendered with fmt.Sprint and interned in the trace's
+// string table. A recording Monitor applies every event under its
+// mutex, so the recorded stream is exactly the order in which the
+// events were applied. The stream is buffered; Report flushes it, and
+// write errors are sticky and surfaced by TraceErr.
 func WithTrace(w io.Writer) Option { return func(c *config) { c.traceW = w } }
 
 // Monitor maintains SP relationships over a live stream of fork, join,
 // access, and lock events, optionally detecting determinacy races on the
 // fly. Create one with NewMonitor; the zero Monitor is not valid.
 //
-// Every method is safe for concurrent use. Read/Write take the sharded
-// fast path when the backend is internally synchronized and declares
-// ConcurrentQueries (sp-hybrid, depa): they synchronize only on the
-// owning shadow-memory shard, with thread-state and SP-handle lookups
-// lock-free. Structural events — Fork, Join, Acquire, Release, Begin —
-// serialize through one global mutex UNLESS the backend additionally
-// declares ConcurrentStructural and no trace is being recorded, in
-// which case they too run without the global mutex (sp-hybrid batches
-// its global-tier order-maintenance insertions under one shared
-// insertion lock; depa takes no lock at all). For other backends the
-// Monitor serializes everything; backends whose BackendInfo.AnyOrder
-// is false additionally require the serial depth-first event order that
-// Replay produces.
+// Every method is safe for concurrent use, under one locking rule. A
+// monitor is lock-free when its backend is Synchronized, hands out
+// per-thread query handles (HandleMaintainer), and no trace is being
+// recorded; today that is sp-hybrid and depa without WithTrace. Its
+// events then take no global mutex: thread states and SP handles are
+// read lock-free, structural events go straight to the backend
+// (sp-hybrid batches its global-tier order-maintenance insertions under
+// one shared insertion lock; depa takes no lock at all), and an access
+// synchronizes only on the shard that owns its address. Every other
+// monitor applies each event, queries included, under one mutex.
+// Backends whose BackendInfo.AnyOrder is false additionally require the
+// serial depth-first event order that Replay produces.
 type Monitor struct {
-	mu      sync.Mutex // serializes structural events (and everything, off the fast path)
+	mu      sync.Mutex // held by every event unless lockFree, and by Report
 	backend Maintainer
 	info    BackendInfo
 	handles HandleMaintainer // non-nil when the backend hands out query handles
@@ -241,20 +239,16 @@ type Monitor struct {
 	// English order of the serial event stream (SP-order-implicit's
 	// footnote-2 trick): set when the backend exposes neither
 	// orderQuerier nor exact per-thread handles. begins is the counter;
-	// both are only touched under mu, since such backends never take
-	// the lock-free structural path.
+	// both are only touched under mu, since such monitors are never
+	// lockFree.
 	stampBegins bool
 	begins      int64
 
-	raceDetect     bool
-	lockAware      bool
-	fastAccess     bool // Read/Write bypass mu: Synchronized + ConcurrentQueries + exact orders, not lock-aware
-	lockFreeQ      bool // queries may run without mu: Synchronized + ConcurrentQueries
-	fastStructural bool // Fork/Join/Acquire/Release/Begin bypass mu: ConcurrentStructural, no trace
+	raceDetect bool
+	lockAware  bool
+	lockFree   bool // a Synchronized HandleMaintainer backend and no trace
 
-	trace       *wire.Encoder     // nil unless WithTrace
-	traceShards []*wire.AccessBuf // per-shard access staging, fast-path monitors only
-	traceDirty  []atomic.Bool     // traceShards[i] has records staged since its last flush
+	trace *wire.Encoder // nil unless WithTrace; written only under mu
 
 	threads  ctab.Table[threadState]
 	nthreads atomic.Int64
@@ -327,7 +321,7 @@ func NewMonitor(opts ...Option) (*Monitor, error) {
 	}
 	m.handles, _ = backend.(HandleMaintainer)
 	m.orders, _ = backend.(orderQuerier)
-	m.stampBegins = m.orders == nil && (m.handles == nil || !info.ConcurrentQueries)
+	m.stampBegins = m.orders == nil && !(info.Synchronized && m.handles != nil)
 	if !info.FullQueries {
 		// Serial fallback for sync-object edges: backends that only
 		// answer queries against the CURRENT thread cannot compose an
@@ -340,26 +334,12 @@ func NewMonitor(opts ...Option) (*Monitor, error) {
 			return nil, err
 		}
 	}
-	// Queries escape the global mutex only when the backend declares
-	// them safe concurrently with structural updates; the access fast
-	// path additionally requires exact order answers (per-thread
-	// handles or the order-querier surface), without which the
-	// two-reader protocol would silently lose completeness.
-	m.lockFreeQ = info.Synchronized && info.ConcurrentQueries
-	m.fastAccess = m.lockFreeQ && !cfg.lockAware && (m.handles != nil || m.orders != nil)
-	// Structural events bypass the global mutex only when the backend
-	// accepts them concurrently AND no trace is being recorded (the
-	// trace encoder and its linearizing shard flushes need the mutex).
-	m.fastStructural = m.lockFreeQ && info.ConcurrentStructural && cfg.traceW == nil
+	// Without handles, concurrent accesses would fall back to relCur,
+	// whose order answers hold only for a serial event stream; a
+	// recorded trace must be the order the events were applied in.
+	m.lockFree = info.Synchronized && m.handles != nil && cfg.traceW == nil
 	if cfg.traceW != nil {
 		m.trace = wire.NewEncoder(cfg.traceW)
-		if m.fastAccess {
-			m.traceShards = make([]*wire.AccessBuf, m.mem.NumShards())
-			m.traceDirty = make([]atomic.Bool, m.mem.NumShards())
-			for i := range m.traceShards {
-				m.traceShards[i] = m.trace.NewAccessBuf()
-			}
-		}
 	}
 	m.main = m.newThread()
 	m.backend.Start(m.main)
@@ -432,51 +412,26 @@ func (m *Monitor) checkLive(t ThreadID, st *threadState, ev string) {
 	}
 }
 
-// begin marks t's first action. Callers hold m.mu, or own t on a
-// fast-structural monitor (where concurrent owners of DISTINCT threads
-// may race here, so the first-action claim is a CAS; tracing monitors
-// never take the lock-free route, keeping the encoder serialized).
+// begin marks t's first action. The caller holds m.mu or, on a
+// lock-free monitor, owns t. The plain load keeps the CAS off the
+// access hot path once t has begun.
 func (m *Monitor) begin(t ThreadID, st *threadState) {
-	if st.begun.CompareAndSwap(false, true) {
-		if m.stampBegins {
-			m.begins++
-			st.engSeq = m.begins
-		}
-		m.backend.Begin(t)
-		if m.mirror != nil {
-			m.mirror.Begin(t)
-		}
-		if m.trace != nil {
-			m.trace.Begin(int64(t))
-		}
-		if mx := m.mx; mx != nil {
-			mx.evBegin.Add(1)
-		}
+	if st.begun.Load() || !st.begun.CompareAndSwap(false, true) {
+		return
 	}
-}
-
-// flushTraceShards drains the per-shard access buffers written since
-// the last flush into the main trace stream, in shard order. Structural
-// events call it before recording themselves so that a thread's staged
-// accesses always precede the event that retires the thread or changes
-// its lock set — the invariant that keeps concurrently recorded traces
-// replayable. Only dirty shards are visited: staging marks the shard
-// under its lock, so every staged-but-unflushed record lives in a shard
-// whose dirty flag is set, and the structural event's own thread cannot
-// be staging concurrently with its call here (one goroutine per
-// thread). A shard dirtied by another thread racing the flush is simply
-// picked up by the next flush, which is still before that thread's own
-// next structural event.
-func (m *Monitor) flushTraceShards() {
-	for i, buf := range m.traceShards {
-		if !m.traceDirty[i].Load() {
-			continue
-		}
-		sh := m.mem.Shard(i)
-		sh.Lock()
-		m.traceDirty[i].Store(false)
-		buf.Flush()
-		sh.Unlock()
+	if m.stampBegins {
+		m.begins++
+		st.engSeq = m.begins
+	}
+	m.backend.Begin(t)
+	if m.mirror != nil {
+		m.mirror.Begin(t)
+	}
+	if m.trace != nil {
+		m.trace.Begin(int64(t))
+	}
+	if mx := m.mx; mx != nil {
+		mx.evBegin.Add(1)
 	}
 }
 
@@ -486,13 +441,10 @@ func (m *Monitor) flushTraceShards() {
 // execution position (which the serial backends need for queries).
 func (m *Monitor) Begin(t ThreadID) {
 	st := m.state(t)
-	if m.fastStructural {
-		m.checkLive(t, st, "Begin")
-		m.begin(t, st)
-		return
+	if !m.lockFree {
+		m.mu.Lock()
+		defer m.mu.Unlock()
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	m.checkLive(t, st, "Begin")
 	m.begin(t, st)
 }
@@ -501,35 +453,16 @@ func (m *Monitor) Begin(t ThreadID) {
 // continue from it: the spawned child (left) and the continuation
 // (right), which run logically in parallel.
 //
-// On fast-structural monitors (a ConcurrentStructural backend, no
-// trace) Fork runs entirely without the global mutex: the thread table
+// On a lock-free monitor Fork takes no global mutex: the thread table
 // is lock-free, the backend accepts concurrent structural updates, and
 // parent's state is owned by the calling goroutine — so fork-heavy
 // workloads scale like access-heavy ones.
 func (m *Monitor) Fork(parent ThreadID) (left, right ThreadID) {
 	st := m.state(parent)
-	if m.fastStructural {
-		m.checkLive(parent, st, "Fork")
-		m.begin(parent, st)
-		left, right = m.newThread(), m.newThread()
-		m.backend.Fork(parent, left, right)
-		m.bindRel(left)
-		m.bindRel(right)
-		if len(st.ctx) > 0 {
-			// Both branches run after everything the parent observed.
-			m.state(left).ctx = st.ctx
-			m.state(right).ctx = st.ctx
-		}
-		st.retired.Store(true)
-		st.held = nil
-		m.forks.Add(1)
-		if mx := m.mx; mx != nil {
-			mx.evFork.Add(1)
-		}
-		return left, right
+	if !m.lockFree {
+		m.mu.Lock()
+		defer m.mu.Unlock()
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	m.checkLive(parent, st, "Fork")
 	m.begin(parent, st)
 	left, right = m.newThread(), m.newThread()
@@ -540,13 +473,13 @@ func (m *Monitor) Fork(parent ThreadID) (left, right ThreadID) {
 	m.bindRel(left)
 	m.bindRel(right)
 	if len(st.ctx) > 0 {
+		// Both branches run after everything the parent observed.
 		m.state(left).ctx = st.ctx
 		m.state(right).ctx = st.ctx
 	}
 	if m.trace != nil {
 		// The spawned IDs are implicit in the trace: a fresh Monitor
 		// re-allocates them densely in record order on replay.
-		m.flushTraceShards()
 		m.trace.Fork(int64(parent))
 	}
 	st.retired.Store(true)
@@ -566,24 +499,10 @@ func (m *Monitor) Join(left, right ThreadID) (cont ThreadID) {
 	if left == right {
 		panic("sp: Join of a thread with itself")
 	}
-	if m.fastStructural {
-		m.checkLive(left, lst, "Join")
-		m.checkLive(right, rst, "Join")
-		cont = m.newThread()
-		m.backend.Join(left, right, cont)
-		m.bindRel(cont)
-		m.joinCtx(lst, rst, m.state(cont))
-		lst.retired.Store(true)
-		rst.retired.Store(true)
-		lst.held, rst.held = nil, nil
-		m.joins.Add(1)
-		if mx := m.mx; mx != nil {
-			mx.evJoin.Add(1)
-		}
-		return cont
+	if !m.lockFree {
+		m.mu.Lock()
+		defer m.mu.Unlock()
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	m.checkLive(left, lst, "Join")
 	m.checkLive(right, rst, "Join")
 	cont = m.newThread()
@@ -594,7 +513,6 @@ func (m *Monitor) Join(left, right ThreadID) (cont ThreadID) {
 	m.bindRel(cont)
 	m.joinCtx(lst, rst, m.state(cont))
 	if m.trace != nil {
-		m.flushTraceShards()
 		m.trace.Join(int64(left), int64(right))
 	}
 	lst.retired.Store(true)
@@ -627,28 +545,10 @@ func (m *Monitor) Join(left, right ThreadID) (cont ThreadID) {
 // section.
 func (m *Monitor) Put(t ThreadID) (cont ThreadID) {
 	st := m.state(t)
-	if m.fastStructural {
-		m.checkLive(t, st, "Put")
-		m.begin(t, st)
-		st.snap = m.pruneCtx(append(append(make([]ThreadID, 0, len(st.ctx)+1), st.ctx...), t), NoThread)
-		dead, mid := m.newThread(), m.newThread()
-		m.backend.Fork(t, dead, mid)
-		cont = m.newThread()
-		m.backend.Join(dead, mid, cont)
-		m.bindRel(cont)
-		cst := m.state(cont)
-		cst.ctx = st.ctx
-		cst.held = st.held
-		st.retired.Store(true)
-		st.held = nil
-		m.puts.Add(1)
-		if mx := m.mx; mx != nil {
-			mx.evPut.Add(1)
-		}
-		return cont
+	if !m.lockFree {
+		m.mu.Lock()
+		defer m.mu.Unlock()
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	m.checkLive(t, st, "Put")
 	m.begin(t, st)
 	st.snap = m.pruneCtx(append(append(make([]ThreadID, 0, len(st.ctx)+1), st.ctx...), t), NoThread)
@@ -667,7 +567,6 @@ func (m *Monitor) Put(t ThreadID) (cont ThreadID) {
 	if m.trace != nil {
 		// Only the Put is recorded; replay re-synthesizes the diamond,
 		// so the three IDs stay implicit like Fork's and Join's.
-		m.flushTraceShards()
 		m.trace.Put(int64(t))
 	}
 	st.retired.Store(true)
@@ -691,40 +590,23 @@ func (m *Monitor) Get(t ThreadID, tokens ...ThreadID) {
 		return
 	}
 	st := m.state(t)
-	if m.fastStructural {
-		m.checkLive(t, st, "Get")
-		m.begin(t, st)
-		m.applyGet(t, st, tokens)
-		m.gets.Add(1)
-		if mx := m.mx; mx != nil {
-			mx.evGet.Add(1)
-		}
-		return
+	if !m.lockFree {
+		m.mu.Lock()
+		defer m.mu.Unlock()
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	m.checkLive(t, st, "Get")
 	m.begin(t, st)
 	if m.trace != nil {
-		m.flushTraceShards()
 		toks := make([]int64, len(tokens))
 		for i, tok := range tokens {
 			toks[i] = int64(tok)
 		}
 		m.trace.Get(int64(t), toks)
 	}
-	m.applyGet(t, st, tokens)
-	m.gets.Add(1)
-	if mx := m.mx; mx != nil {
-		mx.evGet.Add(1)
-	}
-}
-
-// applyGet folds the tokens' published snapshots into t's observed
-// set. The snapshot reads are ordered by the real synchronization
-// object that carried each token; the result is always a fresh slice
-// because t's old slice may be shared with retired ancestors.
-func (m *Monitor) applyGet(t ThreadID, st *threadState, tokens []ThreadID) {
+	// Fold the tokens' published snapshots into t's observed set. The
+	// snapshot reads are ordered by the real synchronization object that
+	// carried each token; the result is always a fresh slice because
+	// t's old slice may be shared with retired ancestors.
 	merged := make([]ThreadID, 0, len(st.ctx)+len(tokens))
 	merged = append(merged, st.ctx...)
 	for _, tok := range tokens {
@@ -735,6 +617,10 @@ func (m *Monitor) applyGet(t ThreadID, st *threadState, tokens []ThreadID) {
 		merged = append(merged, ts.snap...)
 	}
 	st.ctx = m.pruneCtx(merged, t)
+	m.gets.Add(1)
+	if mx := m.mx; mx != nil {
+		mx.evGet.Add(1)
+	}
 }
 
 // joinCtx gives a join continuation the union of both branches'
@@ -802,8 +688,8 @@ func (m *Monitor) pruneCtx(tokens []ThreadID, cur ThreadID) []ThreadID {
 // englishBefore reports a <_E b for two begun threads, from the most
 // direct exact source the backend offers: the English order-maintenance
 // list (orderQuerier, sp-order), b's own query handle on backends whose
-// handles answer the order queries exactly (ConcurrentQueries:
-// sp-hybrid, depa), or otherwise the begin stamps, which number the
+// handles answer the order queries exactly (Synchronized: sp-hybrid,
+// depa), or otherwise the begin stamps, which number the
 // threads of a serial event stream in English order. Like pairPrecedes
 // it bypasses Monitor.Relation and counts toward no report.
 func (m *Monitor) englishBefore(a, b ThreadID) bool {
@@ -905,29 +791,18 @@ func (m *Monitor) WriteAt(t ThreadID, addr uint64, site any) {
 	m.access(t, m.state(t), addr, true, site)
 }
 
-// Acquire records that thread t locked mutex lock (reentrant).
+// Acquire records that thread t locked mutex lock (reentrant). The lock
+// set is touched only by t's own events, and t runs on one goroutine at
+// a time, so lock-free monitors need no lock for it.
 func (m *Monitor) Acquire(t ThreadID, lock int) {
 	st := m.state(t)
-	if m.fastStructural {
-		// held is only ever touched by t's own events, and t runs on
-		// one goroutine at a time, so no lock is needed.
-		m.checkLive(t, st, "Acquire")
-		m.begin(t, st)
-		if st.held == nil {
-			st.held = map[int]int{}
-		}
-		st.held[lock]++
-		if mx := m.mx; mx != nil {
-			mx.evAcquire.Add(1)
-		}
-		return
+	if !m.lockFree {
+		m.mu.Lock()
+		defer m.mu.Unlock()
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	m.checkLive(t, st, "Acquire")
 	m.begin(t, st)
 	if m.trace != nil {
-		m.flushTraceShards()
 		m.trace.Acquire(int64(t), int64(lock))
 	}
 	if st.held == nil {
@@ -944,27 +819,16 @@ func (m *Monitor) Acquire(t ThreadID, lock int) {
 // implicitly (a critical section never spans threads in this model).
 func (m *Monitor) Release(t ThreadID, lock int) {
 	st := m.state(t)
-	if m.fastStructural {
-		m.checkLive(t, st, "Release")
-		m.begin(t, st)
-		if st.held[lock] == 0 {
-			panic(fmt.Sprintf("sp: release of unheld mutex m%d by thread t%d", lock, t))
-		}
-		st.held[lock]--
-		if mx := m.mx; mx != nil {
-			mx.evRelease.Add(1)
-		}
-		return
+	if !m.lockFree {
+		m.mu.Lock()
+		defer m.mu.Unlock()
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	m.checkLive(t, st, "Release")
 	m.begin(t, st)
 	if st.held[lock] == 0 {
 		panic(fmt.Sprintf("sp: release of unheld mutex m%d by thread t%d", lock, t))
 	}
 	if m.trace != nil {
-		m.flushTraceShards()
 		m.trace.Release(int64(t), int64(lock))
 	}
 	st.held[lock]--
@@ -1033,18 +897,13 @@ func (r relCur) HebrewBeforeCurrent(prev ThreadID) bool {
 }
 
 // access applies one memory access to the backend and, when race
-// detection is on, to the shadow protocol.
+// detection is on, to one of the two detection protocols: the
+// two-reader shadow cell, or the ALL-SETS history under
+// lock-awareness. Both synchronize only on the shard that owns addr,
+// so on a lock-free monitor that shard lock is the only one an access
+// takes.
 func (m *Monitor) access(t ThreadID, st *threadState, addr uint64, write bool, site any) {
-	if m.fastAccess {
-		m.fastPath(t, st, addr, write, site)
-		return
-	}
-	// Off the fast path, the global mutex is skipped only when the
-	// backend answers queries lock-free AND no trace is being recorded:
-	// a lock-aware monitor on a concurrent backend (fastAccess off,
-	// lockFreeQ on) still delivers accesses concurrently, and the trace
-	// encoder is not internally synchronized.
-	if !m.lockFreeQ || m.trace != nil {
+	if !m.lockFree {
 		m.mu.Lock()
 		defer m.mu.Unlock()
 	}
@@ -1063,7 +922,7 @@ func (m *Monitor) access(t ThreadID, st *threadState, addr uint64, write bool, s
 		if m.raceDetect {
 			idx = m.mem.ShardIndex(addr) // both protocols co-shard by this index
 		}
-		mx.countAccess(false, write, idx)
+		mx.countAccess(m.lockFree, write, idx)
 	}
 	if !m.raceDetect {
 		return
@@ -1076,57 +935,6 @@ func (m *Monitor) access(t ThreadID, st *threadState, addr uint64, write bool, s
 	// st.rel is always bound at thread creation: the backend's handle
 	// (or by-ID adapter) wrapped in the edge composer.
 	found := m.mem.AccessOrdered(addr, st.rel, t, site, write, &q)
-	st.queries.Add(q)
-	if mx := m.mx; mx != nil {
-		mx.queries.Add(q)
-	}
-	if found != nil {
-		m.emit(Race{
-			Addr: addr, Kind: found.Kind,
-			First: found.Prev, Second: t,
-			FirstSite: found.PrevSite, SecondSite: site,
-		})
-	}
-}
-
-// fastPath is the sharded lock-free access path: thread state and the
-// cached SP handle are read with atomic loads, and the only lock taken
-// is the owning shadow-memory shard's. The global monitor mutex is
-// touched exactly once per thread, for the idempotent Begin.
-func (m *Monitor) fastPath(t ThreadID, st *threadState, addr uint64, write bool, site any) {
-	m.checkLive(t, st, "access")
-	if !st.begun.Load() {
-		if m.fastStructural {
-			m.begin(t, st)
-		} else {
-			m.mu.Lock()
-			m.begin(t, st)
-			m.mu.Unlock()
-		}
-	}
-	st.accesses.Add(1)
-	idx := m.mem.ShardIndex(addr)
-	if mx := m.mx; mx != nil {
-		mx.countAccess(true, write, idx)
-	}
-	sh := m.mem.Shard(idx)
-	sh.Lock()
-	sh.Hit()
-	if m.traceShards != nil {
-		if site != nil {
-			m.traceShards[idx].Access(int64(t), addr, write, true, fmt.Sprint(site))
-		} else {
-			m.traceShards[idx].Access(int64(t), addr, write, false, "")
-		}
-		m.traceDirty[idx].Store(true)
-	}
-	if !m.raceDetect {
-		sh.Unlock()
-		return
-	}
-	var q int64
-	found := shadow.OnAccessOrdered(sh.Cell(addr), st.rel, t, site, write, &q)
-	sh.Unlock()
 	st.queries.Add(q)
 	if mx := m.mx; mx != nil {
 		mx.queries.Add(q)
@@ -1195,13 +1003,13 @@ func (m *Monitor) lockAwareAccess(t ThreadID, st *threadState, addr uint64, writ
 
 // emit records a race in the owning race-log shard — the only
 // synchronization on the emit path while nobody listens, so racy
-// workloads on the access fast path no longer funnel every race through
+// workloads on a lock-free monitor do not funnel every race through
 // one global mutex. Once Races() has been called, the emit additionally
 // claims every race of the shard not yet streamed, its own included
 // (advancing the shard's streamed watermark under the shard lock, so the
 // Races() catch-up scan and concurrent emits deliver each race exactly
 // once), and streams them. A race detected after Report
-// closed the shard — an access still in flight on a fast-path backend —
+// closed the shard — an access still in flight on a lock-free monitor —
 // lands in the shard's late list and counts as dropped.
 func (m *Monitor) emit(r Race) {
 	idx := m.mem.ShardIndex(r.Addr)
@@ -1295,16 +1103,13 @@ func (m *Monitor) pump() {
 
 // TraceErr returns the sticky error of the WithTrace recorder: nil
 // when every record has reached the underlying writer, nil also when
-// the Monitor records no trace. It flushes the staged and buffered
-// stream first (as does Report), so an access that slipped past
-// Report's finished check on a fast-path backend cannot leave its
-// record stranded; check TraceErr after Report to confirm a complete
+// the Monitor records no trace. It flushes the buffered stream first,
+// as Report does; check TraceErr after Report to confirm a complete
 // trace.
 func (m *Monitor) TraceErr() error {
 	if m.trace == nil {
 		return nil
 	}
-	m.flushTraceShards()
 	return m.trace.Flush()
 }
 
@@ -1345,7 +1150,7 @@ func (m *Monitor) Relation(a, b ThreadID) Relation {
 	if a == b {
 		return Same
 	}
-	if !m.lockFreeQ {
+	if !m.lockFree {
 		m.mu.Lock()
 		defer m.mu.Unlock()
 	}
@@ -1373,7 +1178,6 @@ func (m *Monitor) Report() Report {
 	defer m.mu.Unlock()
 	m.finished.Store(true)
 	if m.trace != nil {
-		m.flushTraceShards()
 		m.trace.Flush()
 	}
 	// Close every race-log shard, then snapshot it: an emit racing this

@@ -160,8 +160,8 @@ func TestMetricsSnapshotConsistencyUnderStress(t *testing.T) {
 
 // benchConcurrentAccess is the shared body of the guard benchmark pair:
 // GOMAXPROCS goroutine-threads on one live sp-hybrid monitor, reading
-// shared race-free addresses and writing private ones through the
-// sharded lock-free fast path.
+// shared race-free addresses and writing private ones on a lock-free
+// monitor.
 func benchConcurrentAccess(b *testing.B, opts ...Option) {
 	g := runtime.GOMAXPROCS(0)
 	m := MustMonitor(append(opts, WithBackend("sp-hybrid"), WithWorkers(g))...)
@@ -192,7 +192,7 @@ func benchConcurrentAccess(b *testing.B, opts ...Option) {
 	})
 }
 
-// BenchmarkConcurrentAccess is the uninstrumented fast path — the guard
+// BenchmarkConcurrentAccess is the uninstrumented access path — the guard
 // baseline. BenchmarkConcurrentAccessMetrics is the same workload with
 // a registry attached; CI runs the pair to keep the disabled-metrics
 // cost (one predictable nil-check per hook) within noise and the

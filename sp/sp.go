@@ -66,8 +66,10 @@
 // labelers) require the event stream of a serial depth-first execution —
 // spawned branch before continuation, the order Replay produces — except
 // SP-order, which tolerates any event order that respects thread
-// creation. The parallel engine (SP-hybrid's global tier) accepts
-// concurrent event delivery from live goroutines.
+// creation. The two parallel engines, SP-hybrid's global tier and DePa
+// fork-path labels, accept concurrent event delivery from live
+// goroutines (BackendInfo.Synchronized), and a Monitor over either one
+// applies its events without a global lock unless it records a trace.
 //
 // See BackendInfo for each backend's capabilities and asymptotic bounds,
 // Replay/ReplayParallel for driving a Monitor from an spt.Tree, and
@@ -146,8 +148,8 @@ type Maintainer interface {
 // CurrentRelative answers SP queries of previously executed threads
 // against one fixed current thread — the query forms the shadow-memory
 // protocol issues. Backends hand instances out through ThreadRelative;
-// the Monitor caches one per thread (sp.Thread) so the access fast
-// path queries the SP structure with no per-query table lookup.
+// the Monitor caches one per thread (sp.Thread) so an access queries
+// the SP structure with no per-query table lookup.
 //
 // The order queries expose the two total orders behind the SP
 // relation (a ≺ b iff a before b in both, a ∥ b iff they disagree);
@@ -171,12 +173,11 @@ type CurrentRelative interface {
 
 // HandleMaintainer is the optional capability interface of backends
 // that supply cached per-thread query handles. A handle must stay
-// valid for the thread's lifetime. On backends that set
-// BackendInfo.ConcurrentQueries, handles must additionally be safe to
-// query concurrently with structural updates and answer the order
-// queries exactly; serial backends' handles are consumed under the
-// Monitor's serialization and may use the serial-stream order
-// equivalence instead.
+// valid for the thread's lifetime. On Synchronized backends, handles
+// must additionally be safe to query concurrently with structural
+// updates and answer the order queries exactly; other backends' handles
+// are consumed under the Monitor's mutex and may use the serial-stream
+// order equivalence instead.
 type HandleMaintainer interface {
 	Maintainer
 	// ThreadRelative returns the query handle for thread t, which must
@@ -203,33 +204,17 @@ type BackendInfo struct {
 	// backend requires the serial depth-first (English) event order that
 	// Replay produces.
 	AnyOrder bool
-	// Synchronized reports whether the backend is internally safe for
-	// concurrent event delivery; when false the Monitor serializes all
-	// events through one mutex.
+	// Synchronized reports whether the backend takes concurrent event
+	// delivery without external locking: Start/Begin/Fork/Join for
+	// distinct threads, Precedes/Parallel, and ThreadRelative handles
+	// may all run concurrently, and the handles answer the English and
+	// Hebrew order queries exactly. A Monitor over a Synchronized
+	// HandleMaintainer that records no trace applies every event
+	// without its global mutex; every other Monitor applies each event
+	// under that mutex. A Synchronized backend must also set
+	// FullQueries, because the serial edge mirror the Monitor keeps for
+	// the other backends is fed only under its mutex.
 	Synchronized bool
-	// ConcurrentQueries reports whether Precedes/Parallel (and any
-	// ThreadRelative handles) may be queried concurrently with
-	// structural updates without external locking. Backends that leave
-	// it false are treated as unsynchronized for queries: the Monitor
-	// keeps its global mutex around every query-issuing event. Together
-	// with Synchronized it enables the sharded access fast path, on
-	// which Read/Write synchronize only on the owning shadow-memory
-	// shard and never take the global monitor mutex (which structural
-	// events — Fork, Join, Acquire, Release — still serialize through).
-	// The fast path additionally requires the backend to answer the
-	// English/Hebrew order queries exactly (HandleMaintainer handles or
-	// an internal order-query surface); the Monitor verifies that at
-	// construction and falls back to serialized accesses otherwise.
-	ConcurrentQueries bool
-	// ConcurrentStructural reports whether Start/Begin/Fork/Join may
-	// themselves be delivered concurrently (for distinct threads)
-	// without external locking, on top of Synchronized and
-	// ConcurrentQueries. It extends the fast path to structural events:
-	// on such backends a non-tracing Monitor applies Fork, Join,
-	// Acquire, and Release without the global mutex, so fork-heavy
-	// workloads scale too. Backends batching their global-tier updates
-	// (sp-hybrid) or keeping per-thread immutable state (depa) qualify.
-	ConcurrentStructural bool
 }
 
 var registry = struct {

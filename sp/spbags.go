@@ -193,7 +193,7 @@ func (r bagsRel) EnglishBeforeCurrent(prev ThreadID) bool { return prev != r.cur
 func (r bagsRel) HebrewBeforeCurrent(prev ThreadID) bool { return r.PrecedesCurrent(prev) }
 
 // ThreadRelative implements HandleMaintainer (consumed under the
-// Monitor's serialization; sp-bags does not set ConcurrentQueries).
+// Monitor's mutex; sp-bags is not Synchronized).
 func (b *spBags) ThreadRelative(t ThreadID) CurrentRelative { return bagsRel{b: b, cur: t} }
 
 func init() {

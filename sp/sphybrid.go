@@ -46,10 +46,10 @@ import (
 //
 // The thread→item table is a lock-free chunked table (internal/ctab):
 // once a thread is materialized, a query is two atomic loads to find
-// the items plus the OM lists' own lock-free label reads, so the
-// Monitor's sharded access fast path never takes a backend lock.
-// Structural events take only the queue mutex, so the Monitor delivers
-// them concurrently too (ConcurrentStructural).
+// the items plus the OM lists' own lock-free label reads, so an access
+// on a lock-free Monitor never takes a backend lock. Structural events
+// take only the queue mutex, so the Monitor delivers them concurrently
+// too (Synchronized).
 //
 // The scheduler-coupled SP-hybrid with real work-stealing and a live
 // SP-bags local tier remains in internal/sphybrid (driven by
@@ -280,8 +280,8 @@ func (r *hybridRel) HebrewBeforeCurrent(prev ThreadID) bool {
 }
 
 // ThreadRelative implements HandleMaintainer. It does not resolve the
-// thread's positions — t may still be pending, and binding happens on
-// the structural fast path.
+// thread's positions — t may still be pending, and binding happens
+// inside the Monitor's Fork and Join, which may run concurrently.
 func (h *hybrid) ThreadRelative(t ThreadID) CurrentRelative {
 	return &hybridRel{h: h, id: t}
 }
@@ -291,10 +291,8 @@ func init() {
 		Name:        "sp-hybrid",
 		Description: "SP-hybrid global tier: batched lazy OM insertions under one lock, lock-free queries",
 		UpdateBound: "O(1) amortized (one insertion-lock acquisition per batch)", QueryBound: "O(1) expected, lock-free", SpaceBound: "O(1)",
-		FullQueries:          true,
-		AnyOrder:             true,
-		Synchronized:         true,
-		ConcurrentQueries:    true,
-		ConcurrentStructural: true,
+		FullQueries:  true,
+		AnyOrder:     true,
+		Synchronized: true,
 	}, newHybrid)
 }

@@ -2,6 +2,7 @@ package sp_test
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"runtime"
 	"sync"
@@ -26,7 +27,7 @@ func raceSignature(rep sp.Report) []uint64 {
 // real goroutine at every P-node while slots are free) and asserts the
 // race-report signature is stable against the serial sp-order oracle.
 // Run under -race (the CI stress job does, twice) this is also the
-// no-detector-internal-races proof for the sharded fast path.
+// no-detector-internal-races proof for the lock-free monitor.
 func TestStressScenariosConcurrent(t *testing.T) {
 	goroutines := 4 * runtime.NumCPU()
 	for _, sc := range workload.Scenarios() {
@@ -179,42 +180,47 @@ func TestStressLocksetConcurrent(t *testing.T) {
 	}
 }
 
-// TestFastPathTraceRoundTrip records a live concurrent run through the
-// per-shard trace staging buffers and proves the result is a valid
-// linearization: replay must succeed through a serial-tolerant
-// any-order backend AND through sp-hybrid again, with both replays
-// agreeing with the live run on accesses, structure, and raced
-// locations.
-func TestFastPathTraceRoundTrip(t *testing.T) {
+// TestConcurrentTraceRoundTrip records live concurrent runs on both
+// Synchronized backends, with and without lock-awareness, and proves
+// each recording is a valid linearization: replay must succeed through
+// the serial-tolerant any-order sp-order AND through the recording
+// backend again, with both replays agreeing with the live run on
+// accesses, structure, and raced locations.
+func TestConcurrentTraceRoundTrip(t *testing.T) {
 	goroutines := 4 * runtime.NumCPU()
-	for _, scName := range []string{"forkjoin", "readmostly", "lockheavy"} {
-		sc, ok := workload.ScenarioByName(scName)
-		if !ok {
-			t.Fatalf("scenario %q missing", scName)
+	for _, backend := range []string{"sp-hybrid", "depa"} {
+		for _, lockAware := range []bool{false, true} {
+			for _, scName := range []string{"forkjoin", "readmostly", "lockheavy"} {
+				sc, ok := workload.ScenarioByName(scName)
+				if !ok {
+					t.Fatalf("scenario %q missing", scName)
+				}
+				name := fmt.Sprintf("%s/lockaware=%v/%s", backend, lockAware, scName)
+				t.Run(name, func(t *testing.T) {
+					tree := sc.Build(96, 3)
+					var buf bytes.Buffer
+					m := sp.MustMonitor(sp.WithBackend(backend), sp.WithLockAwareness(lockAware),
+						sp.WithWorkers(goroutines), sp.WithTrace(&buf))
+					sp.ReplayParallel(tree, m, goroutines)
+					live := m.Report()
+					if err := m.TraceErr(); err != nil {
+						t.Fatalf("TraceErr: %v", err)
+					}
+					for _, rb := range []string{"sp-order", backend} {
+						rep, err := trace.ReplayBackend(buf.Bytes(), rb, sp.WithLockAwareness(lockAware))
+						if err != nil {
+							t.Fatalf("replaying concurrent trace through %s: %v", rb, err)
+						}
+						if rep.Accesses != live.Accesses || rep.Forks != live.Forks ||
+							rep.Joins != live.Joins || rep.Threads != live.Threads {
+							t.Fatalf("%s replay counters %+v diverge from live %+v", rb, rep, live)
+						}
+						if !reflect.DeepEqual(rep.Locations, live.Locations) {
+							t.Fatalf("%s replay locations %v, live %v", rb, rep.Locations, live.Locations)
+						}
+					}
+				})
+			}
 		}
-		t.Run(scName, func(t *testing.T) {
-			tree := sc.Build(96, 3)
-			var buf bytes.Buffer
-			m := sp.MustMonitor(sp.WithBackend("sp-hybrid"),
-				sp.WithWorkers(goroutines), sp.WithTrace(&buf))
-			sp.ReplayParallel(tree, m, goroutines)
-			live := m.Report()
-			if err := m.TraceErr(); err != nil {
-				t.Fatalf("TraceErr: %v", err)
-			}
-			for _, backend := range []string{"sp-order", "sp-hybrid"} {
-				rep, err := trace.ReplayBackend(buf.Bytes(), backend)
-				if err != nil {
-					t.Fatalf("replaying concurrent trace through %s: %v", backend, err)
-				}
-				if rep.Accesses != live.Accesses || rep.Forks != live.Forks ||
-					rep.Joins != live.Joins || rep.Threads != live.Threads {
-					t.Fatalf("%s replay counters %+v diverge from live %+v", backend, rep, live)
-				}
-				if !reflect.DeepEqual(rep.Locations, live.Locations) {
-					t.Fatalf("%s replay locations %v, live %v", backend, rep.Locations, live.Locations)
-				}
-			}
-		})
 	}
 }

@@ -4,9 +4,9 @@ package sp
 // pointer and the backend's SP query handle ("label/bag reference"),
 // resolved once instead of on every event. A goroutine monitoring its
 // own serial block should obtain its Thread once and report events
-// through it — on fast-path backends (see BackendInfo.ConcurrentQueries)
-// a handle's Read/Write touch only the owning shadow-memory shard, with
-// no table lookup and no global mutex on the way.
+// through it — on a lock-free Monitor (see Monitor) a handle's
+// Read/Write touch only the shard owning the address, with no table
+// lookup and no global mutex on the way.
 //
 // A Thread is a value; copies are equivalent. Like ThreadIDs, a handle
 // is owned by the one goroutine executing the thread — events of one

@@ -9,15 +9,14 @@ import (
 	"repro/sp/trace"
 )
 
-// TestLockAwareConcurrentTraceRecording pins the access-path locking
-// rule for the one configuration that is neither fast-path nor fully
-// serialized: a lock-aware monitor on a concurrent backend (lockFreeQ
-// on, fastAccess off) with a trace attached. Accesses arrive from live
-// goroutines; the encoder is not internally synchronized, so access()
-// must take the global mutex whenever a trace is recorded — without it
-// this test is a data race on the encoder (caught by -race in CI) and
-// a corrupted trace. Instrumented binaries (sp/spsync) run exactly
-// this configuration when SPSYNC_TRACE is set.
+// TestLockAwareConcurrentTraceRecording records a lock-aware monitor on
+// each concurrent backend from live goroutines. A recording monitor
+// applies every event under its mutex, accesses included, so the trace
+// is race-free (-race in CI checks the encoder) and replayable, and the
+// lock suppression must hold both live and on replay: the
+// lock-protected cell never races, the unprotected one does.
+// Instrumented binaries (sp/spsync) run exactly this configuration when
+// SPSYNC_TRACE is set.
 func TestLockAwareConcurrentTraceRecording(t *testing.T) {
 	for _, backend := range []string{"sp-hybrid", "depa"} {
 		var buf bytes.Buffer
