@@ -130,6 +130,13 @@ type threadState struct {
 	begun   atomic.Bool
 	retired atomic.Bool
 	held    map[int]int // lock multiset; nil until first Acquire
+	// fork is the thread whose Fork opened the branch this thread runs
+	// on (NoThread on main's level), and spawned tells whether it is
+	// that Fork's left side. A Join must end the two sides of one fork.
+	// Both are set before the ID escapes and never change, so lock-free
+	// monitors read them without a lock.
+	fork    ThreadID
+	spawned bool
 	// rel is the cached SP query view of this thread, bound at thread
 	// creation: the backend's handle (its "label/bag reference") or the
 	// by-ID adapter, wrapped in the edge composer (see bindRel).
@@ -263,6 +270,7 @@ type Monitor struct {
 	raceMu       sync.Mutex
 	backlog      []Race // races awaiting stream delivery while the channel is full
 	pumping      bool   // a pump goroutine owns stream delivery (and the close)
+	scans        int    // Races() catch-up scans still delivering; guarded by raceMu
 	raceCh       chan Race
 	streamClosed bool // guarded by raceMu; no more races will be streamed
 	chClosed     bool // guarded by raceMu; raceCh has actually been closed
@@ -341,7 +349,7 @@ func NewMonitor(opts ...Option) (*Monitor, error) {
 	if cfg.traceW != nil {
 		m.trace = wire.NewEncoder(cfg.traceW)
 	}
-	m.main = m.newThread()
+	m.main = m.newThread(NoThread, false)
 	m.backend.Start(m.main)
 	if m.mirror != nil {
 		m.mirror.Start(m.main)
@@ -365,10 +373,11 @@ func (m *Monitor) Backend() BackendInfo { return m.info }
 // Main returns the main thread's ID (always 0).
 func (m *Monitor) Main() ThreadID { return m.main }
 
-// newThread allocates the next dense ThreadID and publishes its state.
-func (m *Monitor) newThread() ThreadID {
+// newThread allocates the next dense ThreadID and publishes its state
+// at the given position in the fork tree.
+func (m *Monitor) newThread(fork ThreadID, spawned bool) ThreadID {
 	id := ThreadID(m.nthreads.Add(1) - 1)
-	m.threads.Put(int64(id), &threadState{})
+	m.threads.Put(int64(id), &threadState{fork: fork, spawned: spawned})
 	if mx := m.mx; mx != nil {
 		mx.threads.Add(1)
 	}
@@ -397,7 +406,7 @@ func (m *Monitor) bindRel(t ThreadID) {
 func (m *Monitor) state(t ThreadID) *threadState {
 	st := m.threads.Get(int64(t))
 	if st == nil {
-		panic(fmt.Sprintf("sp: unknown thread t%d", t))
+		panic(fmt.Sprintf("sp: thread t%d is not live (no such thread)", t))
 	}
 	return st
 }
@@ -408,7 +417,7 @@ func (m *Monitor) checkLive(t ThreadID, st *threadState, ev string) {
 		panic(fmt.Sprintf("sp: %s on finished monitor", ev))
 	}
 	if st.retired.Load() {
-		panic(fmt.Sprintf("sp: %s by ended thread t%d (its serial block ended at a fork, join, or put)", ev, t))
+		panic(fmt.Sprintf("sp: %s: thread t%d is not live (its serial block ended at a fork, join, or put)", ev, t))
 	}
 }
 
@@ -465,7 +474,7 @@ func (m *Monitor) Fork(parent ThreadID) (left, right ThreadID) {
 	}
 	m.checkLive(parent, st, "Fork")
 	m.begin(parent, st)
-	left, right = m.newThread(), m.newThread()
+	left, right = m.newThread(parent, true), m.newThread(parent, false)
 	m.backend.Fork(parent, left, right)
 	if m.mirror != nil {
 		m.mirror.Fork(parent, left, right)
@@ -491,9 +500,12 @@ func (m *Monitor) Fork(parent ThreadID) (left, right ThreadID) {
 	return left, right
 }
 
-// Join ends threads left and right — the terminals of the two branches
-// of one fork (joins must be well nested) — and returns the continuation
-// thread that runs logically after both.
+// Join ends threads left and right and returns the continuation thread
+// that runs logically after both. Joins must be well nested: left must
+// be the terminal of a fork's spawned branch and right the terminal of
+// the same fork's continuation branch, in that order; anything else
+// panics before the monitor changes. The continuation takes the fork
+// parent's place in the fork tree.
 func (m *Monitor) Join(left, right ThreadID) (cont ThreadID) {
 	lst, rst := m.state(left), m.state(right)
 	if left == right {
@@ -505,7 +517,11 @@ func (m *Monitor) Join(left, right ThreadID) (cont ThreadID) {
 	}
 	m.checkLive(left, lst, "Join")
 	m.checkLive(right, rst, "Join")
-	cont = m.newThread()
+	if lst.fork != rst.fork || !lst.spawned || rst.spawned {
+		panic(fmt.Sprintf("sp: Join(t%d, t%d) is not well nested (it must end a fork's spawned branch, then that fork's continuation)", left, right))
+	}
+	pst := m.state(lst.fork)
+	cont = m.newThread(pst.fork, pst.spawned)
 	m.backend.Join(left, right, cont)
 	if m.mirror != nil {
 		m.mirror.Join(left, right, cont)
@@ -536,9 +552,11 @@ func (m *Monitor) Join(left, right ThreadID) (cont ThreadID) {
 // Fork(t, dead, mid) immediately followed by Join(dead, mid, cont) —
 // exactly a no-op `go func(){}()` joined at once — so every backend
 // handles it by construction, well-nesting of joins is preserved, and
-// three dense ThreadIDs are consumed. The happens-before half of the
-// edge lives in the Monitor's per-thread token sets, not in the
-// backend: the SP relation stays a strict fork-join relation.
+// three dense ThreadIDs are consumed. The diamond's two inner threads
+// are retired at once, and the continuation takes t's place in the
+// fork tree (see Join). The happens-before half of the edge lives in
+// the Monitor's per-thread token sets, not in the backend: the SP
+// relation stays a strict fork-join relation.
 //
 // Unlike Fork and Join, Put transfers t's held locks to the
 // continuation — a goroutine may send on a channel inside a critical
@@ -552,9 +570,11 @@ func (m *Monitor) Put(t ThreadID) (cont ThreadID) {
 	m.checkLive(t, st, "Put")
 	m.begin(t, st)
 	st.snap = m.pruneCtx(append(append(make([]ThreadID, 0, len(st.ctx)+1), st.ctx...), t), NoThread)
-	dead, mid := m.newThread(), m.newThread()
+	dead, mid := m.newThread(t, true), m.newThread(t, false)
+	m.state(dead).retired.Store(true)
+	m.state(mid).retired.Store(true)
 	m.backend.Fork(t, dead, mid)
-	cont = m.newThread()
+	cont = m.newThread(st.fork, st.spawned)
 	m.backend.Join(dead, mid, cont)
 	if m.mirror != nil {
 		m.mirror.Fork(t, dead, mid)
@@ -583,18 +603,32 @@ func (m *Monitor) Put(t ThreadID) (cont ThreadID) {
 // every access up to each token's Put is ordered before t's subsequent
 // accesses (and those of t's descendants), closing the channel-shaped
 // false positives a strict fork-join reading reports. Get is not a
-// structural event — t continues as itself — and panics if a token was
-// never Put.
+// structural event — t continues as itself — and panics, before t
+// begins or the event is recorded, if a token was never Put.
 func (m *Monitor) Get(t ThreadID, tokens ...ThreadID) {
-	if len(tokens) == 0 {
-		return
-	}
 	st := m.state(t)
 	if !m.lockFree {
 		m.mu.Lock()
 		defer m.mu.Unlock()
 	}
 	m.checkLive(t, st, "Get")
+	if len(tokens) == 0 {
+		return
+	}
+	// Gather the tokens' published snapshots, folded into t's observed
+	// set only once every token is known to be published. The
+	// snapshot reads are ordered by the real synchronization object that
+	// carried each token; the result is always a fresh slice because
+	// t's old slice may be shared with retired ancestors.
+	merged := make([]ThreadID, 0, len(st.ctx)+len(tokens))
+	merged = append(merged, st.ctx...)
+	for _, tok := range tokens {
+		ts := m.threads.Get(int64(tok))
+		if ts == nil || ts.snap == nil {
+			panic(fmt.Sprintf("sp: Get of token t%d, which was never put", tok))
+		}
+		merged = append(merged, ts.snap...)
+	}
 	m.begin(t, st)
 	if m.trace != nil {
 		toks := make([]int64, len(tokens))
@@ -602,19 +636,6 @@ func (m *Monitor) Get(t ThreadID, tokens ...ThreadID) {
 			toks[i] = int64(tok)
 		}
 		m.trace.Get(int64(t), toks)
-	}
-	// Fold the tokens' published snapshots into t's observed set. The
-	// snapshot reads are ordered by the real synchronization object that
-	// carried each token; the result is always a fresh slice because
-	// t's old slice may be shared with retired ancestors.
-	merged := make([]ThreadID, 0, len(st.ctx)+len(tokens))
-	merged = append(merged, st.ctx...)
-	for _, tok := range tokens {
-		ts := m.state(tok)
-		if ts.snap == nil {
-			panic(fmt.Sprintf("sp: Get of token t%d that no Put published", tok))
-		}
-		merged = append(merged, ts.snap...)
 	}
 	st.ctx = m.pruneCtx(merged, t)
 	m.gets.Add(1)
@@ -824,10 +845,10 @@ func (m *Monitor) Release(t ThreadID, lock int) {
 		defer m.mu.Unlock()
 	}
 	m.checkLive(t, st, "Release")
-	m.begin(t, st)
 	if st.held[lock] == 0 {
 		panic(fmt.Sprintf("sp: release of unheld mutex m%d by thread t%d", lock, t))
 	}
+	m.begin(t, st)
 	if m.trace != nil {
 		m.trace.Release(int64(t), int64(lock))
 	}
@@ -1055,9 +1076,9 @@ func (m *Monitor) deliver(r Race) {
 	m.raceMu.Lock()
 	defer m.raceMu.Unlock()
 	if m.chClosed {
-		// Unreachable for races claimed before their shard closed
-		// (Report closes every shard before it closes the stream), but
-		// kept as the send-on-closed-channel backstop.
+		// Unreachable: Report closes every shard before it closes the
+		// stream, and a catch-up scan holds the stream open (scans).
+		// Kept as the send-on-closed-channel backstop.
 		m.dropped.Add(1)
 		return
 	}
@@ -1083,21 +1104,25 @@ func (m *Monitor) pump() {
 		m.raceMu.Lock()
 		if len(m.backlog) == 0 {
 			m.pumping = false
-			closing := m.streamClosed && !m.chClosed
-			if closing {
-				m.chClosed = true
-			}
 			m.backlog = nil
+			m.closeStream()
 			m.raceMu.Unlock()
-			if closing {
-				close(m.raceCh)
-			}
 			return
 		}
 		r := m.backlog[0]
 		m.backlog = m.backlog[1:]
 		m.raceMu.Unlock()
 		m.raceCh <- r
+	}
+}
+
+// closeStream closes the race channel once Report has run, a listener
+// exists, and nothing still has races to deliver: no backlog, no pump,
+// and no Races() catch-up scan in flight. The caller holds raceMu.
+func (m *Monitor) closeStream() {
+	if m.streamClosed && m.requested.Load() && !m.chClosed && !m.pumping && len(m.backlog) == 0 && m.scans == 0 {
+		m.chClosed = true
+		close(m.raceCh)
 	}
 }
 
@@ -1124,6 +1149,9 @@ func (m *Monitor) TraceErr() error {
 // the stream buffer holds needs its channel drained for the close to
 // happen.
 func (m *Monitor) Races() <-chan Race {
+	m.raceMu.Lock()
+	m.scans++
+	m.raceMu.Unlock()
 	m.requested.Store(true)
 	for i := range m.raceShards {
 		sh := &m.raceShards[i]
@@ -1135,10 +1163,8 @@ func (m *Monitor) Races() <-chan Race {
 		sh.mu.Unlock()
 	}
 	m.raceMu.Lock()
-	if m.streamClosed && !m.chClosed && !m.pumping && len(m.backlog) == 0 {
-		m.chClosed = true
-		close(m.raceCh)
-	}
+	m.scans--
+	m.closeStream()
 	m.raceMu.Unlock()
 	return m.raceCh
 }
@@ -1201,14 +1227,11 @@ func (m *Monitor) Report() Report {
 		sh.mu.Unlock()
 	}
 	// With a backlog pending the close is deferred to the pump; with no
-	// listener yet it is deferred to the first Races() call, which still
-	// has to catch the stream up on the sharded log.
+	// listener yet, or one still catching up on the sharded log, it is
+	// deferred to the end of that Races() call.
 	m.raceMu.Lock()
 	m.streamClosed = true
-	if m.requested.Load() && !m.chClosed && !m.pumping && len(m.backlog) == 0 {
-		m.chClosed = true
-		close(m.raceCh)
-	}
+	m.closeStream()
 	m.raceMu.Unlock()
 	locSet := map[uint64]bool{}
 	for _, r := range races {

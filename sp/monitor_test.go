@@ -3,11 +3,13 @@ package sp_test
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"strings"
 	"sync"
 	"testing"
 
 	"repro/sp"
+	"repro/sp/trace"
 )
 
 // TestReportConcurrentWithAccesses hammers Report against in-flight
@@ -182,62 +184,115 @@ func TestLockAwareMonitor(t *testing.T) {
 	}
 }
 
-// TestMonitorMisusePanics pins the guard rails: events by ended threads,
-// unbalanced releases, unknown backends, serial-backend queries on
-// threads that have not begun, ill-nested joins.
-func TestMonitorMisusePanics(t *testing.T) {
-	mustPanic := func(name string, f func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("%s: expected panic", name)
-			}
-		}()
+// mustPanic runs f and fails the test unless it panics with a message
+// containing want (any message when want is empty).
+func mustPanic(t *testing.T, name, want string, f func()) {
+	t.Helper()
+	p := func() (p any) {
+		defer func() { p = recover() }()
 		f()
+		return nil
+	}()
+	if p == nil {
+		t.Fatalf("%s: expected panic", name)
 	}
+	if msg := fmt.Sprint(p); !strings.Contains(msg, want) {
+		t.Fatalf("%s: panic %q, want mention of %q", name, msg, want)
+	}
+}
+
+// TestMonitorMisusePanics pins the guard rails: events by ended threads
+// (a Put's inner diamond threads included), unbalanced releases, unknown
+// backends, serial-backend queries on threads that have not begun, and
+// ill-nested or swapped joins on every backend.
+func TestMonitorMisusePanics(t *testing.T) {
 	if _, err := sp.NewMonitor(sp.WithBackend("no-such-backend")); err == nil ||
 		!strings.Contains(err.Error(), "sp-order") {
 		t.Fatalf("unknown backend must fail listing alternatives, got %v", err)
 	}
-	mustPanic("fork after fork", func() {
+	mustPanic(t, "fork after fork", "not live", func() {
 		m := sp.MustMonitor()
 		m.Fork(m.Main())
 		m.Fork(m.Main())
 	})
-	mustPanic("access after retire", func() {
+	mustPanic(t, "access after retire", "not live", func() {
 		m := sp.MustMonitor()
 		m.Fork(m.Main())
 		m.Write(m.Main(), 0)
 	})
-	mustPanic("release unheld", func() {
+	mustPanic(t, "access by a put's inner thread", "not live", func() {
+		m := sp.MustMonitor()
+		cont := m.Put(m.Main()) // IDs are dense: the diamond is cont-2, cont-1
+		m.Write(cont-2, 0)
+	})
+	mustPanic(t, "release unheld", "unheld", func() {
 		m := sp.MustMonitor()
 		m.Release(m.Main(), 3)
 	})
-	mustPanic("unbalanced release (lock-aware)", func() {
+	mustPanic(t, "unbalanced release (lock-aware)", "unheld", func() {
 		m := sp.MustMonitor(sp.WithLockAwareness(true))
 		m.Acquire(m.Main(), 3)
 		m.Release(m.Main(), 3)
 		m.Release(m.Main(), 3)
 	})
 	for _, backend := range []string{"sp-bags", "sp-order-implicit", "english-hebrew"} {
-		mustPanic(backend+" query on a thread that has not begun", func() {
+		mustPanic(t, backend+" query on a thread that has not begun", "", func() {
 			m := sp.MustMonitor(sp.WithBackend(backend))
 			l, r := m.Fork(m.Main())
 			m.Write(r, 0)
 			m.Relation(l, r)
 		})
 	}
-	mustPanic("ill-nested join", func() {
-		m := sp.MustMonitor(sp.WithBackend("sp-bags"))
-		l, r := m.Fork(m.Main())
-		l2, _ := m.Fork(r)
-		m.Join(l, l2) // joins terminals of two different forks
-	})
-	mustPanic("event after report", func() {
+	for _, backend := range sp.BackendNames() {
+		mustPanic(t, backend+" ill-nested join", "not well nested", func() {
+			m := sp.MustMonitor(sp.WithBackend(backend))
+			l, r := m.Fork(m.Main())
+			l2, _ := m.Fork(r)
+			m.Join(l, l2) // joins terminals of two different forks
+		})
+		mustPanic(t, backend+" swapped join", "not well nested", func() {
+			m := sp.MustMonitor(sp.WithBackend(backend))
+			l, r := m.Fork(m.Main())
+			m.Join(r, l) // the continuation branch passed as the spawned one
+		})
+	}
+	mustPanic(t, "event after report", "finished", func() {
 		m := sp.MustMonitor()
 		m.Report()
 		m.Write(m.Main(), 0)
 	})
+}
+
+// TestRejectedEventLeavesNoTrace checks that a Get of an unpublished
+// token and a Release of an unheld lock panic before they change the
+// monitor: the recorded trace holds no Get, Release or Begin of the
+// offending thread.
+func TestRejectedEventLeavesNoTrace(t *testing.T) {
+	var buf bytes.Buffer
+	m := sp.MustMonitor(sp.WithTrace(&buf))
+	l, r := m.Fork(m.Main())
+	mustPanic(t, "get of an unpublished token", "never put", func() { m.Get(l, r) })
+	mustPanic(t, "release of an unheld lock", "unheld", func() { m.Release(r, 3) })
+	m.Report()
+	if err := m.TraceErr(); err != nil {
+		t.Fatalf("TraceErr: %v", err)
+	}
+	rd, err := trace.NewReader(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for {
+		ev, err := rd.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ev.Thread == l || ev.Thread == r {
+			t.Fatalf("rejected event left a record in the trace: %s", ev)
+		}
+	}
 }
 
 // TestRaceDetectionOff checks WithRaceDetection(false) still maintains

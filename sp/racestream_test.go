@@ -173,6 +173,36 @@ func TestRaceStreamFirstListenerDuringEmits(t *testing.T) {
 	}
 }
 
+// TestRaceStreamFirstCallOverlapsReport races the first Races() call
+// against Report. Every race is logged before either starts, so the
+// stream must deliver all of them even when Report runs while the
+// call's catch-up scan is still walking the race-log shards: the scan
+// delivers into a channel that stays open until it is done.
+func TestRaceStreamFirstCallOverlapsReport(t *testing.T) {
+	const locs = 64
+	for trial := 0; trial < 300; trial++ {
+		m := sp.MustMonitor()
+		l, r := m.Fork(m.Main())
+		for a := uint64(0); a < locs; a++ {
+			m.Write(l, a)
+			m.Write(r, a) // one write-write race per address
+		}
+		streamed := make(chan int)
+		go func() {
+			n := 0
+			for range m.Races() {
+				n++
+			}
+			streamed <- n
+		}()
+		rep := m.Report()
+		if n := <-streamed; n != locs || len(rep.Races) != locs || rep.DroppedRaces != 0 {
+			t.Fatalf("trial %d: streamed %d races, report holds %d (dropped %d), want %d",
+				trial, n, len(rep.Races), rep.DroppedRaces, locs)
+		}
+	}
+}
+
 // TestRaceStreamNoConsumerNoLeak pins the monitor-without-listener
 // case (replay harnesses, benchmarks): overflowing the stream buffer
 // with Races() never called must not park a pump goroutine on the

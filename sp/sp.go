@@ -19,15 +19,18 @@
 //   - Fork(parent) ends parent's serial block and creates two new
 //     threads running logically in parallel: the spawned child (left)
 //     and the continuation (right).
-//   - Join(left, right) ends the two threads — which must be the
-//     terminals of the two branches of one fork, i.e. joins must be
-//     well nested — and creates the continuation thread that runs
-//     logically after both.
+//   - Join(left, right) ends the two threads — left the terminal of a
+//     fork's spawned branch and right the terminal of the same fork's
+//     continuation branch, i.e. joins must be well nested — and
+//     creates the continuation thread that runs logically after both.
 //
 // Between its creation and its terminal event, a thread reports memory
 // accesses (Read/Write), lock operations (Acquire/Release), and may ask
 // SP queries (Relation, Precedes, Parallel) against any previously
-// executed thread.
+// executed thread. The Monitor checks every event before applying it —
+// the acting thread is live, a join is well nested, a Release matches
+// a held lock, a Get's tokens were put — and panics on a violation
+// without changing any state.
 //
 // # Sync-object edges (futures, channels)
 //

@@ -90,9 +90,12 @@ func FuzzReaderRoundTrip(f *testing.F) {
 		if !reflect.DeepEqual(evs, evs2) {
 			t.Fatalf("round trip changed events:\n in %v\nout %v", evs, evs2)
 		}
-		// Replay of any decodable stream must never panic either —
-		// semantic validation turns bad traces into errors.
-		mm := sp.MustMonitor(sp.WithBackend("sp-order"))
-		_ = trace.Replay(bytes.NewReader(data), mm)
+		// Replay of any decodable stream must never panic either: the
+		// Monitor rejects a bad event and the Applier turns that into an
+		// error. These are the backends that accept live (concurrent-order)
+		// traces, the ones sptraced ingests hostile input on.
+		for _, backend := range []string{"sp-order", "sp-hybrid", "depa"} {
+			_ = trace.Replay(bytes.NewReader(data), sp.MustMonitor(sp.WithBackend(backend)))
+		}
 	})
 }

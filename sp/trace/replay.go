@@ -9,14 +9,15 @@ import (
 	"repro/sp"
 )
 
-// Applier incrementally validates and applies a decoded event stream to
-// monitor m, which must be fresh (no events applied since NewMonitor)
-// so that its dense thread-ID allocation reproduces the recorded IDs.
-// Events are validated as they are applied — forks of retired threads,
-// ill-formed joins, events of unknown threads, and unbalanced releases
-// are reported as errors rather than panics, so hostile or corrupted
-// traces cannot crash the applying process. Errors are sticky: after
-// the first failure every Apply returns it.
+// Applier applies a decoded event stream to monitor m one event at a
+// time. m must be fresh (no events applied since NewMonitor), so that
+// its dense thread-ID allocation reproduces the recorded IDs: every
+// recorded thread descends from t0, so once m's main thread has forked
+// or put, the stream's first event fails as not live. The Monitor
+// validates every event (see Validation in the package documentation);
+// the Applier turns its panic into an error naming the event, so
+// hostile or corrupted traces cannot crash the applying process.
+// Errors are sticky: after the first failure every Apply returns it.
 //
 // Replay is the whole-trace convenience; long-running ingestion (an
 // sptraced stream arriving over a socket) drives an Applier one event
@@ -24,98 +25,47 @@ import (
 // monitor between events.
 type Applier struct {
 	m    *sp.Monitor
-	next sp.ThreadID                 // next ID a fresh monitor will allocate
-	live map[sp.ThreadID]bool        // threads created and not retired
-	held map[sp.ThreadID]map[int]int // lock multisets, mirroring the monitor
-	put  map[sp.ThreadID]bool        // tokens published by a Put, valid Get operands
+	live int // 1 + forks - joins; a Put retires one thread and starts another
 	n    int64
 	err  error
 }
 
 // NewApplier returns an Applier feeding m, which must be fresh.
-func NewApplier(m *sp.Monitor) *Applier {
-	return &Applier{
-		m:    m,
-		next: 1,
-		live: map[sp.ThreadID]bool{0: true},
-		held: map[sp.ThreadID]map[int]int{},
-		put:  map[sp.ThreadID]bool{},
-	}
-}
+func NewApplier(m *sp.Monitor) *Applier { return &Applier{m: m, live: 1} }
 
 // Applied returns the number of events applied so far.
 func (a *Applier) Applied() int64 { return a.n }
 
 // Live returns the number of currently live threads — the stream's
 // instantaneous logical parallelism (1 before the first fork).
-func (a *Applier) Live() int { return len(a.live) }
+func (a *Applier) Live() int { return a.live }
 
 // Err returns the sticky validation error, if any.
 func (a *Applier) Err() error { return a.err }
 
-func (a *Applier) checkLive(ev Event, t sp.ThreadID) error {
-	if !a.live[t] {
-		return fmt.Errorf("trace: event %d (%s): thread t%d is not live", a.n, ev, t)
-	}
-	return nil
-}
-
-// Apply validates ev and applies it to the monitor. The Monitor panics
-// on protocol misuse; an event that passes validation but still trips a
-// backend (e.g. a concurrent-order trace applied to a serial backend)
-// surfaces as an error, not a crash.
+// Apply applies ev to the monitor. A rejected event — one the Monitor
+// refuses, or one that trips a backend (e.g. a concurrent-order trace
+// applied to a serial backend) — surfaces as an error, not a crash.
 func (a *Applier) Apply(ev Event) (err error) {
 	if a.err != nil {
 		return a.err
 	}
 	defer func() {
 		if p := recover(); p != nil {
-			err = fmt.Errorf("trace: replay: %v", p)
+			err = fmt.Errorf("trace: event %d (%s): %v", a.n, ev, p)
 		}
 		a.err = err
 	}()
 	switch ev.Op {
 	case Fork:
-		if err := a.checkLive(ev, ev.Parent); err != nil {
-			return err
-		}
-		l, r := a.m.Fork(ev.Parent)
-		if l != a.next || r != a.next+1 {
-			return fmt.Errorf("trace: monitor is not fresh: fork created t%d,t%d, trace expects t%d,t%d", l, r, a.next, a.next+1)
-		}
-		a.next += 2
-		delete(a.live, ev.Parent)
-		delete(a.held, ev.Parent)
-		a.live[l], a.live[r] = true, true
+		a.m.Fork(ev.Parent)
+		a.live++
 	case Join:
-		if ev.Left == ev.Right {
-			return fmt.Errorf("trace: event %d: join of t%d with itself", a.n, ev.Left)
-		}
-		if err := a.checkLive(ev, ev.Left); err != nil {
-			return err
-		}
-		if err := a.checkLive(ev, ev.Right); err != nil {
-			return err
-		}
-		cont := a.m.Join(ev.Left, ev.Right)
-		if cont != a.next {
-			return fmt.Errorf("trace: monitor is not fresh: join created t%d, trace expects t%d", cont, a.next)
-		}
-		a.next++
-		delete(a.live, ev.Left)
-		delete(a.live, ev.Right)
-		delete(a.held, ev.Left)
-		delete(a.held, ev.Right)
-		a.live[cont] = true
+		a.m.Join(ev.Left, ev.Right)
+		a.live--
 	case Begin:
-		if err := a.checkLive(ev, ev.Thread); err != nil {
-			return err
-		}
 		a.m.Begin(ev.Thread)
 	case Read, Write:
-		if err := a.checkLive(ev, ev.Thread); err != nil {
-			return err
-		}
 		switch {
 		case ev.Op == Read && ev.HasSite:
 			a.m.ReadAt(ev.Thread, ev.Addr, ev.Site)
@@ -127,62 +77,22 @@ func (a *Applier) Apply(ev Event) (err error) {
 			a.m.Write(ev.Thread, ev.Addr)
 		}
 	case Put:
-		if err := a.checkLive(ev, ev.Thread); err != nil {
-			return err
-		}
-		cont := a.m.Put(ev.Thread)
-		if cont != a.next+2 {
-			return fmt.Errorf("trace: monitor is not fresh: put created t%d, trace expects t%d", cont, a.next+2)
-		}
-		a.next += 3 // the diamond: dead branch, its sibling, the continuation
-		delete(a.live, ev.Thread)
-		a.live[cont] = true
-		if hs := a.held[ev.Thread]; hs != nil {
-			// Put transfers held locks to the continuation (unlike Fork
-			// and Join); mirror that so later Releases validate.
-			a.held[cont] = hs
-			delete(a.held, ev.Thread)
-		}
-		a.put[ev.Thread] = true
+		a.m.Put(ev.Thread)
 	case Get:
-		if err := a.checkLive(ev, ev.Thread); err != nil {
-			return err
-		}
-		for _, tok := range ev.Tokens {
-			if !a.put[tok] {
-				return fmt.Errorf("trace: event %d (%s): token t%d was never put", a.n, ev, tok)
-			}
-		}
 		a.m.Get(ev.Thread, ev.Tokens...)
 	case Acquire:
-		if err := a.checkLive(ev, ev.Thread); err != nil {
-			return err
-		}
 		a.m.Acquire(ev.Thread, ev.Lock)
-		hs := a.held[ev.Thread]
-		if hs == nil {
-			hs = map[int]int{}
-			a.held[ev.Thread] = hs
-		}
-		hs[ev.Lock]++
 	case Release:
-		if err := a.checkLive(ev, ev.Thread); err != nil {
-			return err
-		}
-		if a.held[ev.Thread][ev.Lock] == 0 {
-			return fmt.Errorf("trace: event %d: release of unheld mutex m%d by t%d", a.n, ev.Lock, ev.Thread)
-		}
 		a.m.Release(ev.Thread, ev.Lock)
-		a.held[ev.Thread][ev.Lock]--
 	default:
-		return fmt.Errorf("trace: event %d: unexpected op %v", a.n, ev.Op)
+		return fmt.Errorf("trace: event %d (%s): unexpected op", a.n, ev)
 	}
 	a.n++
 	return nil
 }
 
 // Replay reads the trace from r and feeds every event through monitor
-// m, which must be fresh — see Applier for the validation performed.
+// m, which must be fresh (see Applier).
 //
 // The backend must accept the trace's event order: any backend can
 // replay a trace recorded from a serial execution, while traces

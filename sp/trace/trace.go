@@ -21,6 +21,18 @@
 // newer version than they understand; corrupted or truncated input
 // yields an error, never a panic.
 //
+// # Validation
+//
+// A trace is untrusted input, and sp.Monitor is its only validator. It
+// checks every event before applying it: the acting thread must be
+// live (not unknown, not ended by a fork, join or put, and not one of
+// a put's inner diamond threads), a join must end a fork's spawned
+// branch and then that fork's continuation, a get's tokens must have
+// been put, and a release must match a held lock. On a violation it
+// panics without changing any state. Replay, the Applier and sptraced
+// report that as an error naming the event, "trace: event N (<event>):
+// <reason>", the same on every backend.
+//
 // # Recording and replaying
 //
 // Recording is a Monitor option:

@@ -104,7 +104,8 @@ func TestReplayAppliesEvents(t *testing.T) {
 
 // TestReplayRejectsInvalidTraces drives Replay over hand-built streams
 // that are syntactically valid but semantically broken; each must
-// error without panicking.
+// error without panicking, with the same error on every backend (the
+// Monitor rejects the event before any backend sees it).
 func TestReplayRejectsInvalidTraces(t *testing.T) {
 	cases := []struct {
 		name string
@@ -149,14 +150,35 @@ func TestReplayRejectsInvalidTraces(t *testing.T) {
 		{"get by unknown thread", []trace.Event{
 			{Op: trace.Get, Thread: 9, Tokens: []sp.ThreadID{0}},
 		}, "not live"},
+		{"access by a put's inner thread", []trace.Event{
+			{Op: trace.Put, Thread: 0}, // diamond t1,t2; continuation t3
+			{Op: trace.Write, Thread: 1, Addr: 7},
+		}, "not live"},
+		{"ill-nested join", []trace.Event{
+			{Op: trace.Fork, Parent: 0}, // t1, t2
+			{Op: trace.Fork, Parent: 2}, // t3, t4
+			{Op: trace.Join, Left: 1, Right: 3},
+		}, "not well nested"},
+		{"swapped join", []trace.Event{
+			{Op: trace.Fork, Parent: 0},
+			{Op: trace.Write, Thread: 1, Addr: 7},
+			{Op: trace.Join, Left: 2, Right: 1},
+		}, "not well nested"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			data := encode(t, tc.evs)
-			m := sp.MustMonitor()
-			err := trace.Replay(bytes.NewReader(data), m)
-			if err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("Replay err = %v, want mention of %q", err, tc.want)
+			var first error
+			for _, name := range sp.BackendNames() {
+				err := trace.Replay(bytes.NewReader(data), sp.MustMonitor(sp.WithBackend(name)))
+				if err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Fatalf("%s: Replay err = %v, want mention of %q", name, err, tc.want)
+				}
+				if first == nil {
+					first = err
+				} else if err.Error() != first.Error() {
+					t.Fatalf("%s: Replay err = %q, first backend said %q", name, err, first)
+				}
 			}
 		})
 	}
@@ -226,7 +248,7 @@ func TestReplayRequiresFreshMonitor(t *testing.T) {
 	data := encode(t, sampleEvents())
 	m := sp.MustMonitor()
 	m.Fork(m.Main()) // consume IDs 1 and 2; main is retired
-	// The recovered Monitor panic ("Fork by ended thread") surfaces as
+	// The recovered Monitor panic (thread t0 "is not live") surfaces as
 	// an error instead of crashing the replayer.
 	if err := trace.Replay(bytes.NewReader(data), m); err == nil {
 		t.Fatal("Replay on a used monitor succeeded")
