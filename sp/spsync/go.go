@@ -10,7 +10,9 @@ package spsync
 // The spawned goroutine's terminal thread is published when fn returns,
 // and the spawn is pushed on the caller's LIFO child stack so a later
 // WaitGroup.Wait (or process shutdown) on this goroutine can close the
-// fork with a well-nested Join.
+// fork with a well-nested Join. A spawned goroutine that returns while
+// children of its own stay unjoined has no terminal thread; its fork is
+// never closed and it stays parallel with the caller's continuation.
 //
 // In serialize mode (SPSYNC_SERIALIZE=1) fn runs inline, to completion,
 // before Go returns — the serial elision of the fork-join program. The
@@ -42,8 +44,7 @@ func Go(fn func()) {
 		savedChildren := g.children
 		g.th, g.children = left, nil
 		defer func() {
-			e.joinFinished(g) // close any forks the child left open
-			c.final = g.th.ID()
+			c.final = e.joinFinished(g) // close any forks the child left open
 			g.th, g.children = saved, savedChildren
 			close(c.done)
 		}()
@@ -56,8 +57,7 @@ func Go(fn func()) {
 		cg := &gstate{th: left}
 		e.goroutines.bind(id, cg)
 		defer func() {
-			e.joinFinished(cg)
-			c.final = cg.th.ID()
+			c.final = e.joinFinished(cg)
 			e.goroutines.unbind(id)
 			close(c.done)
 		}()

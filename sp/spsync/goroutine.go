@@ -13,7 +13,7 @@ import (
 // goroutine has terminated and published its final thread.
 type child struct {
 	done  chan struct{} // closed after final is published
-	final sp.ThreadID   // the spawned branch's terminal thread
+	final sp.ThreadID   // the spawned branch's terminal thread, or sp.NoThread (see joinFinished)
 }
 
 // gstate is one goroutine's instrumentation state. It is owned by that
@@ -94,22 +94,32 @@ func (e *engine) cur() *gstate {
 // goroutine's current thread is the terminal of the innermost
 // outstanding fork's continuation branch, so the most recent child is
 // the one whose fork the next Join must close. A child that does not
-// terminate within the engine's grace window stops the walk; it and
-// everything spawned before it stay logically parallel (sound: joins
-// only ever remove parallelism).
-func (e *engine) joinFinished(g *gstate) {
+// terminate within the engine's grace window, or that terminated with
+// no terminal thread, stops the walk; it and everything spawned before
+// it stay logically parallel (sound: joins only ever remove
+// parallelism).
+//
+// It returns g's thread once every child is joined. Otherwise g's thread
+// ends the continuation of g's innermost open fork, not g's branch, and
+// no well-nested Join can close the fork that spawned g: it returns
+// sp.NoThread.
+func (e *engine) joinFinished(g *gstate) sp.ThreadID {
 	for len(g.children) > 0 {
 		c := g.children[len(g.children)-1]
+		final := sp.NoThread
 		select {
 		case <-c.done:
+			final = c.final
 		case <-time.After(e.grace):
+		}
+		if final == sp.NoThread {
 			e.unjoined.Add(int64(len(g.children)))
-			return
+			return sp.NoThread
 		}
 		g.children = g.children[:len(g.children)-1]
-		left := e.mon.Thread(c.final)
-		g.th = left.Join(g.th)
+		g.th = e.mon.Thread(final).Join(g.th)
 	}
+	return g.th.ID()
 }
 
 // mon exposes the engine's monitor for the exported query helpers.

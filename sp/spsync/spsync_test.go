@@ -259,6 +259,49 @@ func TestJoinGraceLeavesDaemonParallel(t *testing.T) {
 	}
 }
 
+// TestChildLeavingGrandchildUnjoined: a spawn that returns while its own
+// child still runs ends on the continuation of its open fork, not on its
+// branch, so joining it would be ill nested. Wait and shutdown must leave
+// it parallel and count it instead of panicking, on every backend that
+// accepts live goroutines.
+func TestChildLeavingGrandchildUnjoined(t *testing.T) {
+	for _, backend := range []string{"sp-hybrid", "sp-order", "depa"} {
+		t.Run(backend, func(t *testing.T) {
+			report := filepath.Join(t.TempDir(), "report.json")
+			e, restore, err := swapEngine(Options{
+				Backend: backend, LockAware: true, JoinGrace: 20 * time.Millisecond,
+				ReportPath: report,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer restore()
+			block := make(chan struct{})
+			defer close(block)
+			var wg WaitGroup
+			wg.Add(1)
+			Go(func() {
+				defer wg.Done()
+				Go(func() { <-block }) // grandchild outlives its parent
+			})
+			<-e.cur().children[0].done // the child has published its final thread
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("join of a child with an unjoined grandchild panicked: %v", r)
+				}
+			}()
+			wg.Wait()
+			e.finish()
+			if got := e.unjoined.Load(); got == 0 {
+				t.Fatal("child with an unjoined grandchild was not counted as unjoined")
+			}
+			if _, err := os.Stat(report); err != nil {
+				t.Fatalf("shutdown wrote no report: %v", err)
+			}
+		})
+	}
+}
+
 func TestReportJSONShape(t *testing.T) {
 	e, restore, err := swapEngine(Options{Backend: "depa", LockAware: true})
 	if err != nil {
