@@ -1,6 +1,7 @@
 // Package depa implements DePa-style fork-path order maintenance for
-// binary fork-join programs (Westrick, Wang, Acar — "Efficient Parallel
-// Determinacy Race Detection at Scale", arXiv 2204.14168).
+// binary fork-join programs (Westrick, Wang, Acar — "DePa: Simple,
+// Provably Efficient, and Practical Order Maintenance for Task
+// Parallelism", arXiv 2204.14168).
 //
 // Where the paper's SP-order and SP-hybrid maintain two explicit
 // order-maintenance lists, DePa gives every thread a static label — its

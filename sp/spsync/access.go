@@ -2,7 +2,7 @@ package spsync
 
 import (
 	"reflect"
-	"sync"
+	"sync/atomic"
 )
 
 // addrMap interns raw pointer values as dense location ids (first-seen
@@ -12,30 +12,22 @@ import (
 // interned ids, and therefore the recorded traces, are byte-identical
 // even though the raw heap addresses differ run to run.
 //
+// Every id comes from one counter, taken under the shard lock of the
+// address it is for, so each address gets exactly one id and the ids
+// in use are exactly 0..k-1.
+//
 // The trade-off is that a location id outlives the object: if the
 // allocator reuses a freed object's address, old and new object share
 // an id. A stale pairing needs the old access to be logically parallel
 // to the new one AND the address recycled in between — not seen in
 // practice on the corpus, and documented as a limitation.
 type addrMap struct {
-	mu   sync.Mutex
-	ids  map[uintptr]uint64
-	next uint64
+	ids  table[uint64]
+	next atomic.Uint64
 }
 
 func (a *addrMap) intern(p uintptr) uint64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if id, ok := a.ids[p]; ok {
-		return id
-	}
-	if a.ids == nil {
-		a.ids = map[uintptr]uint64{}
-	}
-	id := a.next
-	a.next++
-	a.ids[p] = id
-	return id
+	return a.ids.getOrPut(p, func() uint64 { return a.next.Add(1) - 1 })
 }
 
 // pointerOf extracts the raw address from the injected argument:

@@ -21,9 +21,10 @@ type envelope[T any] struct {
 // cmd/spinstrument substitutes for `chan T`: every send/receive pair
 // additionally records the happens-before edges the Go memory model
 // guarantees for channels, as Put/Get sync-object edges over the SP
-// relation (the futures construction of Singer et al., arXiv
-// 1901.00622). Accesses ordered by a channel are therefore no longer
-// reported as races.
+// relation (the futures construction of Utterback, Agrawal, Fineman
+// and Lee, "Efficient Race Detection with Futures", arXiv 1901.00622).
+// Accesses ordered by a channel are therefore no longer reported as
+// races.
 //
 // The modeled edges match https://go.dev/ref/mem:
 //

@@ -13,9 +13,10 @@ func swapEngine(opt Options) (*engine, func(), error) {
 	}
 	prev := defaultEng.Swap(e)
 	// Bind the test goroutine as the program's main goroutine.
-	e.goroutines.bind(goid(), &gstate{th: e.mon.Thread(e.mon.Main())})
+	k := gkey()
+	e.goroutines.put(k, &gstate{th: e.mon.Thread(e.mon.Main())})
 	return e, func() {
-		e.goroutines.unbind(goid())
+		e.goroutines.del(k)
 		defaultEng.Store(prev)
 	}, nil
 }

@@ -53,12 +53,12 @@ func Go(fn func()) {
 	}
 
 	go func() {
-		id := goid()
+		k := gkey()
 		cg := &gstate{th: left}
-		e.goroutines.bind(id, cg)
+		e.goroutines.put(k, cg)
 		defer func() {
 			c.final = e.joinFinished(cg)
-			e.goroutines.unbind(id)
+			e.goroutines.del(k)
 			close(c.done)
 		}()
 		fn()

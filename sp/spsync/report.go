@@ -1,6 +1,7 @@
 package spsync
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -99,11 +100,7 @@ func (e *engine) lockAware() bool { return e.lockAwareFlag }
 func (e *engine) emitReport(rep sp.Report, traceErr error) {
 	out := e.buildReport(rep, traceErr)
 	if e.reportPath != "" {
-		data, err := json.MarshalIndent(out, "", "  ")
-		if err == nil {
-			err = os.WriteFile(e.reportPath, append(data, '\n'), 0o644)
-		}
-		if err != nil {
+		if err := writeReport(e.reportPath, out); err != nil {
 			fmt.Fprintln(os.Stderr, "spsync: report:", err)
 		}
 		return
@@ -112,4 +109,23 @@ func (e *engine) emitReport(rep sp.Report, traceErr error) {
 		"spsync: backend=%s races=%d locations=%d threads=%d forks=%d joins=%d puts=%d gets=%d accesses=%d orphans=%d unjoined=%d unjoinable=%d\n",
 		out.Backend, len(out.Races), len(out.Locations), out.Threads, out.Forks, out.Joins,
 		out.Puts, out.Gets, out.Accesses, out.Orphans, out.Unjoined, out.Unjoinable)
+}
+
+// writeReport writes out to path as one line of compact JSON, encoding
+// straight into a buffered file.
+func writeReport(path string, out ReportJSON) error {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	w := bufio.NewWriter(f)
+	if err := json.NewEncoder(w).Encode(out); err != nil {
+		f.Close()
+		return err
+	}
+	if err := w.Flush(); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

@@ -111,7 +111,7 @@ type engine struct {
 
 	reportPath string
 
-	goroutines gmap // goroutine id → *gstate
+	goroutines table[*gstate] // goroutine key (gkey) → its state
 
 	addrs addrMap // raw address → dense location id
 
@@ -233,21 +233,27 @@ func current() *engine {
 
 // Main initializes the engine from the environment, binds the calling
 // goroutine to the monitor's main thread, and returns the shutdown
-// hook. The rewriter injects `defer spsync.Main()()` as func main's
-// first statement; calling the hook more than once is harmless.
+// hook, which also undoes that binding. The rewriter injects
+// `defer spsync.Main()()` as func main's first statement; calling the
+// hook more than once is harmless.
 func Main() func() {
 	e := current()
-	if e.goroutines.lookup(goid()) == nil {
-		e.goroutines.bind(goid(), &gstate{th: e.mon.Thread(e.mon.Main())})
+	k := gkey()
+	if e.goroutines.get(k) != nil {
+		return e.finish
 	}
-	return func() { e.finish() }
+	e.goroutines.put(k, &gstate{th: e.mon.Thread(e.mon.Main())})
+	return func() {
+		e.finish()
+		e.goroutines.del(k)
+	}
 }
 
 // finish joins what can be joined, finalizes the monitor, and emits the
 // report and trace exactly once.
 func (e *engine) finish() {
 	e.shutdown.Do(func() {
-		if g := e.goroutines.lookup(goid()); g != nil {
+		if g := e.cur(); g != nil {
 			e.joinFinished(g)
 		}
 		rep := e.mon.Report()

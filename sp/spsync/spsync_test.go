@@ -2,20 +2,28 @@ package spsync
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/sp/trace"
 )
 
 // racyFanout is the canonical instrumented shape: n spawns each bump a
 // shared counter (racy) and write a private cell (safe), then the
-// spawner Waits.
+// spawner Waits. The announced Read and Write of the counter are the
+// planted race sp must flag; the increment itself is atomic, so that
+// the test binary passes Go's own race detector.
 func racyFanout(t *testing.T, n int) {
 	t.Helper()
-	var counter int
+	var counter int64
 	cells := make([]int, n)
 	var wg WaitGroup
 	wg.Add(n)
@@ -24,7 +32,7 @@ func racyFanout(t *testing.T, n int) {
 		Go(func() {
 			defer wg.Done()
 			Read(&counter, "fanout.go:1")
-			counter++
+			atomic.AddInt64(&counter, 1)
 			Write(&counter, "fanout.go:1")
 			cells[i] = i
 			Write(&cells[i], "fanout.go:2")
@@ -302,15 +310,31 @@ func TestChildLeavingGrandchildUnjoined(t *testing.T) {
 	}
 }
 
+// TestReportJSONShape writes the shutdown report to a file, decodes it
+// back to the value buildReport produced, and checks its header and
+// race sites.
 func TestReportJSONShape(t *testing.T) {
-	e, restore, err := swapEngine(Options{Backend: "depa", LockAware: true})
+	path := filepath.Join(t.TempDir(), "report.json")
+	e, restore, err := swapEngine(Options{Backend: "depa", LockAware: true, ReportPath: path})
 	if err != nil {
 		t.Fatal(err)
 	}
 	racyFanout(t, 4)
-	rep := e.buildReport(e.reportOf(), nil)
 	restore()
-	if !rep.Racy || rep.Backend != "depa" || !rep.LockAware {
+	raw := e.reportOf()
+	e.emitReport(raw, nil)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep ReportJSON
+	if err := json.Unmarshal(data, &rep); err != nil {
+		t.Fatalf("report does not decode: %v", err)
+	}
+	if want := e.buildReport(raw, nil); !reflect.DeepEqual(rep, want) {
+		t.Fatalf("report file decodes to\n%+v\nwant\n%+v", rep, want)
+	}
+	if !rep.Racy || rep.Backend != "depa" || !rep.LockAware || len(rep.Locations) == 0 {
 		t.Fatalf("report header wrong: %+v", rep)
 	}
 	for _, r := range rep.Races {
@@ -339,5 +363,204 @@ func TestDenseAddressInterning(t *testing.T) {
 	}
 	if _, ok := pointerOf((*int)(nil)); ok {
 		t.Fatal("nil pointer accepted")
+	}
+
+	t.Run("concurrent", func(t *testing.T) {
+		const k, workers = 1024, 8
+		var e engine
+		cells := make([]int, k)
+		ids := make([][]uint64, workers)
+		var wg sync.WaitGroup
+		wg.Add(workers)
+		for w := 0; w < workers; w++ {
+			go func() {
+				defer wg.Done()
+				ids[w] = make([]uint64, k)
+				for j := 0; j < k; j++ {
+					i := (j*(2*w+1) + w) % k // an odd stride: every cell, in this worker's own order
+					p, _ := pointerOf(&cells[i])
+					ids[w][i] = e.addrs.intern(p)
+				}
+			}()
+		}
+		wg.Wait()
+		seen := make([]bool, k)
+		for i := 0; i < k; i++ {
+			id := ids[0][i]
+			for w := 1; w < workers; w++ {
+				if ids[w][i] != id {
+					t.Fatalf("cell %d interned as both %d and %d", i, id, ids[w][i])
+				}
+			}
+			if id >= k || seen[id] {
+				t.Fatalf("cell %d got id %d: ids are not exactly 0..%d", i, id, k-1)
+			}
+			seen[id] = true
+		}
+	})
+}
+
+// TestGoroutineKeysDistinct: goroutines that are live at once have
+// pairwise-distinct registry keys, and each key names exactly one
+// runtime goroutine id.
+func TestGoroutineKeysDistinct(t *testing.T) {
+	e, restore, err := swapEngine(Options{Backend: "sp-hybrid", LockAware: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer restore()
+	const n = 64
+	keys := make([]uintptr, n)
+	ids := make([]int64, n)
+	states := make([]*gstate, n)
+	var arrived, hold sync.WaitGroup
+	arrived.Add(n)
+	hold.Add(1)
+	var wg WaitGroup
+	wg.Add(n)
+	for i := 0; i < n; i++ {
+		Go(func() {
+			defer wg.Done()
+			keys[i], ids[i], states[i] = gkey(), goid(), e.cur()
+			arrived.Done()
+			hold.Wait() // all n stay live until every key is taken
+		})
+	}
+	arrived.Wait()
+	hold.Done()
+	wg.Wait()
+	byKey := map[uintptr]int64{}
+	byID := map[int64]uintptr{}
+	for i := 0; i < n; i++ {
+		if states[i] == nil {
+			t.Fatalf("goroutine %d: spawned by Go but not registered", i)
+		}
+		if id, dup := byKey[keys[i]]; dup {
+			t.Fatalf("key %#x shared by goroutines %d and %d", keys[i], id, ids[i])
+		}
+		if k, dup := byID[ids[i]]; dup {
+			t.Fatalf("goroutine %d has keys %#x and %#x", ids[i], k, keys[i])
+		}
+		byKey[keys[i]], byID[ids[i]] = ids[i], keys[i]
+	}
+}
+
+// grow recurses depth frames deep, each with a kilobyte of stack.
+func grow(depth int) byte {
+	var pad [1024]byte
+	pad[depth%len(pad)] = byte(depth)
+	if depth == 0 {
+		return pad[0]
+	}
+	return grow(depth-1) + pad[depth%len(pad)]
+}
+
+// TestGoroutineKeyStableAcrossStackGrowth: a goroutine keeps its key,
+// and so its state, while its stack is copied to grow.
+func TestGoroutineKeyStableAcrossStackGrowth(t *testing.T) {
+	e, restore, err := swapEngine(Options{Backend: "sp-hybrid", LockAware: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer restore()
+	var before, after uintptr
+	var stBefore, stAfter *gstate
+	var moved bool
+	var wg WaitGroup
+	wg.Add(1)
+	Go(func() {
+		defer wg.Done()
+		var local int
+		sp0 := uintptr(unsafe.Pointer(&local))
+		before, stBefore = gkey(), e.cur()
+		grow(1 << 12)
+		after, stAfter = gkey(), e.cur()
+		moved = uintptr(unsafe.Pointer(&local)) != sp0
+	})
+	wg.Wait()
+	if !moved {
+		t.Fatal("the recursion did not move the stack; the test proves nothing")
+	}
+	if before != after || stBefore != stAfter || stBefore == nil {
+		t.Fatalf("key %#x → %#x, state %p → %p across stack growth", before, after, stBefore, stAfter)
+	}
+}
+
+// TestExitedGoroutinesLeaveNoBinding: the runtime reuses an exited
+// goroutine's g for a later one, so every instrumented goroutine must
+// unbind its key on the way out, runtime.Goexit included, or a plain
+// goroutine would inherit its thread.
+func TestExitedGoroutinesLeaveNoBinding(t *testing.T) {
+	e, restore, err := swapEngine(Options{Backend: "sp-hybrid", LockAware: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer restore()
+	// Rounds keep fewer goroutines alive at once than -race allows.
+	const rounds, per, probes = 10, 1000, 1000
+	const n = rounds * per
+	used := make([]uintptr, n)
+	for r := 0; r < rounds; r++ {
+		var wg WaitGroup
+		wg.Add(per)
+		for i := r * per; i < (r+1)*per; i++ {
+			Go(func() {
+				defer wg.Done()
+				used[i] = gkey()
+				if i == n/2 {
+					runtime.Goexit()
+				}
+			})
+		}
+		wg.Wait()
+	}
+	if e.unjoined.Load() != 0 {
+		t.Fatalf("unjoined = %d, want 0", e.unjoined.Load())
+	}
+	wasUsed := make(map[uintptr]bool, n)
+	for _, k := range used {
+		wasUsed[k] = true
+	}
+	var x int
+	reused := 0
+	for i := 0; i < probes; i++ {
+		keys := make(chan uintptr, 1)
+		go func() { // plain go: invisible to the instrumentation
+			Read(&x, "orphan.go:1")
+			keys <- gkey()
+		}()
+		k := <-keys
+		if got := e.orphans.Load(); got != int64(i+1) {
+			t.Fatalf("probe %d: orphans = %d, want %d: the goroutine found a binding", i, got, i+1)
+		}
+		if wasUsed[k] {
+			reused++
+		}
+	}
+	t.Logf("%d of %d plain goroutines ran on a key an instrumented goroutine had used", reused, probes)
+	if (runtime.GOARCH == "amd64" || runtime.GOARCH == "arm64") && reused == 0 {
+		t.Fatal("no plain goroutine reused an instrumented goroutine's g; the test proves nothing")
+	}
+}
+
+// TestMainHookUnbinds: the hook Main returns undoes Main's binding, so
+// a later goroutine that the runtime gives the same g finds none.
+func TestMainHookUnbinds(t *testing.T) {
+	e, restore, err := swapEngine(Options{
+		Backend: "sp-hybrid", LockAware: true, ReportPath: filepath.Join(t.TempDir(), "report.json"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer restore()
+	bound := make(chan [2]bool)
+	go func() { // plain go: Main binds it, as it binds func main's goroutine
+		finish := Main()
+		before := e.cur() != nil
+		finish()
+		bound <- [2]bool{before, e.cur() != nil}
+	}()
+	if got := <-bound; !got[0] || got[1] {
+		t.Fatalf("bound before the hook: %v, after: %v; want true, false", got[0], got[1])
 	}
 }
