@@ -33,8 +33,15 @@
 //   - seqs differ (tags equal): same branch, different epochs, so the
 //     smaller seq is serially before the larger in BOTH orders.
 //
-// Query cost is O(d) for fork-nesting depth d — the offset-span bound —
-// but with O(1) amortized space per thread (suffix sharing) and no
+// Every component also keeps a skew-binary jump pointer (Myers, "An
+// applicative random-access stack", IPL 17(5), 1983) to an ancestor
+// level. Jump targets depend only on depth, and a component's jump is
+// derived in O(1) from its up pointer's, so Fork and Join stay O(1). A
+// query first climbs the deeper path to the other's depth, then climbs
+// both paths together, taking a jump whenever both paths' jumps still
+// differ; either climb takes O(log d) hops for fork-nesting depth d,
+// against the O(d) of following parent pointers one level at a time.
+// Space stays O(1) amortized per thread (suffix sharing), with no
 // synchronization anywhere, which is what lets the sp adapter declare
 // every concurrency capability including lock-free structural events.
 package depa
@@ -53,6 +60,7 @@ const (
 // start from Root.
 type Label struct {
 	up    *Label // enclosing nesting level; nil at the root level
+	jump  *Label // skew-binary jump to an ancestor level; nil at the root level
 	depth int32
 	tag   int8
 	seq   uint64
@@ -62,17 +70,32 @@ type Label struct {
 func Root() *Label { return &Label{} }
 
 // Depth returns the fork-nesting depth of the label (root = 0); queries
-// involving the label cost O(Depth).
+// involving the label take O(log Depth) parent or jump hops.
 func (l *Label) Depth() int { return int(l.depth) }
+
+// jumpFrom returns the jump pointer of a component whose up pointer is
+// up: two equal-length jumps from up merge into one twice as long (plus
+// one), otherwise the jump is up itself. Target depths then follow the
+// skew-binary numbers, depending on depth alone.
+func jumpFrom(up *Label) *Label {
+	if up == nil {
+		return nil
+	}
+	if j := up.jump; j != nil && j.jump != nil && up.depth-j.depth == j.depth-j.jump.depth {
+		return j.jump
+	}
+	return up
+}
 
 // Fork derives the labels of the two threads created when the thread
 // labeled parent forks: the spawned child (left) and the continuation
 // (right), logically parallel. O(1): the shared base bumps parent's
 // last component, and each child opens a new level at seq 0.
 func Fork(parent *Label) (left, right *Label) {
-	base := &Label{up: parent.up, depth: parent.depth, tag: parent.tag, seq: parent.seq + 1}
-	left = &Label{up: base, depth: base.depth + 1, tag: tagLeft}
-	right = &Label{up: base, depth: base.depth + 1, tag: tagRight}
+	base := &Label{up: parent.up, jump: parent.jump, depth: parent.depth, tag: parent.tag, seq: parent.seq + 1}
+	jump := jumpFrom(base)
+	left = &Label{up: base, jump: jump, depth: base.depth + 1, tag: tagLeft}
+	right = &Label{up: base, jump: jump, depth: base.depth + 1, tag: tagRight}
 	return left, right
 }
 
@@ -85,7 +108,7 @@ func Join(left, right *Label) *Label {
 		panic("depa: Join of threads that are not the two branch terminals of one fork")
 	}
 	base := right.up
-	return &Label{up: base.up, depth: base.depth, tag: base.tag, seq: base.seq + 1}
+	return &Label{up: base.up, jump: base.jump, depth: base.depth, tag: base.tag, seq: base.seq + 1}
 }
 
 // relate compares u and v at their divergence level and returns whether
@@ -97,18 +120,18 @@ func relate(u, v *Label) (eng, heb bool) {
 }
 
 // Relate is relate with the walk length exposed: steps counts the
-// parent-link hops taken to reach the divergence component — the O(d)
-// a query actually paid, which instrumented monitors aggregate into a
-// walk-length distribution. u and v must be distinct thread labels
-// from one computation.
+// parent or jump hops taken to reach the divergence component — the
+// O(log d) a query actually paid, which instrumented monitors aggregate
+// into a walk-length distribution. u and v must be distinct thread
+// labels from one computation.
 func Relate(u, v *Label) (eng, heb bool, steps int) {
 	a, b := u, v
 	for a.depth > b.depth {
-		a = a.up
+		a = climb(a, b.depth)
 		steps++
 	}
 	for b.depth > a.depth {
-		b = b.up
+		b = climb(b, a.depth)
 		steps++
 	}
 	if a == b {
@@ -118,8 +141,14 @@ func Relate(u, v *Label) (eng, heb bool, steps int) {
 		// deeper path hangs off — has odd seq.
 		panic(fmt.Sprintf("depa: thread label is a prefix of another (depths %d, %d)", u.depth, v.depth))
 	}
+	// a and b sit at one depth, so their jumps do too. Jump while the
+	// jump targets still differ: the divergence level is not above them.
 	for a.up != b.up {
-		a, b = a.up, b.up
+		if a.jump != b.jump {
+			a, b = a.jump, b.jump
+		} else {
+			a, b = a.up, b.up
+		}
 		steps++
 	}
 	switch {
@@ -134,6 +163,15 @@ func Relate(u, v *Label) (eng, heb bool, steps int) {
 	default:
 		panic("depa: distinct labels with identical divergence component")
 	}
+}
+
+// climb takes one hop from a toward its ancestor at depth d < a.depth:
+// the jump if it does not overshoot d, the parent otherwise.
+func climb(a *Label, d int32) *Label {
+	if a.jump.depth >= d {
+		return a.jump
+	}
+	return a.up
 }
 
 // EnglishBefore reports u <_E v (serial depth-first execution order).

@@ -1,6 +1,7 @@
 package depa
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -77,49 +78,192 @@ func TestJoinValidation(t *testing.T) {
 // pair of leaves executed by distinct threads, Precedes/Parallel and
 // the order queries must match the oracle (a ≺ b iff before in both
 // orders, a ∥ b iff the orders disagree, and English order is the
-// depth-first execution order).
+// depth-first execution order). The last trials are spt.Par spines of
+// 500–2,000 elements, whose labels nest as deep as the spine is long;
+// there the oracle (O(depth) per query) checks a sample of pairs.
 func TestRandomTreesAgainstOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
-	for trial := 0; trial < 300; trial++ {
-		cfg := spt.DefaultGenConfig(2 + rng.Intn(30))
-		cfg.PProb = []float64{0.2, 0.5, 0.8}[rng.Intn(3)]
-		cfg.Skew = []float64{0.15, 0.5, 0.85}[rng.Intn(3)]
-		tree := spt.Generate(cfg, rng)
+	for trial := 0; trial < 306; trial++ {
+		var tree *spt.Tree
+		if trial < 300 {
+			cfg := spt.DefaultGenConfig(2 + rng.Intn(30))
+			cfg.PProb = []float64{0.2, 0.5, 0.8}[rng.Intn(3)]
+			cfg.Skew = []float64{0.15, 0.5, 0.85}[rng.Intn(3)]
+			tree = spt.Generate(cfg, rng)
+		} else {
+			tree = spineTree(500+rng.Intn(1501), rng)
+		}
 		oracle := spt.NewOracle(tree)
 		labels := map[*spt.Node]*Label{}
 		labelWalk(tree.Root(), Root(), labels)
 
 		leaves := tree.Threads()
-		// English order of distinct thread labels follows leaf
-		// (depth-first) order.
-		for i, u := range leaves {
-			for _, v := range leaves[i+1:] {
-				lu, lv := labels[u], labels[v]
-				if lu == lv {
-					continue // same event thread (serial block)
+		check := func(u, v *spt.Node) {
+			lu, lv := labels[u], labels[v]
+			if lu == lv {
+				return // same event thread (serial block)
+			}
+			// English order of distinct thread labels follows leaf
+			// (depth-first) order.
+			if !EnglishBefore(lu, lv) || EnglishBefore(lv, lu) {
+				t.Fatalf("trial %d: English order wrong for %v, %v", trial, u, v)
+			}
+			wantPrec := oracle.Precedes(u, v)
+			wantPar := oracle.Parallel(u, v)
+			if Precedes(lu, lv) != wantPrec {
+				t.Fatalf("trial %d: Precedes(%v,%v) = %v, oracle %v", trial, u, v, !wantPrec, wantPrec)
+			}
+			if Parallel(lu, lv) != wantPar || Parallel(lv, lu) != wantPar {
+				t.Fatalf("trial %d: Parallel(%v,%v) disagrees with oracle %v", trial, u, v, wantPar)
+			}
+			// Hebrew-before agrees with English on serial pairs and
+			// flips on parallel pairs (Lemma 1).
+			if wantPar {
+				if HebrewBefore(lu, lv) {
+					t.Fatalf("trial %d: parallel pair %v,%v must disagree across orders", trial, u, v)
 				}
-				if !EnglishBefore(lu, lv) || EnglishBefore(lv, lu) {
-					t.Fatalf("trial %d: English order wrong for %v, %v", trial, u, v)
-				}
-				wantPrec := oracle.Precedes(u, v)
-				wantPar := oracle.Parallel(u, v)
-				if Precedes(lu, lv) != wantPrec {
-					t.Fatalf("trial %d: Precedes(%v,%v) = %v, oracle %v", trial, u, v, !wantPrec, wantPrec)
-				}
-				if Parallel(lu, lv) != wantPar || Parallel(lv, lu) != wantPar {
-					t.Fatalf("trial %d: Parallel(%v,%v) disagrees with oracle %v", trial, u, v, wantPar)
-				}
-				// Hebrew-before agrees with English on serial pairs and
-				// flips on parallel pairs (Lemma 1).
-				if wantPar {
-					if HebrewBefore(lu, lv) {
-						t.Fatalf("trial %d: parallel pair %v,%v must disagree across orders", trial, u, v)
-					}
-				} else if !HebrewBefore(lu, lv) {
-					t.Fatalf("trial %d: serial pair %v,%v must agree across orders", trial, u, v)
-				}
+			} else if !HebrewBefore(lu, lv) {
+				t.Fatalf("trial %d: serial pair %v,%v must agree across orders", trial, u, v)
 			}
 		}
+		if len(leaves) <= 64 {
+			for i, u := range leaves {
+				for _, v := range leaves[i+1:] {
+					check(u, v)
+				}
+			}
+			continue
+		}
+		for k := 0; k < 2000; k++ {
+			i, j := rng.Intn(len(leaves)), rng.Intn(len(leaves))
+			if i > j {
+				i, j = j, i
+			}
+			if i != j {
+				check(leaves[i], leaves[j])
+			}
+		}
+	}
+}
+
+// spineTree returns the right-leaning P-chain spt.Par builds over n
+// elements, each a leaf, a parallel pair, or a leaf, pair, leaf series,
+// followed in series by one more leaf so the spine joins back.
+func spineTree(n int, rng *rand.Rand) *spt.Tree {
+	leaf := func() *spt.Node { return spt.NewLeaf("u", 1) }
+	elems := make([]*spt.Node, n)
+	for i := range elems {
+		switch rng.Intn(3) {
+		case 0:
+			elems[i] = leaf()
+		case 1:
+			elems[i] = spt.Par(leaf(), leaf())
+		default:
+			elems[i] = spt.Seq(leaf(), spt.Par(leaf(), leaf()), leaf())
+		}
+	}
+	return spt.MustTree(spt.Seq(spt.Par(elems...), leaf()))
+}
+
+// walkRelate is Relate by parent pointers alone, one nesting level per
+// hop: the O(d) reference the jump pointers must agree with.
+func walkRelate(u, v *Label) (eng, heb bool, steps int) {
+	a, b := u, v
+	for a.depth > b.depth {
+		a = a.up
+		steps++
+	}
+	for b.depth > a.depth {
+		b = b.up
+		steps++
+	}
+	for a.up != b.up {
+		a, b = a.up, b.up
+		steps++
+	}
+	if a.tag != b.tag {
+		return a.tag < b.tag, b.tag < a.tag, steps
+	}
+	return a.seq < b.seq, a.seq < b.seq, steps
+}
+
+// TestDeepLabelsAgainstWalk checks Relate against the parent-pointer
+// walk on deep labels, and its hop count against 3·⌈log2(d+1)⌉ for the
+// deeper label's depth d: on the 16,384-deep right spine of
+// spt.Par(leaves...), where the walk averages thousands of hops, and on
+// random fork/join executions that nest at least 1,000 levels deep and
+// return to the root level.
+func TestDeepLabelsAgainstWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+
+	// The right spine: each fork's continuation forks again.
+	var spine []*Label
+	cur := Root()
+	for i := 0; i < 16384; i++ {
+		l, r := Fork(cur)
+		spine = append(spine, l)
+		cur = r
+	}
+	spine = append(spine, cur)
+
+	// A serial depth-first execution: fork with probability 0.7 until
+	// 1,000 levels deep, then with probability 0.3 until every branch
+	// has joined, keeping every label created.
+	type frame struct{ right, leftEnd *Label }
+	var random []*Label
+	cur = Root()
+	random = append(random, cur)
+	var stack []*frame
+	deepest := 0
+	for deepest < 1000 || len(stack) > 0 {
+		pFork := 0.7
+		if deepest >= 1000 {
+			pFork = 0.3
+		}
+		switch top := len(stack) - 1; {
+		case top < 0 || rng.Float64() < pFork:
+			l, r := Fork(cur)
+			stack = append(stack, &frame{right: r})
+			cur = l
+			deepest = max(deepest, len(stack))
+		case stack[top].leftEnd == nil:
+			stack[top].leftEnd = cur
+			cur = stack[top].right
+		default:
+			cur = Join(stack[top].leftEnd, cur)
+			stack = stack[:top]
+		}
+		random = append(random, cur)
+	}
+	if cur.Depth() != 0 {
+		t.Fatalf("random execution ended at depth %d", cur.Depth())
+	}
+
+	for _, shape := range []struct {
+		name   string
+		labels []*Label
+	}{{"spine", spine}, {"random", random}} {
+		total, worst := 0, 0
+		for k := 0; k < 20000; k++ {
+			u := shape.labels[rng.Intn(len(shape.labels))]
+			v := shape.labels[rng.Intn(len(shape.labels))]
+			if u == v {
+				continue
+			}
+			eng, heb, steps := Relate(u, v)
+			wEng, wHeb, _ := walkRelate(u, v)
+			if eng != wEng || heb != wHeb {
+				t.Fatalf("%s: Relate at depths %d, %d = (%v, %v), walk (%v, %v)",
+					shape.name, u.Depth(), v.Depth(), eng, heb, wEng, wHeb)
+			}
+			d := max(u.Depth(), v.Depth())
+			if bound := 3 * bits.Len(uint(d)); steps > bound {
+				t.Fatalf("%s: %d hops at depths %d, %d; bound %d", shape.name, steps, u.Depth(), v.Depth(), bound)
+			}
+			total += steps
+			worst = max(worst, steps)
+		}
+		t.Logf("%s: mean %.1f, max %d hops per query", shape.name, float64(total)/20000, worst)
 	}
 }
 

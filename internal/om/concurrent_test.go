@@ -82,12 +82,83 @@ func TestConcurrentAdversarialInserts(t *testing.T) {
 	}
 }
 
+// TestConcurrentRelabelsPerInsert pins the two-level list's amortized
+// O(1) update cost: over 200,000 inserts, appending, inserting after
+// one item, or growing a fork spine (each MultiInsertAround continuing
+// from the first item it created), at most 4 labels are rewritten per
+// insert, counting local relabels, items moved by splits and bucket
+// relabels. A one-level list rewrites 16–18.
+func TestConcurrentRelabelsPerInsert(t *testing.T) {
+	const inserts = 200000
+	for _, pat := range []struct {
+		name string
+		run  func(c *Concurrent, x *CItem)
+	}{
+		{"append", func(c *Concurrent, x *CItem) {
+			for i := 0; i < inserts; i++ {
+				x = c.InsertAfter(x)
+			}
+		}},
+		{"same-spot", func(c *Concurrent, x *CItem) {
+			for i := 0; i < inserts; i++ {
+				c.InsertAfter(x)
+			}
+		}},
+		{"fork-spine", func(c *Concurrent, x *CItem) {
+			for i := 0; i < inserts/2; i++ {
+				_, after := c.MultiInsertAround(x, 0, 2)
+				x = after[0]
+			}
+		}},
+	} {
+		c := NewConcurrent()
+		pat.run(c, c.InsertFirst())
+		perInsert := float64(c.Relabels.Load()) / inserts
+		t.Logf("%s: %.2f labels rewritten per insert, %d rebalances", pat.name, perInsert, c.Rebalances.Load())
+		if perInsert > 4 {
+			t.Errorf("%s: %.2f labels rewritten per insert, want at most 4", pat.name, perInsert)
+		}
+		if err := c.CheckInvariants(); err != nil {
+			t.Fatalf("%s: %v", pat.name, err)
+		}
+	}
+}
+
+// bucketLabels maps every bucket holding an item of c to its label.
+func bucketLabels(c *Concurrent) map[*cbucket]uint64 {
+	out := map[*cbucket]uint64{}
+	for _, it := range c.Items() {
+		b := it.bkt.Load()
+		out[b] = b.label.Load()
+	}
+	return out
+}
+
+// bucketMoved reports whether a bucket in both snapshots changed label:
+// the top level was rebalanced in between.
+func bucketMoved(before, after map[*cbucket]uint64) bool {
+	for b, l := range after {
+		if old, ok := before[b]; ok && old != l {
+			return true
+		}
+	}
+	return false
+}
+
+// TestConcurrentAgainstSerialReference checks the list against a slice
+// kept in order: small random trials, and one of 20,000 inserts around
+// a few hot items, enough to split buckets and rebalance the top level.
 func TestConcurrentAgainstSerialReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
-	for trial := 0; trial < 10; trial++ {
+	for trial := 0; trial < 11; trial++ {
+		ops, hot := 400, 0
+		if trial == 10 {
+			ops, hot = 20000, 3
+		}
 		c := NewConcurrent()
 		var ref []*CItem
 		ref = append(ref, c.InsertFirst())
+		hotItems := []*CItem{ref[0]}
 		indexOf := func(x *CItem) int {
 			for i, it := range ref {
 				if it == x {
@@ -96,8 +167,16 @@ func TestConcurrentAgainstSerialReference(t *testing.T) {
 			}
 			return -1
 		}
-		for op := 0; op < 400; op++ {
+		snap := bucketLabels(c)
+		moved := false
+		for op := 0; op < ops; op++ {
 			x := ref[rng.Intn(len(ref))]
+			if hot > 0 {
+				if len(hotItems) < hot && len(ref) > 100*len(hotItems) {
+					hotItems = append(hotItems, x)
+				}
+				x = hotItems[rng.Intn(len(hotItems))]
+			}
 			i := indexOf(x)
 			if rng.Intn(2) == 0 {
 				y := c.InsertAfter(x)
@@ -110,6 +189,11 @@ func TestConcurrentAgainstSerialReference(t *testing.T) {
 				copy(ref[i+1:], ref[i:])
 				ref[i] = y
 			}
+			if hot > 0 && op%1000 == 999 {
+				next := bucketLabels(c)
+				moved = moved || bucketMoved(snap, next)
+				snap = next
+			}
 		}
 		for k := 0; k < 2000; k++ {
 			i, j := rng.Intn(len(ref)), rng.Intn(len(ref))
@@ -118,65 +202,124 @@ func TestConcurrentAgainstSerialReference(t *testing.T) {
 				t.Fatalf("trial %d: Precedes mismatch at (%d,%d)", trial, i, j)
 			}
 		}
+		for i := 1; i < len(ref); i++ {
+			if !c.Precedes(ref[i-1], ref[i]) || c.Precedes(ref[i], ref[i-1]) {
+				t.Fatalf("trial %d: neighbours %d, %d out of order", trial, i-1, i)
+			}
+		}
 		if err := c.CheckInvariants(); err != nil {
 			t.Fatal(err)
+		}
+		if hot > 0 && (len(bucketLabels(c)) < 2 || !moved) {
+			t.Fatalf("trial %d: %d buckets, top level rebalanced: %v; want a split and a top-level rebalance",
+				trial, len(bucketLabels(c)), moved)
 		}
 	}
 }
 
 // TestConcurrentQueriesDuringInserts hammers Precedes from several
-// goroutines while a writer performs adversarial inserts that force
-// rebalances. Every query must return the correct, stable answer for the
-// monotone pairs it checks (items inserted in a known global order).
+// goroutines while a writer performs adversarial inserts that force local
+// relabels, bucket splits and top-level rebalances. Every query must
+// return the correct, stable answer for the monotone pairs it checks
+// (items inserted in a known global order): spine items anywhere, spine
+// items on both sides of the bucket the writer keeps splitting, and the
+// writer's latest items, which sit in that bucket. The writer inserts
+// after one spine item, then in a second run appends at the end, where
+// relabels move labels down instead of up.
 func TestConcurrentQueriesDuringInserts(t *testing.T) {
-	c := NewConcurrent()
-	first := c.InsertFirst()
-	// Build a spine of items whose relative order is known and will
-	// never change: each appended at the end.
-	const spine = 512
-	items := make([]*CItem, spine)
-	items[0] = first
-	for i := 1; i < spine; i++ {
-		items[i] = c.InsertAfter(items[i-1])
-	}
+	for _, appending := range []bool{false, true} {
+		c := NewConcurrent()
+		first := c.InsertFirst()
+		// Build a spine of items whose relative order is known and will
+		// never change: each appended at the end.
+		const spine = 512
+		items := make([]*CItem, spine)
+		items[0] = first
+		for i := 1; i < spine; i++ {
+			items[i] = c.InsertAfter(items[i-1])
+		}
+		anchor := items[spine/2]
+		if appending {
+			anchor = items[spine-1]
+		}
+		// recent holds the writer's last inserts. Inserting after one
+		// item, a later insert precedes an earlier one; appending, it
+		// follows it. Every insert follows the first anchor.
+		type insert struct {
+			it  *CItem
+			seq int
+		}
+		var recent [64]atomic.Pointer[insert]
 
-	var stop atomic.Bool
-	var wrong atomic.Int64
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
-			for !stop.Load() {
-				i, j := rng.Intn(spine), rng.Intn(spine)
-				got := c.Precedes(items[i], items[j])
-				want := i < j
-				if i == j {
-					want = false
+		var stop atomic.Bool
+		var wrong atomic.Int64
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func(seed int64) {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(seed))
+				for !stop.Load() {
+					if rng.Intn(3) == 0 {
+						a, b := recent[rng.Intn(len(recent))].Load(), recent[rng.Intn(len(recent))].Load()
+						if a == nil || b == nil || a.seq == b.seq {
+							continue
+						}
+						if (a.seq < b.seq) != appending {
+							a, b = b, a
+						}
+						// a precedes b.
+						if !c.Precedes(a.it, b.it) || c.Precedes(b.it, a.it) || !c.Precedes(items[spine/2], a.it) {
+							wrong.Add(1)
+							return
+						}
+						continue
+					}
+					i, j := rng.Intn(spine), rng.Intn(spine)
+					if rng.Intn(2) == 0 {
+						i, j = spine/2-48+rng.Intn(96), spine/2-48+rng.Intn(96)
+					}
+					got := c.Precedes(items[i], items[j])
+					want := i < j
+					if i == j {
+						want = false
+					}
+					if got != want {
+						wrong.Add(1)
+						return
+					}
 				}
-				if got != want {
-					wrong.Add(1)
-					return
-				}
+			}(int64(g + 1))
+		}
+		// Writer: force heavy relabeling, watching the buckets while the
+		// readers run.
+		snap := bucketLabels(c)
+		bucketsBefore := len(snap)
+		moved := false
+		for i := 0; i < 30000; i++ {
+			it := c.InsertAfter(anchor)
+			if appending {
+				anchor = it
 			}
-		}(int64(g + 1))
-	}
-	// Writer: force heavy relabeling around the middle of the spine.
-	mid := items[spine/2]
-	for i := 0; i < 30000; i++ {
-		c.InsertAfter(mid)
-	}
-	stop.Store(true)
-	wg.Wait()
-	if wrong.Load() != 0 {
-		t.Fatalf("%d queries returned wrong answers under concurrent rebalances", wrong.Load())
-	}
-	if c.Rebalances.Load() == 0 {
-		t.Fatal("writer failed to force any rebalance; test is vacuous")
-	}
-	if err := c.CheckInvariants(); err != nil {
-		t.Fatal(err)
+			recent[i%len(recent)].Store(&insert{it: it, seq: i})
+			if i%1000 == 999 {
+				next := bucketLabels(c)
+				moved = moved || bucketMoved(snap, next)
+				snap = next
+			}
+		}
+		stop.Store(true)
+		wg.Wait()
+		if wrong.Load() != 0 {
+			t.Fatalf("appending=%v: %d queries returned wrong answers under concurrent rebalances", appending, wrong.Load())
+		}
+		if c.Rebalances.Load() == 0 || len(snap) <= bucketsBefore || !moved {
+			t.Fatalf("appending=%v: writer forced %d rebalances, %d → %d buckets, top level rebalanced: %v; test is vacuous",
+				appending, c.Rebalances.Load(), bucketsBefore, len(snap), moved)
+		}
+		if err := c.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

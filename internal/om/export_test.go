@@ -11,8 +11,5 @@ func (l *List) DebugString() string { return l.debugString() }
 // CheckInvariants exposes the concurrent list's validation.
 func (c *Concurrent) CheckInvariants() error { return c.checkInvariants() }
 
-// Label exposes an item's current label (racy; tests only).
-func (it *CItem) Label() uint64 { return it.label.Load() }
-
 // BucketCap exposes the bottom-level capacity to tests.
 const BucketCap = bucketCap

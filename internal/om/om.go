@@ -10,11 +10,16 @@
 //     Cole, Demaine, Farach-Colton & Zito (ESA 2002). It backs the serial
 //     SP-order algorithm (Section 2 of the paper).
 //
-//   - Concurrent: a one-level labeled list (the paper's footnote 3 notes
-//     one level suffices to expose the ideas) with a global insertion lock
-//     and lock-free, timestamp-validated queries; relabeling follows the
-//     paper's five-pass rebalance (Section 4) so the relative order of
-//     items never changes mid-rebalance. It backs SP-hybrid's global tier.
+//   - Concurrent: the same two levels with a global insertion lock and
+//     lock-free, timestamp-validated queries. Relabeling, of a range of
+//     buckets or of one bucket's items, follows the paper's five-pass
+//     rebalance (Section 4), and a full bucket splits by moving its upper
+//     half into a new bucket with one atomic pointer store per item, so
+//     the relative order of items never changes mid-update. A query
+//     rereads what it compared and retries on any change; items only move
+//     into fresh buckets, so an unchanged bucket pointer proves the item
+//     stayed put. It backs SP-hybrid's global tier with amortized O(1)
+//     insertion, where the paper's footnote 3 settles for one level.
 package om
 
 import (

@@ -18,14 +18,15 @@ import (
 //   - Fork/Join derive the new labels in O(1) from the creator's label
 //     (three allocations per fork, one per join, prefixes shared) and
 //     publish them with single atomic stores;
-//   - queries walk the two fork paths to their divergence component and
-//     read BOTH total orders off that one comparison — no retries, no
-//     global structure, no insertion lock to batch or amortize.
+//   - queries climb the two fork paths to their divergence component,
+//     by parent pointers and skew-binary jump pointers, and read BOTH
+//     total orders off that one comparison — no retries, no global
+//     structure, no insertion lock to batch or amortize.
 //
 // That makes depa Synchronized: a Monitor that records no trace applies
-// all of its events without the global mutex. The trade-off mirrors
-// offset-span: query cost is O(d) in fork-nesting depth, against
-// SP-hybrid's O(1)-expected lock-free global-tier comparison.
+// all of its events without the global mutex. The trade-off: query cost
+// is O(log d) hops in fork-nesting depth d, against SP-hybrid's
+// O(1)-expected lock-free global-tier comparison.
 
 // depaM is the DePa backend: one immutable label per thread.
 type depaM struct {
@@ -33,8 +34,8 @@ type depaM struct {
 
 	// mxDepth and mxWalk are registry mirrors of the backend's two cost
 	// drivers — fork-nesting depth of created labels and per-query
-	// divergence-walk length (the O(d) actually paid). Nil (no-op)
-	// unless the owning Monitor was built WithMetrics.
+	// divergence-walk length (the O(log d) hops actually paid). Nil
+	// (no-op) unless the owning Monitor was built WithMetrics.
 	mxDepth *metrics.Histogram
 	mxWalk  *metrics.Histogram
 }
@@ -45,7 +46,7 @@ func newDepa() Maintainer { return &depaM{} }
 // histograms.
 func (d *depaM) instrument(reg *metrics.Registry) {
 	d.mxDepth = reg.Histogram("sp_depa_label_depth", "fork-nesting depth of created thread labels")
-	d.mxWalk = reg.Histogram("sp_depa_walk_steps", "parent-link hops walked to answer one SP query")
+	d.mxWalk = reg.Histogram("sp_depa_walk_steps", "hops, parent or jump, walked to answer one SP query")
 }
 
 // relate answers both orders for distinct labels, feeding the walk
@@ -153,7 +154,7 @@ func init() {
 	Register(BackendInfo{
 		Name:        "depa",
 		Description: "DePa fork-path labels: O(1) lock-free fork/join, both orders from one label walk",
-		UpdateBound: "O(1) worst case, lock-free", QueryBound: "O(d)", SpaceBound: "O(1) amortized (shared fork paths)",
+		UpdateBound: "O(1) worst case, lock-free", QueryBound: "O(log d)", SpaceBound: "O(1) amortized (shared fork paths)",
 		FullQueries:  true,
 		AnyOrder:     true,
 		Synchronized: true,

@@ -107,9 +107,9 @@ func (h *hybrid) instrument(reg *metrics.Registry) {
 	h.mxBatchSize = reg.Histogram("sp_om_batch_size", "structural events materialized per drain")
 	h.mxPendingHW = reg.Gauge("sp_om_pending_highwater", "deepest the pending structural-event queue has grown")
 	for _, l := range []*om.Concurrent{h.eng, h.heb} {
-		l.MQueryRetries = reg.Counter("sp_om_query_retries_total", "lock-free OM queries that had to retry after a concurrent rebalance")
-		l.MRelabels = reg.Counter("sp_om_relabels_total", "OM items relabeled by rebalances")
-		l.MRebalances = reg.Counter("sp_om_rebalances_total", "OM label-range rebalances")
+		l.MQueryRetries = reg.Counter("sp_om_query_retries_total", "lock-free OM queries that had to retry after a concurrent relabel or split")
+		l.MRelabels = reg.Counter("sp_om_relabels_total", "OM labels rewritten: items relabeled or moved to a new bucket, and buckets relabeled")
+		l.MRebalances = reg.Counter("sp_om_rebalances_total", "OM relabelings of one bucket's items or of a range of buckets")
 	}
 }
 
