@@ -100,6 +100,7 @@ func TestCrossBackendOracleEquivalence(t *testing.T) {
 					}
 				}
 				rep := m.Report()
+				checkLocations(t, info.Name, rep)
 				truth := race.FullHistory(tr).Locations
 				if !reflect.DeepEqual(locsAsInts(rep.Locations), truth) {
 					t.Fatalf("trial %d: %s flagged %v, full history %v",

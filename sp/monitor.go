@@ -58,11 +58,13 @@ func (r Race) String() string {
 type Report struct {
 	// Backend is the name of the SP-maintenance backend used.
 	Backend string
-	// Races lists every detected race, merged from the sharded race log
-	// in shard order (detection order within a shard). The merge is
-	// deterministic for a deterministic execution: an address always
-	// hashes to the same shard, so two monitored runs of the same
-	// serial event stream produce identical race lists.
+	// Races lists every detected race, one element per detection,
+	// merged from the sharded race log in shard order (detection order
+	// within a shard); each Report copies the log into a fresh list of
+	// exactly this length. The merge is deterministic for a
+	// deterministic execution: an address always hashes to the same
+	// shard, so two monitored runs of the same serial event stream
+	// produce identical race lists. Tally groups them by RaceKey.
 	Races []Race
 	// Locations is the deduplicated, sorted set of raced addresses.
 	Locations []uint64
@@ -108,18 +110,43 @@ type lockShard struct {
 // raceShard is one address-hashed partition of the race log. Detected
 // races append under the owning shard's lock only; Report merges the
 // shards in index order, and the Races() stream claims races per shard
-// through the streamed watermark, so emit never serializes on a global
+// through the stream cursor, so emit never serializes on a global
 // mutex unless a stream listener exists.
+//
+// The log is paged so that an emit never copies a race it already
+// logged: page capacities double from 1 up to racePage and a page is
+// never grown, so a shard allocates no more than one growing slice
+// would, and a racy run stops paying for copies of its whole log.
 type raceShard struct {
-	mu    sync.Mutex
-	races []Race // detection order within the shard
+	mu sync.Mutex
+	// pages hold the races in detection order; every page but the last
+	// is full.
+	pages [][]Race
 	// late holds races detected by accesses still in flight when Report
 	// closed the shard: they are counted in DroppedRaces, excluded from
 	// the stream, and surface only in subsequent Report snapshots.
-	late     []Race
-	streamed int   // races[:streamed] have been claimed by the stream
-	emitted  int64 // every emit into this shard, races and late alike
-	closed   bool  // Report has cut this shard off
+	late []Race
+	// The stream has claimed every race before pages[spage][soff].
+	spage, soff int
+	emitted     int64 // every emit into this shard, races and late alike
+	closed      bool  // Report has cut this shard off
+}
+
+// racePage is the capacity a shard's race-log pages double up to.
+const racePage = 512
+
+// add logs r at the end of the shard's pages. The caller holds sh.mu.
+func (sh *raceShard) add(r Race) {
+	last := len(sh.pages) - 1
+	if last < 0 || len(sh.pages[last]) == cap(sh.pages[last]) {
+		size := 1
+		if last >= 0 {
+			size = min(2*cap(sh.pages[last]), racePage)
+		}
+		sh.pages = append(sh.pages, make([]Race, 0, size))
+		last++
+	}
+	sh.pages[last] = append(sh.pages[last], r)
 }
 
 // threadState is the Monitor's per-thread bookkeeping. States are
@@ -1027,7 +1054,7 @@ func (m *Monitor) lockAwareAccess(t ThreadID, st *threadState, addr uint64, writ
 // workloads on a lock-free monitor do not funnel every race through
 // one global mutex. Once Races() has been called, the emit additionally
 // claims every race of the shard not yet streamed, its own included
-// (advancing the shard's streamed watermark under the shard lock, so the
+// (advancing the shard's stream cursor under the shard lock, so the
 // Races() catch-up scan and concurrent emits deliver each race exactly
 // once), and streams them. A race detected after Report
 // closed the shard — an access still in flight on a lock-free monitor —
@@ -1047,7 +1074,7 @@ func (m *Monitor) emit(r Race) {
 		}
 		return
 	}
-	sh.races = append(sh.races, r)
+	sh.add(r)
 	if mx := m.mx; mx != nil {
 		mx.racesEmitted.Add(1)
 		mx.raceShardEmits[idx].Add(1)
@@ -1058,14 +1085,28 @@ func (m *Monitor) emit(r Race) {
 	}
 	// Deliver the shard's whole unstreamed tail, not just r: races logged
 	// before requested flipped may not have been caught up by Races()
-	// yet, and advancing the watermark past them would lose them. Deliver
+	// yet, and advancing the cursor past them would lose them. Deliver
 	// while still holding the shard lock so the stream preserves the
 	// shard's detection order (lock order: race shard, then raceMu).
-	for _, x := range sh.races[sh.streamed:] {
-		m.deliver(x)
-	}
-	sh.streamed = len(sh.races)
+	m.streamShard(sh)
 	sh.mu.Unlock()
+}
+
+// streamShard delivers every race of sh the stream has not claimed yet,
+// in detection order, and moves the shard's cursor past them. The
+// caller holds sh.mu.
+func (m *Monitor) streamShard(sh *raceShard) {
+	for sh.spage < len(sh.pages) {
+		p := sh.pages[sh.spage]
+		for _, r := range p[sh.soff:] {
+			m.deliver(r)
+		}
+		if len(p) < cap(p) {
+			sh.soff = len(p) // the last page, still filling
+			return
+		}
+		sh.spage, sh.soff = sh.spage+1, 0
+	}
 }
 
 // deliver streams one race to the Races() channel: a direct non-blocking
@@ -1156,10 +1197,7 @@ func (m *Monitor) Races() <-chan Race {
 	for i := range m.raceShards {
 		sh := &m.raceShards[i]
 		sh.mu.Lock()
-		for _, r := range sh.races[sh.streamed:] {
-			m.deliver(r)
-		}
-		sh.streamed = len(sh.races)
+		m.streamShard(sh)
 		sh.mu.Unlock()
 	}
 	m.raceMu.Lock()
@@ -1214,15 +1252,21 @@ func (m *Monitor) Report() Report {
 	// DroppedRaces is derived from the same per-shard snapshot as the
 	// race list itself (late entries are exactly the post-close emits),
 	// plus the deliver backstop — one layer, so the count can never
-	// disagree with the races actually reported.
-	var races []Race
+	// disagree with the races actually reported. A closed shard's pages
+	// never change again and its late list only grows past the
+	// snapshot's length, so the snapshots are read after the locks drop.
+	snaps := make([]struct {
+		pages [][]Race
+		late  []Race
+	}, len(m.raceShards))
+	total := 0
 	dropped := m.dropped.Load()
 	for i := range m.raceShards {
 		sh := &m.raceShards[i]
 		sh.mu.Lock()
 		sh.closed = true
-		races = append(races, sh.races...)
-		races = append(races, sh.late...)
+		snaps[i].pages, snaps[i].late = sh.pages, sh.late
+		total += int(sh.emitted)
 		dropped += int64(len(sh.late))
 		sh.mu.Unlock()
 	}
@@ -1233,15 +1277,31 @@ func (m *Monitor) Report() Report {
 	m.streamClosed = true
 	m.closeStream()
 	m.raceMu.Unlock()
-	locSet := map[uint64]bool{}
-	for _, r := range races {
-		locSet[r.Addr] = true
+	// One copy of every race, into a list of the exact size. Shards
+	// partition addresses, so each shard's distinct addresses are found
+	// on its own and the union needs no deduplication.
+	var races []Race
+	if total > 0 {
+		races = make([]Race, 0, total)
 	}
-	locs := make([]uint64, 0, len(locSet))
-	for l := range locSet {
-		locs = append(locs, l)
+	locs := []uint64{}
+	var addrs []uint64
+	for _, s := range snaps {
+		from := len(races)
+		for _, p := range s.pages {
+			races = append(races, p...)
+		}
+		races = append(races, s.late...)
+		addrs = addrs[:0]
+		for _, r := range races[from:] {
+			if len(addrs) == 0 || addrs[len(addrs)-1] != r.Addr {
+				addrs = append(addrs, r.Addr)
+			}
+		}
+		slices.Sort(addrs)
+		locs = append(locs, slices.Compact(addrs)...)
 	}
-	sort.Slice(locs, func(i, j int) bool { return locs[i] < locs[j] })
+	slices.Sort(locs)
 	threads := m.nthreads.Load()
 	accesses, queries := int64(0), m.relQueries.Load()
 	for i := int64(0); i < threads; i++ {

@@ -13,32 +13,47 @@ import (
 )
 
 // TestReportConcurrentWithAccesses hammers Report against in-flight
-// accesses on the synchronized backend. An access that slipped past the
+// accesses on the lock-free backends. An access that slipped past the
 // finished check must complete without panicking (its race is dropped
 // from the stream, never sent on the closed channel); only accesses
 // that observe the finished monitor may panic, with the documented
-// message.
+// message. Such late races surface in the next Report, whose Locations
+// must still be exactly the distinct addresses of its races.
 func TestReportConcurrentWithAccesses(t *testing.T) {
-	for i := 0; i < 200; i++ {
-		m := sp.MustMonitor(sp.WithBackend("sp-hybrid"))
-		l, r := m.Fork(m.Main())
-		var wg sync.WaitGroup
-		for _, tid := range []sp.ThreadID{l, r} {
-			wg.Add(1)
-			go func(tid sp.ThreadID) {
-				defer wg.Done()
-				defer func() {
-					if p := recover(); p != nil && !strings.Contains(fmt.Sprint(p), "finished monitor") {
-						panic(p)
+	for _, backend := range []string{"sp-hybrid", "depa"} {
+		late := int64(0)
+		for i := 0; i < 200; i++ {
+			m := sp.MustMonitor(sp.WithBackend(backend))
+			l, r := m.Fork(m.Main())
+			var wg, started sync.WaitGroup
+			started.Add(2)
+			for _, tid := range []sp.ThreadID{l, r} {
+				wg.Add(1)
+				go func(tid sp.ThreadID) {
+					defer wg.Done()
+					defer func() {
+						if p := recover(); p != nil && !strings.Contains(fmt.Sprint(p), "finished monitor") {
+							panic(p)
+						}
+					}()
+					// Races against the sibling thread until Report
+					// finishes the monitor.
+					for j := 0; ; j++ {
+						m.Write(tid, uint64(7+j%5))
+						if j == 0 {
+							started.Done()
+						}
 					}
-				}()
-				for j := 0; j < 50; j++ {
-					m.Write(tid, 7) // races against the sibling thread
-				}
-			}(tid)
+				}(tid)
+			}
+			started.Wait()
+			checkLocations(t, backend, m.Report())
+			wg.Wait()
+			rep := m.Report()
+			late += rep.DroppedRaces
+			checkLocations(t, backend+" with the late races", rep)
 		}
-		m.Report()
-		wg.Wait()
+		t.Logf("%s: %d late races over 200 runs", backend, late)
 	}
 }
 

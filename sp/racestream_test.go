@@ -233,3 +233,63 @@ func TestRaceStreamNoConsumerNoLeak(t *testing.T) {
 		t.Fatalf("goroutines leaked: %d before, %d after 10 unread overflowing monitors", before, after)
 	}
 }
+
+// TestRaceStreamPagedShard grows one race-log shard across many pages
+// (every race is on one address, so on one shard) and attaches the
+// listener before the log grows, midway, or after it is complete. The
+// stream must carry every race once, in the shard's detection order,
+// which is also the order Report lists them in.
+func TestRaceStreamPagedShard(t *testing.T) {
+	const races = 2500 // pages of 1, 2, ..., 512 races, then four full ones
+	for _, attach := range []int{0, races / 2, races} {
+		m := sp.MustMonitor(sp.WithWorkers(1))
+		var got []sp.Race
+		var stream <-chan sp.Race
+		done := make(chan struct{})
+		listen := func() {
+			stream = m.Races()
+			go func() {
+				defer close(done)
+				for r := range stream {
+					got = append(got, r)
+				}
+			}()
+		}
+		// Each spawned thread writes x7 after the previous one did, in
+		// parallel with it: race k is between threads k and k+1.
+		var writers []sp.ThreadID
+		cur := m.Main()
+		for k := 0; k <= races; k++ {
+			if k == attach+1 {
+				listen()
+			}
+			var w sp.ThreadID
+			w, cur = m.Fork(cur)
+			m.Write(w, 7)
+			writers = append(writers, w)
+		}
+		if stream == nil {
+			listen()
+		}
+		rep := m.Report()
+		select {
+		case <-done:
+		case <-time.After(30 * time.Second):
+			t.Fatalf("attach %d: stream did not close", attach)
+		}
+		if len(rep.Races) != races || rep.DroppedRaces != 0 {
+			t.Fatalf("attach %d: report holds %d races (dropped %d), want %d", attach, len(rep.Races), rep.DroppedRaces, races)
+		}
+		if len(got) != races {
+			t.Fatalf("attach %d: stream delivered %d races, want %d", attach, len(got), races)
+		}
+		for k, r := range got {
+			want := rep.Races[k]
+			if r.Addr != want.Addr || r.Kind != want.Kind || r.First != want.First || r.Second != want.Second ||
+				r.First != writers[k] || r.Second != writers[k+1] {
+				t.Fatalf("attach %d: race %d streamed as %v, report lists %v, want t%d against t%d",
+					attach, k, r, rep.Races[k], writers[k], writers[k+1])
+			}
+		}
+	}
+}

@@ -9,9 +9,12 @@ import (
 	"repro/sp"
 )
 
-// RaceJSON is one detected race in the shutdown report: the raced
-// (dense) location and the two access sites as "file.go:line" strings
-// from the original, uninstrumented source.
+// RaceJSON is one row of the shutdown report: every detected race with
+// one access kind and site pair (sp.RaceKey). The sites are
+// "file.go:line" strings from the original, uninstrumented source, or
+// "x<addr>" for an access announced without one. Count is the number
+// of races the row stands for; Addr (a dense location) and the thread
+// IDs First and Second are those of the first of them.
 type RaceJSON struct {
 	Addr       uint64 `json:"addr"`
 	Kind       string `json:"kind"`
@@ -19,11 +22,14 @@ type RaceJSON struct {
 	Second     int64  `json:"second"`
 	FirstSite  string `json:"firstSite,omitempty"`
 	SecondSite string `json:"secondSite,omitempty"`
+	Count      int64  `json:"count"`
 }
 
 // ReportJSON is the machine-readable outcome an instrumented binary
 // writes at shutdown (SPSYNC_REPORT). The differential harness parses
-// it to obtain the sp verdict: Racy == len(Races) > 0.
+// it to obtain the sp verdict: Racy == len(Races) > 0. Races holds one
+// row per site pair, in the order the monitor's report first lists
+// each; Locations lists every raced location.
 type ReportJSON struct {
 	Backend   string     `json:"backend"`
 	LockAware bool       `json:"lockAware"`
@@ -72,20 +78,16 @@ func (e *engine) buildReport(rep sp.Report, traceErr error) ReportJSON {
 	if traceErr != nil {
 		out.TraceErr = traceErr.Error()
 	}
-	for _, r := range rep.Races {
-		j := RaceJSON{
-			Addr:   r.Addr,
-			Kind:   r.Kind.String(),
-			First:  int64(r.First),
-			Second: int64(r.Second),
-		}
-		if r.FirstSite != nil {
-			j.FirstSite = fmt.Sprint(r.FirstSite)
-		}
-		if r.SecondSite != nil {
-			j.SecondSite = fmt.Sprint(r.SecondSite)
-		}
-		out.Races = append(out.Races, j)
+	for _, row := range sp.Tally(rep.Races) {
+		out.Races = append(out.Races, RaceJSON{
+			Addr:       row.Race.Addr,
+			Kind:       row.Key.Kind.String(),
+			First:      int64(row.Race.First),
+			Second:     int64(row.Race.Second),
+			FirstSite:  row.Key.First,
+			SecondSite: row.Key.Second,
+			Count:      row.Count,
+		})
 	}
 	return out
 }
@@ -96,7 +98,8 @@ func (e *engine) buildReport(rep sp.Report, traceErr error) ReportJSON {
 func (e *engine) lockAware() bool { return e.lockAwareFlag }
 
 // emitReport writes the JSON report to the configured path, or a
-// one-line summary to stderr when no path is set.
+// one-line summary to stderr when no path is set: races= counts the
+// races detected, rows= the report rows they group into.
 func (e *engine) emitReport(rep sp.Report, traceErr error) {
 	out := e.buildReport(rep, traceErr)
 	if e.reportPath != "" {
@@ -106,8 +109,8 @@ func (e *engine) emitReport(rep sp.Report, traceErr error) {
 		return
 	}
 	fmt.Fprintf(os.Stderr,
-		"spsync: backend=%s races=%d locations=%d threads=%d forks=%d joins=%d puts=%d gets=%d accesses=%d orphans=%d unjoined=%d unjoinable=%d\n",
-		out.Backend, len(out.Races), len(out.Locations), out.Threads, out.Forks, out.Joins,
+		"spsync: backend=%s races=%d rows=%d locations=%d threads=%d forks=%d joins=%d puts=%d gets=%d accesses=%d orphans=%d unjoined=%d unjoinable=%d\n",
+		out.Backend, len(rep.Races), len(out.Races), len(out.Locations), out.Threads, out.Forks, out.Joins,
 		out.Puts, out.Gets, out.Accesses, out.Orphans, out.Unjoined, out.Unjoinable)
 }
 

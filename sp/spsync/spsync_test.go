@@ -3,10 +3,13 @@ package spsync
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -337,11 +340,74 @@ func TestReportJSONShape(t *testing.T) {
 	if !rep.Racy || rep.Backend != "depa" || !rep.LockAware || len(rep.Locations) == 0 {
 		t.Fatalf("report header wrong: %+v", rep)
 	}
+	var count int64
 	for _, r := range rep.Races {
-		if r.FirstSite == "" || r.SecondSite == "" {
-			t.Fatalf("race missing sites: %+v", r)
+		if r.FirstSite == "" || r.SecondSite == "" || r.Count < 1 {
+			t.Fatalf("row missing sites or count: %+v", r)
+		}
+		count += r.Count
+	}
+	if count != int64(len(raw.Races)) || !bytes.Contains(data, []byte(`"count":`)) {
+		t.Fatalf("row counts sum to %d, want the %d races", count, len(raw.Races))
+	}
+}
+
+// TestReportRowsPerSitePair runs eight goroutines bumping one shared
+// cell at one site under the lock-aware protocol, which logs a race per
+// parallel pair of conflicting accesses: the report must hold one row
+// per (kind, first site, second site), whose counts add up to the
+// monitor's races, and the stderr summary must count both.
+func TestReportRowsPerSitePair(t *testing.T) {
+	for _, backend := range []string{"sp-hybrid", "depa", "sp-order"} {
+		e, restore, err := swapEngine(Options{Backend: backend, LockAware: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		racyFanout(t, 8)
+		restore()
+		raw := e.reportOf()
+		out := e.buildReport(raw, nil)
+		type key struct{ kind, first, second string }
+		rows := map[key]bool{}
+		var count int64
+		for _, r := range out.Races {
+			k := key{r.Kind, r.FirstSite, r.SecondSite}
+			if rows[k] || r.Count < 1 {
+				t.Fatalf("%s: row %+v repeated or empty in %+v", backend, r, out.Races)
+			}
+			rows[k] = true
+			count += r.Count
+		}
+		if count != int64(len(raw.Races)) || len(out.Races) >= len(raw.Races) {
+			t.Fatalf("%s: %d rows counting %d races, want fewer rows counting all %d", backend, len(out.Races), count, len(raw.Races))
+		}
+		if !out.Racy || !reflect.DeepEqual(out.Locations, raw.Locations) {
+			t.Fatalf("%s: racy %v locations %v, want racy with the monitor's %v", backend, out.Racy, out.Locations, raw.Locations)
+		}
+		stderr := captureStderr(t, func() { e.emitReport(raw, nil) })
+		if want := fmt.Sprintf(" races=%d rows=%d ", len(raw.Races), len(out.Races)); !strings.Contains(stderr, want) {
+			t.Fatalf("%s: stderr summary %q does not contain %q", backend, stderr, want)
 		}
 	}
+}
+
+// captureStderr returns what f writes to os.Stderr.
+func captureStderr(t *testing.T, f func()) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev := os.Stderr
+	os.Stderr = w
+	f()
+	os.Stderr = prev
+	w.Close()
+	out, err := io.ReadAll(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out)
 }
 
 // TestDenseAddressInterning pins that distinct objects get distinct

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -20,6 +21,20 @@ import (
 // is flagged iff some race exists on it — does not.
 func raceSignature(rep sp.Report) []uint64 {
 	return append([]uint64(nil), rep.Locations...)
+}
+
+// checkLocations holds a report's Locations to their definition: the
+// sorted distinct addresses of its Races.
+func checkLocations(t *testing.T, what string, rep sp.Report) {
+	t.Helper()
+	var want []uint64
+	for _, r := range rep.Races {
+		want = append(want, r.Addr)
+	}
+	slices.Sort(want)
+	if want = slices.Compact(want); !slices.Equal(rep.Locations, want) {
+		t.Fatalf("%s: Locations %v, want the distinct race addresses %v", what, rep.Locations, want)
+	}
 }
 
 // TestStressScenariosConcurrent hammers one live sp-hybrid monitor per

@@ -1,7 +1,6 @@
 package traced
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 	"time"
@@ -9,31 +8,13 @@ import (
 	"repro/sp"
 )
 
-// RaceKey identifies one deduplicated race across the fleet: the two
-// access sites and the access pattern. Site metadata comes from the
-// trace's interned site strings; a site-less access falls back to the
-// raced address, so site-less traces still deduplicate per location.
-type RaceKey struct {
-	Kind   sp.AccessKind
-	First  string
-	Second string
-}
+// RaceKey identifies one deduplicated race across the fleet (see
+// sp.RaceKey): the two access sites and the access pattern, or the
+// raced address for a side without a site.
+type RaceKey = sp.RaceKey
 
-// SiteOf renders one side of a race as a dedup site: the access's site
-// metadata when present, "x<addr>" otherwise.
-func SiteOf(site any, addr uint64) string {
-	if site != nil {
-		if s := fmt.Sprint(site); s != "" {
-			return s
-		}
-	}
-	return fmt.Sprintf("x%d", addr)
-}
-
-// KeyOf computes the dedup key of a detected race.
-func KeyOf(r sp.Race) RaceKey {
-	return RaceKey{Kind: r.Kind, First: SiteOf(r.FirstSite, r.Addr), Second: SiteOf(r.SecondSite, r.Addr)}
-}
+// KeyOf computes the dedup key of a detected race (sp.KeyOf).
+func KeyOf(r sp.Race) RaceKey { return sp.KeyOf(r) }
 
 // RaceEntry is the aggregate of every observation of one RaceKey.
 type RaceEntry struct {
@@ -45,65 +26,50 @@ type RaceEntry struct {
 	Addr uint64 `json:"addr"`
 	// Count is the total number of observations fleet-wide.
 	Count int64 `json:"count"`
-	// Streams counts the distinct streams that observed this race.
+	// Streams counts the streams that observed this race, exactly: a
+	// stream folds its races into the table once, when it finishes.
 	Streams int `json:"streams"`
-	// FirstSeen and LastSeen bound the observations in wall time.
+	// FirstSeen and LastSeen are the finish times of the first and the
+	// latest stream that observed the race.
 	FirstSeen time.Time `json:"firstSeen"`
 	LastSeen  time.Time `json:"lastSeen"`
-	// ExampleStream names one stream that observed the race.
+	// ExampleStream names the first stream that observed the race.
 	ExampleStream string `json:"exampleStream"`
 }
 
-// dedup is the fleet-wide race table: one entry per RaceKey, insertion
-// ordered, with per-entry observation counts and stream sets.
+// dedup is the fleet-wide race table: one entry per RaceKey, in
+// first-seen order.
 type dedup struct {
 	mu      sync.Mutex
-	entries map[RaceKey]*dedupEntry
-	order   []RaceKey
-	total   int64 // observations across all entries
+	index   map[RaceKey]int // position in entries
+	entries []RaceEntry
 }
-
-type dedupEntry struct {
-	RaceEntry
-	streams map[uint64]struct{}
-}
-
-// maxStreamsPerEntry bounds the per-entry distinct-stream set; beyond
-// it the entry keeps counting observations but stops tracking new
-// stream identities (Streams then reads "at least").
-const maxStreamsPerEntry = 4096
 
 func newDedup() *dedup {
-	return &dedup{entries: map[RaceKey]*dedupEntry{}}
+	return &dedup{index: map[RaceKey]int{}}
 }
 
-// Observe folds one detected race from the given stream into the table
-// and reports whether it created a new entry.
-func (d *dedup) Observe(streamID uint64, streamName string, r sp.Race, at time.Time) bool {
-	key := KeyOf(r)
+// Fold adds one finished stream's race tally to the table under one
+// lock: each row adds its count to its entry and one to the entry's
+// stream count.
+func (d *dedup) Fold(streamName string, tally []sp.RaceCount, at time.Time) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.total++
-	e := d.entries[key]
-	fresh := e == nil
-	if fresh {
-		e = &dedupEntry{
-			RaceEntry: RaceEntry{
-				Kind: key.Kind.String(), First: key.First, Second: key.Second,
-				Addr: r.Addr, FirstSeen: at, ExampleStream: streamName,
-			},
-			streams: map[uint64]struct{}{},
+	for _, row := range tally {
+		i, ok := d.index[row.Key]
+		if !ok {
+			i = len(d.entries)
+			d.index[row.Key] = i
+			d.entries = append(d.entries, RaceEntry{
+				Kind: row.Key.Kind.String(), First: row.Key.First, Second: row.Key.Second,
+				Addr: row.Race.Addr, FirstSeen: at, ExampleStream: streamName,
+			})
 		}
-		d.entries[key] = e
-		d.order = append(d.order, key)
+		e := &d.entries[i]
+		e.Count += row.Count
+		e.Streams++
+		e.LastSeen = at
 	}
-	e.Count++
-	e.LastSeen = at
-	if _, seen := e.streams[streamID]; !seen && len(e.streams) < maxStreamsPerEntry {
-		e.streams[streamID] = struct{}{}
-	}
-	e.Streams = len(e.streams)
-	return fresh
 }
 
 // Unique returns the number of distinct race entries.
@@ -113,21 +79,12 @@ func (d *dedup) Unique() int {
 	return len(d.entries)
 }
 
-// Total returns the number of observations across all entries.
-func (d *dedup) Total() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.total
-}
-
 // Snapshot copies the table in first-seen order.
 func (d *dedup) Snapshot() []RaceEntry {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	out := make([]RaceEntry, 0, len(d.order))
-	for _, k := range d.order {
-		out = append(out, d.entries[k].RaceEntry)
-	}
+	out := make([]RaceEntry, len(d.entries))
+	copy(out, d.entries)
 	return out
 }
 

@@ -41,7 +41,8 @@ type FleetReport struct {
 
 	// RacesBySite rolls observations up per site, most-observed first.
 	RacesBySite []SiteCount `json:"racesBySite"`
-	// Entries is the deduplicated race table in first-seen order.
+	// Entries is the deduplicated race table in first-seen order. A
+	// stream's races join it when the stream finishes.
 	Entries []RaceEntry `json:"entries"`
 	// Active and Recent list in-flight and recently finished streams.
 	Active []StreamSummary `json:"active"`

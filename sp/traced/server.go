@@ -106,15 +106,16 @@ type StreamSummary struct {
 	Threads      int64 `json:"threads"`
 	PeakParallel int64 `json:"peakParallel"`
 	// Races counts this stream's race observations (before fleet-wide
-	// deduplication).
+	// deduplication). It is set when the stream finishes, when its races
+	// fold into the fleet table, and reads 0 while the stream is active.
 	Races      int64     `json:"races"`
 	StartedAt  time.Time `json:"startedAt"`
 	FinishedAt time.Time `json:"finishedAt,omitzero"`
 }
 
 // stream is one in-flight ingestion's accounting. The counters are
-// atomics because report snapshots read them while the ingest loop and
-// the race-stream consumer write them.
+// atomics because report snapshots read them while the ingest loop
+// writes them.
 type stream struct {
 	id      uint64
 	name    string
@@ -421,10 +422,10 @@ var errLimit = errors.New("stream limit exceeded")
 // the path shared by socket connections, batch-replayed trace files,
 // and tests. It always returns a summary — malformed, truncated, or
 // over-limit input fails the stream (with its partial results kept and
-// flagged) and never affects other streams or the server. Races
-// detected by the stream's monitor are folded into the fleet-wide
-// dedup table as they are found, so live reports see them while the
-// stream is still in flight.
+// flagged) and never affects other streams or the server. The races
+// the stream's monitor detected, those found before a failure
+// included, fold into the fleet-wide dedup table once, when the stream
+// finishes: live reports see a stream's races from then on.
 func (s *Server) IngestTrace(name string, r io.Reader) StreamSummary {
 	st := s.startStream(cleanName(name))
 	err := s.ingest(st, r)
@@ -453,20 +454,6 @@ func (s *Server) ingest(st *stream, r io.Reader) error {
 	if err != nil {
 		return err
 	}
-	// The race-stream consumer feeds the fleet-wide dedup table while
-	// the stream is in flight; Report below closes the stream, which
-	// ends the consumer.
-	var consumer sync.WaitGroup
-	consumer.Add(1)
-	go func() {
-		defer consumer.Done()
-		for race := range m.Races() {
-			s.dedup.Observe(st.id, st.name, race, time.Now())
-			s.observed.Add(1)
-			s.mx.racesObserved.Add(1)
-			st.races.Add(1)
-		}
-	}()
 	a := trace.NewApplier(m)
 	var pending, flushedBytes int64
 	flush := func() {
@@ -513,9 +500,15 @@ func (s *Server) ingest(st *stream, r io.Reader) error {
 		}
 	}
 	flush()
+	// The stream's races, a failed stream's partial ones included, reach
+	// the fleet table once, grouped by key: one fold per stream, however
+	// many races it logged.
 	rep := m.Report()
-	consumer.Wait()
-	st.races.Store(int64(len(rep.Races)))
+	s.dedup.Fold(st.name, sp.Tally(rep.Races), time.Now())
+	n := int64(len(rep.Races))
+	s.observed.Add(n)
+	s.mx.racesObserved.Add(n)
+	st.races.Store(n)
 	return ingestErr
 }
 

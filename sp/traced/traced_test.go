@@ -186,6 +186,83 @@ func TestDedupAcrossStreams(t *testing.T) {
 	}
 }
 
+// racyTrace records a fork whose two branches write one address at two
+// sites: one write-write race. Without the join the trace stops right
+// after the race.
+func racyTrace(t *testing.T, join bool) ([]byte, sp.Report) {
+	t.Helper()
+	var buf bytes.Buffer
+	m := sp.MustMonitor(sp.WithTrace(&buf))
+	l, r := m.Fork(m.Main())
+	m.WriteAt(l, 1, "left.go:1")
+	m.WriteAt(r, 1, "right.go:1")
+	if join {
+		m.Join(l, r)
+	}
+	rep := m.Report()
+	if err := m.TraceErr(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes(), rep
+}
+
+// TestStreamsCountedExactly ingests one racy trace 4,100 times: every
+// entry's stream count and observation count must be exact.
+func TestStreamsCountedExactly(t *testing.T) {
+	const streams = 4100
+	data, one := racyTrace(t, true)
+	s, err := traced.New(traced.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < streams; i++ {
+		if sum := s.IngestTrace(fmt.Sprintf("s%d", i), bytes.NewReader(data)); sum.State != "ok" {
+			t.Fatalf("stream %d: %+v", i, sum)
+		}
+	}
+	rep := s.Report()
+	single := keyCounts(one)
+	if len(rep.Entries) != len(single) {
+		t.Fatalf("%d entries, want %d", len(rep.Entries), len(single))
+	}
+	for _, e := range rep.Entries {
+		k := traced.RaceKey{Kind: kindOf(t, e.Kind), First: e.First, Second: e.Second}
+		if e.Streams != streams || e.Count != streams*single[k] {
+			t.Errorf("entry %v: streams %d count %d, want %d and %d", k, e.Streams, e.Count, streams, streams*single[k])
+		}
+	}
+	if want := int64(streams * len(one.Races)); rep.Races.Observed != want {
+		t.Errorf("observed %d races, want %d", rep.Races.Observed, want)
+	}
+}
+
+// TestFailedStreamKeepsRaces sends a stream whose tail is malformed
+// after its race: the stream fails, and the race found before the
+// failure still reaches the fleet table.
+func TestFailedStreamKeepsRaces(t *testing.T) {
+	data, one := racyTrace(t, false)
+	s, err := traced.New(traced.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := s.IngestTrace("broken", bytes.NewReader(append(data, 0xff))) // a reserved opcode
+	if sum.State != "failed" || sum.Races != int64(len(one.Races)) {
+		t.Fatalf("summary %+v, want failed with %d races", sum, len(one.Races))
+	}
+	rep := s.Report()
+	want := keyCounts(one)
+	if rep.Races.Observed != int64(len(one.Races)) || len(rep.Entries) != len(want) {
+		t.Fatalf("report races %+v with %d entries, want %d observations in %d entries",
+			rep.Races, len(rep.Entries), len(one.Races), len(want))
+	}
+	for _, e := range rep.Entries {
+		k := traced.RaceKey{Kind: kindOf(t, e.Kind), First: e.First, Second: e.Second}
+		if e.Count != want[k] || e.Streams != 1 || e.ExampleStream != "broken" {
+			t.Errorf("entry %+v, want count %d from the one failed stream", e, want[k])
+		}
+	}
+}
+
 // TestMalformedStreamIsolation interleaves broken streams with good
 // ones: garbage bytes, a mid-record truncation, and a bad handshake
 // each fail their own stream and nothing else.
