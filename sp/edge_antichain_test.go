@@ -11,14 +11,16 @@ import (
 )
 
 // This file pins the English-ordered antichain behind Put/Get edge
-// composition: pruneCtx and edgeOrdered against the pairwise code they
-// replaced, kept here as their oracle, and the comparison counts that
-// make a Get O(k log k) and an edge query O(log k) in the number k of
-// observed tokens.
+// composition: mergeTokens, dropPreceding and edgeOrdered against the
+// pairwise code they replaced, kept here as their oracle, and the
+// comparison counts that make a Put or a one-token Get O(log k), a Get
+// of k tokens O(k log k), a join of two sets sharing their tokens
+// O(k), and an edge query O(log k) in the number k of observed tokens.
 
-// pruneCtxQuadratic is the pairwise pruning pruneCtx replaced: a token
-// is kept unless it repeats an earlier one, SP-precedes cur, or
-// SP-precedes any other token — O(k²) SP queries, in input order.
+// pruneCtxQuadratic is the pairwise pruning the antichain code
+// replaced: a token is kept unless it repeats an earlier one,
+// SP-precedes cur, or SP-precedes any other token — O(k²) SP queries,
+// in input order.
 func pruneCtxQuadratic(m *Monitor, tokens []ThreadID, cur ThreadID) []ThreadID {
 	var out []ThreadID
 outer:
@@ -101,19 +103,30 @@ func begunThreads(m *Monitor) []ThreadID {
 	return out
 }
 
-// drawTokens draws a token multiset from pool: 1..12 tokens with
-// replacement, a quarter of them forced repeats.
-func drawTokens(rng *rand.Rand, pool []ThreadID) []ThreadID {
-	n := 1 + rng.Intn(12)
-	out := make([]ThreadID, 0, n)
-	for len(out) < n {
-		if len(out) > 0 && rng.Intn(4) == 0 {
-			out = append(out, out[rng.Intn(len(out))])
-		} else {
-			out = append(out, pool[rng.Intn(len(pool))])
+// sortEnglish sorts distinct tokens by m's English order, in place.
+func sortEnglish(m *Monitor, set []ThreadID) []ThreadID {
+	slices.SortFunc(set, func(a, b ThreadID) int {
+		switch {
+		case a == b:
+			return 0
+		case m.englishBefore(a, b):
+			return -1
+		default:
+			return 1
 		}
+	})
+	return set
+}
+
+// drawAntichain draws a token set in the ctx form from pool: the
+// SP-maximal subset of 0..12 tokens drawn with replacement, sorted by
+// English order.
+func drawAntichain(m *Monitor, rng *rand.Rand, pool []ThreadID) []ThreadID {
+	tokens := make([]ThreadID, rng.Intn(13))
+	for i := range tokens {
+		tokens[i] = pool[rng.Intn(len(pool))]
 	}
-	return out
+	return sortEnglish(m, pruneCtxQuadratic(m, tokens, NoThread))
 }
 
 // checkAntichain holds one pruning result to the invariant edgeOrdered
@@ -133,27 +146,57 @@ func checkAntichain(t *testing.T, m *Monitor, ref func(a, b ThreadID) bool, got 
 	}
 }
 
-// checkPrune compares pruneCtx with the quadratic oracle on a few token
-// multisets drawn from pool, for getter cur, and edgeOrdered with the
-// scan over the pruned set for every begun thread.
+// sameArray reports whether two non-empty slices start at one element.
+func sameArray(p, q []ThreadID) bool { return len(p) > 0 && len(q) > 0 && &p[0] == &q[0] }
+
+// checkPrune compares mergeTokens, and dropPreceding for getter cur
+// (unless NoThread), with the quadratic oracle over the union, on a few
+// pairs of antichains drawn from pool: independent pairs, one side
+// empty, equal sets in two slices and one slice passed twice, each in
+// both argument orders. A merge that adds nothing to the longer set
+// must return that slice itself. edgeOrdered is checked against the
+// scan over each result for every begun thread.
 func checkPrune(t *testing.T, m *Monitor, ref func(a, b ThreadID) bool, rng *rand.Rand, pool []ThreadID, cur ThreadID) {
 	t.Helper()
 	if len(pool) == 0 {
 		return
 	}
 	begun := begunThreads(m)
-	for range 3 {
-		tokens := drawTokens(rng, pool)
-		want := pruneCtxQuadratic(m, tokens, cur)
-		got := m.pruneCtx(slices.Clone(tokens), cur)
-		if !slices.Equal(slices.Sorted(slices.Values(got)), slices.Sorted(slices.Values(want))) {
-			t.Fatalf("%s: pruneCtx(%v, t%d) = %v, quadratic oracle %v", m.info.Name, tokens, cur, got, want)
-		}
-		checkAntichain(t, m, ref, got)
-		r := hbRel{m: m, st: &threadState{ctx: got}}
-		for _, prev := range begun {
-			if g, w := r.edgeOrdered(prev), edgeOrderedScan(m, got, prev); g != w {
-				t.Fatalf("%s: edgeOrdered(t%d) over %v = %v, scan %v", m.info.Name, prev, got, g, w)
+	a, b := drawAntichain(m, rng, pool), drawAntichain(m, rng, pool)
+	pairs := [][2][]ThreadID{{a, b}, {a, nil}, {a, slices.Clone(a)}, {a, a}}
+	for _, p := range pairs {
+		for _, args := range [][2][]ThreadID{p, {p[1], p[0]}} {
+			x, y := args[0], args[1]
+			union := append(slices.Clone(x), y...)
+			want := sortEnglish(m, pruneCtxQuadratic(m, union, NoThread))
+			got := m.mergeTokens(x, y)
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s: mergeTokens(%v, %v) = %v, quadratic oracle %v", m.info.Name, x, y, got, want)
+			}
+			longer := x
+			if len(y) > len(x) {
+				longer = y
+			}
+			if len(got) > 0 && slices.Equal(longer, want) && !sameArray(got, x) && !sameArray(got, y) {
+				t.Fatalf("%s: mergeTokens(%v, %v) copied %v, which it adds nothing to", m.info.Name, x, y, longer)
+			}
+			sets := [][]ThreadID{got}
+			if cur != NoThread {
+				want := sortEnglish(m, pruneCtxQuadratic(m, union, cur))
+				dropped := m.dropPreceding(got, cur)
+				if !slices.Equal(dropped, want) {
+					t.Fatalf("%s: dropPreceding(%v, t%d) = %v, quadratic oracle %v", m.info.Name, got, cur, dropped, want)
+				}
+				sets = append(sets, dropped)
+			}
+			for _, set := range sets {
+				checkAntichain(t, m, ref, set)
+				r := hbRel{m: m, st: &threadState{ctx: set}}
+				for _, prev := range begun {
+					if g, w := r.edgeOrdered(prev), edgeOrderedScan(m, set, prev); g != w {
+						t.Fatalf("%s: edgeOrdered(t%d) over %v = %v, scan %v", m.info.Name, prev, set, g, w)
+					}
+				}
 			}
 		}
 	}
@@ -222,20 +265,29 @@ func TestEdgeAntichainOracle(t *testing.T) {
 
 // TestEdgeAntichainCost pins the cost of edge composition in depa
 // label comparisons, each of which adds one sample to the
-// sp_depa_walk_steps histogram: k parallel putters, one parallel
-// getter that Gets all k tokens in shuffled order and then reads every
-// putter's cell. The Get sorts and prunes in O(k log k) comparisons
-// (pairwise pruning paid k²), and each read's edge query binary-searches
-// the k observed tokens in O(log k) (a scan paid O(k)).
+// sp_depa_walk_steps histogram. k+3 parallel putters fork off a spine;
+// the getter at its end Gets the first k tokens in shuffled order, a
+// balanced merge of O(k log k) comparisons (pairwise pruning paid k²),
+// and reads every putter's cell, each read's edge query a binary search
+// of O(log k) (a scan paid O(k)). Then come the steps that sorting the
+// union paid O(k log k) for: a Get of a token already observed, a Get
+// of one new parallel token and a Put by the getter each take O(log k),
+// and a join of two branches whose sets share the k tokens takes one
+// pass of equality checks.
 func TestEdgeAntichainCost(t *testing.T) {
 	const k = 1024
 	logk := bits.Len(k) - 1
 	reg := metrics.NewRegistry()
 	m := MustMonitor(WithBackend("depa"), WithMetrics(reg))
 	walks := reg.Histogram("sp_depa_walk_steps", "")
+	cost := func(step func()) int64 {
+		before := walks.Count()
+		step()
+		return walks.Count() - before
+	}
 
 	getter := m.Thread(m.Main())
-	tokens := make([]ThreadID, k)
+	tokens := make([]ThreadID, k+3)
 	for i := range tokens {
 		var putter Thread
 		putter, getter = getter.Fork()
@@ -243,11 +295,10 @@ func TestEdgeAntichainCost(t *testing.T) {
 		tokens[i] = putter.ID()
 		putter.Put()
 	}
+	tokens, extra := tokens[:k], tokens[k:]
 	rand.New(rand.NewSource(1)).Shuffle(k, func(i, j int) { tokens[i], tokens[j] = tokens[j], tokens[i] })
 
-	before := walks.Count()
-	getter.Get(tokens...)
-	getCost := walks.Count() - before
+	getCost := cost(func() { getter.Get(tokens...) })
 	if limit := int64(4 * k * logk); getCost > limit {
 		t.Errorf("Get of %d parallel tokens: %d label comparisons, want ≤ 4·k·log₂k = %d", k, getCost, limit)
 	}
@@ -256,13 +307,44 @@ func TestEdgeAntichainCost(t *testing.T) {
 	}
 	worst := int64(0)
 	for i := range k {
-		before = walks.Count()
-		getter.Read(uint64(i))
-		worst = max(worst, walks.Count()-before)
+		worst = max(worst, cost(func() { getter.Read(uint64(i)) }))
 	}
 	t.Logf("k=%d: Get %d label comparisons, worst read %d", k, getCost, worst)
 	if limit := int64(2*logk + 4); worst > limit {
 		t.Errorf("read ordered by one of %d tokens: up to %d label comparisons, want ≤ 2·log₂k+4 = %d", k, worst, limit)
+	}
+
+	small := int64(8*logk + 8)
+	ctx := m.state(getter.ID()).ctx
+	observed := int64(0)
+	for _, tok := range tokens {
+		observed = max(observed, cost(func() { getter.Get(tok) }))
+	}
+	if observed > small {
+		t.Errorf("Get of a token already observed among %d: up to %d label comparisons, want ≤ 8·log₂k+8 = %d", k, observed, small)
+	}
+	if !sameArray(m.state(getter.ID()).ctx, ctx) {
+		t.Errorf("Get of tokens already observed copied the getter's set")
+	}
+	fresh := cost(func() { getter.Get(extra[0]) })
+	if fresh > small {
+		t.Errorf("Get of one new parallel token next to %d: %d label comparisons, want ≤ 8·log₂k+8 = %d", k, fresh, small)
+	}
+	put := cost(func() { getter = getter.Put() })
+	if put > small {
+		t.Errorf("Put by a getter observing %d tokens: %d label comparisons, want ≤ 8·log₂k+8 = %d", k+1, put, small)
+	}
+	left, right := getter.Fork()
+	left.Get(extra[1])
+	right.Get(extra[2])
+	var cont Thread
+	join := cost(func() { cont = left.Join(right) })
+	if join > 4*k {
+		t.Errorf("join of two sets sharing %d tokens: %d label comparisons, want ≤ 4k = %d", k+1, join, 4*k)
+	}
+	t.Logf("k=%d: Get of an observed token ≤ %d, Get of a new token %d, Put %d, join %d label comparisons", k, observed, fresh, put, join)
+	if n := len(m.state(cont.ID()).ctx); n != k+3 {
+		t.Fatalf("join continuation observes %d tokens, want all %d", n, k+3)
 	}
 	if rep := m.Report(); len(rep.Races) != 0 {
 		t.Fatalf("every read is ordered by a Get, yet %d races: %v", len(rep.Races), rep.Races[0])

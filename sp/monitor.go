@@ -178,17 +178,19 @@ type threadState struct {
 	// everything SP-preceding s is ordered before this thread too. It is
 	// an SP antichain (no token SP-precedes another, no duplicates)
 	// stored in ascending English order, hence descending Hebrew order
-	// (Lemma 1), which is what lets edgeOrdered binary-search it. Owned
-	// by the thread's goroutine — only its own Get replaces the slice
-	// (wholesale, never in place: not even sorted) — so descendants may
-	// inherit it by reference.
+	// (Lemma 1), which is what lets edgeOrdered binary-search it and
+	// mergeTokens merge it. Owned by the thread's goroutine — only its
+	// own Get replaces the slice — and never written in place, so it may
+	// be shared: fork children and join continuations inherit it by
+	// reference, and a Get that learns nothing new from a Put's snap, or
+	// starts from an empty ctx, keeps or takes that slice as it is.
 	ctx []ThreadID
-	// snap is the token set a Put publishes: the putter's ctx plus the
-	// putter itself, pruned to the same English-ordered antichain form.
-	// Written once at Put and immutable after; getters read it through
-	// the real synchronization object carrying the edge (channel
-	// send/recv, WaitGroup Done/Wait), which orders the write before
-	// every read.
+	// snap is the token set a Put publishes: the putter's ctx merged
+	// with the putter itself, in the same English-ordered antichain
+	// form. Written once at Put and immutable after, so getters' ctx
+	// slices may alias it; getters read it through the real
+	// synchronization object carrying the edge (channel send/recv,
+	// WaitGroup Done/Wait), which orders the write before every read.
 	snap []ThreadID
 	// engSeq is the thread's begin stamp on monitors that keep the
 	// English order by counting begins (see Monitor.englishBefore);
@@ -554,7 +556,9 @@ func (m *Monitor) Join(left, right ThreadID) (cont ThreadID) {
 		m.mirror.Join(left, right, cont)
 	}
 	m.bindRel(cont)
-	m.joinCtx(lst, rst, m.state(cont))
+	// An edge into either branch orders its sources before everything
+	// after the join.
+	m.state(cont).ctx = m.mergeTokens(lst.ctx, rst.ctx)
 	if m.trace != nil {
 		m.trace.Join(int64(left), int64(right))
 	}
@@ -596,7 +600,7 @@ func (m *Monitor) Put(t ThreadID) (cont ThreadID) {
 	}
 	m.checkLive(t, st, "Put")
 	m.begin(t, st)
-	st.snap = m.pruneCtx(append(append(make([]ThreadID, 0, len(st.ctx)+1), st.ctx...), t), NoThread)
+	st.snap = m.mergeTokens(st.ctx, []ThreadID{t})
 	dead, mid := m.newThread(t, true), m.newThread(t, false)
 	m.state(dead).retired.Store(true)
 	m.state(mid).retired.Store(true)
@@ -645,16 +649,16 @@ func (m *Monitor) Get(t ThreadID, tokens ...ThreadID) {
 	// Gather the tokens' published snapshots, folded into t's observed
 	// set only once every token is known to be published. The
 	// snapshot reads are ordered by the real synchronization object that
-	// carried each token; the result is always a fresh slice because
-	// t's old slice may be shared with retired ancestors.
-	merged := make([]ThreadID, 0, len(st.ctx)+len(tokens))
-	merged = append(merged, st.ctx...)
+	// carried each token. buf keeps a Get of up to three tokens off the
+	// heap.
+	var buf [4][]ThreadID
+	sets := append(buf[:0], st.ctx)
 	for _, tok := range tokens {
 		ts := m.threads.Get(int64(tok))
 		if ts == nil || ts.snap == nil {
 			panic(fmt.Sprintf("sp: Get of token t%d, which was never put", tok))
 		}
-		merged = append(merged, ts.snap...)
+		sets = append(sets, ts.snap)
 	}
 	m.begin(t, st)
 	if m.trace != nil {
@@ -664,73 +668,142 @@ func (m *Monitor) Get(t ThreadID, tokens ...ThreadID) {
 		}
 		m.trace.Get(int64(t), toks)
 	}
-	st.ctx = m.pruneCtx(merged, t)
+	// Merge the sets pairwise, balanced like a merge sort's passes, so
+	// a Get of m tokens costs O(log m) passes over their snapshots.
+	for len(sets) > 1 {
+		n := 0
+		for i := 0; i < len(sets); i += 2 {
+			if i+1 < len(sets) {
+				sets[n] = m.mergeTokens(sets[i], sets[i+1])
+			} else {
+				sets[n] = sets[i]
+			}
+			n++
+		}
+		sets = sets[:n]
+	}
+	st.ctx = m.dropPreceding(sets[0], t)
 	m.gets.Add(1)
 	if mx := m.mx; mx != nil {
 		mx.evGet.Add(1)
 	}
 }
 
-// joinCtx gives a join continuation the union of both branches'
-// observed token sets: an edge into either branch orders its sources
-// before everything after the join.
-func (m *Monitor) joinCtx(lst, rst, cst *threadState) {
-	switch {
-	case len(lst.ctx) == 0:
-		cst.ctx = rst.ctx
-	case len(rst.ctx) == 0:
-		cst.ctx = lst.ctx
-	default:
-		merged := make([]ThreadID, 0, len(lst.ctx)+len(rst.ctx))
-		merged = append(append(merged, lst.ctx...), rst.ctx...)
-		cst.ctx = m.pruneCtx(merged, NoThread)
-	}
-}
-
-// pruneCtx reduces tokens to its SP-maximal subset, deduplicated, in
-// ascending English order: a token SP-preceding another retained token
-// adds no ordering information (everything it orders, the later token
-// orders too). When cur is a begun thread rather than NoThread, tokens
-// SP-preceding cur are dropped as well — the plain SP relation already
-// orders everything they could. tokens must be a fresh slice, which
-// pruneCtx sorts and compacts in place: never a ctx or snap, which fork
-// children, join continuations and concurrent getters share.
+// mergeTokens returns the SP-maximal subset of a ∪ b in ascending
+// English order, for two token sets in the ctx form: SP antichains in
+// ascending English order. A token SP-preceding another adds no
+// ordering information (everything it orders, the later token orders
+// too). Neither input is written, and when the merge adds nothing to the
+// longer input the result is that slice itself: sets are shared, not
+// cloned.
 //
-// After sorting by English order, one walk from the English-last token
-// suffices. The kept tokens form an antichain, so the last one kept
-// (best, the English-first so far) is also the Hebrew-last, and a
-// token SP-preceding any kept token English-after it precedes best
-// (Lemma 1: it is English-before best, and Hebrew-before some token
-// that is not Hebrew-after best). A token preceding a dropped token
-// precedes whatever dropped that one. That is O(k log k) English
-// comparisons and at most 2k SP queries for k tokens. Pruning and
-// ordering queries are internal and not counted in Report.Queries.
-func (m *Monitor) pruneCtx(tokens []ThreadID, cur ThreadID) []ThreadID {
-	slices.SortFunc(tokens, func(a, b ThreadID) int {
-		switch {
-		case a == b:
-			return 0
-		case m.englishBefore(a, b):
-			return -1
-		default:
-			return 1
-		}
-	})
-	best, w := NoThread, len(tokens)
-	for i := len(tokens) - 1; i >= 0; i-- {
-		s := tokens[i]
-		if s == best || (best != NoThread && m.pairPrecedes(s, best)) ||
-			(cur != NoThread && m.pairPrecedes(s, cur)) {
+// Each token s of the shorter set b is galloped into the longer set a:
+// an exponential then a binary search from where the previous token
+// landed finds j, the first index of a not English-before s. By Lemma 1
+// a is in descending Hebrew order, so:
+//   - a[j] == s collapses, with no SP query;
+//   - otherwise s SP-precedes some token of a English-after it iff it
+//     precedes the Hebrew-last of them, a[j] — the rule edgeOrdered uses
+//     — and then it is dropped;
+//   - otherwise s stays, and the tokens of a that SP-precede it are the
+//     run just below j of those Hebrew-before it, found by galloping
+//     down from j.
+//
+// A dropped or repeated s can dominate nothing (a is an antichain), and
+// no token of a English-before the previous s can precede s (it would
+// precede that s, or whatever dropped it), so every decision is made
+// once, in one left-to-right pass, and each s costs O(log d) queries for
+// the d tokens of a it passes. A Put (|b| = 1) costs O(log |a|) queries
+// and one copy, and a token equal to the next one of a costs none, so
+// two sets sharing most tokens — a join — cost mostly equality checks.
+// Like every edge-composition query these are internal and not counted
+// in Report.Queries.
+func (m *Monitor) mergeTokens(a, b []ThreadID) []ThreadID {
+	if len(a) < len(b) {
+		a, b = b, a
+	}
+	if len(b) == 0 || (len(a) == len(b) && &a[0] == &b[0]) {
+		return a
+	}
+	// out stays nil while the result is a itself; a[:i] is settled, in
+	// out or, while out is nil, in place.
+	var out []ThreadID
+	i, from := 0, 0
+	if m.englishBefore(a[len(a)-1], b[0]) {
+		// All of b lies English-after a, as a Put's token always does in
+		// a serial run: one comparison instead of galloping from a[0].
+		from = len(a)
+	}
+	for x, s := range b {
+		j := gallopUp(max(i, from), len(a), func(j int) bool { return !m.englishBefore(a[j], s) })
+		if j < len(a) && a[j] == s {
+			j++ // s is a[j], kept as a's
+		} else if j == len(a) || !m.pairPrecedes(s, a[j]) {
+			q := gallopDown(i, j, func(q int) bool { return m.pairPrecedes(a[q], s) })
+			if out == nil {
+				// Room for every token still undecided, and no more: a
+				// thread's sets live as long as the Monitor.
+				out = append(make([]ThreadID, 0, q+1+len(a)-j+len(b)-x-1), a[:i]...)
+			}
+			out = append(append(out, a[i:q]...), s)
+			i = j
 			continue
 		}
-		w--
-		tokens[w] = s
-		best = s
+		if out != nil {
+			out = append(out, a[i:j]...)
+		}
+		i = j
 	}
-	// Copy the kept tail out rather than pin the whole candidate array:
-	// a thread's state, token sets included, lives as long as the
-	// Monitor.
-	return slices.Clone(tokens[w:])
+	if out == nil {
+		return a
+	}
+	return append(out, a[i:]...)
+}
+
+// dropPreceding returns set, a token set in the ctx form, less its
+// tokens that SP-precede the begun thread cur: the plain SP relation
+// already orders everything they could. Those tokens are English-before
+// cur, a prefix of set, and of that prefix the Hebrew-before ones, a
+// suffix of it (Lemma 1): one run ending at the prefix's last token. Two
+// searches galloping down from the end find it, so when cur is
+// English-after every token and parallel to the last — the usual Get —
+// it costs one order comparison and one SP query. set is returned
+// itself when the run is empty.
+func (m *Monitor) dropPreceding(set []ThreadID, cur ThreadID) []ThreadID {
+	hi := gallopDown(0, len(set), func(i int) bool { return !m.englishBefore(set[i], cur) })
+	if hi == 0 || !m.pairPrecedes(set[hi-1], cur) {
+		return set
+	}
+	lo := gallopDown(0, hi-1, func(i int) bool { return m.pairPrecedes(set[i], cur) })
+	return slices.Concat(set[:lo], set[hi:])
+}
+
+// gallopUp returns the first index in [lo, hi) at which f turns true,
+// or hi, for an f that is false and then true over [lo, hi). It probes
+// upward from lo with strides 1, 2, 4, … and binary-searches the last
+// stride, so a boundary d indices above lo costs O(log d) calls of f.
+func gallopUp(lo, hi int, f func(int) bool) int {
+	for step := 1; lo < hi; step *= 2 {
+		p := min(lo+step, hi) - 1
+		if f(p) {
+			return lo + sort.Search(p-lo, func(i int) bool { return f(lo + i) })
+		}
+		lo = p + 1
+	}
+	return hi
+}
+
+// gallopDown is gallopUp probing downward from hi-1: a boundary d
+// indices below hi costs O(log d) calls of f.
+func gallopDown(lo, hi int, f func(int) bool) int {
+	for step := 1; lo < hi; step *= 2 {
+		p := max(hi-step, lo)
+		if !f(p) {
+			return p + 1 + sort.Search(hi-p-1, func(i int) bool { return f(p + 1 + i) })
+		}
+		hi = p
+	}
+	return lo
 }
 
 // englishBefore reports a <_E b for two begun threads, from the most

@@ -53,12 +53,18 @@
 // English order, which by Lemma 1 is descending Hebrew order. For a
 // thread that has observed k tokens, asking whether an edge orders a
 // logically parallel past access before it is one binary search: O(log
-// k) order comparisons and one SP query. A Put, Get or Join merges and
-// prunes token sets in O(k log k) comparisons. Backends without
-// FullQueries get a correct serial fallback (a shadow english-hebrew
-// instance answers the arbitrary-pair queries edge composition needs).
-// Relation/Precedes/Parallel stay strict-SP queries; only race
-// detection consumes the edges.
+// k) order comparisons and one SP query. Put, Get and Join merge two
+// such sets in one pass that gallops each token of the smaller set into
+// the larger: a Put, which adds one token to a set of k, costs O(log k)
+// order queries plus one copy; a token both sets hold collapses with no
+// query, so a Join of two branches that share most of their tokens is
+// mostly equality checks; and a Get of m tokens merges their snapshots
+// pairwise in O(log m) passes. Sets are never written in place, so a
+// merge that adds nothing returns its input and the set is shared
+// rather than cloned. Backends without FullQueries get a correct serial
+// fallback (a shadow english-hebrew instance answers the arbitrary-pair
+// queries edge composition needs). Relation/Precedes/Parallel stay
+// strict-SP queries; only race detection consumes the edges.
 //
 // # Backends
 //
