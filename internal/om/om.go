@@ -54,7 +54,7 @@ type Item struct {
 type bucket struct {
 	label      uint64
 	prev, next *bucket
-	head, tail *Item
+	head       *Item
 	n          int
 }
 
@@ -62,9 +62,8 @@ type bucket struct {
 // insertion and O(1) worst-case queries. It is not safe for concurrent
 // use; see Concurrent for the lock-free-query variant.
 type List struct {
-	front, back *bucket
-	nBuckets    int
-	nItems      int
+	front  *bucket
+	nItems int
 
 	// Relabels counts item-relabel events (for the amortized-cost
 	// benchmarks); Splits counts bucket splits; TopRelabels counts
@@ -88,9 +87,8 @@ func (l *List) InsertFirst() *Item {
 	}
 	b := &bucket{label: 1 << (topUniverseBits - 1)}
 	it := &Item{label: math.MaxUint64 / 2, bkt: b}
-	b.head, b.tail, b.n = it, it, 1
-	l.front, l.back = b, b
-	l.nBuckets, l.nItems = 1, 1
+	b.head, b.n = it, 1
+	l.front, l.nItems = b, 1
 	return it
 }
 
@@ -121,8 +119,6 @@ func (l *List) InsertAfter(x *Item) *Item {
 		it := &Item{label: lo + (hi-lo)/2, bkt: b, prev: x, next: x.next}
 		if x.next != nil {
 			x.next.prev = it
-		} else {
-			b.tail = it
 		}
 		x.next = it
 		b.n++
@@ -170,28 +166,6 @@ func (l *List) InsertAfterN(x *Item, k int) []*Item {
 	return out
 }
 
-// Delete removes item x from the list. x must belong to this list and must
-// not be used afterwards.
-func (l *List) Delete(x *Item) {
-	b := x.bkt
-	if x.prev != nil {
-		x.prev.next = x.next
-	} else {
-		b.head = x.next
-	}
-	if x.next != nil {
-		x.next.prev = x.prev
-	} else {
-		b.tail = x.prev
-	}
-	x.prev, x.next, x.bkt = nil, nil, nil
-	b.n--
-	l.nItems--
-	if b.n == 0 {
-		l.unlinkBucket(b)
-	}
-}
-
 // Precedes reports whether x comes strictly before y in the list's order.
 // Both items must belong to this list. Precedes(x, x) is false.
 func (l *List) Precedes(x, y *Item) bool {
@@ -224,8 +198,7 @@ func (l *List) splitBucket(b *bucket) {
 	for i := 1; i < half; i++ {
 		it = it.next
 	}
-	nb := &bucket{head: it.next, tail: b.tail, n: b.n - half}
-	b.tail = it
+	nb := &bucket{head: it.next, n: b.n - half}
 	b.n = half
 	it.next.prev = nil
 	it.next = nil
@@ -244,11 +217,8 @@ func (l *List) insertBucketAfter(b, nb *bucket) {
 	nb.prev, nb.next = b, b.next
 	if b.next != nil {
 		b.next.prev = nb
-	} else {
-		l.back = nb
 	}
 	b.next = nb
-	l.nBuckets++
 	lo := b.label
 	var hi uint64
 	if nb.next != nil {
@@ -329,21 +299,6 @@ func (l *List) rebalanceTop(b *bucket) {
 		}
 	}
 	panic("om: top-level label universe exhausted")
-}
-
-func (l *List) unlinkBucket(b *bucket) {
-	if b.prev != nil {
-		b.prev.next = b.next
-	} else {
-		l.front = b.next
-	}
-	if b.next != nil {
-		b.next.prev = b.prev
-	} else {
-		l.back = b.prev
-	}
-	b.prev, b.next = nil, nil
-	l.nBuckets--
 }
 
 // Items returns the list's items in order (for tests and debugging).

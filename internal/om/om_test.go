@@ -175,55 +175,6 @@ func TestAdversarialFrontInserts(t *testing.T) {
 	}
 }
 
-func TestDelete(t *testing.T) {
-	l := NewList()
-	a := l.InsertFirst()
-	b := l.InsertAfter(a)
-	c := l.InsertAfter(b)
-	l.Delete(b)
-	if l.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", l.Len())
-	}
-	if !l.Precedes(a, c) {
-		t.Fatal("a must precede c after deleting b")
-	}
-	l.Delete(a)
-	l.Delete(c)
-	if l.Len() != 0 {
-		t.Fatalf("Len = %d, want 0", l.Len())
-	}
-	// List is reusable after emptying.
-	d := l.InsertFirst()
-	e := l.InsertAfter(d)
-	if !l.Precedes(d, e) {
-		t.Fatal("reused list order wrong")
-	}
-	if err := l.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestDeleteEntireBuckets(t *testing.T) {
-	l := NewList()
-	items := []*Item{l.InsertFirst()}
-	for i := 0; i < BucketCap*4; i++ {
-		items = append(items, l.InsertAfter(items[len(items)-1]))
-	}
-	// Delete every other item, then all the rest.
-	for i := 0; i < len(items); i += 2 {
-		l.Delete(items[i])
-	}
-	if err := l.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i < len(items); i += 2 {
-		l.Delete(items[i])
-	}
-	if l.Len() != 0 {
-		t.Fatalf("Len = %d, want 0", l.Len())
-	}
-}
-
 // TestRandomOpsAgainstReference drives the list with a random op sequence
 // and checks every pairwise order against the slice-based model.
 func TestRandomOpsAgainstReference(t *testing.T) {
@@ -241,12 +192,6 @@ func TestRandomOpsAgainstReference(t *testing.T) {
 			} else {
 				y := l.InsertBefore(x)
 				ref.insertBefore(x, y)
-			}
-			if rng.Intn(8) == 0 && len(ref.items) > 2 {
-				i := rng.Intn(len(ref.items))
-				victim := ref.items[i]
-				l.Delete(victim)
-				ref.items = append(ref.items[:i], ref.items[i+1:]...)
 			}
 		}
 		if err := l.CheckInvariants(); err != nil {

@@ -294,24 +294,13 @@ func (m *Memory[A]) Shard(i int) *Shard[A] { return &m.shards[i] }
 // ShardOf returns the shard owning addr.
 func (m *Memory[A]) ShardOf(addr uint64) *Shard[A] { return &m.shards[m.ShardIndex(addr)] }
 
-// Access applies the Nondeterminator protocol for one access by cur at
-// addr under the owning shard's lock: the one-call access path shared
-// by the serial and parallel detectors. It returns the race found, if
-// any, and adds the number of SP queries issued to *queries. rel may be
-// queried while the shard lock is held, so it must be safe to call
-// concurrently with SP-structure updates when accessors are parallel.
-func (m *Memory[A]) Access(addr uint64, rel Relative[A], cur A, site any, write bool, queries *int64) *Found[A] {
-	s := m.ShardOf(addr)
-	s.mu.Lock()
-	s.hits++
-	found := OnAccess(s.Cell(addr), rel, cur, site, write, queries)
-	s.mu.Unlock()
-	return found
-}
-
-// AccessOrdered is Access with the two-reader ordered protocol
-// (OnAccessOrdered) — the variant that stays complete under
-// concurrent, merely creation-respecting execution orders.
+// AccessOrdered applies the two-reader ordered protocol
+// (OnAccessOrdered), which stays complete under concurrent, merely
+// creation-respecting execution orders, for one access by cur at addr
+// under the owning shard's lock. It returns the race found, if any, and
+// adds the number of SP queries issued to *queries. rel may be queried
+// while the shard lock is held, so it must be safe to call concurrently
+// with SP-structure updates when accessors are parallel.
 func (m *Memory[A]) AccessOrdered(addr uint64, rel OrderedRelative[A], cur A, site any, write bool, queries *int64) *Found[A] {
 	s := m.ShardOf(addr)
 	s.mu.Lock()

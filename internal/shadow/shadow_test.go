@@ -9,11 +9,14 @@ import (
 // serialRel is a scripted SP relation for driving the protocol without
 // a real maintainer: accessors are ints, and the relation declares
 // every pair of distinct accessors parallel (the worst case) or serial,
-// per the flag.
+// per the flag. Its orders are OrderedRelative's rule for a serial
+// stream: English-before always, Hebrew-before iff precedes.
 type serialRel struct{ parallel bool }
 
-func (r serialRel) PrecedesCurrent(int) bool { return !r.parallel }
-func (r serialRel) ParallelCurrent(int) bool { return r.parallel }
+func (r serialRel) PrecedesCurrent(int) bool       { return !r.parallel }
+func (r serialRel) ParallelCurrent(int) bool       { return r.parallel }
+func (r serialRel) EnglishBeforeCurrent(int) bool  { return true }
+func (r serialRel) HebrewBeforeCurrent(p int) bool { return r.PrecedesCurrent(p) }
 
 // TestShardIndexSpreadsAdjacentAddresses pins the property the sharded
 // fast path depends on: consecutive addresses — the layout of real
@@ -58,27 +61,27 @@ func TestNewMemoryRoundsUpToPowerOfTwo(t *testing.T) {
 }
 
 // TestAccessProtocol replays the canonical protocol cases through the
-// one-call sharded Access path: write-write, write-read, read-write
+// one-call sharded AccessOrdered path: write-write, write-read, read-write
 // races under a parallel relation, and silence under a serial one.
 func TestAccessProtocol(t *testing.T) {
 	var q int64
 	m := NewMemory[int](8)
 	// Serial accessors: no races, reader handoff costs queries.
-	if f := m.Access(7, serialRel{false}, 1, nil, true, &q); f != nil {
+	if f := m.AccessOrdered(7, serialRel{false}, 1, nil, true, &q); f != nil {
 		t.Fatalf("first write raced: %+v", f)
 	}
-	if f := m.Access(7, serialRel{false}, 2, nil, true, &q); f != nil {
+	if f := m.AccessOrdered(7, serialRel{false}, 2, nil, true, &q); f != nil {
 		t.Fatalf("serial write-write raced: %+v", f)
 	}
 	// Parallel accessors on another location.
-	if f := m.Access(9, serialRel{true}, 1, "s1", true, &q); f != nil {
+	if f := m.AccessOrdered(9, serialRel{true}, 1, "s1", true, &q); f != nil {
 		t.Fatalf("first write raced: %+v", f)
 	}
-	f := m.Access(9, serialRel{true}, 2, "s2", false, &q)
+	f := m.AccessOrdered(9, serialRel{true}, 2, "s2", false, &q)
 	if f == nil || f.Kind != WriteRead || f.Prev != 1 || f.PrevSite != "s1" {
 		t.Fatalf("parallel write-read = %+v, want WriteRead by 1 at s1", f)
 	}
-	f = m.Access(9, serialRel{true}, 3, nil, true, &q)
+	f = m.AccessOrdered(9, serialRel{true}, 3, nil, true, &q)
 	if f == nil || f.Kind != WriteWrite || f.Prev != 1 {
 		t.Fatalf("parallel write-write = %+v, want WriteWrite vs 1", f)
 	}
@@ -107,7 +110,7 @@ func TestSameAddressManyGoroutines(t *testing.T) {
 			var q int64
 			found := 0
 			for i := 0; i < per; i++ {
-				if f := m.Access(42, serialRel{true}, w, nil, i%3 == 0, &q); f != nil {
+				if f := m.AccessOrdered(42, serialRel{true}, w, nil, i%3 == 0, &q); f != nil {
 					found++
 				}
 			}
@@ -138,7 +141,7 @@ func TestDistinctAddressesDistinctShards(t *testing.T) {
 			defer wg.Done()
 			var q int64
 			for a := uint64(0); a < addrs; a++ {
-				m.Access(a, serialRel{false}, w, nil, false, &q)
+				m.AccessOrdered(a, serialRel{false}, w, nil, false, &q)
 			}
 		}(w)
 	}

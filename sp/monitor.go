@@ -76,13 +76,6 @@ type Report struct {
 	// Accesses counts memory accesses; Queries counts SP queries issued
 	// (by the detection protocol and by Relation/Precedes/Parallel).
 	Accesses, Queries int64
-	// DroppedRaces counts races detected by accesses still in flight
-	// when the Races() stream closed. The stream itself is lossless: a
-	// race emitted before Report is always delivered to a draining
-	// receiver, however slow (slower receivers spill into an unbounded
-	// backlog rather than dropping). Every race — dropped from the
-	// stream or not — appears in a Report's Races.
-	DroppedRaces int64
 }
 
 // lockEntry is one recorded access in the ALL-SETS shadow space.
@@ -108,28 +101,21 @@ type lockShard struct {
 }
 
 // raceShard is one address-hashed partition of the race log. Detected
-// races append under the owning shard's lock only; Report merges the
-// shards in index order, and the Races() stream claims races per shard
-// through the stream cursor, so emit never serializes on a global
-// mutex unless a stream listener exists.
+// races append under the owning shard's lock only, so emit never
+// serializes on a global mutex; Report merges the shards in index
+// order.
 //
 // The log is paged so that an emit never copies a race it already
 // logged: page capacities double from 1 up to racePage and a page is
 // never grown, so a shard allocates no more than one growing slice
-// would, and a racy run stops paying for copies of its whole log.
+// would, and a racy run stops paying for copies of its whole log. It
+// also lets Report copy the races outside the lock: an emit writes
+// only past the page lengths Report saw.
 type raceShard struct {
 	mu sync.Mutex
 	// pages hold the races in detection order; every page but the last
 	// is full.
 	pages [][]Race
-	// late holds races detected by accesses still in flight when Report
-	// closed the shard: they are counted in DroppedRaces, excluded from
-	// the stream, and surface only in subsequent Report snapshots.
-	late []Race
-	// The stream has claimed every race before pages[spage][soff].
-	spage, soff int
-	emitted     int64 // every emit into this shard, races and late alike
-	closed      bool  // Report has cut this shard off
 }
 
 // racePage is the capacity a shard's race-log pages double up to.
@@ -215,7 +201,7 @@ type Option func(*config)
 func WithBackend(name string) Option { return func(c *config) { c.backend = name } }
 
 // WithWorkers hints the expected number of concurrently live threads; it
-// sizes the shadow-memory sharding and the Races() stream buffer.
+// sizes the shadow-memory and race-log sharding.
 func WithWorkers(n int) Option { return func(c *config) { c.workers = n } }
 
 // WithRaceDetection toggles the Nondeterminator determinacy-race
@@ -294,16 +280,6 @@ type Monitor struct {
 	lockShards []lockShard // ALL-SETS access history, lock-aware monitors only
 
 	raceShards []raceShard // sharded race log; emit touches one shard
-	requested  atomic.Bool // Races() has been called; emits also stream
-
-	raceMu       sync.Mutex
-	backlog      []Race // races awaiting stream delivery while the channel is full
-	pumping      bool   // a pump goroutine owns stream delivery (and the close)
-	scans        int    // Races() catch-up scans still delivering; guarded by raceMu
-	raceCh       chan Race
-	streamClosed bool // guarded by raceMu; no more races will be streamed
-	chClosed     bool // guarded by raceMu; raceCh has actually been closed
-	dropped      atomic.Int64
 
 	relQueries atomic.Int64 // queries issued via Relation/Precedes/Parallel
 	forks      atomic.Int64
@@ -338,7 +314,6 @@ func NewMonitor(opts ...Option) (*Monitor, error) {
 		raceDetect: cfg.raceDetect || cfg.lockAware,
 		lockAware:  cfg.lockAware,
 		mem:        shadow.NewMemory[ThreadID](8 * cfg.workers),
-		raceCh:     make(chan Race, 64*cfg.workers),
 	}
 	m.raceShards = make([]raceShard, m.mem.NumShards())
 	if cfg.lockAware {
@@ -1122,122 +1097,21 @@ func (m *Monitor) lockAwareAccess(t ThreadID, st *threadState, addr uint64, writ
 	}
 }
 
-// emit records a race in the owning race-log shard — the only
-// synchronization on the emit path while nobody listens, so racy
-// workloads on a lock-free monitor do not funnel every race through
-// one global mutex. Once Races() has been called, the emit additionally
-// claims every race of the shard not yet streamed, its own included
-// (advancing the shard's stream cursor under the shard lock, so the
-// Races() catch-up scan and concurrent emits deliver each race exactly
-// once), and streams them. A race detected after Report
-// closed the shard — an access still in flight on a lock-free monitor —
-// lands in the shard's late list and counts as dropped.
+// emit logs a race in the owning race-log shard, the only
+// synchronization on the emit path, so racy workloads on a lock-free
+// monitor do not funnel every race through one global mutex. A race
+// found by an access still in flight when Report ran is logged like
+// any other and appears in the next Report.
 func (m *Monitor) emit(r Race) {
 	idx := m.mem.ShardIndex(r.Addr)
 	sh := &m.raceShards[idx]
 	sh.mu.Lock()
-	sh.emitted++ // single source: every emit, races and late alike
-	if sh.closed {
-		sh.late = append(sh.late, r)
-		sh.mu.Unlock()
-		if mx := m.mx; mx != nil {
-			mx.racesEmitted.Add(1)
-			mx.racesDropped.Add(1)
-			mx.raceShardEmits[idx].Add(1)
-		}
-		return
-	}
 	sh.add(r)
 	if mx := m.mx; mx != nil {
 		mx.racesEmitted.Add(1)
 		mx.raceShardEmits[idx].Add(1)
 	}
-	if !m.requested.Load() {
-		sh.mu.Unlock()
-		return
-	}
-	// Deliver the shard's whole unstreamed tail, not just r: races logged
-	// before requested flipped may not have been caught up by Races()
-	// yet, and advancing the cursor past them would lose them. Deliver
-	// while still holding the shard lock so the stream preserves the
-	// shard's detection order (lock order: race shard, then raceMu).
-	m.streamShard(sh)
 	sh.mu.Unlock()
-}
-
-// streamShard delivers every race of sh the stream has not claimed yet,
-// in detection order, and moves the shard's cursor past them. The
-// caller holds sh.mu.
-func (m *Monitor) streamShard(sh *raceShard) {
-	for sh.spage < len(sh.pages) {
-		p := sh.pages[sh.spage]
-		for _, r := range p[sh.soff:] {
-			m.deliver(r)
-		}
-		if len(p) < cap(p) {
-			sh.soff = len(p) // the last page, still filling
-			return
-		}
-		sh.spage, sh.soff = sh.spage+1, 0
-	}
-}
-
-// deliver streams one race to the Races() channel: a direct non-blocking
-// send while the stream is caught up, the unbounded backlog (drained in
-// FIFO order by a pump goroutine) otherwise, so a race is never dropped.
-// Callers may hold a race-shard lock; deliver takes only raceMu.
-func (m *Monitor) deliver(r Race) {
-	m.raceMu.Lock()
-	defer m.raceMu.Unlock()
-	if m.chClosed {
-		// Unreachable: Report closes every shard before it closes the
-		// stream, and a catch-up scan holds the stream open (scans).
-		// Kept as the send-on-closed-channel backstop.
-		m.dropped.Add(1)
-		return
-	}
-	if !m.pumping && len(m.backlog) == 0 {
-		select {
-		case m.raceCh <- r:
-			return
-		default:
-		}
-	}
-	m.backlog = append(m.backlog, r)
-	if !m.pumping {
-		m.pumping = true
-		go m.pump()
-	}
-}
-
-// pump drains the race backlog into the stream with blocking sends. It
-// exits when the backlog is empty, closing the channel if Report ran
-// while the pump owned delivery.
-func (m *Monitor) pump() {
-	for {
-		m.raceMu.Lock()
-		if len(m.backlog) == 0 {
-			m.pumping = false
-			m.backlog = nil
-			m.closeStream()
-			m.raceMu.Unlock()
-			return
-		}
-		r := m.backlog[0]
-		m.backlog = m.backlog[1:]
-		m.raceMu.Unlock()
-		m.raceCh <- r
-	}
-}
-
-// closeStream closes the race channel once Report has run, a listener
-// exists, and nothing still has races to deliver: no backlog, no pump,
-// and no Races() catch-up scan in flight. The caller holds raceMu.
-func (m *Monitor) closeStream() {
-	if m.streamClosed && m.requested.Load() && !m.chClosed && !m.pumping && len(m.backlog) == 0 && m.scans == 0 {
-		m.chClosed = true
-		close(m.raceCh)
-	}
 }
 
 // TraceErr returns the sticky error of the WithTrace recorder: nil
@@ -1250,34 +1124,6 @@ func (m *Monitor) TraceErr() error {
 		return nil
 	}
 	return m.trace.Flush()
-}
-
-// Races returns the streaming race channel. Races are delivered as
-// they are detected and never dropped: a slow receiver backs the
-// stream up into an unbounded backlog, drained per shard in detection
-// order. Races detected before the first Races() call are caught up
-// here, shard by shard (a monitor whose Races() is never called keeps
-// them in the sharded log only; no goroutine waits on an unread
-// stream). The channel is closed once Report has run and every claimed
-// race has been delivered — a monitor that detected more races than
-// the stream buffer holds needs its channel drained for the close to
-// happen.
-func (m *Monitor) Races() <-chan Race {
-	m.raceMu.Lock()
-	m.scans++
-	m.raceMu.Unlock()
-	m.requested.Store(true)
-	for i := range m.raceShards {
-		sh := &m.raceShards[i]
-		sh.mu.Lock()
-		m.streamShard(sh)
-		sh.mu.Unlock()
-	}
-	m.raceMu.Lock()
-	m.scans--
-	m.closeStream()
-	m.raceMu.Unlock()
-	return m.raceCh
 }
 
 // Relation returns the SP relationship between threads a and b. Both
@@ -1307,9 +1153,11 @@ func (m *Monitor) Precedes(a, b ThreadID) bool { return m.Relation(a, b) == Prec
 // Parallel reports a ∥ b (same preconditions as Relation).
 func (m *Monitor) Parallel(a, b ThreadID) bool { return m.Relation(a, b) == Parallel }
 
-// Report finalizes the run and returns the aggregate outcome. The
-// Races() channel is closed (after any backlogged races drain); further
-// events panic. Report may be called more than once.
+// Report finalizes the run and returns the aggregate outcome; further
+// events panic. Report may be called more than once. On a lock-free
+// monitor an access can still be in flight when Report runs: its race
+// is logged like any other and appears in the next Report, after every
+// race this one listed.
 func (m *Monitor) Report() Report {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -1317,39 +1165,21 @@ func (m *Monitor) Report() Report {
 	if m.trace != nil {
 		m.trace.Flush()
 	}
-	// Close every race-log shard, then snapshot it: an emit racing this
-	// loop either lands its race in the snapshot (it held the shard lock
-	// first) or in the late list (counted as dropped). Closing all
-	// shards before touching the stream state means no new race can be
-	// claimed for the stream once streamClosed is set.
-	// DroppedRaces is derived from the same per-shard snapshot as the
-	// race list itself (late entries are exactly the post-close emits),
-	// plus the deliver backstop — one layer, so the count can never
-	// disagree with the races actually reported. A closed shard's pages
-	// never change again and its late list only grows past the
-	// snapshot's length, so the snapshots are read after the locks drop.
-	snaps := make([]struct {
-		pages [][]Race
-		late  []Race
-	}, len(m.raceShards))
+	// Snapshot each shard's page headers under its lock; the last page's
+	// header still grows, so the snapshot is a copy. A later emit writes
+	// only past the snapshot's lengths, so the races are copied after the
+	// locks drop.
+	snaps := make([][][]Race, len(m.raceShards))
 	total := 0
-	dropped := m.dropped.Load()
 	for i := range m.raceShards {
 		sh := &m.raceShards[i]
 		sh.mu.Lock()
-		sh.closed = true
-		snaps[i].pages, snaps[i].late = sh.pages, sh.late
-		total += int(sh.emitted)
-		dropped += int64(len(sh.late))
+		snaps[i] = slices.Clone(sh.pages)
 		sh.mu.Unlock()
+		for _, p := range snaps[i] {
+			total += len(p)
+		}
 	}
-	// With a backlog pending the close is deferred to the pump; with no
-	// listener yet, or one still catching up on the sharded log, it is
-	// deferred to the end of that Races() call.
-	m.raceMu.Lock()
-	m.streamClosed = true
-	m.closeStream()
-	m.raceMu.Unlock()
 	// One copy of every race, into a list of the exact size. Shards
 	// partition addresses, so each shard's distinct addresses are found
 	// on its own and the union needs no deduplication.
@@ -1359,12 +1189,11 @@ func (m *Monitor) Report() Report {
 	}
 	locs := []uint64{}
 	var addrs []uint64
-	for _, s := range snaps {
+	for _, pages := range snaps {
 		from := len(races)
-		for _, p := range s.pages {
+		for _, p := range pages {
 			races = append(races, p...)
 		}
-		races = append(races, s.late...)
 		addrs = addrs[:0]
 		for _, r := range races[from:] {
 			if len(addrs) == 0 || addrs[len(addrs)-1] != r.Addr {
@@ -1384,31 +1213,15 @@ func (m *Monitor) Report() Report {
 		}
 	}
 	return Report{
-		Backend:      m.info.Name,
-		Races:        races,
-		Locations:    locs,
-		Threads:      threads,
-		Forks:        m.forks.Load(),
-		Joins:        m.joins.Load(),
-		Puts:         m.puts.Load(),
-		Gets:         m.gets.Load(),
-		Accesses:     accesses,
-		Queries:      queries,
-		DroppedRaces: dropped,
+		Backend:   m.info.Name,
+		Races:     races,
+		Locations: locs,
+		Threads:   threads,
+		Forks:     m.forks.Load(),
+		Joins:     m.joins.Load(),
+		Puts:      m.puts.Load(),
+		Gets:      m.gets.Load(),
+		Accesses:  accesses,
+		Queries:   queries,
 	}
-}
-
-// raceShardEmits snapshots the per-shard emit counters — one increment
-// per emit, races and late alike, under the owning shard's lock. The
-// reconciliation invariant (pinned by a regression test): their sum
-// always equals len(Report().Races).
-func (m *Monitor) raceShardEmits() []int64 {
-	out := make([]int64, len(m.raceShards))
-	for i := range m.raceShards {
-		sh := &m.raceShards[i]
-		sh.mu.Lock()
-		out[i] = sh.emitted
-		sh.mu.Unlock()
-	}
-	return out
 }

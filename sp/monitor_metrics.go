@@ -22,16 +22,16 @@ func WithMetrics(reg *metrics.Registry) Option { return func(c *config) { c.reg 
 type monitorMetrics struct {
 	reg *metrics.Registry
 
-	evFork, evJoin, evBegin    *metrics.Counter
-	evRead, evWrite            *metrics.Counter
-	evAcquire, evRelease       *metrics.Counter
-	evPut, evGet               *metrics.Counter
-	accessFast, accessSerial   *metrics.Counter
-	queries                    *metrics.Counter
-	threads                    *metrics.Counter
-	racesEmitted, racesDropped *metrics.Counter
-	traceBytes                 *metrics.Counter
-	shardHits, raceShardEmits  []*metrics.Counter
+	evFork, evJoin, evBegin   *metrics.Counter
+	evRead, evWrite           *metrics.Counter
+	evAcquire, evRelease      *metrics.Counter
+	evPut, evGet              *metrics.Counter
+	accessFast, accessSerial  *metrics.Counter
+	queries                   *metrics.Counter
+	threads                   *metrics.Counter
+	racesEmitted              *metrics.Counter
+	traceBytes                *metrics.Counter
+	shardHits, raceShardEmits []*metrics.Counter
 }
 
 // newMonitorMetrics resolves the monitor-level instruments against reg
@@ -56,7 +56,6 @@ func newMonitorMetrics(reg *metrics.Registry, shards int) *monitorMetrics {
 		queries:      reg.Counter("sp_monitor_queries_total", "SP queries issued by the detection protocol"),
 		threads:      reg.Counter("sp_monitor_threads_total", "threads created"),
 		racesEmitted: reg.Counter("sp_monitor_races_emitted_total", "races recorded in the sharded race log"),
-		racesDropped: reg.Counter("sp_monitor_races_dropped_total", "races detected after Report closed their shard"),
 		traceBytes:   reg.Counter("sp_monitor_trace_bytes_total", "bytes flushed to the trace writer"),
 	}
 	mx.shardHits = make([]*metrics.Counter, shards)

@@ -57,10 +57,10 @@ func hammerMonitor(m *Monitor, g, per int, racy bool) {
 }
 
 // TestRaceShardEmitsReconcileReport pins the one-layer reconciliation
-// of dropped-race accounting: every emit increments the owning shard's
-// counter exactly once (races and late alike), and Report snapshots the
-// same shards, so the per-shard emit counts always sum to the length of
-// the reported race list — and the registry mirrors agree with both.
+// of the race log: every emit appends to the owning shard's pages and
+// increments that shard's registry counter exactly once, under the
+// shard lock, so the per-shard page counts, the registry mirrors and
+// the length of the reported race list all agree.
 func TestRaceShardEmitsReconcileReport(t *testing.T) {
 	g := 4 * runtime.NumCPU()
 	reg := metrics.NewRegistry()
@@ -71,29 +71,27 @@ func TestRaceShardEmitsReconcileReport(t *testing.T) {
 	if len(rep.Races) == 0 {
 		t.Fatal("planted racy cells produced no races")
 	}
-	var emits int64
-	for _, e := range m.raceShardEmits() {
-		emits += e
+	regShards := reg.CounterValues("sp_racelog_shard_emits_total")
+	if len(regShards) != len(m.raceShards) {
+		t.Fatalf("registry has %d race-log shard series, monitor %d shards", len(regShards), len(m.raceShards))
 	}
-	if emits != int64(len(rep.Races)) {
-		t.Fatalf("shard emit counters sum to %d, Report has %d races", emits, len(rep.Races))
+	var logged int64
+	for i := range m.raceShards {
+		var n int64
+		for _, p := range m.raceShards[i].pages {
+			n += int64(len(p))
+		}
+		if regShards[i] != n {
+			t.Fatalf("shard %d: registry counts %d emits, its pages hold %d races", i, regShards[i], n)
+		}
+		logged += n
 	}
-	var regEmits int64
-	for _, v := range reg.CounterValues("sp_racelog_shard_emits_total") {
-		regEmits += v
-	}
-	if regEmits != emits {
-		t.Fatalf("registry per-shard emits sum to %d, shard counters to %d", regEmits, emits)
+	if logged != int64(len(rep.Races)) {
+		t.Fatalf("race-log pages hold %d races, Report has %d", logged, len(rep.Races))
 	}
 	snap := reg.Snapshot()
-	if got := snap.Sum("sp_monitor_races_emitted_total"); got != float64(emits) {
-		t.Fatalf("races_emitted_total = %v, want %d", got, emits)
-	}
-	if rep.DroppedRaces != 0 {
-		t.Fatalf("DroppedRaces = %d with no post-Report emits", rep.DroppedRaces)
-	}
-	if got := snap.Sum("sp_monitor_races_dropped_total"); got != 0 {
-		t.Fatalf("races_dropped_total = %v, want 0", got)
+	if got := snap.Sum("sp_monitor_races_emitted_total"); got != float64(logged) {
+		t.Fatalf("races_emitted_total = %v, want %d", got, logged)
 	}
 	if got := snap.Sum("sp_monitor_access_total"); got != float64(rep.Accesses) {
 		t.Fatalf("access_total = %v, Report.Accesses = %d", got, rep.Accesses)

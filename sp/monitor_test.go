@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -14,14 +15,15 @@ import (
 
 // TestReportConcurrentWithAccesses hammers Report against in-flight
 // accesses on the lock-free backends. An access that slipped past the
-// finished check must complete without panicking (its race is dropped
-// from the stream, never sent on the closed channel); only accesses
-// that observe the finished monitor may panic, with the documented
-// message. Such late races surface in the next Report, whose Locations
-// must still be exactly the distinct addresses of its races.
+// finished check must complete without panicking and log its race like
+// any other; only accesses that observe the finished monitor may
+// panic, with the documented message. The race log is lossless: every
+// race of the first Report is in the second, in the same order, and
+// the late races are what the second adds. Each Report's Locations
+// must be exactly the distinct addresses of its races.
 func TestReportConcurrentWithAccesses(t *testing.T) {
 	for _, backend := range []string{"sp-hybrid", "depa"} {
-		late := int64(0)
+		late := 0
 		for i := 0; i < 200; i++ {
 			m := sp.MustMonitor(sp.WithBackend(backend))
 			l, r := m.Fork(m.Main())
@@ -37,9 +39,10 @@ func TestReportConcurrentWithAccesses(t *testing.T) {
 						}
 					}()
 					// Races against the sibling thread until Report
-					// finishes the monitor.
+					// finishes the monitor. Each write has its own
+					// site, so no two races are equal.
 					for j := 0; ; j++ {
-						m.Write(tid, uint64(7+j%5))
+						m.WriteAt(tid, uint64(7+j%5), j)
 						if j == 0 {
 							started.Done()
 						}
@@ -47,11 +50,22 @@ func TestReportConcurrentWithAccesses(t *testing.T) {
 				}(tid)
 			}
 			started.Wait()
-			checkLocations(t, backend, m.Report())
+			first := m.Report()
+			checkLocations(t, backend, first)
 			wg.Wait()
 			rep := m.Report()
-			late += rep.DroppedRaces
 			checkLocations(t, backend+" with the late races", rep)
+			k := 0 // races of first found in rep, in order
+			for _, r := range rep.Races {
+				if k < len(first.Races) && reflect.DeepEqual(r, first.Races[k]) {
+					k++
+				}
+			}
+			if k < len(first.Races) {
+				t.Fatalf("%s run %d: race %d of the first Report (%v) is missing from the second or out of order there",
+					backend, i, k, first.Races[k])
+			}
+			late += len(rep.Races) - len(first.Races)
 		}
 		t.Logf("%s: %d late races over 200 runs", backend, late)
 	}
@@ -96,8 +110,7 @@ func TestLiveMonitorBasics(t *testing.T) {
 
 // TestLiveMonitorDetectsRace checks every access-kind pair of two
 // parallel threads through every backend — the race and its kind, read
-// sharing staying race-free — plus the streaming channel and site-less
-// formatting.
+// sharing staying race-free — plus site-less formatting.
 func TestLiveMonitorDetectsRace(t *testing.T) {
 	cases := []struct {
 		first, second bool // write?
@@ -136,18 +149,6 @@ func TestLiveMonitorDetectsRace(t *testing.T) {
 			}
 			if got := rep.Races[0].String(); !strings.Contains(got, tc.kind.String()+" race on x7") {
 				t.Fatalf("%s: race string %q", name, got)
-			}
-			select {
-			case streamed, ok := <-m.Races():
-				if !ok || streamed.Addr != 7 {
-					t.Fatalf("%s: streamed race wrong: %v %v", name, streamed, ok)
-				}
-			default:
-				t.Fatalf("%s: race not streamed", name)
-			}
-			// Channel closes after Report.
-			if _, ok := <-m.Races(); ok {
-				t.Fatalf("%s: Races() not closed after Report", name)
 			}
 		}
 	}

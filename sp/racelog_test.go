@@ -1,0 +1,41 @@
+package sp
+
+import "testing"
+
+// TestRaceLogPagedShard grows one race-log shard across many pages:
+// every race is on one address, so on one shard. Page capacities must
+// double from 1 up to racePage, every page but the last must be full,
+// and Report must list every race once, in detection order.
+func TestRaceLogPagedShard(t *testing.T) {
+	const races = 2500 // pages of 1, 2, ..., 512 races, then three more
+	m := MustMonitor(WithWorkers(1))
+	// Each spawned thread writes x7 after the previous one did, in
+	// parallel with it: race k is between writers k and k+1.
+	var writers []ThreadID
+	cur := m.Main()
+	for k := 0; k <= races; k++ {
+		var w ThreadID
+		w, cur = m.Fork(cur)
+		m.Write(w, 7)
+		writers = append(writers, w)
+	}
+	rep := m.Report()
+	pages := m.raceShards[m.mem.ShardIndex(7)].pages
+	if len(pages) != 13 {
+		t.Fatalf("%d races fill %d pages, want 13", races, len(pages))
+	}
+	for i, p := range pages {
+		if want := min(1<<i, racePage); cap(p) != want || (i < len(pages)-1 && len(p) != want) {
+			t.Fatalf("page %d holds %d races in capacity %d, want capacity %d and full unless last",
+				i, len(p), cap(p), want)
+		}
+	}
+	if len(rep.Races) != races {
+		t.Fatalf("report holds %d races, want %d", len(rep.Races), races)
+	}
+	for k, r := range rep.Races {
+		if r.Addr != 7 || r.Kind != WriteWrite || r.First != writers[k] || r.Second != writers[k+1] {
+			t.Fatalf("race %d is %v, want write-write on x7 between t%d and t%d", k, r, writers[k], writers[k+1])
+		}
+	}
+}

