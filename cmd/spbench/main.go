@@ -1,31 +1,25 @@
 // Command spbench regenerates the paper's tables and the quantitative
-// claims of its theorems as text tables, plus the trace-driven backend
-// benchmark over the recorded workload shapes. Figure 3 and Theorem 5
-// time every registered sp backend as a bare maintainer (a
-// structure-only fork/join walk); Corollary 6 replays programs with
-// accesses through an sp.Monitor; Theorem 10 and Section 7 run the
-// scheduler-coupled SP-hybrid, the only source of steal, split, and
-// retry statistics.
+// claims of its theorems as text tables, plus the scaling of one live
+// monitor as goroutines grow. Figure 3 and Theorem 5 time every
+// registered sp backend as a bare maintainer (a structure-only
+// fork/join walk); Corollary 6 replays programs with accesses through
+// an sp.Monitor; Theorem 10 and Section 7 run the scheduler-coupled
+// SP-hybrid, the only source of steal, split, and retry statistics.
+// Replay and ingest throughput are measured by the benchmark in bench/.
 //
 // Usage:
 //
-//	spbench [-table fig3|t5|c6|t10|s7|trace|concurrent|ingest|all] [-quick] [-json]
+//	spbench [-table fig3|t5|c6|t10|s7|concurrent|all] [-quick] [-json]
 //
-// -table trace records one binary event trace per workload shape
-// (repro/internal/workload.Scenarios) and replays it through every
-// registered backend, reporting ns/event, events/sec, and the trace's
-// peak logical parallelism. -table ingest streams recorded traces into
-// an in-process sptraced server at 1, 4, and 16 concurrent streams.
-// -json emits ONLY that benchmark, as a JSON document suitable for
-// committing as BENCH_<host>.json so successive PRs accumulate a perf
-// trajectory.
+// -json emits only -table concurrent, as the JSON document committed
+// as BENCH_concurrent.json. An unknown -table, or -json with any other
+// table, exits with status 2.
 //
 // On single-CPU hosts the Theorem 10 experiment measures overhead scaling
 // (steals, retries, lock traffic) rather than wall-clock speedup.
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -33,6 +27,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -45,7 +40,6 @@ import (
 	"repro/internal/workload"
 	"repro/sp"
 	"repro/sp/metrics"
-	"repro/sp/trace"
 )
 
 // benchMetrics is the instrumentation excerpt embedded in every -json
@@ -88,57 +82,57 @@ func benchMetricsFrom(snap metrics.Snapshot) *benchMetrics {
 
 var (
 	quick          = flag.Bool("quick", false, "smaller workloads, fewer repetitions")
-	backendFlag    = flag.String("backend", "all", "restrict the Figure 3, Theorem 5, Corollary 6, and trace tables to one registered backend")
-	jsonFlag       = flag.Bool("json", false, "emit the selected benchmark (-table trace or concurrent) as JSON")
+	backendFlag    = flag.String("backend", "all", "restrict the Figure 3, Theorem 5, and Corollary 6 tables to one registered backend")
+	jsonFlag       = flag.Bool("json", false, "emit -table concurrent as JSON (the BENCH_concurrent.json schema)")
 	goroutinesFlag = flag.String("goroutines", "", "comma-separated goroutine counts for -table concurrent (default: powers of two up to max(4, NumCPU), plus NumCPU)")
 )
 
+// tables lists the -table experiments in the order -table all runs them.
+var tables = []struct {
+	name string
+	run  func()
+}{
+	{"fig3", fig3},
+	{"t5", theorem5},
+	{"c6", corollary6},
+	{"t10", theorem10},
+	{"s7", section7},
+	{"concurrent", func() { concurrentBench(false) }},
+}
+
+const tableNames = "fig3|t5|c6|t10|s7|concurrent|all"
+
 func main() {
-	table := flag.String("table", "all", "which experiment: fig3|t5|c6|t10|s7|trace|concurrent|ingest|all")
+	table := flag.String("table", "all", "which experiment: "+tableNames)
 	flag.Parse()
 
-	if *jsonFlag {
-		switch *table {
-		case "concurrent":
-			concurrentBench(true)
-		case "ingest":
-			ingestBench(true)
-		default:
-			traceBench(true)
+	var run []func()
+	for _, t := range tables {
+		if *table == t.name || *table == "all" {
+			run = append(run, t.run)
 		}
+	}
+	switch {
+	case len(run) == 0:
+		usageError("unknown table %q", *table)
+	case *jsonFlag && *table != "concurrent":
+		usageError("-json emits only -table concurrent")
+	case *jsonFlag:
+		concurrentBench(true)
 		return
 	}
 	fmt.Printf("spbench: GOMAXPROCS=%d NumCPU=%d quick=%v\n\n",
 		runtime.GOMAXPROCS(0), runtime.NumCPU(), *quick)
-	switch *table {
-	case "fig3":
-		fig3()
-	case "t5":
-		theorem5()
-	case "c6":
-		corollary6()
-	case "t10":
-		theorem10()
-	case "s7":
-		section7()
-	case "trace":
-		traceBench(false)
-	case "concurrent":
-		concurrentBench(false)
-	case "ingest":
-		ingestBench(false)
-	case "all":
-		fig3()
-		theorem5()
-		corollary6()
-		theorem10()
-		section7()
-		traceBench(false)
-		concurrentBench(false)
-		ingestBench(false)
-	default:
-		fmt.Println("unknown table:", *table)
+	for _, f := range run {
+		f()
 	}
+}
+
+// usageError reports a bad -table or -json on stderr, naming the valid
+// tables, and exits with status 2.
+func usageError(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "spbench: %s (tables: %s)\n", fmt.Sprintf(format, args...), tableNames)
+	os.Exit(2)
 }
 
 // timeIt runs f repeatedly and returns the best wall time. A GC cycle
@@ -474,114 +468,6 @@ func section7() {
 	fmt.Println()
 }
 
-// traceBenchResult is one (workload, backend) measurement of the
-// trace-driven benchmark; the JSON field names are the committed
-// BENCH_*.json schema.
-type traceBenchResult struct {
-	Workload     string  `json:"workload"`
-	Backend      string  `json:"backend"`
-	Events       int64   `json:"events"`
-	TraceBytes   int64   `json:"traceBytes"`
-	Threads      int64   `json:"threads"`
-	PeakParallel int64   `json:"peakParallel"`
-	Races        int     `json:"races"`
-	NsPerEvent   float64 `json:"nsPerEvent"`
-	EventsPerSec float64 `json:"eventsPerSec"`
-	// Metrics is the backend-internals excerpt recorded while this row
-	// ran (instrumented build; see benchMetrics).
-	Metrics *benchMetrics `json:"metrics,omitempty"`
-}
-
-// traceBenchDoc is the -json output envelope.
-type traceBenchDoc struct {
-	GoMaxProcs int                `json:"gomaxprocs"`
-	NumCPU     int                `json:"numcpu"`
-	Quick      bool               `json:"quick"`
-	Threads    int                `json:"workloadThreads"`
-	Note       string             `json:"note"`
-	Results    []traceBenchResult `json:"results"`
-}
-
-// traceBench records one trace per workload shape and replays it
-// through every registered backend, measuring whole-pipeline replay
-// cost (decode + monitor + SP maintenance + race detection) per event.
-func traceBench(jsonOut bool) {
-	n := 2048
-	if *quick {
-		n = 256
-	}
-	backends := selectedBackends()
-	doc := traceBenchDoc{
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-		Quick:      *quick,
-		Threads:    n,
-		Note: "instrumented build: monitors record into an sp/metrics registry while measured, and " +
-			"each row's metrics object excerpts backend internals (drains per event, shadow-shard " +
-			"imbalance, pending-queue high-water)",
-	}
-	if !jsonOut {
-		fmt.Println("=== Trace-driven backend benchmark (recorded event streams) ===")
-		fmt.Printf("%-12s %-20s %10s %8s %12s %14s\n",
-			"workload", "backend", "events", "peak∥", "ns/event", "events/sec")
-	}
-	for _, sc := range workload.Scenarios() {
-		var buf bytes.Buffer
-		if _, err := workload.RecordTrace(sc.Build(n, 11), &buf); err != nil {
-			fmt.Fprintf(os.Stderr, "recording %s: %v\n", sc.Name, err)
-			os.Exit(1)
-		}
-		data := buf.Bytes()
-		st, err := trace.Stat(bytes.NewReader(data))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "stat %s: %v\n", sc.Name, err)
-			os.Exit(1)
-		}
-		for _, b := range backends {
-			var rep sp.Report
-			reg := metrics.NewRegistry()
-			el := timeIt(reps(), func() {
-				var err error
-				rep, err = trace.ReplayBackend(data, b, sp.WithMetrics(reg))
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "replaying %s through %s: %v\n", sc.Name, b, err)
-					os.Exit(1)
-				}
-			})
-			nsPerEvent := float64(el.Nanoseconds()) / float64(st.Events)
-			r := traceBenchResult{
-				Workload:     sc.Name,
-				Backend:      b,
-				Events:       st.Events,
-				TraceBytes:   st.Bytes,
-				Threads:      st.Threads,
-				PeakParallel: st.PeakParallel,
-				Races:        len(rep.Races),
-				NsPerEvent:   nsPerEvent,
-				EventsPerSec: 1e9 / nsPerEvent,
-				Metrics:      benchMetricsFrom(reg.Snapshot()),
-			}
-			doc.Results = append(doc.Results, r)
-			if !jsonOut {
-				fmt.Printf("%-12s %-20s %10d %8d %12.1f %14.0f\n",
-					r.Workload, r.Backend, r.Events, r.PeakParallel, r.NsPerEvent, r.EventsPerSec)
-			}
-		}
-	}
-	if jsonOut {
-		out, err := json.MarshalIndent(doc, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Println(string(out))
-		return
-	}
-	fmt.Println("(whole-pipeline cost: trace decode + event validation + SP maintenance + race detection;")
-	fmt.Println(" commit `spbench -json` output as BENCH_<host>.json to track the trajectory)")
-	fmt.Println()
-}
-
 // concurrentBenchResult is one (workload, goroutines) measurement of
 // the live-monitor scaling benchmark; the JSON field names are the
 // committed BENCH_concurrent.json schema.
@@ -715,7 +601,7 @@ func runForkHeavyWorkload(backend string, g, iters int, reg *metrics.Registry) (
 }
 
 // concurrentGoroutineCounts parses -goroutines, defaulting to powers of
-// two up to max(4, NumCPU) plus NumCPU itself.
+// two up to max(4, NumCPU), plus NumCPU itself when it is not among them.
 func concurrentGoroutineCounts() []int {
 	if *goroutinesFlag != "" {
 		var out []int
@@ -737,7 +623,7 @@ func concurrentGoroutineCounts() []int {
 	for g := 1; g <= limit; g *= 2 {
 		out = append(out, g)
 	}
-	if n := runtime.NumCPU(); n > 1 && out[len(out)-1] != n {
+	if n := runtime.NumCPU(); !slices.Contains(out, n) {
 		out = append(out, n)
 	}
 	return out

@@ -4,7 +4,7 @@
 // Usage:
 //
 //	sptrace record  -workload name [-n threads] [-seed s] [-backend b] [-lock-aware] -o file
-//	sptrace replay  -backend name|all [-lock-aware] [-v] file
+//	sptrace replay  -backend name|all|? [-lock-aware] [-v] file
 //	sptrace send    -addr host:port|unix:path [-name s] file ...
 //	sptrace stat    file
 //	sptrace diff    fileA fileB
@@ -14,7 +14,8 @@
 // shapes), monitors its serial replay with the recording option, and
 // writes the trace. replay feeds a trace back through one registered
 // backend — or, with -backend all, through every backend, asserting
-// that all reports are identical (differential replay). send streams
+// that all reports are identical (differential replay); -backend '?'
+// lists the backends with their capabilities and bounds. send streams
 // trace files to a running sptraced server and prints each ack. stat
 // summarizes a trace without replaying it. diff compares two traces
 // event by event. selftest records one trace per workload shape and
@@ -73,7 +74,7 @@ func main() {
 func usage() {
 	fmt.Fprint(os.Stderr, `usage:
   sptrace record  -workload name [-n threads] [-seed s] [-backend b] [-lock-aware] -o file
-  sptrace replay  -backend name|all [-lock-aware] [-v] file
+  sptrace replay  -backend name|all|? [-lock-aware] [-v] file
   sptrace send    -addr host:port|unix:path [-name s] file ...
   sptrace stat    file
   sptrace diff    fileA fileB
@@ -86,6 +87,25 @@ func listWorkloads() {
 	fmt.Println("workload shapes (deterministic for a given -n and -seed):")
 	for _, sc := range workload.Scenarios() {
 		fmt.Printf("  %-12s %s\n", sc.Name, sc.Description)
+	}
+}
+
+// listBackends prints the backend registry with capabilities and bounds.
+func listBackends() {
+	fmt.Println("registered SP-maintenance backends (repro/sp):")
+	fmt.Printf("  %-18s %-10s %-9s %-12s %-28s %s\n",
+		"name", "queries", "events", "update", "query cost", "description")
+	for _, info := range sp.Backends() {
+		queries := "current"
+		if info.FullQueries {
+			queries = "any-pair"
+		}
+		order := "serial"
+		if info.AnyOrder {
+			order = "any-order"
+		}
+		fmt.Printf("  %-18s %-10s %-9s %-12s %-28s %s\n",
+			info.Name, queries, order, info.UpdateBound, info.QueryBound, info.Description)
 	}
 }
 
@@ -140,10 +160,14 @@ func cmdRecord(args []string) error {
 
 func cmdReplay(args []string) error {
 	fs := flag.NewFlagSet("replay", flag.ExitOnError)
-	backend := fs.String("backend", "sp-order", "backend name, or 'all' for differential replay")
+	backend := fs.String("backend", "sp-order", "backend name, 'all' for differential replay, or '?' to list")
 	lockAware := fs.Bool("lock-aware", false, "replay under the ALL-SETS lock-aware protocol")
 	verbose := fs.Bool("v", false, "list the detected races")
 	fs.Parse(args)
+	if *backend == "?" || *backend == "list" {
+		listBackends()
+		return nil
+	}
 	if fs.NArg() != 1 {
 		return fmt.Errorf("replay requires exactly one trace file")
 	}
@@ -159,7 +183,7 @@ func cmdReplay(args []string) error {
 		return differentialReplay(data, opts)
 	}
 	if _, ok := sp.Lookup(*backend); !ok {
-		return fmt.Errorf("unknown backend %q (available: %v, or 'all')", *backend, sp.BackendNames())
+		return fmt.Errorf("unknown backend %q (available: %v, 'all', or '?' to list)", *backend, sp.BackendNames())
 	}
 	start := time.Now()
 	rep, err := trace.ReplayBackend(data, *backend, opts...)

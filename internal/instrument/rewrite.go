@@ -6,6 +6,7 @@ import (
 	"go/token"
 	"go/types"
 	"path/filepath"
+	"slices"
 	"strconv"
 )
 
@@ -188,6 +189,9 @@ func (r *rewriter) stmt(s ast.Stmt) []ast.Stmt {
 		return out
 	case *ast.ExprStmt, *ast.SendStmt, *ast.ReturnStmt, *ast.DeferStmt, *ast.DeclStmt:
 		r.funcLitsIn(s)
+		if e := loneValue(s); e != nil {
+			return append(r.condReads(e, nil), s)
+		}
 		reads := r.collectStmt(s)
 		return append(r.readCalls(reads), s)
 	default:
@@ -267,8 +271,9 @@ func (r *rewriter) forStmt(s *ast.ForStmt) []ast.Stmt {
 	return append(pre, s)
 }
 
-// condReads returns the announcements of the shared reads condition e
-// performs, keeping only the accesses keep approves of (nil keeps all).
+// condReads returns the announcements of the shared reads e performs,
+// where e is a whole condition or a statement's lone value, keeping
+// only the accesses keep approves of (nil keeps all).
 // The right operand of && and || runs only when the left one lets it —
 // `j >= 0 && a[j] > v` must not evaluate &a[j] at j == -1 — so its
 // announcements are guarded by re-evaluating the left operand when that
@@ -295,6 +300,27 @@ func (r *rewriter) condReads(e ast.Expr, keep func(access) bool) []ast.Stmt {
 		out = append(out, &ast.IfStmt{Cond: guard, Body: &ast.BlockStmt{List: right}})
 	}
 	return out
+}
+
+// loneValue returns the one expression a return statement or a var
+// declaration evaluates, or nil when it evaluates several or none. Its
+// && and || operands are announced by condReads: with no other
+// expression in the statement, no call can change what the guard reads
+// before the value is evaluated.
+func loneValue(s ast.Stmt) ast.Expr {
+	switch s := s.(type) {
+	case *ast.ReturnStmt:
+		if len(s.Results) == 1 {
+			return s.Results[0]
+		}
+	case *ast.DeclStmt:
+		if gd, ok := s.Decl.(*ast.GenDecl); ok && len(gd.Specs) == 1 {
+			if vs, ok := gd.Specs[0].(*ast.ValueSpec); ok && len(vs.Values) == 1 {
+				return vs.Values[0]
+			}
+		}
+	}
+	return nil
 }
 
 // filterAccesses keeps the accesses keep() approves of.
@@ -357,11 +383,20 @@ func (r *rewriter) postAccesses(post ast.Stmt, loopVars map[*types.Var]bool) []a
 // assign injects reads of the RHS (and of LHS subexpressions) before,
 // and writes to the LHS targets after. Declaring stores (x := ...) are
 // not writes: nothing can race with a variable that does not exist yet.
+// A lone RHS has its && and || operands announced by condReads, unless
+// a call on the LHS could change what the guard reads before the RHS
+// is evaluated.
 func (r *rewriter) assign(s *ast.AssignStmt) []ast.Stmt {
+	lone := len(s.Rhs) == 1 && !slices.ContainsFunc(s.Lhs, exprHasCall)
 	pre, post := r.extractCallChains(s)
+	var rhs []ast.Stmt
 	var reads []access
-	for _, e := range s.Rhs {
-		reads = append(reads, r.collect(e, false)...)
+	if lone {
+		rhs = r.condReads(s.Rhs[0], nil)
+	} else {
+		for _, e := range s.Rhs {
+			reads = append(reads, r.collect(e, false)...)
+		}
 	}
 	var writes []access
 	for _, l := range s.Lhs {
@@ -376,7 +411,7 @@ func (r *rewriter) assign(s *ast.AssignStmt) []ast.Stmt {
 			}
 		}
 	}
-	out := append(pre, append(r.readCalls(reads), s)...)
+	out := append(append(pre, rhs...), append(r.readCalls(reads), s)...)
 	for i := range writes {
 		out = append(out, r.writeCall(&writes[i]))
 	}

@@ -492,3 +492,47 @@ func TestRewriteShortCircuitLoopCond(t *testing.T) {
 		t.Fatalf("want a race-free run with announced accesses, got %+v", rep)
 	}
 }
+
+// shortCircuitValue guards a[i] with && and || in a declared, an
+// assigned and a returned value, and once behind a call on the
+// assignment's left side.
+const shortCircuitValue = `package main
+
+var a = []int{3, 1, 4}
+
+var flags = make([]bool, 3)
+
+func at(k int) *bool { return &flags[k] }
+
+func check(i, n int) bool {
+	var ok = i < n && a[i] > 0
+	*at(0) = i >= n || a[i] < 0
+	flags[1] = ok || a[i] > 1
+	return i < n && a[i] > 0
+}
+
+func main() {
+	check(1, len(a))
+}
+`
+
+// TestRewriteShortCircuitValue pins the short-circuit rule outside
+// conditions: the right operand of && and || in a lone declared,
+// assigned or returned value is announced under its left operand, and
+// dropped when a call elsewhere in the statement could change what the
+// guard reads.
+func TestRewriteShortCircuitValue(t *testing.T) {
+	out, _ := rewrite(t, shortCircuitValue)
+	for _, want := range []string{
+		"if i < n {\n\t\tspsync.Read(&a[i], \"prog.go:10\")",
+		"if !(ok) {\n\t\tspsync.Read(&a[i], \"prog.go:12\")",
+		"if i < n {\n\t\tspsync.Read(&a[i], \"prog.go:13\")",
+	} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("missing guarded announcement %q in:\n%s", want, out)
+		}
+	}
+	if strings.Contains(out, `spsync.Read(&a[i], "prog.go:11")`) {
+		t.Fatalf("right operand announced past a call on the left side:\n%s", out)
+	}
+}

@@ -27,8 +27,7 @@ type FleetClient struct {
 // through the scenario registry with per-client seeds derived from
 // seed, so every client's trace is distinct but the whole fleet is
 // deterministic for (clients, threads, seed). It is the multi-client
-// scenario generator behind the sptraced integration tests and the
-// ingest benchmarks.
+// scenario generator behind the sptraced integration tests.
 func FleetTraces(clients, threads int, seed int64) ([]FleetClient, error) {
 	scs := Scenarios()
 	fleet := make([]FleetClient, 0, clients)

@@ -15,7 +15,8 @@ import (
 // trace every time — the property the differential-replay harness and
 // the trace-driven benchmarks rely on.
 type Scenario struct {
-	// Name is the CLI-facing key (sptrace -workload, spbench tables).
+	// Name is the CLI-facing key (sptrace record -workload) and the
+	// name bench/'s replay workloads select a scenario by.
 	Name string
 	// Description is a one-line summary for listings.
 	Description string

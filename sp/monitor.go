@@ -1108,7 +1108,6 @@ func (m *Monitor) emit(r Race) {
 	sh.mu.Lock()
 	sh.add(r)
 	if mx := m.mx; mx != nil {
-		mx.racesEmitted.Add(1)
 		mx.raceShardEmits[idx].Add(1)
 	}
 	sh.mu.Unlock()

@@ -29,7 +29,6 @@ type monitorMetrics struct {
 	accessFast, accessSerial  *metrics.Counter
 	queries                   *metrics.Counter
 	threads                   *metrics.Counter
-	racesEmitted              *metrics.Counter
 	traceBytes                *metrics.Counter
 	shardHits, raceShardEmits []*metrics.Counter
 }
@@ -55,7 +54,6 @@ func newMonitorMetrics(reg *metrics.Registry, shards int) *monitorMetrics {
 		accessSerial: reg.Counter("sp_monitor_access_total", "memory accesses, by dispatch path", "path", "serial"),
 		queries:      reg.Counter("sp_monitor_queries_total", "SP queries issued by the detection protocol"),
 		threads:      reg.Counter("sp_monitor_threads_total", "threads created"),
-		racesEmitted: reg.Counter("sp_monitor_races_emitted_total", "races recorded in the sharded race log"),
 		traceBytes:   reg.Counter("sp_monitor_trace_bytes_total", "bytes flushed to the trace writer"),
 	}
 	mx.shardHits = make([]*metrics.Counter, shards)
