@@ -168,6 +168,9 @@ func cmdReplay(args []string) error {
 		listBackends()
 		return nil
 	}
+	if _, ok := sp.Lookup(*backend); !ok && *backend != "all" {
+		return fmt.Errorf("unknown backend %q (available: %v, 'all', or '?' to list)", *backend, sp.BackendNames())
+	}
 	if fs.NArg() != 1 {
 		return fmt.Errorf("replay requires exactly one trace file")
 	}
@@ -181,9 +184,6 @@ func cmdReplay(args []string) error {
 	}
 	if *backend == "all" {
 		return differentialReplay(data, opts)
-	}
-	if _, ok := sp.Lookup(*backend); !ok {
-		return fmt.Errorf("unknown backend %q (available: %v, 'all', or '?' to list)", *backend, sp.BackendNames())
 	}
 	start := time.Now()
 	rep, err := trace.ReplayBackend(data, *backend, opts...)

@@ -196,9 +196,9 @@ func (c *naiveClient) ExecThread(w int, f *sched.Frame, leaf *spt.Node) {
 		}
 		c.accesses.Add(1)
 		var q int64
-		found := c.sh.AccessOrdered(uint64(st.Loc), rel, cur, leaf, st.Op == spt.Write, &q)
+		found, ok := c.sh.AccessOrdered(uint64(st.Loc), rel, cur, leaf, st.Op == spt.Write, &q)
 		c.queries.Add(q)
-		if found != nil {
+		if ok {
 			c.raceMu.Lock()
 			c.races = append(c.races, Race{Loc: st.Loc, Kind: found.Kind, First: found.PrevSite.(*spt.Node), Second: leaf})
 			c.raceMu.Unlock()

@@ -46,20 +46,20 @@ func TestOrderedReplayCatchesMaskedReader(t *testing.T) {
 	serial := &shadow.Cell[sp.ThreadID]{}
 	shadow.OnAccess(serial, rel(r2), r2, nil, false, &q)
 	shadow.OnAccess(serial, rel(r1), r1, nil, false, &q)
-	if f := shadow.OnAccess(serial, rel(w), w, nil, true, &q); f != nil {
+	if f, ok := shadow.OnAccess(serial, rel(w), w, nil, true, &q); ok {
 		t.Fatalf("one-reader protocol unexpectedly caught the race (%+v); update this test's premise", f)
 	}
 
 	// Two-reader ordered protocol through the same rel: catches r1 ∥ w.
 	ordered := &shadow.Cell[sp.ThreadID]{}
-	if f := shadow.OnAccessOrdered(ordered, rel(r2), r2, nil, false, &q); f != nil {
+	if f, ok := shadow.OnAccessOrdered(ordered, rel(r2), r2, nil, false, &q); ok {
 		t.Fatalf("first read raced: %+v", f)
 	}
-	if f := shadow.OnAccessOrdered(ordered, rel(r1), r1, nil, false, &q); f != nil {
+	if f, ok := shadow.OnAccessOrdered(ordered, rel(r1), r1, nil, false, &q); ok {
 		t.Fatalf("second read raced: %+v", f)
 	}
-	f := shadow.OnAccessOrdered(ordered, rel(w), w, nil, true, &q)
-	if f == nil || f.Kind != ReadWrite || f.Prev != r1 {
+	f, ok := shadow.OnAccessOrdered(ordered, rel(w), w, nil, true, &q)
+	if !ok || f.Kind != ReadWrite || f.Prev != r1 {
 		t.Fatalf("ordered protocol found %+v, want read-write vs r1", f)
 	}
 	if c.locks == 0 {

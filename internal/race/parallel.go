@@ -53,9 +53,9 @@ func DetectParallel(t *spt.Tree, workers int, seed int64, yield bool) (Report, s
 			case spt.Read, spt.Write:
 				atomic.AddInt64(&accesses, 1)
 				var q int64
-				found := sh.AccessOrdered(uint64(st.Loc), rel, u, nil, st.Op == spt.Write, &q)
+				found, ok := sh.AccessOrdered(uint64(st.Loc), rel, u, nil, st.Op == spt.Write, &q)
 				atomic.AddInt64(&queries, q)
-				if found != nil {
+				if ok {
 					mu.Lock()
 					races = append(races, Race{Loc: st.Loc, Kind: found.Kind, First: found.Prev, Second: u})
 					mu.Unlock()

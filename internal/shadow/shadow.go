@@ -102,6 +102,8 @@ type Cell[A comparable] struct {
 }
 
 // Found reports the race detected by one application of the protocol.
+// The protocol returns it by value with an ok flag, so detecting a race
+// allocates nothing.
 type Found[A comparable] struct {
 	Kind     AccessKind
 	Prev     A
@@ -109,33 +111,32 @@ type Found[A comparable] struct {
 }
 
 // OnAccess applies the Nondeterminator protocol for one access by cur
-// (with optional site metadata). It returns the race found, if any, and
-// adds the number of SP queries issued to *queries. The caller must hold
-// the cell's shard lock when accessors run concurrently.
-func OnAccess[A comparable](c *Cell[A], rel Relative[A], cur A, site any, write bool, queries *int64) *Found[A] {
-	var found *Found[A]
+// (with optional site metadata). It returns the race found and true, if
+// any, and adds the number of SP queries issued to *queries. The caller
+// must hold the cell's shard lock when accessors run concurrently.
+func OnAccess[A comparable](c *Cell[A], rel Relative[A], cur A, site any, write bool, queries *int64) (found Found[A], ok bool) {
 	if write {
 		if c.hasWriter && c.writer != cur {
 			*queries++
 			if rel.ParallelCurrent(c.writer) {
-				found = &Found[A]{Kind: WriteWrite, Prev: c.writer, PrevSite: c.writerSite}
+				found, ok = Found[A]{Kind: WriteWrite, Prev: c.writer, PrevSite: c.writerSite}, true
 			}
 		}
-		if found == nil && c.hasReader && c.reader != cur {
+		if !ok && c.hasReader && c.reader != cur {
 			*queries++
 			if rel.ParallelCurrent(c.reader) {
-				found = &Found[A]{Kind: ReadWrite, Prev: c.reader, PrevSite: c.readerSite}
+				found, ok = Found[A]{Kind: ReadWrite, Prev: c.reader, PrevSite: c.readerSite}, true
 			}
 		}
 		c.hasWriter = true
 		c.writer, c.writerSite = cur, site
-		return found
+		return found, ok
 	}
 	// Read access.
 	if c.hasWriter && c.writer != cur {
 		*queries++
 		if rel.ParallelCurrent(c.writer) {
-			found = &Found[A]{Kind: WriteRead, Prev: c.writer, PrevSite: c.writerSite}
+			found, ok = Found[A]{Kind: WriteRead, Prev: c.writer, PrevSite: c.writerSite}, true
 		}
 	}
 	// Keep the old reader unless it serially precedes the new one.
@@ -148,7 +149,7 @@ func OnAccess[A comparable](c *Cell[A], rel Relative[A], cur A, site any, write 
 			c.reader, c.readerSite = cur, site
 		}
 	}
-	return found
+	return found, ok
 }
 
 // OnAccessOrdered applies the two-reader variant of the protocol: the
@@ -174,36 +175,35 @@ func OnAccess[A comparable](c *Cell[A], rel Relative[A], cur A, site any, write 
 // concurrently, and rel's order answers must be exact for concurrent
 // accessors (serial streams may use the PrecedesCurrent equivalence
 // described on OrderedRelative).
-func OnAccessOrdered[A comparable](c *Cell[A], rel OrderedRelative[A], cur A, site any, write bool, queries *int64) *Found[A] {
-	var found *Found[A]
+func OnAccessOrdered[A comparable](c *Cell[A], rel OrderedRelative[A], cur A, site any, write bool, queries *int64) (found Found[A], ok bool) {
 	if write {
 		if c.hasWriter && c.writer != cur {
 			*queries++
 			if rel.ParallelCurrent(c.writer) {
-				found = &Found[A]{Kind: WriteWrite, Prev: c.writer, PrevSite: c.writerSite}
+				found, ok = Found[A]{Kind: WriteWrite, Prev: c.writer, PrevSite: c.writerSite}, true
 			}
 		}
-		if found == nil && c.hasReader && c.reader != cur {
+		if !ok && c.hasReader && c.reader != cur {
 			*queries++
 			if rel.ParallelCurrent(c.reader) {
-				found = &Found[A]{Kind: ReadWrite, Prev: c.reader, PrevSite: c.readerSite}
+				found, ok = Found[A]{Kind: ReadWrite, Prev: c.reader, PrevSite: c.readerSite}, true
 			}
 		}
-		if found == nil && c.hasReaderH && c.readerH != cur && c.readerH != c.reader {
+		if !ok && c.hasReaderH && c.readerH != cur && c.readerH != c.reader {
 			*queries++
 			if rel.ParallelCurrent(c.readerH) {
-				found = &Found[A]{Kind: ReadWrite, Prev: c.readerH, PrevSite: c.readerHSite}
+				found, ok = Found[A]{Kind: ReadWrite, Prev: c.readerH, PrevSite: c.readerHSite}, true
 			}
 		}
 		c.hasWriter = true
 		c.writer, c.writerSite = cur, site
-		return found
+		return found, ok
 	}
 	// Read access.
 	if c.hasWriter && c.writer != cur {
 		*queries++
 		if rel.ParallelCurrent(c.writer) {
-			found = &Found[A]{Kind: WriteRead, Prev: c.writer, PrevSite: c.writerSite}
+			found, ok = Found[A]{Kind: WriteRead, Prev: c.writer, PrevSite: c.writerSite}, true
 		}
 	}
 	// English-max reader (held in the primary reader slot).
@@ -226,7 +226,7 @@ func OnAccessOrdered[A comparable](c *Cell[A], rel OrderedRelative[A], cur A, si
 			c.readerH, c.readerHSite = cur, site
 		}
 	}
-	return found
+	return found, ok
 }
 
 // Shard is one address-hashed partition of a Memory: a private cell map
@@ -297,17 +297,17 @@ func (m *Memory[A]) ShardOf(addr uint64) *Shard[A] { return &m.shards[m.ShardInd
 // AccessOrdered applies the two-reader ordered protocol
 // (OnAccessOrdered), which stays complete under concurrent, merely
 // creation-respecting execution orders, for one access by cur at addr
-// under the owning shard's lock. It returns the race found, if any, and
-// adds the number of SP queries issued to *queries. rel may be queried
-// while the shard lock is held, so it must be safe to call concurrently
-// with SP-structure updates when accessors are parallel.
-func (m *Memory[A]) AccessOrdered(addr uint64, rel OrderedRelative[A], cur A, site any, write bool, queries *int64) *Found[A] {
+// under the owning shard's lock. It returns the race found and true, if
+// any, and adds the number of SP queries issued to *queries. rel may be
+// queried while the shard lock is held, so it must be safe to call
+// concurrently with SP-structure updates when accessors are parallel.
+func (m *Memory[A]) AccessOrdered(addr uint64, rel OrderedRelative[A], cur A, site any, write bool, queries *int64) (Found[A], bool) {
 	s := m.ShardOf(addr)
 	s.mu.Lock()
 	s.hits++
-	found := OnAccessOrdered(s.Cell(addr), rel, cur, site, write, queries)
+	found, ok := OnAccessOrdered(s.Cell(addr), rel, cur, site, write, queries)
 	s.mu.Unlock()
-	return found
+	return found, ok
 }
 
 // ShardHits returns the per-shard access counts (taking each shard's

@@ -67,22 +67,22 @@ func TestAccessProtocol(t *testing.T) {
 	var q int64
 	m := NewMemory[int](8)
 	// Serial accessors: no races, reader handoff costs queries.
-	if f := m.AccessOrdered(7, serialRel{false}, 1, nil, true, &q); f != nil {
+	if f, ok := m.AccessOrdered(7, serialRel{false}, 1, nil, true, &q); ok {
 		t.Fatalf("first write raced: %+v", f)
 	}
-	if f := m.AccessOrdered(7, serialRel{false}, 2, nil, true, &q); f != nil {
+	if f, ok := m.AccessOrdered(7, serialRel{false}, 2, nil, true, &q); ok {
 		t.Fatalf("serial write-write raced: %+v", f)
 	}
 	// Parallel accessors on another location.
-	if f := m.AccessOrdered(9, serialRel{true}, 1, "s1", true, &q); f != nil {
+	if f, ok := m.AccessOrdered(9, serialRel{true}, 1, "s1", true, &q); ok {
 		t.Fatalf("first write raced: %+v", f)
 	}
-	f := m.AccessOrdered(9, serialRel{true}, 2, "s2", false, &q)
-	if f == nil || f.Kind != WriteRead || f.Prev != 1 || f.PrevSite != "s1" {
+	f, ok := m.AccessOrdered(9, serialRel{true}, 2, "s2", false, &q)
+	if !ok || f.Kind != WriteRead || f.Prev != 1 || f.PrevSite != "s1" {
 		t.Fatalf("parallel write-read = %+v, want WriteRead by 1 at s1", f)
 	}
-	f = m.AccessOrdered(9, serialRel{true}, 3, nil, true, &q)
-	if f == nil || f.Kind != WriteWrite || f.Prev != 1 {
+	f, ok = m.AccessOrdered(9, serialRel{true}, 3, nil, true, &q)
+	if !ok || f.Kind != WriteWrite || f.Prev != 1 {
 		t.Fatalf("parallel write-write = %+v, want WriteWrite vs 1", f)
 	}
 	if q == 0 {
@@ -110,7 +110,7 @@ func TestSameAddressManyGoroutines(t *testing.T) {
 			var q int64
 			found := 0
 			for i := 0; i < per; i++ {
-				if f := m.AccessOrdered(42, serialRel{true}, w, nil, i%3 == 0, &q); f != nil {
+				if _, ok := m.AccessOrdered(42, serialRel{true}, w, nil, i%3 == 0, &q); ok {
 					found++
 				}
 			}
@@ -195,20 +195,20 @@ func TestOrderedProtocolCatchesMaskedReader(t *testing.T) {
 	serial := &Cell[int]{}
 	OnAccess(serial, rel(r2), r2, nil, false, &q)
 	OnAccess(serial, rel(r1), r1, nil, false, &q)
-	if f := OnAccess(serial, rel(w), w, nil, true, &q); f != nil {
+	if f, ok := OnAccess(serial, rel(w), w, nil, true, &q); ok {
 		t.Fatalf("one-reader protocol unexpectedly caught the race (%+v); update this test's premise", f)
 	}
 
 	// Two-reader ordered protocol: catches r1 ∥ w.
 	ordered := &Cell[int]{}
-	if f := OnAccessOrdered(ordered, rel(r2), r2, nil, false, &q); f != nil {
+	if f, ok := OnAccessOrdered(ordered, rel(r2), r2, nil, false, &q); ok {
 		t.Fatalf("first read raced: %+v", f)
 	}
-	if f := OnAccessOrdered(ordered, rel(r1), r1, nil, false, &q); f != nil {
+	if f, ok := OnAccessOrdered(ordered, rel(r1), r1, nil, false, &q); ok {
 		t.Fatalf("second read raced: %+v", f)
 	}
-	f := OnAccessOrdered(ordered, rel(w), w, nil, true, &q)
-	if f == nil || f.Kind != ReadWrite || f.Prev != r1 {
+	f, ok := OnAccessOrdered(ordered, rel(w), w, nil, true, &q)
+	if !ok || f.Kind != ReadWrite || f.Prev != r1 {
 		t.Fatalf("ordered protocol found %+v, want ReadWrite vs r1", f)
 	}
 }
@@ -231,9 +231,9 @@ func TestOrderedProtocolSerialEquivalence(t *testing.T) {
 		who   int
 		write bool
 	}{{1, false}, {2, false}, {3, true}} {
-		fs := OnAccess(serial, rel(step.who), step.who, nil, step.write, &q1)
-		fo := OnAccessOrdered(ordered, rel(step.who), step.who, nil, step.write, &q2)
-		if (fs != nil) != (fo != nil) {
+		fs, sok := OnAccess(serial, rel(step.who), step.who, nil, step.write, &q1)
+		fo, ook := OnAccessOrdered(ordered, rel(step.who), step.who, nil, step.write, &q2)
+		if sok != ook {
 			t.Fatalf("protocols disagree at accessor %d: serial %+v, ordered %+v", step.who, fs, fo)
 		}
 	}

@@ -1,8 +1,8 @@
 package sp
 
 import (
-	"fmt"
 	"sort"
+	"strconv"
 )
 
 // LockSet is a canonicalized (sorted, deduplicated) set of mutex IDs, as
@@ -50,17 +50,17 @@ func (a LockSet) Equal(b LockSet) bool {
 	return true
 }
 
-// String renders the set, e.g. "{m1,m3}".
-func (a LockSet) String() string {
-	if len(a) == 0 {
-		return "{}"
-	}
-	s := "{"
+// String renders the set, e.g. "{m1,m3}", or "{}" when it is empty.
+func (a LockSet) String() string { return string(a.appendText(nil)) }
+
+// appendText appends String's rendering of the set to b.
+func (a LockSet) appendText(b []byte) []byte {
+	b = append(b, '{')
 	for i, m := range a {
 		if i > 0 {
-			s += ","
+			b = append(b, ',')
 		}
-		s += fmt.Sprintf("m%d", m)
+		b = strconv.AppendInt(append(b, 'm'), int64(m), 10)
 	}
-	return s + "}"
+	return append(b, '}')
 }

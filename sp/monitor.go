@@ -5,6 +5,7 @@ import (
 	"io"
 	"slices"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -27,7 +28,10 @@ const (
 // Race is one detected determinacy race: two logically parallel threads
 // touching the same address, at least one writing. FirstSite/SecondSite
 // carry the optional per-access site metadata (ReadAt/WriteAt); the lock
-// sets are populated only under WithLockAwareness.
+// sets are populated only under WithLockAwareness. The monitor logs
+// each race as a compact 64-byte entry and builds the Race only in
+// Report, where races may share their lock sets: treat them as
+// read-only.
 type Race struct {
 	Addr          uint64
 	Kind          AccessKind
@@ -38,20 +42,47 @@ type Race struct {
 	SecondLocks   LockSet
 }
 
-// String renders the race for reports.
+// String renders the race for reports, e.g.
+// "write-read race on x7 between a.go:3 and t5".
 func (r Race) String() string {
-	name := func(t ThreadID, site any) string {
-		if site != nil {
-			return fmt.Sprint(site)
-		}
-		return fmt.Sprintf("t%d", t)
+	b, _ := r.AppendText(make([]byte, 0, 64))
+	return string(b)
+}
+
+// AppendText appends String's rendering of the race to b and returns
+// the extended buffer; it implements encoding.TextAppender, and its
+// error is always nil. Each side is its site, or t<id> when the site is
+// nil: a string site is appended as it is and any other site as
+// fmt.Sprint renders it. Lock-aware races append each side's lock set
+// after it. Only a site of some other type than string costs fmt.
+func (r Race) AppendText(b []byte) ([]byte, error) {
+	b = append(b, r.Kind.String()...)
+	b = append(b, " race on x"...)
+	b = strconv.AppendUint(b, r.Addr, 10)
+	b = append(b, " between "...)
+	lockAware := r.FirstLocks != nil || r.SecondLocks != nil
+	b = appendSide(b, r.First, r.FirstSite)
+	if lockAware {
+		b = r.FirstLocks.appendText(b)
 	}
-	if r.FirstLocks != nil || r.SecondLocks != nil {
-		return fmt.Sprintf("%s race on x%d between %s%s and %s%s", r.Kind, r.Addr,
-			name(r.First, r.FirstSite), r.FirstLocks, name(r.Second, r.SecondSite), r.SecondLocks)
+	b = append(b, " and "...)
+	b = appendSide(b, r.Second, r.SecondSite)
+	if lockAware {
+		b = r.SecondLocks.appendText(b)
 	}
-	return fmt.Sprintf("%s race on x%d between %s and %s", r.Kind, r.Addr,
-		name(r.First, r.FirstSite), name(r.Second, r.SecondSite))
+	return b, nil
+}
+
+// appendSide appends one side of a race: its site, or t<id> without one.
+func appendSide(b []byte, t ThreadID, site any) []byte {
+	switch s := site.(type) {
+	case nil:
+		return strconv.AppendInt(append(b, 't'), int64(t), 10)
+	case string:
+		return append(b, s...)
+	default:
+		return fmt.Append(b, s)
+	}
 }
 
 // Report is the final outcome of a monitoring run.
@@ -60,11 +91,12 @@ type Report struct {
 	Backend string
 	// Races lists every detected race, one element per detection,
 	// merged from the sharded race log in shard order (detection order
-	// within a shard); each Report copies the log into a fresh list of
-	// exactly this length. The merge is deterministic for a
-	// deterministic execution: an address always hashes to the same
-	// shard, so two monitored runs of the same serial event stream
-	// produce identical race lists. Tally groups them by RaceKey.
+	// within a shard); each Report builds a fresh list of exactly this
+	// length, once, from the log's compact entries. The merge is
+	// deterministic for a deterministic execution: an address always
+	// hashes to the same shard, so two monitored runs of the same serial
+	// event stream produce identical race lists. Tally groups them by
+	// RaceKey.
 	Races []Race
 	// Locations is the deduplicated, sorted set of raced addresses.
 	Locations []uint64
@@ -105,34 +137,99 @@ type lockShard struct {
 // serializes on a global mutex; Report merges the shards in index
 // order.
 //
-// The log is paged so that an emit never copies a race it already
-// logged: page capacities double from 1 up to racePage and a page is
-// never grown, so a shard allocates no more than one growing slice
-// would, and a racy run stops paying for copies of its whole log. It
-// also lets Report copy the races outside the lock: an emit writes
-// only past the page lengths Report saw.
+// Each race is one 64-byte raceEntry. A lock-aware race keeps its two
+// lock sets in the shard's pair list, and a race whose pair equals the
+// list's last pair shares that slot: the races one access finds against
+// one history, and the runs of races under one lock set, store their
+// pair once. Plain races store none.
+//
+// Both lists are paged (appendPaged) so that an emit never copies a race
+// or pair it already logged, and a racy run stops paying for copies of
+// its whole log. Paging also lets Report read the entries outside the
+// lock: an emit writes only past the page lengths Report saw.
 type raceShard struct {
 	mu sync.Mutex
-	// pages hold the races in detection order; every page but the last
-	// is full.
-	pages [][]Race
+	// pages hold the races in detection order.
+	pages [][]raceEntry
+	// pairs hold the lock-set pairs of lock-aware races.
+	pairs [][][2]LockSet
 }
 
-// racePage is the capacity a shard's race-log pages double up to.
+// raceEntry is one logged race: a Race with its lock sets moved to the
+// shard's pair list. It holds no pointer beyond the two sites.
+type raceEntry struct {
+	addr          uint64
+	first, second ThreadID
+	firstSite     any
+	secondSite    any
+	kind          AccessKind
+	// locks locates the race's lock-set pair in its shard's pairs: the
+	// page in the bits above pairShift, 1 + the index within the page
+	// below them. 0 marks a race of the plain protocol, which has none.
+	locks uint32
+}
+
+// racePage is the capacity a shard's log pages double up to.
 const racePage = 512
 
-// add logs r at the end of the shard's pages. The caller holds sh.mu.
-func (sh *raceShard) add(r Race) {
-	last := len(sh.pages) - 1
-	if last < 0 || len(sh.pages[last]) == cap(sh.pages[last]) {
+// pairShift splits raceEntry.locks; 1 + racePage fits below it.
+const pairShift = 10
+
+// appendPaged appends v to the last page of pages, opening a new page
+// when it is full: page capacities double from 1 up to racePage and a
+// page is never grown, so a list allocates no more than one growing
+// slice would and never copies an element it holds.
+func appendPaged[T any](pages [][]T, v T) [][]T {
+	last := len(pages) - 1
+	if last < 0 || len(pages[last]) == cap(pages[last]) {
 		size := 1
 		if last >= 0 {
-			size = min(2*cap(sh.pages[last]), racePage)
+			size = min(2*cap(pages[last]), racePage)
 		}
-		sh.pages = append(sh.pages, make([]Race, 0, size))
+		pages = append(pages, make([]T, 0, size))
 		last++
 	}
-	sh.pages[last] = append(sh.pages[last], r)
+	pages[last] = append(pages[last], v)
+	return pages
+}
+
+// add logs e, whose lock sets are first and second (both nil for a
+// plain race), at the end of the shard's pages. The caller holds sh.mu.
+func (sh *raceShard) add(e raceEntry, first, second LockSet) {
+	if first != nil || second != nil {
+		p := len(sh.pairs) - 1
+		if p < 0 || !samePair(sh.pairs[p][len(sh.pairs[p])-1], first, second) {
+			sh.pairs = appendPaged(sh.pairs, [2]LockSet{first, second})
+			p = len(sh.pairs) - 1
+		}
+		e.locks = uint32(p)<<pairShift | uint32(len(sh.pairs[p]))
+	}
+	sh.pages = appendPaged(sh.pages, e)
+}
+
+// samePair reports whether pair holds the lock sets first and second. A
+// nil set differs from an empty one: a race renders its lock sets iff
+// either is non-nil.
+func samePair(pair [2]LockSet, first, second LockSet) bool {
+	same := func(a, b LockSet) bool { return (a == nil) == (b == nil) && a.Equal(b) }
+	return same(pair[0], first) && same(pair[1], second)
+}
+
+// fill writes the race e logs into r, a zeroed Race, from pairs, the
+// lock-set pairs of e's shard. It writes only the fields that are not
+// zero, so a site-less plain race costs no pointer write.
+func (e *raceEntry) fill(r *Race, pairs [][][2]LockSet) {
+	r.Addr, r.Kind, r.First, r.Second = e.addr, e.kind, e.first, e.second
+	if e.firstSite != nil {
+		r.FirstSite = e.firstSite
+	}
+	if e.secondSite != nil {
+		r.SecondSite = e.secondSite
+	}
+	if e.locks != 0 {
+		pair := &pairs[e.locks>>pairShift][e.locks&(1<<pairShift-1)-1]
+		r.FirstLocks, r.SecondLocks = pair[0], pair[1]
+	}
 }
 
 // threadState is the Monitor's per-thread bookkeeping. States are
@@ -151,9 +248,13 @@ type threadState struct {
 	fork    ThreadID
 	spawned bool
 	// rel is the cached SP query view of this thread, bound at thread
-	// creation: the backend's handle (its "label/bag reference") or the
-	// by-ID adapter, wrapped in the edge composer (see bindRel).
+	// creation (see bindRel). It points at hb, the edge composer, which
+	// wraps the backend's handle (its "label/bag reference") or, on
+	// backends without handles, cur, the by-ID adapter. Both are held
+	// here by value, so binding a thread allocates nothing.
 	rel CurrentRelative
+	hb  hbRel
+	cur relCur
 	// accesses and queries are this thread's event counters; keeping
 	// them per thread keeps concurrent accesses off shared contended
 	// cache lines. Report sums them.
@@ -393,16 +494,18 @@ func (m *Monitor) newThread(fork ThreadID, spawned bool) ThreadID {
 // reference") when it hands them out, the by-ID adapter otherwise,
 // always wrapped in the hbRel composer that layers the thread's
 // observed sync-object edges over the strict SP answers. When the
-// thread has observed no edges the wrapper is one len check.
+// thread has observed no edges the wrapper is one len check. The views
+// live in the thread's state, so only a backend's handle may allocate.
 func (m *Monitor) bindRel(t ThreadID) {
 	st := m.state(t)
-	var inner CurrentRelative
 	if m.handles != nil {
-		inner = m.handles.ThreadRelative(t)
+		st.hb.inner = m.handles.ThreadRelative(t)
 	} else {
-		inner = relCur{m, t}
+		st.cur = relCur{m, t}
+		st.hb.inner = &st.cur
 	}
-	st.rel = hbRel{m, st, inner}
+	st.hb.m, st.hb.st = m, st
+	st.rel = &st.hb
 }
 
 // state returns t's bookkeeping, panicking on unknown IDs. The lookup
@@ -842,31 +945,31 @@ type hbRel struct {
 // ctx. Only tokens not English-before prev can qualify, and ctx lists
 // them as a suffix whose first token s is the Hebrew-last of them, so
 // prev precedes one of them iff it precedes s.
-func (r hbRel) edgeOrdered(prev ThreadID) bool {
+func (r *hbRel) edgeOrdered(prev ThreadID) bool {
 	ctx := r.st.ctx
 	i := sort.Search(len(ctx), func(i int) bool { return !r.m.englishBefore(ctx[i], prev) })
 	return i < len(ctx) && (ctx[i] == prev || r.m.pairPrecedes(prev, ctx[i]))
 }
 
-func (r hbRel) PrecedesCurrent(prev ThreadID) bool {
+func (r *hbRel) PrecedesCurrent(prev ThreadID) bool {
 	if r.inner.PrecedesCurrent(prev) {
 		return true
 	}
 	return len(r.st.ctx) > 0 && r.edgeOrdered(prev)
 }
 
-func (r hbRel) ParallelCurrent(prev ThreadID) bool {
+func (r *hbRel) ParallelCurrent(prev ThreadID) bool {
 	if !r.inner.ParallelCurrent(prev) {
 		return false
 	}
 	return len(r.st.ctx) == 0 || !r.edgeOrdered(prev)
 }
 
-func (r hbRel) EnglishBeforeCurrent(prev ThreadID) bool {
+func (r *hbRel) EnglishBeforeCurrent(prev ThreadID) bool {
 	return r.inner.EnglishBeforeCurrent(prev)
 }
 
-func (r hbRel) HebrewBeforeCurrent(prev ThreadID) bool {
+func (r *hbRel) HebrewBeforeCurrent(prev ThreadID) bool {
 	return r.inner.HebrewBeforeCurrent(prev)
 }
 
@@ -958,21 +1061,21 @@ type relCur struct {
 	cur ThreadID
 }
 
-func (r relCur) PrecedesCurrent(prev ThreadID) bool {
+func (r *relCur) PrecedesCurrent(prev ThreadID) bool {
 	if prev == r.cur {
 		return false
 	}
 	return r.m.backend.Precedes(prev, r.cur)
 }
 
-func (r relCur) ParallelCurrent(prev ThreadID) bool {
+func (r *relCur) ParallelCurrent(prev ThreadID) bool {
 	if prev == r.cur {
 		return false
 	}
 	return r.m.backend.Parallel(prev, r.cur)
 }
 
-func (r relCur) EnglishBeforeCurrent(prev ThreadID) bool {
+func (r *relCur) EnglishBeforeCurrent(prev ThreadID) bool {
 	if prev == r.cur {
 		return false
 	}
@@ -982,7 +1085,7 @@ func (r relCur) EnglishBeforeCurrent(prev ThreadID) bool {
 	return true
 }
 
-func (r relCur) HebrewBeforeCurrent(prev ThreadID) bool {
+func (r *relCur) HebrewBeforeCurrent(prev ThreadID) bool {
 	if prev == r.cur {
 		return false
 	}
@@ -1030,17 +1133,17 @@ func (m *Monitor) access(t ThreadID, st *threadState, addr uint64, write bool, s
 	var q int64
 	// st.rel is always bound at thread creation: the backend's handle
 	// (or by-ID adapter) wrapped in the edge composer.
-	found := m.mem.AccessOrdered(addr, st.rel, t, site, write, &q)
+	found, ok := m.mem.AccessOrdered(addr, st.rel, t, site, write, &q)
 	st.queries.Add(q)
 	if mx := m.mx; mx != nil {
 		mx.queries.Add(q)
 	}
-	if found != nil {
-		m.emit(Race{
-			Addr: addr, Kind: found.Kind,
-			First: found.Prev, Second: t,
-			FirstSite: found.PrevSite, SecondSite: site,
-		})
+	if ok {
+		m.emit(raceEntry{
+			addr: addr, kind: found.Kind,
+			first: found.Prev, second: t,
+			firstSite: found.PrevSite, secondSite: site,
+		}, nil, nil)
 	}
 }
 
@@ -1074,12 +1177,11 @@ func (m *Monitor) lockAwareAccess(t ThreadID, st *threadState, addr uint64, writ
 		case !e.write && write:
 			kind = ReadWrite
 		}
-		m.emit(Race{
-			Addr: addr, Kind: kind,
-			First: e.t, Second: t,
-			FirstSite: e.site, SecondSite: site,
-			FirstLocks: e.locks, SecondLocks: cur,
-		})
+		m.emit(raceEntry{
+			addr: addr, kind: kind,
+			first: e.t, second: t,
+			firstSite: e.site, secondSite: site,
+		}, e.locks, cur)
 	}
 	st.queries.Add(q)
 	if mx := m.mx; mx != nil {
@@ -1097,16 +1199,17 @@ func (m *Monitor) lockAwareAccess(t ThreadID, st *threadState, addr uint64, writ
 	}
 }
 
-// emit logs a race in the owning race-log shard, the only
+// emit logs a race, with lock sets first and second under the
+// lock-aware protocol, in the owning race-log shard, the only
 // synchronization on the emit path, so racy workloads on a lock-free
 // monitor do not funnel every race through one global mutex. A race
 // found by an access still in flight when Report ran is logged like
 // any other and appears in the next Report.
-func (m *Monitor) emit(r Race) {
-	idx := m.mem.ShardIndex(r.Addr)
+func (m *Monitor) emit(e raceEntry, first, second LockSet) {
+	idx := m.mem.ShardIndex(e.addr)
 	sh := &m.raceShards[idx]
 	sh.mu.Lock()
-	sh.add(r)
+	sh.add(e, first, second)
 	if mx := m.mx; mx != nil {
 		mx.raceShardEmits[idx].Add(1)
 	}
@@ -1164,39 +1267,45 @@ func (m *Monitor) Report() Report {
 	if m.trace != nil {
 		m.trace.Flush()
 	}
-	// Snapshot each shard's page headers under its lock; the last page's
-	// header still grows, so the snapshot is a copy. A later emit writes
-	// only past the snapshot's lengths, so the races are copied after the
-	// locks drop.
-	snaps := make([][][]Race, len(m.raceShards))
+	// Snapshot each shard's page headers under its lock; the last
+	// pages' headers still grow, so the snapshot is a copy. A later emit
+	// writes only past the snapshot's lengths, so the entries are read
+	// after the locks drop.
+	type shardSnap struct {
+		pages [][]raceEntry
+		pairs [][][2]LockSet
+	}
+	snaps := make([]shardSnap, len(m.raceShards))
 	total := 0
 	for i := range m.raceShards {
 		sh := &m.raceShards[i]
 		sh.mu.Lock()
-		snaps[i] = slices.Clone(sh.pages)
+		snaps[i] = shardSnap{slices.Clone(sh.pages), slices.Clone(sh.pairs)}
 		sh.mu.Unlock()
-		for _, p := range snaps[i] {
+		for _, p := range snaps[i].pages {
 			total += len(p)
 		}
 	}
-	// One copy of every race, into a list of the exact size. Shards
-	// partition addresses, so each shard's distinct addresses are found
-	// on its own and the union needs no deduplication.
+	// Every race is built once, in place, in a list of the exact size.
+	// Shards partition addresses, so each shard's distinct addresses are
+	// found on its own and the union needs no deduplication.
 	var races []Race
 	if total > 0 {
-		races = make([]Race, 0, total)
+		races = make([]Race, total)
 	}
 	locs := []uint64{}
 	var addrs []uint64
-	for _, pages := range snaps {
-		from := len(races)
-		for _, p := range pages {
-			races = append(races, p...)
-		}
+	n := 0
+	for _, snap := range snaps {
 		addrs = addrs[:0]
-		for _, r := range races[from:] {
-			if len(addrs) == 0 || addrs[len(addrs)-1] != r.Addr {
-				addrs = append(addrs, r.Addr)
+		for _, p := range snap.pages {
+			for i := range p {
+				e := &p[i]
+				e.fill(&races[n], snap.pairs)
+				n++
+				if len(addrs) == 0 || addrs[len(addrs)-1] != e.addr {
+					addrs = append(addrs, e.addr)
+				}
 			}
 		}
 		slices.Sort(addrs)

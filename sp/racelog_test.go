@@ -39,3 +39,41 @@ func TestRaceLogPagedShard(t *testing.T) {
 		}
 	}
 }
+
+// TestRaceLogLockPairs fills one shard's lock-set pair list across
+// several pages. Writers 2i and 2i+1 hold mutex i, so each writer races
+// with every earlier writer but its twin, and its races against one
+// pair of twins share a pair. Every reported race must carry the lock
+// sets its two threads held.
+func TestRaceLogLockPairs(t *testing.T) {
+	const writers = 70
+	m := MustMonitor(WithWorkers(1), WithLockAwareness(true))
+	held := map[ThreadID]LockSet{}
+	cur := m.Main()
+	for k := range writers {
+		var w ThreadID
+		w, cur = m.Fork(cur)
+		m.Acquire(w, k/2)
+		m.Write(w, 7)
+		m.Release(w, k/2)
+		held[w] = LockSet{k / 2}
+	}
+	rep := m.Report()
+	if want := writers*(writers-1)/2 - writers/2; len(rep.Races) != want {
+		t.Fatalf("%d writers raced %d times, want %d", writers, len(rep.Races), want)
+	}
+	sh := &m.raceShards[m.mem.ShardIndex(7)]
+	pairs := 0
+	for _, p := range sh.pairs {
+		pairs += len(p)
+	}
+	if len(sh.pairs) < 11 || 2*pairs > len(rep.Races)+writers {
+		t.Fatalf("%d races stored %d lock-set pairs on %d pages, want about one pair per two races on at least 11 pages",
+			len(rep.Races), pairs, len(sh.pairs))
+	}
+	for i, r := range rep.Races {
+		if !r.FirstLocks.Equal(held[r.First]) || !r.SecondLocks.Equal(held[r.Second]) {
+			t.Fatalf("race %d is %v, want lock sets %v and %v", i, r, held[r.First], held[r.Second])
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 
 	"repro/sp"
@@ -28,6 +29,10 @@ type Applier struct {
 	live int // 1 + forks - joins; a Put retires one thread and starts another
 	n    int64
 	err  error
+	// site is the last access site handed to the monitor, boxed once:
+	// consecutive accesses at one site, such as one statement's reads,
+	// share the box.
+	site any
 }
 
 // NewApplier returns an Applier feeding m, which must be fresh.
@@ -68,11 +73,11 @@ func (a *Applier) Apply(ev Event) (err error) {
 	case Read, Write:
 		switch {
 		case ev.Op == Read && ev.HasSite:
-			a.m.ReadAt(ev.Thread, ev.Addr, ev.Site)
+			a.m.ReadAt(ev.Thread, ev.Addr, a.boxSite(ev.Site))
 		case ev.Op == Read:
 			a.m.Read(ev.Thread, ev.Addr)
 		case ev.HasSite:
-			a.m.WriteAt(ev.Thread, ev.Addr, ev.Site)
+			a.m.WriteAt(ev.Thread, ev.Addr, a.boxSite(ev.Site))
 		default:
 			a.m.Write(ev.Thread, ev.Addr)
 		}
@@ -89,6 +94,15 @@ func (a *Applier) Apply(ev Event) (err error) {
 	}
 	a.n++
 	return nil
+}
+
+// boxSite returns site as the monitor's any, reusing the previous
+// access's box when the site is the same.
+func (a *Applier) boxSite(site string) any {
+	if prev, ok := a.site.(string); !ok || prev != site {
+		a.site = site
+	}
+	return a.site
 }
 
 // Replay reads the trace from r and feeds every event through monitor
@@ -135,19 +149,43 @@ func ReplayBackend(data []byte, backend string, opts ...sp.Option) (sp.Report, e
 
 // Signature renders the backend-independent content of a report in a
 // deterministic text form: structural counters, the raced locations,
-// and every race in detection order (sites rendered with fmt.Sprint,
-// which makes a live report and its trace replay comparable — the
-// replayed site is exactly the interned rendering of the live one).
-// Two monitored runs of the same execution agree if and only if their
-// signatures are equal. The backend name is excluded.
+// and every race in detection order, one Race.AppendText line each
+// (sites rendered as fmt.Sprint renders them, which makes a live report
+// and its trace replay comparable — the replayed site is exactly the
+// interned rendering of the live one). Two monitored runs of the same
+// execution agree if and only if their signatures are equal. The
+// backend name is excluded.
+//
+// The text is allocated once, at its exact size, so a report costs a
+// few allocations however many races it holds. The races are rendered
+// twice to get there, once to size the text and once to write it: a
+// builder left to grow through a racy replay's megabytes of text leaves
+// garbage several times their size, which can set the process's peak
+// RSS, and copying as it grows takes longer than the second rendering.
 func Signature(rep sp.Report) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "threads=%d forks=%d joins=%d puts=%d gets=%d accesses=%d queries=%d\n",
+	head := fmt.Appendf(nil, "threads=%d forks=%d joins=%d puts=%d gets=%d accesses=%d queries=%d\nlocations=[",
 		rep.Threads, rep.Forks, rep.Joins, rep.Puts, rep.Gets, rep.Accesses, rep.Queries)
-	fmt.Fprintf(&b, "locations=%v\n", rep.Locations)
-	fmt.Fprintf(&b, "races=%d\n", len(rep.Races))
+	// fmt would box each location as it prints the slice.
+	for i, l := range rep.Locations {
+		if i > 0 {
+			head = append(head, ' ')
+		}
+		head = strconv.AppendUint(head, l, 10)
+	}
+	head = fmt.Appendf(head, "]\nraces=%d\n", len(rep.Races))
+	var line []byte
+	size := len(head)
 	for _, r := range rep.Races {
-		fmt.Fprintf(&b, "%v\n", r)
+		line, _ = r.AppendText(line[:0])
+		size += len(line) + 1
+	}
+	var b strings.Builder
+	b.Grow(size)
+	b.Write(head)
+	for _, r := range rep.Races {
+		line, _ = r.AppendText(line[:0])
+		line = append(line, '\n')
+		b.Write(line)
 	}
 	return b.String()
 }
