@@ -310,18 +310,24 @@ func fig3() {
 
 		m := newMaintainer(name)
 		ids := make([]sp.ThreadID, deep.Len())
-		// Backends without FullQueries answer only against the current
-		// thread: after the walk, the final thread (the last allocated).
-		cur := sp.ThreadID(walkTree(m, deep, ids) - 1)
+		// Queries go through the handles, all bound before the timed
+		// loop. Backends without FullQueries answer only against the
+		// current thread: after the walk, the final thread (the last
+		// allocated).
+		cur := m.ThreadRelative(sp.ThreadID(walkTree(m, deep, ids) - 1))
+		rels := make([]sp.CurrentRelative, len(leaves))
+		for i, l := range leaves {
+			rels[i] = cur
+			if info.FullQueries {
+				rels[i] = m.ThreadRelative(ids[l.ID])
+			}
+		}
 		rng := rand.New(rand.NewSource(2))
 		pick := func() sp.ThreadID { return ids[leaves[rng.Intn(len(leaves))].ID] }
 		q := timeIt(reps(), func() {
 			for i := 0; i < qn; i++ {
-				b := cur
-				if info.FullQueries {
-					b = pick()
-				}
-				m.Precedes(pick(), b)
+				b := rels[rng.Intn(len(rels))]
+				b.PrecedesCurrent(pick())
 			}
 		})
 		fmt.Printf("%-18s %18.1f %18.1f %14.1f\n", name, words,

@@ -28,17 +28,19 @@ import (
 // the post-join thread. Leaves in series within one frame share an event
 // thread, exactly as sp.Replay emits them.
 
-// orderQuerier is sp-order's exact total-order surface, which the
-// two-reader shadow protocol needs to stay complete off the serial
-// depth-first access order — exactly the regime this detector runs in.
-type orderQuerier interface {
-	EnglishBefore(a, b sp.ThreadID) bool
-	HebrewBefore(a, b sp.ThreadID) bool
+// naiveThread is an event thread with its sp-order query handle, bound
+// where the thread is created, under mu. sp-order's handles answer the
+// English and Hebrew orders exactly, which the two-reader shadow
+// protocol needs to stay complete off the serial depth-first access
+// order — exactly the regime this detector runs in.
+type naiveThread struct {
+	id  sp.ThreadID
+	rel sp.CurrentRelative
 }
 
 // naiveFrame is a frame's client payload: the event thread its code is
 // currently executing.
-type naiveFrame struct{ cur sp.ThreadID }
+type naiveFrame struct{ cur naiveThread }
 
 func frameCur(f *sched.Frame) *naiveFrame { return f.Data.(*naiveFrame) }
 
@@ -46,7 +48,7 @@ func frameCur(f *sched.Frame) *naiveFrame { return f.Data.(*naiveFrame) }
 // child's frame (whose final thread is the left terminal at the join).
 type naiveFork struct {
 	done        bool
-	left, right sp.ThreadID
+	left, right naiveThread
 	child       *sched.Frame
 }
 
@@ -56,7 +58,6 @@ type naiveFork struct {
 type naiveClient struct {
 	mu    sync.Mutex
 	m     sp.Maintainer
-	ord   orderQuerier
 	next  sp.ThreadID
 	forks []naiveFork // indexed by P-node ID
 	locks int64
@@ -77,7 +78,6 @@ func newNaiveClient(t *spt.Tree, yield bool) *naiveClient {
 	}
 	return &naiveClient{
 		m:     m,
-		ord:   m.(orderQuerier),
 		forks: make([]naiveFork, t.Len()),
 		sh:    shadow.NewMemory[sp.ThreadID](64),
 		yield: yield,
@@ -97,12 +97,18 @@ func (c *naiveClient) newThread() sp.ThreadID {
 	return t
 }
 
+// bind pairs t, which the maintainer has registered, with its handle;
+// mu must be held.
+func (c *naiveClient) bind(t sp.ThreadID) naiveThread {
+	return naiveThread{id: t, rel: c.m.ThreadRelative(t)}
+}
+
 func (c *naiveClient) RootFrame() *sched.Frame {
 	c.lock()
 	defer c.mu.Unlock()
 	main := c.newThread()
 	c.m.Start(main)
-	return &sched.Frame{Data: &naiveFrame{cur: main}}
+	return &sched.Frame{Data: &naiveFrame{cur: c.bind(main)}}
 }
 
 // forkOf performs pnode's fork on first use, from frame f's current
@@ -113,8 +119,9 @@ func (c *naiveClient) forkOf(pnode *spt.Node, f *sched.Frame) *naiveFork {
 	fk := &c.forks[pnode.ID]
 	if !fk.done {
 		pf := frameCur(f)
-		fk.left, fk.right = c.newThread(), c.newThread()
-		c.m.Fork(pf.cur, fk.left, fk.right)
+		left, right := c.newThread(), c.newThread()
+		c.m.Fork(pf.cur.id, left, right)
+		fk.left, fk.right = c.bind(left), c.bind(right)
 		pf.cur = fk.right // the continuation, if it is not stolen
 		fk.done = true
 	}
@@ -149,39 +156,39 @@ func (c *naiveClient) JoinComplete(w int, j *sched.Join) {
 		right = thief
 	}
 	cont := c.newThread()
-	c.m.Join(frameCur(c.forks[j.PNode().ID].child).cur, frameCur(right).cur, cont)
-	frameCur(j.Frame()).cur = cont
+	c.m.Join(frameCur(c.forks[j.PNode().ID].child).cur.id, frameCur(right).cur.id, cont)
+	frameCur(j.Frame()).cur = c.bind(cont)
 }
 
 // naiveRel answers shadow queries against the current thread through
-// the locked structure, including the exact order queries.
+// its sp-order handle, taking the global lock around each query.
 type naiveRel struct {
-	c   *naiveClient
-	cur sp.ThreadID
+	c *naiveClient
+	h sp.CurrentRelative
 }
 
 func (r naiveRel) PrecedesCurrent(u sp.ThreadID) bool {
 	r.c.lock()
 	defer r.c.mu.Unlock()
-	return r.c.m.Precedes(u, r.cur)
+	return r.h.PrecedesCurrent(u)
 }
 
 func (r naiveRel) ParallelCurrent(u sp.ThreadID) bool {
 	r.c.lock()
 	defer r.c.mu.Unlock()
-	return r.c.m.Parallel(u, r.cur)
+	return r.h.ParallelCurrent(u)
 }
 
 func (r naiveRel) EnglishBeforeCurrent(u sp.ThreadID) bool {
 	r.c.lock()
 	defer r.c.mu.Unlock()
-	return r.c.ord.EnglishBefore(u, r.cur)
+	return r.h.EnglishBeforeCurrent(u)
 }
 
 func (r naiveRel) HebrewBeforeCurrent(u sp.ThreadID) bool {
 	r.c.lock()
 	defer r.c.mu.Unlock()
-	return r.c.ord.HebrewBefore(u, r.cur)
+	return r.h.HebrewBeforeCurrent(u)
 }
 
 // ExecThread replays the leaf's accesses on the frame's current thread
@@ -189,14 +196,14 @@ func (r naiveRel) HebrewBeforeCurrent(u sp.ThreadID) bool {
 // site, so reports name parse-tree threads.
 func (c *naiveClient) ExecThread(w int, f *sched.Frame, leaf *spt.Node) {
 	cur := frameCur(f).cur
-	rel := naiveRel{c: c, cur: cur}
+	rel := naiveRel{c: c, h: cur.rel}
 	for _, st := range leaf.Steps {
 		if st.Op != spt.Read && st.Op != spt.Write {
 			continue
 		}
 		c.accesses.Add(1)
 		var q int64
-		found, ok := c.sh.AccessOrdered(uint64(st.Loc), rel, cur, leaf, st.Op == spt.Write, &q)
+		found, ok := c.sh.AccessOrdered(uint64(st.Loc), rel, cur.id, leaf, st.Op == spt.Write, &q)
 		c.queries.Add(q)
 		if ok {
 			c.raceMu.Lock()

@@ -23,8 +23,8 @@ func maskedReaderTree() *spt.Tree {
 
 // TestOrderedReplayCatchesMaskedReader mirrors internal/shadow's
 // TestOrderedProtocolCatchesMaskedReader through the naive detector's
-// real order queries (the sp-order maintainer's EnglishBefore and
-// HebrewBefore) instead of scripted orders. The masked-reader program as
+// real order queries (the sp-order handles' EnglishBeforeCurrent and
+// HebrewBeforeCurrent) instead of scripted orders. The masked-reader program as
 // events: r1 is the spawned thread t1, r2 runs on the continuation t2,
 // and a fork/join diamond orders t2 before w's thread t5. Under the
 // feasible concurrent execution order r2, r1, w the one-reader
@@ -38,7 +38,7 @@ func TestOrderedReplayCatchesMaskedReader(t *testing.T) {
 	c.m.Fork(2, 3, 4)
 	c.m.Join(3, 4, 5)
 	r1, r2, w := sp.ThreadID(1), sp.ThreadID(2), sp.ThreadID(5)
-	rel := func(cur sp.ThreadID) naiveRel { return naiveRel{c: c, cur: cur} }
+	rel := func(cur sp.ThreadID) naiveRel { return naiveRel{c: c, h: c.m.ThreadRelative(cur)} }
 
 	// One-reader protocol under the adversarial order: misses. This
 	// documents WHY the detectors use the ordered protocol.

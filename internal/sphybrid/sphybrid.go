@@ -80,7 +80,7 @@ func newBagDesc(isS bool, t *Trace) *bagDesc {
 // the bags only through the union-find structure (reads only).
 type frameData struct {
 	trace      *Trace
-	sRep, pRep any // union-find representatives (nil when the bag is empty)
+	sRep, pRep *dsu.CNode // union-find representatives (nil when the bag is empty)
 	sDesc      *bagDesc
 	pDesc      *bagDesc
 }
@@ -90,43 +90,6 @@ type frameData struct {
 // SPHybrid passed alongside) against previously executed threads. The
 // worker argument identifies the executing worker.
 type ExecFunc func(worker int, u *spt.Node)
-
-// localForest abstracts the local tier's union-find so SP-hybrid can run
-// either with union by rank only (the variant the paper analyzes, O(lg n)
-// worst case per operation) or with CAS-based path compression (the
-// improvement conjectured at the end of Section 7).
-type localForest interface {
-	MakeSet(payload any) any
-	Union(x, y any, payload any) any
-	Payload(x any) any
-	Finds() int64
-	Unions() int64
-}
-
-type rankForest struct{ f dsu.ConcurrentForest }
-
-func (r *rankForest) MakeSet(p any) any     { return r.f.MakeSet(p) }
-func (r *rankForest) Union(x, y, p any) any { return r.f.Union(x.(*dsu.CNode), y.(*dsu.CNode), p) }
-func (r *rankForest) Payload(x any) any     { return r.f.Payload(x.(*dsu.CNode)) }
-func (r *rankForest) Finds() int64          { return r.f.Finds.Load() }
-func (r *rankForest) Unions() int64         { return r.f.Unions.Load() }
-
-type casForest struct{ f dsu.CASForest }
-
-func (r *casForest) MakeSet(p any) any     { return r.f.MakeSet(p) }
-func (r *casForest) Union(x, y, p any) any { return r.f.Union(x.(*dsu.CASNode), y.(*dsu.CASNode), p) }
-func (r *casForest) Payload(x any) any     { return r.f.Payload(x.(*dsu.CASNode)) }
-func (r *casForest) Finds() int64          { return r.f.Finds.Load() }
-func (r *casForest) Unions() int64         { return r.f.Unions.Load() }
-
-// Options tunes an SP-hybrid run.
-type Options struct {
-	// CASLocalTier switches the local tier's union-find from union by
-	// rank only to rank plus lock-free CAS path compression — the
-	// paper's Section 7 conjecture. Query semantics are identical; the
-	// amortized constant drops on find-heavy workloads.
-	CASLocalTier bool
-}
 
 // Stats aggregates SP-hybrid counters, aligned with the buckets of the
 // paper's Theorem 10 accounting argument.
@@ -161,8 +124,11 @@ type SPHybrid struct {
 	// 20–23). Queries never take it.
 	globalMu sync.Mutex
 
-	forest localForest
-	nodeOf []atomic.Pointer[any] // per parse-tree node ID (boxed forest nodes)
+	// forest is the local tier: union by rank only, the variant the
+	// paper analyzes (O(lg n) worst case per operation), so any worker
+	// may FIND-TRACE while the owner unions.
+	forest dsu.ConcurrentForest
+	nodeOf []atomic.Pointer[dsu.CNode] // per parse-tree node ID
 
 	nextTraceID atomic.Int64
 	splits      atomic.Int64
@@ -172,29 +138,18 @@ type SPHybrid struct {
 
 // New prepares an SP-hybrid run over tree t (which must be a canonical
 // Cilk parse tree; see spt.Canonicalize). exec is invoked for every
-// thread as it executes; it may be nil. The local tier uses union by rank
-// only, as analyzed in the paper; see NewWithOptions for the CAS variant.
+// thread as it executes; it may be nil.
 func New(t *spt.Tree, exec ExecFunc) *SPHybrid {
-	return NewWithOptions(t, exec, Options{})
-}
-
-// NewWithOptions is New with tuning options.
-func NewWithOptions(t *spt.Tree, exec ExecFunc, opts Options) *SPHybrid {
 	h := &SPHybrid{
 		tree:   t,
 		exec:   exec,
-		nodeOf: make([]atomic.Pointer[any], t.Len()),
+		nodeOf: make([]atomic.Pointer[dsu.CNode], t.Len()),
 	}
 	// Both global-tier lists serialize their insertions on the ONE
 	// insertion lock of Section 4, so a steal's eight insertions (four
 	// per order) batch under a single acquisition.
 	h.eng = om.NewConcurrentShared(&h.globalMu)
 	h.heb = om.NewConcurrentShared(&h.globalMu)
-	if opts.CASLocalTier {
-		h.forest = &casForest{}
-	} else {
-		h.forest = &rankForest{}
-	}
 	return h
 }
 
@@ -213,8 +168,8 @@ func (h *SPHybrid) Run(workers int, seed int64) Stats {
 		Stats:            st,
 		Splits:           h.splits.Load(),
 		GlobalInserts:    h.splits.Load() * 4,
-		LocalUnions:      h.forest.Unions(),
-		LocalFinds:       h.forest.Finds(),
+		LocalUnions:      h.forest.Unions.Load(),
+		LocalFinds:       h.forest.Finds.Load(),
 		QueryRetries:     h.eng.QueryRetries.Load() + h.heb.QueryRetries.Load(),
 		GlobalRebalances: h.eng.Rebalances.Load() + h.heb.Rebalances.Load(),
 		Queries:          h.queries.Load(),
@@ -256,7 +211,7 @@ func (c *client) ExecThread(w int, f *sched.Frame, leaf *spt.Node) {
 		fd.sDesc = newBagDesc(true, fd.trace)
 	}
 	nd := h.forest.MakeSet(fd.sDesc)
-	h.nodeOf[leaf.ID].Store(&nd)
+	h.nodeOf[leaf.ID].Store(nd)
 	if fd.sRep == nil {
 		fd.sRep = nd
 	} else {
@@ -378,7 +333,7 @@ func (h *SPHybrid) lookup(u *spt.Node) (*bagDesc, *Trace) {
 	if nd == nil {
 		panic("sphybrid: query on a thread that has not executed")
 	}
-	desc := h.forest.Payload(*nd).(*bagDesc)
+	desc := h.forest.Payload(nd).(*bagDesc)
 	return desc, desc.trace.Load()
 }
 

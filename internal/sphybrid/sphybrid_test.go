@@ -335,83 +335,3 @@ func TestStatsShape(t *testing.T) {
 		t.Fatalf("splits (%d) must equal successful steals (%d)", stats.Splits, stats.Steals)
 	}
 }
-
-// TestCASLocalTierMatchesRankOnly runs the same computation with both
-// local-tier variants (Section 7's conjectured CAS-compression variant
-// versus the analyzed rank-only variant) and checks both answer every
-// on-the-fly query identically to the oracle.
-func TestCASLocalTierMatchesRankOnly(t *testing.T) {
-	tr := spt.FibTree(10, 2)
-	o := spt.NewOracle(tr)
-	for _, useCAS := range []bool{false, true} {
-		var mu sync.Mutex
-		var executed []*spt.Node
-		bad := 0
-		var h *SPHybrid
-		h = NewWithOptions(tr, func(w int, u *spt.Node) {
-			mu.Lock()
-			sample := make([]*spt.Node, len(executed))
-			copy(sample, executed)
-			mu.Unlock()
-			step := 1
-			if len(sample) > 32 {
-				step = len(sample) / 32
-			}
-			for i := 0; i < len(sample); i += step {
-				v := sample[i]
-				rel := o.Relate(v, u)
-				if h.Precedes(v, u) != (rel == spt.Precedes) ||
-					h.Parallel(v, u) != (rel == spt.Parallel) {
-					mu.Lock()
-					bad++
-					mu.Unlock()
-				}
-			}
-			mu.Lock()
-			executed = append(executed, u)
-			mu.Unlock()
-			runtime.Gosched()
-		}, Options{CASLocalTier: useCAS})
-		stats := h.Run(4, 17)
-		if bad != 0 {
-			t.Fatalf("CAS=%v: %d query mismatches", useCAS, bad)
-		}
-		if stats.LocalUnions == 0 {
-			t.Fatalf("CAS=%v: no local unions recorded", useCAS)
-		}
-	}
-}
-
-// TestCASLocalTierUnderHeavySteals stresses the CAS variant where it
-// matters: many concurrent FIND-TRACE lookups racing unions and splits.
-func TestCASLocalTierUnderHeavySteals(t *testing.T) {
-	for seed := int64(0); seed < 10; seed++ {
-		tr := spt.BalancedPTree(9, 3)
-		var h *SPHybrid
-		var prevs [16]*spt.Node
-		var bad atomic.Int64
-		h = NewWithOptions(tr, func(w int, u *spt.Node) {
-			if p := prevs[w%len(prevs)]; p != nil && p != u {
-				// p started before u, so logically p ≺ u or p ∥ u —
-				// exactly one must hold. (Querying Precedes(u, p)
-				// would violate Theorem 9's precondition: the second
-				// argument must be the currently executing thread.)
-				pre := h.Precedes(p, u)
-				par := h.Parallel(p, u)
-				if pre == par {
-					bad.Add(1)
-				}
-			}
-			prevs[w%len(prevs)] = u
-			runtime.Gosched()
-		}, Options{CASLocalTier: true})
-		stats := h.Run(4, seed)
-		if bad.Load() != 0 {
-			t.Fatalf("seed %d: %d inconsistent relations", seed, bad.Load())
-		}
-		if stats.Splits > 0 {
-			return
-		}
-	}
-	t.Skip("no splits observed")
-}

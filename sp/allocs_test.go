@@ -37,8 +37,8 @@ func TestAllocsRacingWrite(t *testing.T) {
 }
 
 // TestAllocsBindRel pins binding a thread's query view at no
-// allocation on a backend without handles: the edge composer and the
-// by-ID adapter live in the thread's state.
+// allocation on sp-order: the edge composer lives in the thread's
+// state, and the backend's handle in a page it allocated already.
 func TestAllocsBindRel(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")

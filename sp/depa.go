@@ -83,69 +83,46 @@ func (d *depaM) Join(left, right, cont ThreadID) {
 	d.mxDepth.Observe(int64(lab.Depth()))
 }
 
-func (d *depaM) Precedes(a, b ThreadID) bool {
-	u, v := d.label(a), d.label(b)
-	if u == v {
-		return false
-	}
-	eng, heb := d.relate(u, v)
-	return eng && heb
-}
-
-func (d *depaM) Parallel(a, b ThreadID) bool {
-	u, v := d.label(a), d.label(b)
-	if u == v {
-		return false
-	}
-	eng, heb := d.relate(u, v)
-	return eng != heb
-}
-
-// depaRel is the cached per-thread query handle: the current thread's
-// label is resolved once at thread creation (labels are immutable, so
-// the handle never goes stale), and every query is a pure pointer walk.
+// depaRel is the cached per-thread query handle: the thread's label is
+// resolved once at thread creation (labels are immutable, so the handle
+// never goes stale), and every query is a pure pointer walk that reads
+// both orders at once.
 type depaRel struct {
 	d   *depaM
 	lab *depa.Label
 }
 
-func (r depaRel) PrecedesCurrent(prev ThreadID) bool {
+// orders reports prev <_E and prev <_H the handle's thread; a thread is
+// before itself in neither.
+func (r depaRel) orders(prev ThreadID) (eng, heb bool) {
 	u := r.d.label(prev)
 	if u == r.lab {
-		return false
+		return false, false
 	}
-	eng, heb := r.d.relate(u, r.lab)
+	return r.d.relate(u, r.lab)
+}
+
+func (r depaRel) PrecedesCurrent(prev ThreadID) bool {
+	eng, heb := r.orders(prev)
 	return eng && heb
 }
 
 func (r depaRel) ParallelCurrent(prev ThreadID) bool {
-	u := r.d.label(prev)
-	if u == r.lab {
-		return false
-	}
-	eng, heb := r.d.relate(u, r.lab)
+	eng, heb := r.orders(prev)
 	return eng != heb
 }
 
 func (r depaRel) EnglishBeforeCurrent(prev ThreadID) bool {
-	u := r.d.label(prev)
-	if u == r.lab {
-		return false
-	}
-	eng, _ := r.d.relate(u, r.lab)
+	eng, _ := r.orders(prev)
 	return eng
 }
 
 func (r depaRel) HebrewBeforeCurrent(prev ThreadID) bool {
-	u := r.d.label(prev)
-	if u == r.lab {
-		return false
-	}
-	_, heb := r.d.relate(u, r.lab)
+	_, heb := r.orders(prev)
 	return heb
 }
 
-// ThreadRelative implements HandleMaintainer.
+// ThreadRelative implements Maintainer.
 func (d *depaM) ThreadRelative(t ThreadID) CurrentRelative {
 	return depaRel{d: d, lab: d.label(t)}
 }

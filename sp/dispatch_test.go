@@ -11,8 +11,8 @@ import (
 
 // TestMonitorDispatchRule pins the Monitor's one locking rule on every
 // registered backend, with and without lock-awareness and a trace: a
-// monitor is lock-free iff its backend is Synchronized, hands out
-// per-thread handles, and no trace is recorded. Each event runs in its
+// monitor is lock-free iff its backend is Synchronized and no trace is
+// recorded. Each event runs in its
 // own goroutine while the test holds the monitor mutex. A lock-free
 // monitor must finish every event regardless; any other monitor must
 // still be blocked after a grace period and finish once the mutex is
@@ -39,8 +39,7 @@ func checkDispatchRule(t *testing.T, info BackendInfo, lockAware, traced bool) {
 		opts = append(opts, WithTrace(io.Discard))
 	}
 	m := MustMonitor(opts...)
-	_, handles := m.backend.(HandleMaintainer)
-	lockFree := info.Synchronized && handles && !traced
+	lockFree := info.Synchronized && !traced
 
 	// One serial depth-first program touching every event kind: the
 	// left branch runs (and publishes an edge) before the right branch

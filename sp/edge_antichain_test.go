@@ -222,7 +222,7 @@ func checkLiveSets(t *testing.T, m *Monitor, ref func(a, b ThreadID) bool) {
 // with the quadratic code it replaced on every backend, over random
 // fork/join/Put/Get programs: during the serial Replay (each leaf
 // against the tokens Put so far, the leaf's thread as getter; the
-// English reference is sp-order's order list over the same replay,
+// English reference is sp-order's handles over the same replay,
 // whose thread IDs coincide) and, on the any-order backends, after a
 // ReplayParallel (random getters, random begun threads).
 func TestEdgeAntichainOracle(t *testing.T) {
@@ -236,9 +236,9 @@ func TestEdgeAntichainOracle(t *testing.T) {
 				Replay(tr, refMon)
 				m := MustMonitor(WithBackend(name))
 				ReplayObserved(tr, m, func(_ *spt.Node, cur ThreadID) {
-					checkPrune(t, m, refMon.orders.EnglishBefore, rng, putTokens(m), cur)
+					checkPrune(t, m, refMon.englishBefore, rng, putTokens(m), cur)
 				})
-				checkLiveSets(t, m, refMon.orders.EnglishBefore)
+				checkLiveSets(t, m, refMon.englishBefore)
 				m.Report()
 			}
 			if info, _ := Lookup(name); !info.AnyOrder {

@@ -76,7 +76,7 @@ type englishHebrew struct {
 	counter int64
 }
 
-func newEnglishHebrew() Maintainer { return &englishHebrew{} }
+func newEnglishHebrew() *englishHebrew { return &englishHebrew{} }
 
 func (e *englishHebrew) grow(t ThreadID) {
 	for int(t) >= len(e.eng) {
@@ -137,17 +137,11 @@ func (e *englishHebrew) indices(a, b ThreadID) (ea, eb int64) {
 	return
 }
 
-func (e *englishHebrew) Precedes(a, b ThreadID) bool {
+// precedes reports a ≺ b for any two begun threads: the one query by
+// ID, which the Monitor's edge mirror asks (see Monitor.pairPrecedes).
+func (e *englishHebrew) precedes(a, b ThreadID) bool {
 	ea, eb := e.indices(a, b)
 	return ea < eb && slices.Compare(e.heb[a], e.heb[b]) < 0
-}
-
-func (e *englishHebrew) Parallel(a, b ThreadID) bool {
-	if a == b {
-		return false
-	}
-	ea, eb := e.indices(a, b)
-	return (ea < eb) != (slices.Compare(e.heb[a], e.heb[b]) < 0)
 }
 
 // offsetSpan is the event-driven Mellor-Crummey backend.
@@ -201,27 +195,6 @@ func (o *offsetSpan) Join(left, right, cont ThreadID) {
 	o.lab[cont] = advanceOS(b[:len(b)-1])
 }
 
-func (o *offsetSpan) labelsOf(a, b ThreadID) (la, lb []osPair) {
-	la, lb = o.lab[a], o.lab[b]
-	if la == nil || lb == nil {
-		panic(fmt.Sprintf("sp: offset-span query on unknown thread (t%d, t%d)", a, b))
-	}
-	return
-}
-
-func (o *offsetSpan) Precedes(a, b ThreadID) bool {
-	la, lb := o.labelsOf(a, b)
-	return relateOS(la, lb) < 0
-}
-
-func (o *offsetSpan) Parallel(a, b ThreadID) bool {
-	if a == b {
-		return false
-	}
-	la, lb := o.labelsOf(a, b)
-	return relateOS(la, lb) == 0
-}
-
 // ehRel is the cached per-thread query handle: the current thread's
 // Hebrew label is resolved once at thread creation (labels are
 // generated at the structural event and never mutate), so each query
@@ -262,8 +235,8 @@ func (r ehRel) HebrewBeforeCurrent(prev ThreadID) bool {
 	return prev != r.cur && slices.Compare(r.e.heb[prev], r.heb) < 0
 }
 
-// ThreadRelative implements HandleMaintainer (consumed under the
-// Monitor's serialization).
+// ThreadRelative implements Maintainer; the handle is consumed under
+// the Monitor's mutex.
 func (e *englishHebrew) ThreadRelative(t ThreadID) CurrentRelative {
 	return ehRel{e: e, cur: t, heb: e.heb[t]}
 }
@@ -290,8 +263,8 @@ func (r osRel) EnglishBeforeCurrent(prev ThreadID) bool { return prev != r.cur }
 
 func (r osRel) HebrewBeforeCurrent(prev ThreadID) bool { return r.PrecedesCurrent(prev) }
 
-// ThreadRelative implements HandleMaintainer (consumed under the
-// Monitor's serialization).
+// ThreadRelative implements Maintainer; the handle is consumed under
+// the Monitor's mutex.
 func (o *offsetSpan) ThreadRelative(t ThreadID) CurrentRelative {
 	return osRel{o: o, cur: t, lab: o.lab[t]}
 }
@@ -302,7 +275,7 @@ func init() {
 		Description: "static Nudler–Rudolph labels generated on the fly (Figure 3 baseline)",
 		UpdateBound: "O(f)", QueryBound: "O(f)", SpaceBound: "O(f) words",
 		FullQueries: true,
-	}, newEnglishHebrew)
+	}, func() Maintainer { return newEnglishHebrew() })
 	Register(BackendInfo{
 		Name:        "offset-span",
 		Description: "static Mellor-Crummey offset-span labels generated on the fly (Figure 3 baseline)",

@@ -247,14 +247,11 @@ type threadState struct {
 	// monitors read them without a lock.
 	fork    ThreadID
 	spawned bool
-	// rel is the cached SP query view of this thread, bound at thread
-	// creation (see bindRel). It points at hb, the edge composer, which
-	// wraps the backend's handle (its "label/bag reference") or, on
-	// backends without handles, cur, the by-ID adapter. Both are held
-	// here by value, so binding a thread allocates nothing.
-	rel CurrentRelative
-	hb  hbRel
-	cur relCur
+	// hb is the thread's SP query view, bound at thread creation (see
+	// bindRel): the edge composer around the backend's handle (its
+	// "label/bag reference"). It is held here by value, so binding a
+	// thread allocates no more than the backend's handle does.
+	hb hbRel
 	// accesses and queries are this thread's event counters; keeping
 	// them per thread keeps concurrent accesses off shared contended
 	// cache lines. Report sums them.
@@ -333,9 +330,8 @@ func WithTrace(w io.Writer) Option { return func(c *config) { c.traceW = w } }
 // fly. Create one with NewMonitor; the zero Monitor is not valid.
 //
 // Every method is safe for concurrent use, under one locking rule. A
-// monitor is lock-free when its backend is Synchronized, hands out
-// per-thread query handles (HandleMaintainer), and no trace is being
-// recorded; today that is sp-hybrid and depa without WithTrace. Its
+// monitor is lock-free when its backend is Synchronized and no trace is
+// being recorded; today that is sp-hybrid and depa without WithTrace. Its
 // events then take no global mutex: thread states and SP handles are
 // read lock-free, structural events go straight to the backend
 // (sp-hybrid batches its global-tier order-maintenance insertions under
@@ -348,28 +344,26 @@ type Monitor struct {
 	mu      sync.Mutex // held by every event unless lockFree, and by Report
 	backend Maintainer
 	info    BackendInfo
-	handles HandleMaintainer // non-nil when the backend hands out query handles
-	orders  orderQuerier     // non-nil when the backend answers order queries exactly
 	// mirror is the serial fallback for sync-object edges: composing an
 	// edge into the relation needs Precedes on arbitrary PAST thread
 	// pairs, which backends without BackendInfo.FullQueries (sp-bags)
 	// cannot answer. For them the Monitor maintains a shadow
 	// english-hebrew instance fed every structural event, and routes
-	// edge-composition queries there; nil when the backend answers them
-	// itself.
-	mirror Maintainer
+	// edge-composition queries there, by ID; nil when the backend's
+	// handles answer them.
+	mirror *englishHebrew
 	// stampBegins makes begin number threads in execution order, the
 	// English order of the serial event stream (SP-order-implicit's
-	// footnote-2 trick): set when the backend exposes neither
-	// orderQuerier nor exact per-thread handles. begins is the counter;
-	// both are only touched under mu, since such monitors are never
-	// lockFree.
+	// footnote-2 trick): set when the backend is not AnyOrder, so its
+	// handles need not answer the English order exactly. begins is the
+	// counter; both are only touched under mu, since such monitors are
+	// never lockFree.
 	stampBegins bool
 	begins      int64
 
 	raceDetect bool
 	lockAware  bool
-	lockFree   bool // a Synchronized HandleMaintainer backend and no trace
+	lockFree   bool // a Synchronized backend and no trace
 
 	trace *wire.Encoder // nil unless WithTrace; written only under mu
 
@@ -432,9 +426,7 @@ func NewMonitor(opts ...Option) (*Monitor, error) {
 			cfg.traceW = countingWriter{cfg.traceW, m.mx.traceBytes}
 		}
 	}
-	m.handles, _ = backend.(HandleMaintainer)
-	m.orders, _ = backend.(orderQuerier)
-	m.stampBegins = m.orders == nil && !(info.Synchronized && m.handles != nil)
+	m.stampBegins = !info.AnyOrder
 	if !info.FullQueries {
 		// Serial fallback for sync-object edges: backends that only
 		// answer queries against the CURRENT thread cannot compose an
@@ -442,15 +434,10 @@ func NewMonitor(opts ...Option) (*Monitor, error) {
 		// (every event reaches them under m.mu), so a serial
 		// english-hebrew mirror fed the same events answers the
 		// arbitrary-pair queries exactly.
-		m.mirror, _, err = NewMaintainer("english-hebrew")
-		if err != nil {
-			return nil, err
-		}
+		m.mirror = newEnglishHebrew()
 	}
-	// Without handles, concurrent accesses would fall back to relCur,
-	// whose order answers hold only for a serial event stream; a
-	// recorded trace must be the order the events were applied in.
-	m.lockFree = info.Synchronized && m.handles != nil && cfg.traceW == nil
+	// A recorded trace must be the order the events were applied in.
+	m.lockFree = info.Synchronized && cfg.traceW == nil
 	if cfg.traceW != nil {
 		m.trace = wire.NewEncoder(cfg.traceW)
 	}
@@ -491,21 +478,14 @@ func (m *Monitor) newThread(fork ThreadID, spawned bool) ThreadID {
 
 // bindRel caches the thread's query view on its state, before the new
 // ThreadID escapes to the caller: the backend's handle ("label/bag
-// reference") when it hands them out, the by-ID adapter otherwise,
-// always wrapped in the hbRel composer that layers the thread's
+// reference"), wrapped in the hbRel composer that layers the thread's
 // observed sync-object edges over the strict SP answers. When the
-// thread has observed no edges the wrapper is one len check. The views
-// live in the thread's state, so only a backend's handle may allocate.
+// thread has observed no edges the wrapper is one len check. The
+// composer lives in the thread's state, so only a backend's handle may
+// allocate.
 func (m *Monitor) bindRel(t ThreadID) {
 	st := m.state(t)
-	if m.handles != nil {
-		st.hb.inner = m.handles.ThreadRelative(t)
-	} else {
-		st.cur = relCur{m, t}
-		st.hb.inner = &st.cur
-	}
-	st.hb.m, st.hb.st = m, st
-	st.rel = &st.hb
+	st.hb = hbRel{m, st, m.backend.ThreadRelative(t)}
 }
 
 // state returns t's bookkeeping, panicking on unknown IDs. The lookup
@@ -884,41 +864,39 @@ func gallopDown(lo, hi int, f func(int) bool) int {
 	return lo
 }
 
-// englishBefore reports a <_E b for two begun threads, from the most
-// direct exact source the backend offers: the English order-maintenance
-// list (orderQuerier, sp-order), b's own query handle on backends whose
-// handles answer the order queries exactly (Synchronized: sp-hybrid,
-// depa), or otherwise the begin stamps, which number the
-// threads of a serial event stream in English order. Like pairPrecedes
-// it bypasses Monitor.Relation and counts toward no report.
+// englishBefore reports a <_E b for two begun threads: from b's handle
+// on AnyOrder backends, whose handles answer the order queries exactly
+// for any pair (sp-order, sp-hybrid, depa), and otherwise from the begin
+// stamps, which number the threads of a serial event stream in English
+// order. Like pairPrecedes it bypasses Monitor.Relation and counts
+// toward no report.
 func (m *Monitor) englishBefore(a, b ThreadID) bool {
 	switch {
 	case a == b:
 		return false
-	case m.orders != nil:
-		return m.orders.EnglishBefore(a, b)
 	case m.stampBegins:
 		return m.state(a).engSeq < m.state(b).engSeq
 	default:
-		return m.state(b).rel.EnglishBeforeCurrent(a)
+		return m.state(b).hb.inner.EnglishBeforeCurrent(a)
 	}
 }
 
 // pairPrecedes answers a ≺ b in the strict SP relation for
-// edge-composition purposes, routing to the serial mirror when the
-// backend cannot answer arbitrary pairs. It calls the backend
+// edge-composition purposes: from b's handle, or from the serial mirror
+// when the backend cannot answer arbitrary pairs. It asks the backend
 // directly — never Monitor.Relation — so it is safe under m.mu and on
 // the lock-free paths alike, and it does not count toward
 // Report.Queries (the count must not depend on how many edge tokens a
 // thread happens to carry).
 func (m *Monitor) pairPrecedes(a, b ThreadID) bool {
-	if a == b {
+	switch {
+	case a == b:
 		return false
+	case m.mirror != nil:
+		return m.mirror.precedes(a, b)
+	default:
+		return m.state(b).hb.inner.PrecedesCurrent(a)
 	}
-	if m.mirror != nil {
-		return m.mirror.Precedes(a, b)
-	}
-	return m.backend.Precedes(a, b)
 }
 
 // hbRel layers a thread's observed sync-object edges over the
@@ -1036,65 +1014,6 @@ func (m *Monitor) Release(t ThreadID, lock int) {
 	}
 }
 
-// orderQuerier is the optional backend capability behind exact
-// English/Hebrew order answers on the serialized access path: backends
-// that maintain both orders (sp-order) implement it so that even
-// concurrent-order event streams — which the Monitor serializes for
-// them — keep the two-reader protocol complete.
-type orderQuerier interface {
-	// EnglishBefore reports a <_E b.
-	EnglishBefore(a, b ThreadID) bool
-	// HebrewBefore reports a <_H b.
-	HebrewBefore(a, b ThreadID) bool
-}
-
-// relCur adapts the backend's by-ID query surface to the shadow
-// protocol's current-thread view. It is the fallback when the backend
-// does not hand out cached handles (HandleMaintainer). Its order
-// answers come from the backend when it maintains both orders
-// (orderQuerier); otherwise they use the serial-stream equivalence
-// (every past thread is English-before the current one; Hebrew-before
-// coincides with precedes), which is exact for the serial event order
-// the remaining backends require anyway.
-type relCur struct {
-	m   *Monitor
-	cur ThreadID
-}
-
-func (r *relCur) PrecedesCurrent(prev ThreadID) bool {
-	if prev == r.cur {
-		return false
-	}
-	return r.m.backend.Precedes(prev, r.cur)
-}
-
-func (r *relCur) ParallelCurrent(prev ThreadID) bool {
-	if prev == r.cur {
-		return false
-	}
-	return r.m.backend.Parallel(prev, r.cur)
-}
-
-func (r *relCur) EnglishBeforeCurrent(prev ThreadID) bool {
-	if prev == r.cur {
-		return false
-	}
-	if r.m.orders != nil {
-		return r.m.orders.EnglishBefore(prev, r.cur)
-	}
-	return true
-}
-
-func (r *relCur) HebrewBeforeCurrent(prev ThreadID) bool {
-	if prev == r.cur {
-		return false
-	}
-	if r.m.orders != nil {
-		return r.m.orders.HebrewBefore(prev, r.cur)
-	}
-	return r.m.backend.Precedes(prev, r.cur)
-}
-
 // access applies one memory access to the backend and, when race
 // detection is on, to one of the two detection protocols: the
 // two-reader shadow cell, or the ALL-SETS history under
@@ -1131,9 +1050,9 @@ func (m *Monitor) access(t ThreadID, st *threadState, addr uint64, write bool, s
 		return
 	}
 	var q int64
-	// st.rel is always bound at thread creation: the backend's handle
-	// (or by-ID adapter) wrapped in the edge composer.
-	found, ok := m.mem.AccessOrdered(addr, st.rel, t, site, write, &q)
+	// st.hb is always bound at thread creation: the backend's handle
+	// wrapped in the edge composer.
+	found, ok := m.mem.AccessOrdered(addr, &st.hb, t, site, write, &q)
 	st.queries.Add(q)
 	if mx := m.mx; mx != nil {
 		mx.queries.Add(q)
@@ -1158,7 +1077,7 @@ func (m *Monitor) lockAwareAccess(t ThreadID, st *threadState, addr uint64, writ
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	var q int64
-	rel := st.rel
+	rel := &st.hb
 	for _, e := range sh.entries[addr] {
 		if e.t == t || !(write || e.write) {
 			continue
@@ -1228,9 +1147,9 @@ func (m *Monitor) TraceErr() error {
 	return m.trace.Flush()
 }
 
-// Relation returns the SP relationship between threads a and b. Both
-// must have begun; for backends without FullQueries, b must be the
-// currently executing thread.
+// Relation returns the SP relationship between threads a and b, as b's
+// query handle answers it. Both must have begun; for backends without
+// FullQueries, b must be the currently executing thread.
 func (m *Monitor) Relation(a, b ThreadID) Relation {
 	if a == b {
 		return Same
@@ -1239,11 +1158,16 @@ func (m *Monitor) Relation(a, b ThreadID) Relation {
 		m.mu.Lock()
 		defer m.mu.Unlock()
 	}
+	m.state(a)
+	h := m.state(b).hb.inner
+	if h == nil {
+		panic(fmt.Sprintf("sp: Relation: thread t%d is internal to a Put and never runs", b))
+	}
 	m.relQueries.Add(1)
-	if m.backend.Precedes(a, b) {
+	if h.PrecedesCurrent(a) {
 		return Precedes
 	}
-	if m.backend.Parallel(a, b) {
+	if h.ParallelCurrent(a) {
 		return Parallel
 	}
 	return Follows

@@ -135,10 +135,9 @@ func (r Relation) String() string {
 // Maintainer only maintains the SP structure.
 //
 // Begin(t) is invoked once, before t's first action; serial backends use
-// it to learn the execution (English) order of threads. Precedes and
-// Parallel may be asked about any thread that has begun; backends whose
-// BackendInfo.FullQueries is false additionally require the second
-// argument to be the currently executing thread.
+// it to learn the execution (English) order of threads. SP queries are
+// asked only through the per-thread handles ThreadRelative returns (see
+// CurrentRelative for what they answer).
 type Maintainer interface {
 	// Start registers the main thread.
 	Start(main ThreadID)
@@ -148,25 +147,32 @@ type Maintainer interface {
 	Fork(parent, left, right ThreadID)
 	// Join records that left and right ended, continuing as cont.
 	Join(left, right, cont ThreadID)
-	// Precedes reports a ≺ b.
-	Precedes(a, b ThreadID) bool
-	// Parallel reports a ∥ b.
-	Parallel(a, b ThreadID) bool
+	// ThreadRelative returns the query handle of thread t, which must
+	// already be registered (via Start, Fork, or Join). The handle
+	// stays valid for the backend's lifetime.
+	ThreadRelative(t ThreadID) CurrentRelative
 }
 
 // CurrentRelative answers SP queries of previously executed threads
-// against one fixed current thread — the query forms the shadow-memory
-// protocol issues. Backends hand instances out through ThreadRelative;
-// the Monitor caches one per thread (sp.Thread) so an access queries
-// the SP structure with no per-query table lookup.
+// against one fixed thread, the handle's own: the query forms the
+// shadow-memory protocol issues. Backends hand instances out through
+// ThreadRelative; the Monitor binds one per thread when it creates the
+// thread, so an access queries the SP structure with no per-query
+// table lookup, and every query the Monitor asks goes through one.
+//
+// PrecedesCurrent and ParallelCurrent answer for any begun prev. When
+// the backend's BackendInfo.FullQueries is false, the handle's thread
+// must be the currently executing one; otherwise it may be any begun
+// thread.
 //
 // The order queries expose the two total orders behind the SP
 // relation (a ≺ b iff a before b in both, a ∥ b iff they disagree);
 // the concurrent race-detection protocol needs them to retain the
-// English-max and Hebrew-max readers per location. Handles consumed
-// by concurrent accessors must answer them exactly; for serial event
-// streams EnglishBeforeCurrent is constantly true and
-// HebrewBeforeCurrent coincides with PrecedesCurrent.
+// English-max and Hebrew-max readers per location. On AnyOrder
+// backends they are exact for any pair of begun threads. Serial
+// backends may use the serial-stream equivalence instead: there the
+// handle's thread is current, so EnglishBeforeCurrent is true for every
+// other prev and HebrewBeforeCurrent coincides with PrecedesCurrent.
 type CurrentRelative interface {
 	// PrecedesCurrent reports prev ≺ current.
 	PrecedesCurrent(prev ThreadID) bool
@@ -180,20 +186,6 @@ type CurrentRelative interface {
 	HebrewBeforeCurrent(prev ThreadID) bool
 }
 
-// HandleMaintainer is the optional capability interface of backends
-// that supply cached per-thread query handles. A handle must stay
-// valid for the thread's lifetime. On Synchronized backends, handles
-// must additionally be safe to query concurrently with structural
-// updates and answer the order queries exactly; other backends' handles
-// are consumed under the Monitor's mutex and may use the serial-stream
-// order equivalence instead.
-type HandleMaintainer interface {
-	Maintainer
-	// ThreadRelative returns the query handle for thread t, which must
-	// already be registered (via Start, Fork, or Join).
-	ThreadRelative(t ThreadID) CurrentRelative
-}
-
 // BackendInfo describes a registered backend's capabilities and the
 // asymptotic bounds from the paper's Figure 3.
 type BackendInfo struct {
@@ -204,9 +196,10 @@ type BackendInfo struct {
 	// UpdateBound, QueryBound, SpaceBound are the paper's asymptotic
 	// costs per structural event, per query, and per thread.
 	UpdateBound, QueryBound, SpaceBound string
-	// FullQueries reports whether queries between ANY two begun threads
-	// are answered; when false, the second query argument must be the
-	// currently executing thread (SP-bags semantics).
+	// FullQueries reports whether a thread's handle answers PrecedesCurrent
+	// and ParallelCurrent for any two begun threads; when false, the
+	// handle's thread must be the currently executing one (SP-bags
+	// semantics).
 	FullQueries bool
 	// AnyOrder reports whether events may arrive in any order that
 	// respects thread creation (a live parallel program); when false the
@@ -215,14 +208,14 @@ type BackendInfo struct {
 	AnyOrder bool
 	// Synchronized reports whether the backend takes concurrent event
 	// delivery without external locking: Start/Begin/Fork/Join for
-	// distinct threads, Precedes/Parallel, and ThreadRelative handles
-	// may all run concurrently, and the handles answer the English and
-	// Hebrew order queries exactly. A Monitor over a Synchronized
-	// HandleMaintainer that records no trace applies every event
-	// without its global mutex; every other Monitor applies each event
-	// under that mutex. A Synchronized backend must also set
-	// FullQueries, because the serial edge mirror the Monitor keeps for
-	// the other backends is fed only under its mutex.
+	// distinct threads, ThreadRelative, and queries on the handles may
+	// all run concurrently. A Monitor over a Synchronized backend that
+	// records no trace applies every event without its global mutex;
+	// every other Monitor applies each event under that mutex. A
+	// Synchronized backend must also set FullQueries and AnyOrder,
+	// because the serial edge mirror the Monitor keeps for the other
+	// backends is fed only under its mutex, and lock-free accesses need
+	// exact order answers.
 	Synchronized bool
 }
 
@@ -282,9 +275,9 @@ func Lookup(name string) (BackendInfo, bool) {
 // NewMaintainer instantiates the named registered backend as a bare
 // Maintainer, with no Monitor around it: no thread-ID allocation, race
 // detection, or event serialization. Callers drive Start/Begin/Fork/Join
-// themselves and must honor the backend's BackendInfo (event order,
-// query form, synchronization); benchmarks use it to time SP maintenance
-// alone.
+// themselves, ask SP queries through ThreadRelative handles, and must
+// honor the backend's BackendInfo (event order, query form,
+// synchronization); benchmarks use it to time SP maintenance alone.
 func NewMaintainer(name string) (Maintainer, BackendInfo, error) {
 	registry.Lock()
 	factory, ok := registry.factories[name]

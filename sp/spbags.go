@@ -156,25 +156,12 @@ func (b *spBags) kind(t ThreadID) bagKind {
 	return b.forest.Payload(nd).(bagKind)
 }
 
-// Precedes reports a ≺ current; b must be the currently executing thread.
-func (b *spBags) Precedes(a, _ ThreadID) bool { return b.kind(a) == sBag }
-
-// Parallel reports a ∥ current; b must be the currently executing thread.
-func (b *spBags) Parallel(a, bb ThreadID) bool {
-	if a == bb {
-		return false
-	}
-	return b.kind(a) == pBag
-}
-
-// bagsRel is the cached per-thread query handle. SP-bags answers
-// queries against the current thread only, off its bag kinds, so the
-// handle needs no per-thread state beyond the identity guard; binding
-// it still spares the serialized replay path the per-access trip
-// through the Monitor's by-ID fallback. The order answers use the
-// serial-stream equivalence (the only regime sp-bags supports): every
-// past thread is English-before the current one, and Hebrew-before
-// coincides with precedes.
+// bagsRel is the per-thread query handle. SP-bags answers queries
+// against the current thread only, off its bag kinds, so the handle
+// needs no per-thread state beyond the identity guard. The order
+// answers use the serial-stream equivalence (the only regime sp-bags
+// supports): every past thread is English-before the current one, and
+// Hebrew-before coincides with precedes.
 type bagsRel struct {
 	b   *spBags
 	cur ThreadID
@@ -192,8 +179,8 @@ func (r bagsRel) EnglishBeforeCurrent(prev ThreadID) bool { return prev != r.cur
 
 func (r bagsRel) HebrewBeforeCurrent(prev ThreadID) bool { return r.PrecedesCurrent(prev) }
 
-// ThreadRelative implements HandleMaintainer (consumed under the
-// Monitor's mutex; sp-bags is not Synchronized).
+// ThreadRelative implements Maintainer; the handle is consumed under
+// the Monitor's mutex (sp-bags is not Synchronized).
 func (b *spBags) ThreadRelative(t ThreadID) CurrentRelative { return bagsRel{b: b, cur: t} }
 
 func init() {

@@ -217,22 +217,6 @@ func (h *hybrid) Join(left, right, cont ThreadID) {
 	h.enqueue(hybridEvent{a: left, b: right, c: cont})
 }
 
-// Precedes reports a ≺ b via lock-free global-tier queries (Figure 9
-// with singleton traces: the same-trace local case never arises).
-func (h *hybrid) Precedes(a, b ThreadID) bool {
-	ia, ib := h.item(a), h.item(b)
-	return h.eng.Precedes(ia.e, ib.e) && h.heb.Precedes(ia.h, ib.h)
-}
-
-// Parallel reports a ∥ b: the global orders disagree.
-func (h *hybrid) Parallel(a, b ThreadID) bool {
-	if a == b {
-		return false
-	}
-	ia, ib := h.item(a), h.item(b)
-	return h.eng.Precedes(ia.e, ib.e) != h.heb.Precedes(ia.h, ib.h)
-}
-
 // hybridRel is the cached per-thread query handle. Resolution is lazy:
 // the handle is created at the structural event that creates the
 // thread, when the thread is typically still pending — resolving there
@@ -253,6 +237,10 @@ func (r *hybridRel) resolve() *hybridItem {
 	return it
 }
 
+// PrecedesCurrent and ParallelCurrent are lock-free global-tier queries
+// (Figure 9 with singleton traces: the same-trace local case never
+// arises): prev ≺ current iff both orders agree it is before, prev ∥
+// current iff they disagree.
 func (r *hybridRel) PrecedesCurrent(prev ThreadID) bool {
 	cur := r.resolve()
 	p := r.h.item(prev)
@@ -279,7 +267,7 @@ func (r *hybridRel) HebrewBeforeCurrent(prev ThreadID) bool {
 	return r.h.heb.Precedes(r.h.item(prev).h, cur.h)
 }
 
-// ThreadRelative implements HandleMaintainer. It does not resolve the
+// ThreadRelative implements Maintainer. It does not resolve the
 // thread's positions — t may still be pending, and binding happens
 // inside the Monitor's Fork and Join, which may run concurrently.
 func (h *hybrid) ThreadRelative(t ThreadID) CurrentRelative {

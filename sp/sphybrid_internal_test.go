@@ -50,10 +50,10 @@ func TestHybridBatchesGlobalInsertions(t *testing.T) {
 	// Relations across the spine are correct after lazy materialization.
 	for i := 1; i < forks; i += 37 {
 		leaf, prevLeaf, parent := ThreadID(2*i+1), ThreadID(2*i-1), ThreadID(2*i)
-		if !h.Precedes(parent, leaf) {
+		if !h.ThreadRelative(leaf).PrecedesCurrent(parent) {
 			t.Fatalf("t%d must precede its child t%d", parent, leaf)
 		}
-		if !h.Parallel(prevLeaf, leaf) || !h.Parallel(leaf, prevLeaf) {
+		if !h.ThreadRelative(leaf).ParallelCurrent(prevLeaf) || !h.ThreadRelative(prevLeaf).ParallelCurrent(leaf) {
 			t.Fatalf("sibling-spine leaves t%d and t%d must be parallel", prevLeaf, leaf)
 		}
 		if !rel.ParallelCurrent(leaf) {
@@ -73,7 +73,7 @@ func TestHybridBatchesGlobalInsertions(t *testing.T) {
 		next++
 	}
 	preQuery := h.drains.Load()
-	if !h.Precedes(1, cur) {
+	if !h.ThreadRelative(cur).PrecedesCurrent(1) {
 		t.Fatal("every leaf must precede the fully joined continuation")
 	}
 	if got := h.drains.Load(); got != preQuery+1 {

@@ -24,84 +24,89 @@ import (
 //     (the P-swap makes the left branch Hebrew-last): c is inserted
 //     after b in English and after a in Hebrew.
 //
-// Queries are Lemma 1 / Corollary 2 verbatim: u ≺ v iff u precedes v in
-// both orders; u ∥ v iff the orders disagree. Because insertions are
-// positioned relative to existing items only, the structure is
-// independent of event arrival order: SP-order is the one serial backend
-// that tolerates any creation-respecting event order (AnyOrder).
+// Queries, asked through a thread's handle, are Lemma 1 / Corollary 2
+// verbatim: u ≺ v iff u precedes v in both orders; u ∥ v iff the orders
+// disagree. Because insertions are positioned relative to existing items
+// only, the structure is independent of event arrival order: SP-order is
+// the one serial backend that tolerates any creation-respecting event
+// order (AnyOrder).
 
 // spOrder is the event-driven serial SP-order backend.
 type spOrder struct {
 	eng, heb *om.List
-	engIt    []*om.Item // indexed by ThreadID
-	hebIt    []*om.Item
+	// rels holds each thread's handle, indexed by ThreadID, in pages of
+	// relPage that never move once allocated: a handle's address is
+	// stable, so binding a thread allocates nothing.
+	rels [][]orderRel
 }
+
+// relPage is the number of sp-order handles per page.
+const relPage = 256
 
 func newSPOrder() Maintainer { return &spOrder{eng: om.NewList(), heb: om.NewList()} }
 
-func (s *spOrder) grow(t ThreadID) {
-	for int(t) >= len(s.engIt) {
-		s.engIt = append(s.engIt, nil)
-		s.hebIt = append(s.hebIt, nil)
+// put registers t's items in the two lists, opening pages up to t's.
+func (s *spOrder) put(t ThreadID, e, h *om.Item) {
+	for int(t/relPage) >= len(s.rels) {
+		s.rels = append(s.rels, make([]orderRel, relPage))
 	}
+	s.rels[t/relPage][t%relPage] = orderRel{s: s, e: e, h: h}
 }
 
-func (s *spOrder) Start(main ThreadID) {
-	s.grow(main)
-	s.engIt[main] = s.eng.InsertFirst()
-	s.hebIt[main] = s.heb.InsertFirst()
+// rel returns t's handle, panicking if t was never registered.
+func (s *spOrder) rel(t ThreadID) *orderRel {
+	if p := uint64(t) / relPage; p < uint64(len(s.rels)) {
+		if r := &s.rels[p][uint64(t)%relPage]; r.e != nil {
+			return r
+		}
+	}
+	panic(fmt.Sprintf("sp: sp-order query on unknown thread t%d", t))
 }
+
+func (s *spOrder) Start(main ThreadID) { s.put(main, s.eng.InsertFirst(), s.heb.InsertFirst()) }
 
 func (s *spOrder) Begin(ThreadID) {}
 
 func (s *spOrder) Fork(parent, left, right ThreadID) {
-	s.grow(right)
-	e := s.eng.InsertAfterN(s.engIt[parent], 2)
-	s.engIt[left], s.engIt[right] = e[0], e[1]
-	h := s.heb.InsertAfterN(s.hebIt[parent], 2)
-	s.hebIt[right], s.hebIt[left] = h[0], h[1]
+	p := s.rel(parent)
+	e := s.eng.InsertAfterN(p.e, 2)
+	h := s.heb.InsertAfterN(p.h, 2)
+	s.put(left, e[0], h[1])
+	s.put(right, e[1], h[0])
 }
 
 func (s *spOrder) Join(left, right, cont ThreadID) {
-	s.grow(cont)
-	s.engIt[cont] = s.eng.InsertAfter(s.engIt[right])
-	s.hebIt[cont] = s.heb.InsertAfter(s.hebIt[left])
+	s.put(cont, s.eng.InsertAfter(s.rel(right).e), s.heb.InsertAfter(s.rel(left).h))
 }
 
-func (s *spOrder) items(a, b ThreadID) (ea, eb, ha, hb *om.Item) {
-	ea, ha = s.engIt[a], s.hebIt[a]
-	eb, hb = s.engIt[b], s.hebIt[b]
-	if ea == nil || eb == nil {
-		panic(fmt.Sprintf("sp: sp-order query on unknown thread (t%d, t%d)", a, b))
-	}
-	return
+// ThreadRelative returns a pointer to t's handle in its page.
+func (s *spOrder) ThreadRelative(t ThreadID) CurrentRelative { return s.rel(t) }
+
+// orderRel is an sp-order thread's handle: its items in the English and
+// Hebrew lists. Every answer is one or two label comparisons and exact
+// for any pair, so the Monitor's two-reader protocol stays complete on
+// the concurrent-order event streams it serializes for this backend.
+type orderRel struct {
+	s    *spOrder
+	e, h *om.Item
 }
 
-func (s *spOrder) Precedes(a, b ThreadID) bool {
-	ea, eb, ha, hb := s.items(a, b)
-	return s.eng.Precedes(ea, eb) && s.heb.Precedes(ha, hb)
+func (r *orderRel) PrecedesCurrent(prev ThreadID) bool {
+	p := r.s.rel(prev)
+	return r.s.eng.Precedes(p.e, r.e) && r.s.heb.Precedes(p.h, r.h)
 }
 
-func (s *spOrder) Parallel(a, b ThreadID) bool {
-	if a == b {
-		return false
-	}
-	ea, eb, ha, hb := s.items(a, b)
-	return s.eng.Precedes(ea, eb) != s.heb.Precedes(ha, hb)
+func (r *orderRel) ParallelCurrent(prev ThreadID) bool {
+	p := r.s.rel(prev)
+	return r.s.eng.Precedes(p.e, r.e) != r.s.heb.Precedes(p.h, r.h)
 }
 
-// EnglishBefore and HebrewBefore expose the two maintained orders
-// exactly, so the Monitor's two-reader race-detection protocol stays
-// complete even for concurrent-order event streams (which the Monitor
-// serializes for this backend).
-func (s *spOrder) EnglishBefore(a, b ThreadID) bool {
-	ea, eb, _, _ := s.items(a, b)
-	return s.eng.Precedes(ea, eb)
+func (r *orderRel) EnglishBeforeCurrent(prev ThreadID) bool {
+	return r.s.eng.Precedes(r.s.rel(prev).e, r.e)
 }
 
-func (s *spOrder) HebrewBefore(a, b ThreadID) bool {
-	_, _, ha, hb := s.items(a, b)
-	return s.heb.Precedes(ha, hb)
+func (r *orderRel) HebrewBeforeCurrent(prev ThreadID) bool {
+	return r.s.heb.Precedes(r.s.rel(prev).h, r.h)
 }
 
 // spOrderImplicit is the footnote-2 variant: during a serial depth-first
@@ -148,25 +153,41 @@ func (s *spOrderImplicit) Join(left, right, cont ThreadID) {
 	s.hebIt[cont] = s.heb.InsertAfter(s.hebIt[left])
 }
 
-func (s *spOrderImplicit) indices(a, b ThreadID) (ea, eb int64) {
-	ea, eb = s.engIdx[a], s.engIdx[b]
-	if ea == 0 || eb == 0 {
-		panic(fmt.Sprintf("sp: sp-order-implicit query on a thread that has not begun (t%d, t%d)", a, b))
+// english reports prev's and cur's begin indices compared: prev <_E cur.
+func (s *spOrderImplicit) english(prev, cur ThreadID) bool {
+	ep, ec := s.engIdx[prev], s.engIdx[cur]
+	if ep == 0 || ec == 0 {
+		panic(fmt.Sprintf("sp: sp-order-implicit query on a thread that has not begun (t%d, t%d)", prev, cur))
 	}
-	return
+	return ep < ec
 }
 
-func (s *spOrderImplicit) Precedes(a, b ThreadID) bool {
-	ea, eb := s.indices(a, b)
-	return ea < eb && s.heb.Precedes(s.hebIt[a], s.hebIt[b])
+// implicitRel is the cached per-thread query handle: the thread's
+// Hebrew item is resolved once, at binding. The English half of each
+// SP answer is the begin indices; the order answers use the
+// serial-stream equivalence the backend requires anyway.
+type implicitRel struct {
+	s   *spOrderImplicit
+	cur ThreadID
+	h   *om.Item
 }
 
-func (s *spOrderImplicit) Parallel(a, b ThreadID) bool {
-	if a == b {
-		return false
-	}
-	ea, eb := s.indices(a, b)
-	return (ea < eb) != s.heb.Precedes(s.hebIt[a], s.hebIt[b])
+func (r implicitRel) PrecedesCurrent(prev ThreadID) bool {
+	return prev != r.cur && r.s.english(prev, r.cur) && r.s.heb.Precedes(r.s.hebIt[prev], r.h)
+}
+
+func (r implicitRel) ParallelCurrent(prev ThreadID) bool {
+	return prev != r.cur && r.s.english(prev, r.cur) != r.s.heb.Precedes(r.s.hebIt[prev], r.h)
+}
+
+func (r implicitRel) EnglishBeforeCurrent(prev ThreadID) bool { return prev != r.cur }
+
+func (r implicitRel) HebrewBeforeCurrent(prev ThreadID) bool { return r.PrecedesCurrent(prev) }
+
+// ThreadRelative implements Maintainer; the handle is consumed under
+// the Monitor's mutex.
+func (s *spOrderImplicit) ThreadRelative(t ThreadID) CurrentRelative {
+	return implicitRel{s: s, cur: t, h: s.hebIt[t]}
 }
 
 func init() {

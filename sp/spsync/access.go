@@ -52,8 +52,10 @@ func pointerOf(p any) (uintptr, bool) {
 // Read records a shared-memory load through p (a pointer to the cell
 // being read) at the given source site ("file.go:line"). The rewriter
 // injects these before each statement for every shared read the
-// statement performs.
-func Read(p any, site string) {
+// statement performs. site is an any, not a string, so that the
+// rewriter's string literals convert to an interface statically and an
+// access allocates no box for its site.
+func Read(p, site any) {
 	e := current()
 	g := e.cur()
 	if g == nil {
@@ -71,8 +73,9 @@ func Read(p any, site string) {
 // site. The rewriter injects these after each statement for every
 // shared write the statement performs (after, so that a statement whose
 // evaluation moves the goroutine across a join — e.g. a call that
-// Waits — attributes the store to the post-join thread).
-func Write(p any, site string) {
+// Waits — attributes the store to the post-join thread). site is an
+// any for the reason Read gives.
+func Write(p, site any) {
 	e := current()
 	g := e.cur()
 	if g == nil {

@@ -59,9 +59,9 @@ func (s *Server) Report() FleetReport {
 	r.StartedAt = s.start
 	r.UptimeSec = now.Sub(s.start).Seconds()
 	r.Backend = s.cfg.Backend
-	r.Events.Total = s.eventsTotal.Load()
+	r.Events.Total = s.mx.events.Value()
 	r.Events.PerSec = s.rate.ValueAt(now)
-	r.Races.Observed = s.observed.Load()
+	r.Races.Observed = s.mx.racesObserved.Value()
 	r.Races.Unique = s.dedup.Unique()
 	r.RacesBySite = s.dedup.BySite()
 	r.Entries = s.dedup.Snapshot()

@@ -50,12 +50,6 @@ type Config struct {
 	// RecentStreams bounds the completed-stream ring kept for reports
 	// (default 64).
 	RecentStreams int
-	// Metrics optionally supplies the registry the server and every
-	// stream monitor record into; nil creates a private one. Either way
-	// the registry backs /metrics and Registry(), and instruments are
-	// shared fleet-wide (per-stream monitors aggregate into the same
-	// series and hold no per-stream registry state after they finish).
-	Metrics *metrics.Registry
 }
 
 func (c Config) withDefaults() Config {
@@ -152,9 +146,7 @@ type Server struct {
 	rate  *metrics.Rate
 	start time.Time
 
-	eventsTotal atomic.Int64
-	observed    atomic.Int64 // race observations fleet-wide
-	busy        atomic.Int64 // workers currently ingesting a stream
+	busy atomic.Int64 // workers currently ingesting a stream
 
 	mu        sync.Mutex
 	nextID    uint64
@@ -195,11 +187,7 @@ func New(cfg Config) (*Server, error) {
 		sem:     make(chan struct{}, cfg.MaxStreams),
 		drainCh: make(chan struct{}),
 	}
-	reg := cfg.Metrics
-	if reg == nil {
-		reg = metrics.NewRegistry()
-	}
-	s.instrument(reg)
+	s.instrument(metrics.NewRegistry())
 	for i := 0; i < cfg.Workers; i++ {
 		s.workerWG.Add(1)
 		go s.worker()
@@ -458,7 +446,6 @@ func (s *Server) ingest(st *stream, r io.Reader) error {
 	var pending, flushedBytes int64
 	flush := func() {
 		if pending > 0 {
-			s.eventsTotal.Add(pending)
 			s.mx.events.Add(pending)
 			st.events.Add(pending)
 			s.rate.Add(pending)
@@ -506,7 +493,6 @@ func (s *Server) ingest(st *stream, r io.Reader) error {
 	rep := m.Report()
 	s.dedup.Fold(st.name, sp.Tally(rep.Races), time.Now())
 	n := int64(len(rep.Races))
-	s.observed.Add(n)
 	s.mx.racesObserved.Add(n)
 	st.races.Store(n)
 	return ingestErr
