@@ -327,7 +327,7 @@ func fig3() {
 		q := timeIt(reps(), func() {
 			for i := 0; i < qn; i++ {
 				b := rels[rng.Intn(len(rels))]
-				b.PrecedesCurrent(pick())
+				b.Orders(pick())
 			}
 		})
 		fmt.Printf("%-18s %18.1f %18.1f %14.1f\n", name, words,

@@ -100,10 +100,3 @@ func (t *Table[T]) grow(c int) *[]*chunk[T] {
 	t.spine.Store(&ns)
 	return &ns
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

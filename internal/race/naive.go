@@ -30,9 +30,9 @@ import (
 
 // naiveThread is an event thread with its sp-order query handle, bound
 // where the thread is created, under mu. sp-order's handles answer the
-// English and Hebrew orders exactly, which the two-reader shadow
-// protocol needs to stay complete off the serial depth-first access
-// order — exactly the regime this detector runs in.
+// English and Hebrew orders exactly for any pair, which the two-reader
+// shadow protocol needs to stay complete off the serial depth-first
+// access order — exactly the regime this detector runs in.
 type naiveThread struct {
 	id  sp.ThreadID
 	rel sp.CurrentRelative
@@ -167,28 +167,15 @@ type naiveRel struct {
 	h sp.CurrentRelative
 }
 
-func (r naiveRel) PrecedesCurrent(u sp.ThreadID) bool {
-	r.c.lock()
-	defer r.c.mu.Unlock()
-	return r.h.PrecedesCurrent(u)
-}
-
 func (r naiveRel) ParallelCurrent(u sp.ThreadID) bool {
-	r.c.lock()
-	defer r.c.mu.Unlock()
-	return r.h.ParallelCurrent(u)
+	english, hebrew := r.Orders(u)
+	return english != hebrew
 }
 
-func (r naiveRel) EnglishBeforeCurrent(u sp.ThreadID) bool {
+func (r naiveRel) Orders(u sp.ThreadID) (english, hebrew bool) {
 	r.c.lock()
 	defer r.c.mu.Unlock()
-	return r.h.EnglishBeforeCurrent(u)
-}
-
-func (r naiveRel) HebrewBeforeCurrent(u sp.ThreadID) bool {
-	r.c.lock()
-	defer r.c.mu.Unlock()
-	return r.h.HebrewBeforeCurrent(u)
+	return r.h.Orders(u)
 }
 
 // ExecThread replays the leaf's accesses on the frame's current thread

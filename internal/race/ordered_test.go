@@ -23,14 +23,13 @@ func maskedReaderTree() *spt.Tree {
 
 // TestOrderedReplayCatchesMaskedReader mirrors internal/shadow's
 // TestOrderedProtocolCatchesMaskedReader through the naive detector's
-// real order queries (the sp-order handles' EnglishBeforeCurrent and
-// HebrewBeforeCurrent) instead of scripted orders. The masked-reader program as
-// events: r1 is the spawned thread t1, r2 runs on the continuation t2,
-// and a fork/join diamond orders t2 before w's thread t5. Under the
-// feasible concurrent execution order r2, r1, w the one-reader
-// discipline masks the racy reader r1, while the two-reader protocol the
-// parallel detectors use retains r1 as the Hebrew-max reader and flags
-// r1 ∥ w.
+// real order queries (the sp-order handles' Orders) instead of scripted
+// orders. The masked-reader program as events: r1 is the spawned thread
+// t1, r2 runs on the continuation t2, and a fork/join diamond orders t2
+// before w's thread t5. Under the feasible concurrent execution order
+// r2, r1, w the one-reader discipline masks the racy reader r1, while
+// the two-reader protocol the parallel detectors use retains r1 as the
+// Hebrew-max reader and flags r1 ∥ w.
 func TestOrderedReplayCatchesMaskedReader(t *testing.T) {
 	c := newNaiveClient(maskedReaderTree(), false)
 	c.m.Start(0)

@@ -13,7 +13,7 @@ import (
 // hybridRel adapts SP-hybrid queries against a fixed current thread. In
 // the parallel detector the "current" thread is always the one executing
 // on the calling worker, satisfying Theorem 9's precondition. It answers
-// the English/Hebrew order queries exactly, which the two-reader shadow
+// the English and Hebrew orders exactly, which the two-reader shadow
 // protocol (OnAccessOrdered) needs to stay complete under the genuinely
 // concurrent access order a parallel replay produces.
 type hybridRel struct {
@@ -21,10 +21,9 @@ type hybridRel struct {
 	cur *spt.Node
 }
 
-func (r *hybridRel) PrecedesCurrent(u *spt.Node) bool      { return r.h.Precedes(u, r.cur) }
-func (r *hybridRel) ParallelCurrent(u *spt.Node) bool      { return r.h.Parallel(u, r.cur) }
-func (r *hybridRel) EnglishBeforeCurrent(u *spt.Node) bool { return r.h.EnglishBefore(u, r.cur) }
-func (r *hybridRel) HebrewBeforeCurrent(u *spt.Node) bool  { return r.h.HebrewBefore(u, r.cur) }
+func (r *hybridRel) ParallelCurrent(u *spt.Node) bool { return r.h.Parallel(u, r.cur) }
+
+func (r *hybridRel) Orders(u *spt.Node) (english, hebrew bool) { return r.h.Orders(u, r.cur) }
 
 // DetectParallel replays tree t under the work-stealing scheduler on the
 // given number of workers, with the scheduler-coupled SP-hybrid

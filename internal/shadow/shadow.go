@@ -55,32 +55,19 @@ func (k AccessKind) String() string {
 }
 
 // Relative answers SP queries of a previous accessor against the
-// currently executing accessor.
+// currently executing accessor. Orders reads the two total orders
+// behind the SP relation: the English (serial depth-first) order and
+// the Hebrew (spawn-swapped) order. prev ≺ current iff prev is before
+// it in both, and prev ∥ current iff the orders disagree (Lemma 1 of
+// the SP-order paper). The protocols read Orders to choose the readers
+// a cell retains, and ask ParallelCurrent for every race check, so an
+// implementation may order more pairs there than the two orders do (as
+// a monitor layering sync-object edges over the SP relation does).
 type Relative[A comparable] interface {
-	// PrecedesCurrent reports prev ≺ current.
-	PrecedesCurrent(prev A) bool
 	// ParallelCurrent reports prev ∥ current.
 	ParallelCurrent(prev A) bool
-}
-
-// OrderedRelative extends Relative with the two total orders behind
-// the SP relation: the English (serial depth-first) order and the
-// Hebrew (spawn-swapped) order. a ≺ b iff a is before b in both; a ∥ b
-// iff the orders disagree. The two-reader protocol (OnAccessOrdered)
-// needs them to retain the English-max and Hebrew-max readers.
-//
-// For a serial event stream the orders come for free: the current
-// thread executes in English order, so EnglishBeforeCurrent is
-// constantly true and HebrewBeforeCurrent coincides with
-// PrecedesCurrent. Only genuinely concurrent accessors need a backend
-// that answers the orders exactly (the two order-maintenance lists of
-// SP-order/SP-hybrid).
-type OrderedRelative[A comparable] interface {
-	Relative[A]
-	// EnglishBeforeCurrent reports prev <_E current.
-	EnglishBeforeCurrent(prev A) bool
-	// HebrewBeforeCurrent reports prev <_H current.
-	HebrewBeforeCurrent(prev A) bool
+	// Orders reports prev <_E current and prev <_H current.
+	Orders(prev A) (english, hebrew bool)
 }
 
 // Cell is one shadow-memory slot: the location's last writer plus the
@@ -145,7 +132,7 @@ func OnAccess[A comparable](c *Cell[A], rel Relative[A], cur A, site any, write 
 		c.reader, c.readerSite = cur, site
 	} else if c.reader != cur {
 		*queries++
-		if rel.PrecedesCurrent(c.reader) {
+		if english, hebrew := rel.Orders(c.reader); english && hebrew {
 			c.reader, c.readerSite = cur, site
 		}
 	}
@@ -172,10 +159,10 @@ func OnAccess[A comparable](c *Cell[A], rel Relative[A], cur A, site any, write 
 //     subsumed by a write-write race on the same location.
 //
 // The caller must hold the cell's shard lock when accessors run
-// concurrently, and rel's order answers must be exact for concurrent
-// accessors (serial streams may use the PrecedesCurrent equivalence
-// described on OrderedRelative).
-func OnAccessOrdered[A comparable](c *Cell[A], rel OrderedRelative[A], cur A, site any, write bool, queries *int64) (found Found[A], ok bool) {
+// concurrently, and rel's orders must be exact for every pair of
+// accessors it is asked about. Each retention check reads one bit of
+// its own Orders call and counts as one query.
+func OnAccessOrdered[A comparable](c *Cell[A], rel Relative[A], cur A, site any, write bool, queries *int64) (found Found[A], ok bool) {
 	if write {
 		if c.hasWriter && c.writer != cur {
 			*queries++
@@ -212,7 +199,7 @@ func OnAccessOrdered[A comparable](c *Cell[A], rel OrderedRelative[A], cur A, si
 		c.reader, c.readerSite = cur, site
 	} else if c.reader != cur {
 		*queries++
-		if rel.EnglishBeforeCurrent(c.reader) {
+		if english, _ := rel.Orders(c.reader); english {
 			c.reader, c.readerSite = cur, site
 		}
 	}
@@ -222,7 +209,7 @@ func OnAccessOrdered[A comparable](c *Cell[A], rel OrderedRelative[A], cur A, si
 		c.readerH, c.readerHSite = cur, site
 	} else if c.readerH != cur {
 		*queries++
-		if rel.HebrewBeforeCurrent(c.readerH) {
+		if _, hebrew := rel.Orders(c.readerH); hebrew {
 			c.readerH, c.readerHSite = cur, site
 		}
 	}
@@ -301,7 +288,7 @@ func (m *Memory[A]) ShardOf(addr uint64) *Shard[A] { return &m.shards[m.ShardInd
 // any, and adds the number of SP queries issued to *queries. rel may be
 // queried while the shard lock is held, so it must be safe to call
 // concurrently with SP-structure updates when accessors are parallel.
-func (m *Memory[A]) AccessOrdered(addr uint64, rel OrderedRelative[A], cur A, site any, write bool, queries *int64) (Found[A], bool) {
+func (m *Memory[A]) AccessOrdered(addr uint64, rel Relative[A], cur A, site any, write bool, queries *int64) (Found[A], bool) {
 	s := m.ShardOf(addr)
 	s.mu.Lock()
 	s.hits++

@@ -9,14 +9,13 @@ import (
 // serialRel is a scripted SP relation for driving the protocol without
 // a real maintainer: accessors are ints, and the relation declares
 // every pair of distinct accessors parallel (the worst case) or serial,
-// per the flag. Its orders are OrderedRelative's rule for a serial
-// stream: English-before always, Hebrew-before iff precedes.
+// per the flag. Its orders are those of a serial stream, where every
+// past accessor is English-before the current one and Hebrew-before it
+// iff it precedes it.
 type serialRel struct{ parallel bool }
 
-func (r serialRel) PrecedesCurrent(int) bool       { return !r.parallel }
-func (r serialRel) ParallelCurrent(int) bool       { return r.parallel }
-func (r serialRel) EnglishBeforeCurrent(int) bool  { return true }
-func (r serialRel) HebrewBeforeCurrent(p int) bool { return r.PrecedesCurrent(p) }
+func (r serialRel) ParallelCurrent(int) bool { return r.parallel }
+func (r serialRel) Orders(int) (bool, bool)  { return true, !r.parallel }
 
 // TestShardIndexSpreadsAdjacentAddresses pins the property the sharded
 // fast path depends on: consecutive addresses — the layout of real
@@ -166,14 +165,13 @@ type orderedRel struct {
 	cur      int
 }
 
-func (r orderedRel) PrecedesCurrent(p int) bool {
-	return r.eng[p] < r.eng[r.cur] && r.heb[p] < r.heb[r.cur]
-}
 func (r orderedRel) ParallelCurrent(p int) bool {
-	return (r.eng[p] < r.eng[r.cur]) != (r.heb[p] < r.heb[r.cur])
+	english, hebrew := r.Orders(p)
+	return english != hebrew
 }
-func (r orderedRel) EnglishBeforeCurrent(p int) bool { return r.eng[p] < r.eng[r.cur] }
-func (r orderedRel) HebrewBeforeCurrent(p int) bool  { return r.heb[p] < r.heb[r.cur] }
+func (r orderedRel) Orders(p int) (bool, bool) {
+	return r.eng[p] < r.eng[r.cur], r.heb[p] < r.heb[r.cur]
+}
 
 // TestOrderedProtocolCatchesMaskedReader pins the completeness gap
 // that separates the two protocols under concurrent execution orders.

@@ -376,38 +376,24 @@ func (h *SPHybrid) Parallel(u, v *spt.Node) bool {
 	return h.eng.Precedes(tu.eng, tv.eng) != h.heb.Precedes(tu.heb, tv.heb)
 }
 
-// EnglishBefore reports u <_E v — u before the currently executing
-// thread v in the English (serial depth-first execution) order — with
-// Theorem 9's precondition. Different traces: the global English list
-// answers lock-free. Same trace: a trace is the set of threads executed
+// Orders reports u <_E v and u <_H v (serial depth-first and
+// spawn-swapped order), where v is the currently executing thread, with
+// Theorem 9's precondition. Different traces: the global lists answer
+// lock-free. Same trace: a trace is the set of threads executed
 // serially on one worker between steals, and u, already executed, ran
-// before v on that worker, so u is English-before v.
-func (h *SPHybrid) EnglishBefore(u, v *spt.Node) bool {
-	if u == v {
-		return false
-	}
-	_, tu := h.lookup(u)
-	_, tv := h.lookup(v)
-	if tu == tv {
-		return true
-	}
-	return h.eng.Precedes(tu.eng, tv.eng)
-}
-
-// HebrewBefore reports u <_H v (spawn-swapped order), same precondition
-// as EnglishBefore. Different traces: the global Hebrew list. Same
-// trace: English already holds (see EnglishBefore), so Hebrew-before
+// before v on that worker, so u is English-before v, and Hebrew-before
 // coincides with u ≺ v, which the local tier answers (S-bag ⇒ series).
-func (h *SPHybrid) HebrewBefore(u, v *spt.Node) bool {
+// Unlike Precedes and Parallel it counts no query in Stats.Queries.
+func (h *SPHybrid) Orders(u, v *spt.Node) (english, hebrew bool) {
 	if u == v {
-		return false
+		return false, false
 	}
 	du, tu := h.lookup(u)
 	_, tv := h.lookup(v)
 	if tu == tv {
-		return du.isS
+		return true, du.isS
 	}
-	return h.heb.Precedes(tu.heb, tv.heb)
+	return h.eng.Precedes(tu.eng, tv.eng), h.heb.Precedes(tu.heb, tv.heb)
 }
 
 var _ sched.Client = (*client)(nil)

@@ -224,10 +224,3 @@ func Shapes(n int, cost int64) map[string]*spt.Tree {
 		"blocks":   spt.SyncBlockChain(max(1, n/16), 16, cost),
 	}
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -56,3 +56,13 @@ func TestAllocsRaceEntrySize(t *testing.T) {
 		t.Fatalf("a race-log entry takes %d bytes, want at most 64", n)
 	}
 }
+
+// TestAllocsThreadStateSize pins a thread's bookkeeping in the 128-byte
+// allocation size class: the state embeds the backend's handle and
+// holds the Monitor its edge-aware ParallelCurrent asks, where a
+// separate composer would hold both and a pointer back to the state.
+func TestAllocsThreadStateSize(t *testing.T) {
+	if n := unsafe.Sizeof(threadState{}); n > 128 {
+		t.Fatalf("a thread's state takes %d bytes, want at most 128", n)
+	}
+}

@@ -92,34 +92,14 @@ type depaRel struct {
 	lab *depa.Label
 }
 
-// orders reports prev <_E and prev <_H the handle's thread; a thread is
-// before itself in neither.
-func (r depaRel) orders(prev ThreadID) (eng, heb bool) {
+// Orders reads both orders off one walk; a thread is before itself in
+// neither.
+func (r depaRel) Orders(prev ThreadID) (english, hebrew bool) {
 	u := r.d.label(prev)
 	if u == r.lab {
 		return false, false
 	}
 	return r.d.relate(u, r.lab)
-}
-
-func (r depaRel) PrecedesCurrent(prev ThreadID) bool {
-	eng, heb := r.orders(prev)
-	return eng && heb
-}
-
-func (r depaRel) ParallelCurrent(prev ThreadID) bool {
-	eng, heb := r.orders(prev)
-	return eng != heb
-}
-
-func (r depaRel) EnglishBeforeCurrent(prev ThreadID) bool {
-	eng, _ := r.orders(prev)
-	return eng
-}
-
-func (r depaRel) HebrewBeforeCurrent(prev ThreadID) bool {
-	_, heb := r.orders(prev)
-	return heb
 }
 
 // ThreadRelative implements Maintainer.

@@ -191,9 +191,9 @@ func checkPrune(t *testing.T, m *Monitor, ref func(a, b ThreadID) bool, rng *ran
 			}
 			for _, set := range sets {
 				checkAntichain(t, m, ref, set)
-				r := hbRel{m: m, st: &threadState{ctx: set}}
+				st := &threadState{m: m, ctx: set}
 				for _, prev := range begun {
-					if g, w := r.edgeOrdered(prev), edgeOrderedScan(m, set, prev); g != w {
+					if g, w := st.edgeOrdered(prev), edgeOrderedScan(m, set, prev); g != w {
 						t.Fatalf("%s: edgeOrdered(t%d) over %v = %v, scan %v", m.info.Name, prev, set, g, w)
 					}
 				}

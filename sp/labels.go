@@ -35,38 +35,35 @@ type osPair struct {
 	offset, span int64
 }
 
-// relateOS compares two offset-span labels: -1 (first precedes), +1
-// (first follows), 0 (parallel). Two threads are ordered iff at the
-// first differing pair the offsets are congruent modulo the span (serial
-// descendants advance offsets in multiples of the span); incongruent
-// offsets mean sibling branches, hence parallel.
-func relateOS(a, b []osPair) int {
+// ordersOS reports a <_E b and a <_H b for two offset-span labels,
+// decided at the first pair where they differ. Spans never differ at
+// equal depth (depth 0 always has span 1, and every fork adds span 2),
+// so the two offsets share a span there:
+//
+//   - congruent offsets modulo the span are serial positions of one
+//     branch (serial successors advance the offset by the span), and
+//     the smaller one is before in both orders;
+//   - incongruent offsets are the two branches of one fork, and the
+//     spawned branch, the smaller residue, is English-first and
+//     Hebrew-last (the P-node swap).
+//
+// When one label is a prefix of the other, the shorter one is an
+// ancestor position, before in both orders; equal labels are before
+// each other in neither.
+func ordersOS(a, b []osPair) (english, hebrew bool) {
 	n := min(len(a), len(b))
 	for i := 0; i < n; i++ {
 		pa, pb := a[i], b[i]
 		if pa == pb {
 			continue
 		}
-		if pa.span != pb.span {
-			return 0 // different fork contexts at the same depth
+		ra, rb := pa.offset%pa.span, pb.offset%pa.span
+		if ra == rb {
+			return pa.offset < pb.offset, pa.offset < pb.offset
 		}
-		if pa.offset%pa.span != pb.offset%pa.span {
-			return 0 // sibling branches of the same fork
-		}
-		if pa.offset < pb.offset {
-			return -1
-		}
-		return +1
+		return ra < rb, ra > rb
 	}
-	// One label is a prefix of the other; the shorter thread is an
-	// ancestor position and executed first.
-	switch {
-	case len(a) < len(b):
-		return -1
-	case len(a) > len(b):
-		return +1
-	}
-	return 0
+	return len(a) < len(b), len(a) < len(b)
 }
 
 // englishHebrew is the event-driven Nudler–Rudolph backend.
@@ -129,19 +126,11 @@ func (e *englishHebrew) Join(left, right, cont ThreadID) {
 	e.heb[cont] = bumpHeb(b[:len(b)-2])
 }
 
-func (e *englishHebrew) indices(a, b ThreadID) (ea, eb int64) {
-	ea, eb = e.eng[a], e.eng[b]
-	if ea == 0 || eb == 0 {
-		panic(fmt.Sprintf("sp: english-hebrew query on a thread that has not begun (t%d, t%d)", a, b))
-	}
-	return
-}
-
-// precedes reports a ≺ b for any two begun threads: the one query by
-// ID, which the Monitor's edge mirror asks (see Monitor.pairPrecedes).
-func (e *englishHebrew) precedes(a, b ThreadID) bool {
-	ea, eb := e.indices(a, b)
-	return ea < eb && slices.Compare(e.heb[a], e.heb[b]) < 0
+// orders reports a <_E b and a <_H b for any two begun threads: the
+// one query by ID, which the Monitor's edge mirror asks (see
+// Monitor.pairPrecedes).
+func (e *englishHebrew) orders(a, b ThreadID) (english, hebrew bool) {
+	return ehRel{e: e, cur: b, heb: e.heb[b]}.Orders(a)
 }
 
 // offsetSpan is the event-driven Mellor-Crummey backend.
@@ -199,40 +188,23 @@ func (o *offsetSpan) Join(left, right, cont ThreadID) {
 // Hebrew label is resolved once at thread creation (labels are
 // generated at the structural event and never mutate), so each query
 // compares against the cached slice instead of re-indexing the backend
-// twice. Unlike the other serial backends, english-hebrew maintains
-// both total orders explicitly, so its order answers are exact.
+// twice. Orders reads the English order off the begin indices and the
+// Hebrew order off one label comparison.
 type ehRel struct {
 	e   *englishHebrew
 	cur ThreadID
 	heb []int32
 }
 
-func (r ehRel) PrecedesCurrent(prev ThreadID) bool {
+func (r ehRel) Orders(prev ThreadID) (english, hebrew bool) {
 	if prev == r.cur {
-		return false
+		return false, false
 	}
-	ep, ec := r.e.indices(prev, r.cur)
-	return ep < ec && slices.Compare(r.e.heb[prev], r.heb) < 0
-}
-
-func (r ehRel) ParallelCurrent(prev ThreadID) bool {
-	if prev == r.cur {
-		return false
+	ep, ec := r.e.eng[prev], r.e.eng[r.cur]
+	if ep == 0 || ec == 0 {
+		panic(fmt.Sprintf("sp: english-hebrew query on a thread that has not begun (t%d, t%d)", prev, r.cur))
 	}
-	ep, ec := r.e.indices(prev, r.cur)
-	return (ep < ec) != (slices.Compare(r.e.heb[prev], r.heb) < 0)
-}
-
-func (r ehRel) EnglishBeforeCurrent(prev ThreadID) bool {
-	if prev == r.cur {
-		return false
-	}
-	ep, ec := r.e.indices(prev, r.cur)
-	return ep < ec
-}
-
-func (r ehRel) HebrewBeforeCurrent(prev ThreadID) bool {
-	return prev != r.cur && slices.Compare(r.e.heb[prev], r.heb) < 0
+	return ep < ec, slices.Compare(r.e.heb[prev], r.heb) < 0
 }
 
 // ThreadRelative implements Maintainer; the handle is consumed under
@@ -242,31 +214,20 @@ func (e *englishHebrew) ThreadRelative(t ThreadID) CurrentRelative {
 }
 
 // osRel is offset-span's cached per-thread handle; the label is
-// immutable once generated. Offset-span encodes no execution order, so
-// the order answers use the serial-stream equivalence the backend
-// requires anyway.
+// immutable once generated.
 type osRel struct {
 	o   *offsetSpan
-	cur ThreadID
 	lab []osPair
 }
 
-func (r osRel) PrecedesCurrent(prev ThreadID) bool {
-	return prev != r.cur && relateOS(r.o.lab[prev], r.lab) < 0
+func (r osRel) Orders(prev ThreadID) (english, hebrew bool) {
+	return ordersOS(r.o.lab[prev], r.lab)
 }
-
-func (r osRel) ParallelCurrent(prev ThreadID) bool {
-	return prev != r.cur && relateOS(r.o.lab[prev], r.lab) == 0
-}
-
-func (r osRel) EnglishBeforeCurrent(prev ThreadID) bool { return prev != r.cur }
-
-func (r osRel) HebrewBeforeCurrent(prev ThreadID) bool { return r.PrecedesCurrent(prev) }
 
 // ThreadRelative implements Maintainer; the handle is consumed under
 // the Monitor's mutex.
 func (o *offsetSpan) ThreadRelative(t ThreadID) CurrentRelative {
-	return osRel{o: o, cur: t, lab: o.lab[t]}
+	return osRel{o: o, lab: o.lab[t]}
 }
 
 func init() {

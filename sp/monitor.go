@@ -247,11 +247,14 @@ type threadState struct {
 	// monitors read them without a lock.
 	fork    ThreadID
 	spawned bool
-	// hb is the thread's SP query view, bound at thread creation (see
-	// bindRel): the edge composer around the backend's handle (its
-	// "label/bag reference"). It is held here by value, so binding a
-	// thread allocates no more than the backend's handle does.
-	hb hbRel
+	// CurrentRelative is the backend's handle for this thread (its
+	// "label/bag reference"), bound at thread creation (see bindRel);
+	// nil for a Put's two internal threads, which never run. The state
+	// is the thread's view for the detection protocols: Orders is the
+	// handle's, and ParallelCurrent layers the thread's observed
+	// sync-object edges over it, asking m to order the tokens.
+	CurrentRelative
+	m *Monitor
 	// accesses and queries are this thread's event counters; keeping
 	// them per thread keeps concurrent accesses off shared contended
 	// cache lines. Report sums them.
@@ -354,10 +357,10 @@ type Monitor struct {
 	mirror *englishHebrew
 	// stampBegins makes begin number threads in execution order, the
 	// English order of the serial event stream (SP-order-implicit's
-	// footnote-2 trick): set when the backend is not AnyOrder, so its
-	// handles need not answer the English order exactly. begins is the
-	// counter; both are only touched under mu, since such monitors are
-	// never lockFree.
+	// footnote-2 trick): set when the backend is not AnyOrder, whose
+	// event stream is serial, so that englishBefore reads two stamps
+	// instead of asking a handle. begins is the counter; both are only
+	// touched under mu, since such monitors are never lockFree.
 	stampBegins bool
 	begins      int64
 
@@ -469,23 +472,18 @@ func (m *Monitor) Main() ThreadID { return m.main }
 // at the given position in the fork tree.
 func (m *Monitor) newThread(fork ThreadID, spawned bool) ThreadID {
 	id := ThreadID(m.nthreads.Add(1) - 1)
-	m.threads.Put(int64(id), &threadState{fork: fork, spawned: spawned})
+	m.threads.Put(int64(id), &threadState{fork: fork, spawned: spawned, m: m})
 	if mx := m.mx; mx != nil {
 		mx.threads.Add(1)
 	}
 	return id
 }
 
-// bindRel caches the thread's query view on its state, before the new
-// ThreadID escapes to the caller: the backend's handle ("label/bag
-// reference"), wrapped in the hbRel composer that layers the thread's
-// observed sync-object edges over the strict SP answers. When the
-// thread has observed no edges the wrapper is one len check. The
-// composer lives in the thread's state, so only a backend's handle may
-// allocate.
+// bindRel caches the backend's handle ("label/bag reference") on the
+// thread's state, before the new ThreadID escapes to the caller. Only
+// the backend's handle may allocate.
 func (m *Monitor) bindRel(t ThreadID) {
-	st := m.state(t)
-	st.hb = hbRel{m, st, m.backend.ThreadRelative(t)}
+	m.state(t).CurrentRelative = m.backend.ThreadRelative(t)
 }
 
 // state returns t's bookkeeping, panicking on unknown IDs. The lookup
@@ -551,8 +549,10 @@ func (m *Monitor) Begin(t ThreadID) {
 //
 // On a lock-free monitor Fork takes no global mutex: the thread table
 // is lock-free, the backend accepts concurrent structural updates, and
-// parent's state is owned by the calling goroutine — so fork-heavy
-// workloads scale like access-heavy ones.
+// parent's state is owned by the calling goroutine. That removes a
+// global serialization point; whether fork-heavy work then scales is
+// what spbench -table concurrent measures (BENCH_concurrent.json),
+// and on a 2-vCPU host it did not.
 func (m *Monitor) Fork(parent ThreadID) (left, right ThreadID) {
 	st := m.state(parent)
 	if !m.lockFree {
@@ -864,12 +864,15 @@ func gallopDown(lo, hi int, f func(int) bool) int {
 	return lo
 }
 
-// englishBefore reports a <_E b for two begun threads: from b's handle
-// on AnyOrder backends, whose handles answer the order queries exactly
-// for any pair (sp-order, sp-hybrid, depa), and otherwise from the begin
+// englishBefore reports a <_E b for two begun threads: off the begin
 // stamps, which number the threads of a serial event stream in English
-// order. Like pairPrecedes it bypasses Monitor.Relation and counts
-// toward no report.
+// order, and otherwise from b's handle, which on the AnyOrder backends
+// (sp-order, sp-hybrid, depa) is exact for any pair. The stamps cost
+// two loads where a handle may pay for a label comparison or walk in
+// each order, and the token merges ask this once per gallop probe. The
+// a == b test comes first because joins merge sets that share most
+// tokens, so most probes compare a token with itself. Like pairPrecedes
+// it bypasses Monitor.Relation and counts toward no report.
 func (m *Monitor) englishBefore(a, b ThreadID) bool {
 	switch {
 	case a == b:
@@ -877,7 +880,8 @@ func (m *Monitor) englishBefore(a, b ThreadID) bool {
 	case m.stampBegins:
 		return m.state(a).engSeq < m.state(b).engSeq
 	default:
-		return m.state(b).hb.inner.EnglishBeforeCurrent(a)
+		english, _ := m.state(b).Orders(a)
+		return english
 	}
 }
 
@@ -889,66 +893,49 @@ func (m *Monitor) englishBefore(a, b ThreadID) bool {
 // Report.Queries (the count must not depend on how many edge tokens a
 // thread happens to carry).
 func (m *Monitor) pairPrecedes(a, b ThreadID) bool {
+	var english, hebrew bool
 	switch {
 	case a == b:
 		return false
 	case m.mirror != nil:
-		return m.mirror.precedes(a, b)
+		english, hebrew = m.mirror.orders(a, b)
 	default:
-		return m.state(b).hb.inner.PrecedesCurrent(a)
+		english, hebrew = m.state(b).Orders(a)
 	}
+	return english && hebrew
 }
 
-// hbRel layers a thread's observed sync-object edges over the
-// backend's strict SP answers: prev happens-before the current thread
-// if the SP relation says so, or if prev is (or SP-precedes) a token
-// the thread observed through Get — one binary search over the
-// English-ordered token antichain, O(log k) order comparisons plus one
-// SP query for k observed tokens. The converse direction needs no
-// check — a thread still running has published nothing, so no edge can
-// order the CURRENT thread before a past access. The English/Hebrew
-// order answers pass through unchanged: they only steer which readers
-// the shadow protocol retains, and retention stays SP-based (a
-// documented missed-race — never false-race — gap for adversarial
-// multi-reader edge patterns; the lock-aware ALL-SETS path keeps full
-// histories and is unaffected).
-type hbRel struct {
-	m     *Monitor
-	st    *threadState
-	inner CurrentRelative
+// edgeOrdered reports whether an observed edge orders prev before st's
+// thread, i.e. whether prev is or SP-precedes some token in st.ctx.
+// Only tokens not English-before prev can qualify, and ctx lists them
+// as a suffix whose first token s is the Hebrew-last of them, so prev
+// precedes one of them iff it precedes s.
+func (st *threadState) edgeOrdered(prev ThreadID) bool {
+	ctx, m := st.ctx, st.m
+	i := sort.Search(len(ctx), func(i int) bool { return !m.englishBefore(ctx[i], prev) })
+	return i < len(ctx) && (ctx[i] == prev || m.pairPrecedes(prev, ctx[i]))
 }
 
-// edgeOrdered reports whether an observed edge orders prev before the
-// current thread, i.e. whether prev is or SP-precedes some token in
-// ctx. Only tokens not English-before prev can qualify, and ctx lists
-// them as a suffix whose first token s is the Hebrew-last of them, so
-// prev precedes one of them iff it precedes s.
-func (r *hbRel) edgeOrdered(prev ThreadID) bool {
-	ctx := r.st.ctx
-	i := sort.Search(len(ctx), func(i int) bool { return !r.m.englishBefore(ctx[i], prev) })
-	return i < len(ctx) && (ctx[i] == prev || r.m.pairPrecedes(prev, ctx[i]))
-}
-
-func (r *hbRel) PrecedesCurrent(prev ThreadID) bool {
-	if r.inner.PrecedesCurrent(prev) {
-		return true
-	}
-	return len(r.st.ctx) > 0 && r.edgeOrdered(prev)
-}
-
-func (r *hbRel) ParallelCurrent(prev ThreadID) bool {
-	if !r.inner.ParallelCurrent(prev) {
+// ParallelCurrent reports prev ∥ st's thread in the happens-before
+// relation the race detector checks: the SP relation with the thread's
+// observed sync-object edges layered over it. prev is parallel if the
+// two orders disagree and no token the thread observed through Get is,
+// or SP-follows, prev: one binary search over the English-ordered token
+// antichain, O(log k) order comparisons plus one SP query for k
+// observed tokens, and one len check for a thread that observed none.
+// The converse direction needs no check: a thread still running has
+// published nothing, so no edge can order it before a past access.
+//
+// Orders, which the shadow protocol reads to choose the readers it
+// retains, is the handle's own and ignores edges: retention stays
+// SP-based. That is a documented missed-race (never false-race) gap for
+// adversarial multi-reader edge patterns; the lock-aware ALL-SETS path
+// keeps full histories and is unaffected.
+func (st *threadState) ParallelCurrent(prev ThreadID) bool {
+	if english, hebrew := st.Orders(prev); english == hebrew {
 		return false
 	}
-	return len(r.st.ctx) == 0 || !r.edgeOrdered(prev)
-}
-
-func (r *hbRel) EnglishBeforeCurrent(prev ThreadID) bool {
-	return r.inner.EnglishBeforeCurrent(prev)
-}
-
-func (r *hbRel) HebrewBeforeCurrent(prev ThreadID) bool {
-	return r.inner.HebrewBeforeCurrent(prev)
+	return len(st.ctx) == 0 || !st.edgeOrdered(prev)
 }
 
 // Read records a shared-memory load by thread t at addr.
@@ -1050,9 +1037,7 @@ func (m *Monitor) access(t ThreadID, st *threadState, addr uint64, write bool, s
 		return
 	}
 	var q int64
-	// st.hb is always bound at thread creation: the backend's handle
-	// wrapped in the edge composer.
-	found, ok := m.mem.AccessOrdered(addr, &st.hb, t, site, write, &q)
+	found, ok := m.mem.AccessOrdered(addr, st, t, site, write, &q)
 	st.queries.Add(q)
 	if mx := m.mx; mx != nil {
 		mx.queries.Add(q)
@@ -1077,13 +1062,12 @@ func (m *Monitor) lockAwareAccess(t ThreadID, st *threadState, addr uint64, writ
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	var q int64
-	rel := &st.hb
 	for _, e := range sh.entries[addr] {
 		if e.t == t || !(write || e.write) {
 			continue
 		}
 		q++
-		if !rel.ParallelCurrent(e.t) {
+		if !st.ParallelCurrent(e.t) {
 			continue
 		}
 		if !e.locks.Disjoint(cur) {
@@ -1147,9 +1131,10 @@ func (m *Monitor) TraceErr() error {
 	return m.trace.Flush()
 }
 
-// Relation returns the SP relationship between threads a and b, as b's
-// query handle answers it. Both must have begun; for backends without
-// FullQueries, b must be the currently executing thread.
+// Relation returns the SP relationship between threads a and b, read
+// off the two orders b's query handle reports. Both must have begun;
+// for backends without FullQueries, b must be the currently executing
+// thread.
 func (m *Monitor) Relation(a, b ThreadID) Relation {
 	if a == b {
 		return Same
@@ -1159,18 +1144,12 @@ func (m *Monitor) Relation(a, b ThreadID) Relation {
 		defer m.mu.Unlock()
 	}
 	m.state(a)
-	h := m.state(b).hb.inner
-	if h == nil {
+	st := m.state(b)
+	if st.CurrentRelative == nil {
 		panic(fmt.Sprintf("sp: Relation: thread t%d is internal to a Put and never runs", b))
 	}
 	m.relQueries.Add(1)
-	if h.PrecedesCurrent(a) {
-		return Precedes
-	}
-	if h.ParallelCurrent(a) {
-		return Parallel
-	}
-	return Follows
+	return relationOf(st.Orders(a))
 }
 
 // Precedes reports a ≺ b (same preconditions as Relation).

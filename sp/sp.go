@@ -154,36 +154,36 @@ type Maintainer interface {
 }
 
 // CurrentRelative answers SP queries of previously executed threads
-// against one fixed thread, the handle's own: the query forms the
-// shadow-memory protocol issues. Backends hand instances out through
-// ThreadRelative; the Monitor binds one per thread when it creates the
-// thread, so an access queries the SP structure with no per-query
-// table lookup, and every query the Monitor asks goes through one.
+// against one fixed thread, the handle's own. Backends hand instances
+// out through ThreadRelative; the Monitor binds one per thread when it
+// creates the thread, so an access queries the SP structure with no
+// per-query table lookup, and every query the Monitor asks goes
+// through one.
 //
-// PrecedesCurrent and ParallelCurrent answer for any begun prev. When
-// the backend's BackendInfo.FullQueries is false, the handle's thread
-// must be the currently executing one; otherwise it may be any begun
-// thread.
-//
-// The order queries expose the two total orders behind the SP
-// relation (a ≺ b iff a before b in both, a ∥ b iff they disagree);
-// the concurrent race-detection protocol needs them to retain the
-// English-max and Hebrew-max readers per location. On AnyOrder
-// backends they are exact for any pair of begun threads. Serial
-// backends may use the serial-stream equivalence instead: there the
-// handle's thread is current, so EnglishBeforeCurrent is true for every
-// other prev and HebrewBeforeCurrent coincides with PrecedesCurrent.
+// Its one query reads both total orders behind the SP relation, the
+// English (serial depth-first) order and the Hebrew (spawn-swapped)
+// order, which by Lemma 1 and Corollary 2 determine the relation: prev
+// ≺ current iff prev is before it in both, prev ∥ current iff the two
+// orders disagree, and prev follows current iff it is before it in
+// neither. A thread is before itself in neither order. When the
+// backend's BackendInfo.FullQueries is true the answer is exact for any
+// two begun threads; otherwise the handle's thread must be the
+// currently executing one.
 type CurrentRelative interface {
-	// PrecedesCurrent reports prev ≺ current.
-	PrecedesCurrent(prev ThreadID) bool
-	// ParallelCurrent reports prev ∥ current.
-	ParallelCurrent(prev ThreadID) bool
-	// EnglishBeforeCurrent reports prev <_E current (serial depth-first
-	// order).
-	EnglishBeforeCurrent(prev ThreadID) bool
-	// HebrewBeforeCurrent reports prev <_H current (spawn-swapped
-	// order).
-	HebrewBeforeCurrent(prev ThreadID) bool
+	// Orders reports prev <_E current and prev <_H current.
+	Orders(prev ThreadID) (english, hebrew bool)
+}
+
+// relationOf reads the SP relation of a thread to a handle's thread
+// off the two orders that handle's Orders reports (Corollary 2).
+func relationOf(english, hebrew bool) Relation {
+	switch {
+	case english && hebrew:
+		return Precedes
+	case english != hebrew:
+		return Parallel
+	}
+	return Follows
 }
 
 // BackendInfo describes a registered backend's capabilities and the
@@ -196,10 +196,9 @@ type BackendInfo struct {
 	// UpdateBound, QueryBound, SpaceBound are the paper's asymptotic
 	// costs per structural event, per query, and per thread.
 	UpdateBound, QueryBound, SpaceBound string
-	// FullQueries reports whether a thread's handle answers PrecedesCurrent
-	// and ParallelCurrent for any two begun threads; when false, the
-	// handle's thread must be the currently executing one (SP-bags
-	// semantics).
+	// FullQueries reports whether a thread's handle answers Orders
+	// for any two begun threads; when false, the handle's thread must be
+	// the currently executing one (SP-bags semantics).
 	FullQueries bool
 	// AnyOrder reports whether events may arrive in any order that
 	// respects thread creation (a live parallel program); when false the

@@ -158,26 +158,20 @@ func (b *spBags) kind(t ThreadID) bagKind {
 
 // bagsRel is the per-thread query handle. SP-bags answers queries
 // against the current thread only, off its bag kinds, so the handle
-// needs no per-thread state beyond the identity guard. The order
-// answers use the serial-stream equivalence (the only regime sp-bags
-// supports): every past thread is English-before the current one, and
-// Hebrew-before coincides with precedes.
+// needs no per-thread state beyond the identity guard. Every past
+// thread is English-before the current one, and it is Hebrew-before
+// iff it precedes it: iff it sits in an S-bag.
 type bagsRel struct {
 	b   *spBags
 	cur ThreadID
 }
 
-func (r bagsRel) PrecedesCurrent(prev ThreadID) bool {
-	return prev != r.cur && r.b.kind(prev) == sBag
+func (r bagsRel) Orders(prev ThreadID) (english, hebrew bool) {
+	if prev == r.cur {
+		return false, false
+	}
+	return true, r.b.kind(prev) == sBag
 }
-
-func (r bagsRel) ParallelCurrent(prev ThreadID) bool {
-	return prev != r.cur && r.b.kind(prev) == pBag
-}
-
-func (r bagsRel) EnglishBeforeCurrent(prev ThreadID) bool { return prev != r.cur }
-
-func (r bagsRel) HebrewBeforeCurrent(prev ThreadID) bool { return r.PrecedesCurrent(prev) }
 
 // ThreadRelative implements Maintainer; the handle is consumed under
 // the Monitor's mutex (sp-bags is not Synchronized).

@@ -237,34 +237,13 @@ func (r *hybridRel) resolve() *hybridItem {
 	return it
 }
 
-// PrecedesCurrent and ParallelCurrent are lock-free global-tier queries
-// (Figure 9 with singleton traces: the same-trace local case never
-// arises): prev ≺ current iff both orders agree it is before, prev ∥
-// current iff they disagree.
-func (r *hybridRel) PrecedesCurrent(prev ThreadID) bool {
+// Orders is two lock-free global-tier label reads (Figure 9 with
+// singleton traces: the same-trace local case never arises), exact for
+// any pair under genuinely concurrent event delivery.
+func (r *hybridRel) Orders(prev ThreadID) (english, hebrew bool) {
 	cur := r.resolve()
 	p := r.h.item(prev)
-	return r.h.eng.Precedes(p.e, cur.e) && r.h.heb.Precedes(p.h, cur.h)
-}
-
-func (r *hybridRel) ParallelCurrent(prev ThreadID) bool {
-	cur := r.resolve()
-	p := r.h.item(prev)
-	return r.h.eng.Precedes(p.e, cur.e) != r.h.heb.Precedes(p.h, cur.h)
-}
-
-// EnglishBeforeCurrent and HebrewBeforeCurrent answer the total-order
-// queries exactly (one lock-free OM label read each) — the capability
-// that keeps the two-reader race-detection protocol complete under
-// genuinely concurrent event delivery.
-func (r *hybridRel) EnglishBeforeCurrent(prev ThreadID) bool {
-	cur := r.resolve()
-	return r.h.eng.Precedes(r.h.item(prev).e, cur.e)
-}
-
-func (r *hybridRel) HebrewBeforeCurrent(prev ThreadID) bool {
-	cur := r.resolve()
-	return r.h.heb.Precedes(r.h.item(prev).h, cur.h)
+	return r.h.eng.Precedes(p.e, cur.e), r.h.heb.Precedes(p.h, cur.h)
 }
 
 // ThreadRelative implements Maintainer. It does not resolve the

@@ -37,7 +37,7 @@ func TestHybridBatchesGlobalInsertions(t *testing.T) {
 	}
 
 	// The first query materializes the whole remainder in ONE drain.
-	if !rel.PrecedesCurrent(0) {
+	if relationOf(rel.Orders(0)) != Precedes {
 		t.Fatal("main must precede the spine tip")
 	}
 	if got := h.drains.Load(); got != wantAuto+1 {
@@ -50,13 +50,13 @@ func TestHybridBatchesGlobalInsertions(t *testing.T) {
 	// Relations across the spine are correct after lazy materialization.
 	for i := 1; i < forks; i += 37 {
 		leaf, prevLeaf, parent := ThreadID(2*i+1), ThreadID(2*i-1), ThreadID(2*i)
-		if !h.ThreadRelative(leaf).PrecedesCurrent(parent) {
+		if relationOf(h.ThreadRelative(leaf).Orders(parent)) != Precedes {
 			t.Fatalf("t%d must precede its child t%d", parent, leaf)
 		}
-		if !h.ThreadRelative(leaf).ParallelCurrent(prevLeaf) || !h.ThreadRelative(prevLeaf).ParallelCurrent(leaf) {
+		if relationOf(h.ThreadRelative(leaf).Orders(prevLeaf)) != Parallel || relationOf(h.ThreadRelative(prevLeaf).Orders(leaf)) != Parallel {
 			t.Fatalf("sibling-spine leaves t%d and t%d must be parallel", prevLeaf, leaf)
 		}
-		if !rel.ParallelCurrent(leaf) {
+		if relationOf(rel.Orders(leaf)) != Parallel {
 			t.Fatalf("leaf t%d must be parallel to the spine tip", leaf)
 		}
 	}
@@ -73,7 +73,7 @@ func TestHybridBatchesGlobalInsertions(t *testing.T) {
 		next++
 	}
 	preQuery := h.drains.Load()
-	if !h.ThreadRelative(cur).PrecedesCurrent(1) {
+	if relationOf(h.ThreadRelative(cur).Orders(1)) != Precedes {
 		t.Fatal("every leaf must precede the fully joined continuation")
 	}
 	if got := h.drains.Load(); got != preQuery+1 {

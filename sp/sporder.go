@@ -24,9 +24,10 @@ import (
 //     (the P-swap makes the left branch Hebrew-last): c is inserted
 //     after b in English and after a in Hebrew.
 //
-// Queries, asked through a thread's handle, are Lemma 1 / Corollary 2
-// verbatim: u ≺ v iff u precedes v in both orders; u ∥ v iff the orders
-// disagree. Because insertions are positioned relative to existing items
+// A thread's handle answers one query, Orders: whether u is before v in
+// the English list and in the Hebrew list. Lemma 1 / Corollary 2 read
+// the SP relation off those two bits: u ≺ v iff u precedes v in both
+// orders; u ∥ v iff the orders disagree. Because insertions are positioned relative to existing items
 // only, the structure is independent of event arrival order: SP-order is
 // the one serial backend that tolerates any creation-respecting event
 // order (AnyOrder).
@@ -83,30 +84,17 @@ func (s *spOrder) Join(left, right, cont ThreadID) {
 func (s *spOrder) ThreadRelative(t ThreadID) CurrentRelative { return s.rel(t) }
 
 // orderRel is an sp-order thread's handle: its items in the English and
-// Hebrew lists. Every answer is one or two label comparisons and exact
-// for any pair, so the Monitor's two-reader protocol stays complete on
-// the concurrent-order event streams it serializes for this backend.
+// Hebrew lists. Orders is two label comparisons, exact for any pair, so
+// the Monitor's two-reader protocol stays complete on the
+// concurrent-order event streams it serializes for this backend.
 type orderRel struct {
 	s    *spOrder
 	e, h *om.Item
 }
 
-func (r *orderRel) PrecedesCurrent(prev ThreadID) bool {
+func (r *orderRel) Orders(prev ThreadID) (english, hebrew bool) {
 	p := r.s.rel(prev)
-	return r.s.eng.Precedes(p.e, r.e) && r.s.heb.Precedes(p.h, r.h)
-}
-
-func (r *orderRel) ParallelCurrent(prev ThreadID) bool {
-	p := r.s.rel(prev)
-	return r.s.eng.Precedes(p.e, r.e) != r.s.heb.Precedes(p.h, r.h)
-}
-
-func (r *orderRel) EnglishBeforeCurrent(prev ThreadID) bool {
-	return r.s.eng.Precedes(r.s.rel(prev).e, r.e)
-}
-
-func (r *orderRel) HebrewBeforeCurrent(prev ThreadID) bool {
-	return r.s.heb.Precedes(r.s.rel(prev).h, r.h)
+	return r.s.eng.Precedes(p.e, r.e), r.s.heb.Precedes(p.h, r.h)
 }
 
 // spOrderImplicit is the footnote-2 variant: during a serial depth-first
@@ -153,36 +141,25 @@ func (s *spOrderImplicit) Join(left, right, cont ThreadID) {
 	s.hebIt[cont] = s.heb.InsertAfter(s.hebIt[left])
 }
 
-// english reports prev's and cur's begin indices compared: prev <_E cur.
-func (s *spOrderImplicit) english(prev, cur ThreadID) bool {
-	ep, ec := s.engIdx[prev], s.engIdx[cur]
-	if ep == 0 || ec == 0 {
-		panic(fmt.Sprintf("sp: sp-order-implicit query on a thread that has not begun (t%d, t%d)", prev, cur))
-	}
-	return ep < ec
-}
-
 // implicitRel is the cached per-thread query handle: the thread's
-// Hebrew item is resolved once, at binding. The English half of each
-// SP answer is the begin indices; the order answers use the
-// serial-stream equivalence the backend requires anyway.
+// Hebrew item is resolved once, at binding. The English order is the
+// begin indices, so Orders is exact for any two begun threads.
 type implicitRel struct {
 	s   *spOrderImplicit
 	cur ThreadID
 	h   *om.Item
 }
 
-func (r implicitRel) PrecedesCurrent(prev ThreadID) bool {
-	return prev != r.cur && r.s.english(prev, r.cur) && r.s.heb.Precedes(r.s.hebIt[prev], r.h)
+func (r implicitRel) Orders(prev ThreadID) (english, hebrew bool) {
+	if prev == r.cur {
+		return false, false
+	}
+	ep, ec := r.s.engIdx[prev], r.s.engIdx[r.cur]
+	if ep == 0 || ec == 0 {
+		panic(fmt.Sprintf("sp: sp-order-implicit query on a thread that has not begun (t%d, t%d)", prev, r.cur))
+	}
+	return ep < ec, r.s.heb.Precedes(r.s.hebIt[prev], r.h)
 }
-
-func (r implicitRel) ParallelCurrent(prev ThreadID) bool {
-	return prev != r.cur && r.s.english(prev, r.cur) != r.s.heb.Precedes(r.s.hebIt[prev], r.h)
-}
-
-func (r implicitRel) EnglishBeforeCurrent(prev ThreadID) bool { return prev != r.cur }
-
-func (r implicitRel) HebrewBeforeCurrent(prev ThreadID) bool { return r.PrecedesCurrent(prev) }
 
 // ThreadRelative implements Maintainer; the handle is consumed under
 // the Monitor's mutex.
