@@ -44,9 +44,9 @@ import (
 
 // benchMetrics is the instrumentation excerpt embedded in every -json
 // benchmark row: backend-internal accounting from the sp/metrics
-// registry the measured monitors record into. Ratios are computed over
-// the registry's whole accumulation (all repetitions of the row), so
-// they are invariant to the repetition count.
+// registry the measured monitors publish into at Report. Ratios are
+// computed over the registry's whole accumulation (all repetitions of
+// the row), so they are invariant to the repetition count.
 type benchMetrics struct {
 	// DrainsPerEvent is pending-queue drains (one shared insertion-lock
 	// acquisition each) per monitored event — sp-hybrid's amortization

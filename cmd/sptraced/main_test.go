@@ -160,6 +160,19 @@ func TestBatchMode(t *testing.T) {
 	}
 }
 
+// TestNegativeLimitFlags checks that a negative -max-events, -max-bytes
+// or -read-timeout makes run fail before it listens, instead of
+// starting a server that fails every stream.
+func TestNegativeLimitFlags(t *testing.T) {
+	for _, flag := range []string{"-max-events=-1", "-max-bytes=-1", "-read-timeout=-1s"} {
+		var stdout, stderr bytes.Buffer
+		err := run([]string{"-listen", "", "-http", "", flag}, &stdout, &stderr, nil, nil)
+		if err == nil || !strings.Contains(err.Error(), "negative") {
+			t.Errorf("%s: run returned %v, want a negative-limit error", flag, err)
+		}
+	}
+}
+
 func getReport(t *testing.T, httpAddr string) traced.FleetReport {
 	t.Helper()
 	resp, err := http.Get("http://" + httpAddr + "/report")

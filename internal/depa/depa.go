@@ -111,19 +111,13 @@ func Join(left, right *Label) *Label {
 	return &Label{up: base.up, jump: base.jump, depth: base.depth, tag: base.tag, seq: base.seq + 1}
 }
 
-// relate compares u and v at their divergence level and returns whether
-// u is before v in the English and in the Hebrew order. u and v must be
+// Relate compares u and v at their divergence level and returns whether
+// u is before v in the English and in the Hebrew order: by Lemma 1 of
+// the SP-order paper, u ≺ v iff both hold and u ∥ v iff they disagree.
+// steps counts the parent or jump hops taken to reach the divergence
+// component — the O(log d) a query actually paid, which instrumented
+// monitors aggregate into a walk-length distribution. u and v must be
 // distinct thread labels from one computation.
-func relate(u, v *Label) (eng, heb bool) {
-	eng, heb, _ = Relate(u, v)
-	return eng, heb
-}
-
-// Relate is relate with the walk length exposed: steps counts the
-// parent or jump hops taken to reach the divergence component — the
-// O(log d) a query actually paid, which instrumented monitors aggregate
-// into a walk-length distribution. u and v must be distinct thread
-// labels from one computation.
 func Relate(u, v *Label) (eng, heb bool, steps int) {
 	a, b := u, v
 	for a.depth > b.depth {
@@ -172,40 +166,4 @@ func climb(a *Label, d int32) *Label {
 		return a.jump
 	}
 	return a.up
-}
-
-// EnglishBefore reports u <_E v (serial depth-first execution order).
-func EnglishBefore(u, v *Label) bool {
-	if u == v {
-		return false
-	}
-	eng, _ := relate(u, v)
-	return eng
-}
-
-// HebrewBefore reports u <_H v (spawn-swapped order).
-func HebrewBefore(u, v *Label) bool {
-	if u == v {
-		return false
-	}
-	_, heb := relate(u, v)
-	return heb
-}
-
-// Precedes reports u ≺ v: before in both orders (Lemma 1).
-func Precedes(u, v *Label) bool {
-	if u == v {
-		return false
-	}
-	eng, heb := relate(u, v)
-	return eng && heb
-}
-
-// Parallel reports u ∥ v: the two orders disagree.
-func Parallel(u, v *Label) bool {
-	if u == v {
-		return false
-	}
-	eng, heb := relate(u, v)
-	return eng != heb
 }

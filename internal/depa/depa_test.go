@@ -31,31 +31,35 @@ func labelWalk(n *spt.Node, cur *Label, out map[*spt.Node]*Label) *Label {
 func labelWalk0(l, r *Label) *Label { return Join(l, r) }
 
 // TestHandExample pins the worked example P(a, S(P(c, d), e)): a is
-// parallel to everything, c ∥ d, both precede e.
+// parallel to everything, c ∥ d, both precede e. Relate's two bits say
+// so by Lemma 1: parallel pairs disagree across the orders (English
+// runs the spawned branch first, Hebrew the continuation), serial pairs
+// agree.
 func TestHandExample(t *testing.T) {
 	main := Root()
 	a, cont := Fork(main) // a ∥ rest
 	c, d := Fork(cont)
 	e := Join(c, d) // continuation after c, d
-	if !Parallel(a, c) || !Parallel(a, d) || !Parallel(a, e) {
-		t.Fatal("a must be parallel to the whole right branch")
-	}
-	if !Parallel(c, d) || Parallel(d, c) == false {
-		t.Fatal("c ∥ d expected")
-	}
-	if !Precedes(c, e) || !Precedes(d, e) || !Precedes(main, e) {
-		t.Fatal("c, d, main must precede e")
-	}
-	if Precedes(e, c) || Precedes(e, main) {
-		t.Fatal("follows direction wrong")
-	}
-	// Order queries: English runs a (spawned) before cont's branch;
-	// Hebrew flips the fork.
-	if !EnglishBefore(a, c) || HebrewBefore(a, c) {
-		t.Fatal("a must be English-before and Hebrew-after c")
-	}
-	if !EnglishBefore(main, a) || !HebrewBefore(main, a) {
-		t.Fatal("main is before everything in both orders")
+	for _, tc := range []struct {
+		name     string
+		u, v     *Label
+		eng, heb bool
+	}{
+		{"a ∥ c", a, c, true, false},
+		{"a ∥ d", a, d, true, false},
+		{"a ∥ e", a, e, true, false},
+		{"c ∥ d", c, d, true, false},
+		{"d ∥ c", d, c, false, true},
+		{"c ≺ e", c, e, true, true},
+		{"d ≺ e", d, e, true, true},
+		{"main ≺ e", main, e, true, true},
+		{"main ≺ a", main, a, true, true},
+		{"e ≻ c", e, c, false, false},
+		{"e ≻ main", e, main, false, false},
+	} {
+		if eng, heb, _ := Relate(tc.u, tc.v); eng != tc.eng || heb != tc.heb {
+			t.Errorf("%s: Relate reads English %v, Hebrew %v; want %v, %v", tc.name, eng, heb, tc.eng, tc.heb)
+		}
 	}
 }
 
@@ -73,12 +77,11 @@ func TestJoinValidation(t *testing.T) {
 	Join(l2, r1) // terminals of different forks
 }
 
-// TestRandomTreesAgainstOracle cross-checks all four query forms
-// against the parse-tree LCA oracle over random programs: for every
-// pair of leaves executed by distinct threads, Precedes/Parallel and
-// the order queries must match the oracle (a ≺ b iff before in both
-// orders, a ∥ b iff the orders disagree, and English order is the
-// depth-first execution order). The last trials are spt.Par spines of
+// TestRandomTreesAgainstOracle cross-checks Relate's two orders, both
+// ways round, against the parse-tree LCA oracle over random programs:
+// for every pair of leaves executed by distinct threads, English order
+// must be the depth-first execution order, and a ≺ b iff a is before b
+// in both orders, a ∥ b iff the orders disagree (Lemma 1). The last trials are spt.Par spines of
 // 500–2,000 elements, whose labels nest as deep as the spine is long;
 // there the oracle (O(depth) per query) checks a sample of pairs.
 func TestRandomTreesAgainstOracle(t *testing.T) {
@@ -103,27 +106,19 @@ func TestRandomTreesAgainstOracle(t *testing.T) {
 			if lu == lv {
 				return // same event thread (serial block)
 			}
+			eng, heb, _ := Relate(lu, lv)
+			revEng, revHeb, _ := Relate(lv, lu)
 			// English order of distinct thread labels follows leaf
-			// (depth-first) order.
-			if !EnglishBefore(lu, lv) || EnglishBefore(lv, lu) {
-				t.Fatalf("trial %d: English order wrong for %v, %v", trial, u, v)
+			// (depth-first) order, and each order is total.
+			if !eng || revEng || heb == revHeb {
+				t.Fatalf("trial %d: orders of %v, %v read English %v/%v, Hebrew %v/%v",
+					trial, u, v, eng, revEng, heb, revHeb)
 			}
-			wantPrec := oracle.Precedes(u, v)
-			wantPar := oracle.Parallel(u, v)
-			if Precedes(lu, lv) != wantPrec {
-				t.Fatalf("trial %d: Precedes(%v,%v) = %v, oracle %v", trial, u, v, !wantPrec, wantPrec)
+			if wantPrec := oracle.Precedes(u, v); (eng && heb) != wantPrec {
+				t.Fatalf("trial %d: %v ≺ %v reads %v, oracle %v", trial, u, v, !wantPrec, wantPrec)
 			}
-			if Parallel(lu, lv) != wantPar || Parallel(lv, lu) != wantPar {
-				t.Fatalf("trial %d: Parallel(%v,%v) disagrees with oracle %v", trial, u, v, wantPar)
-			}
-			// Hebrew-before agrees with English on serial pairs and
-			// flips on parallel pairs (Lemma 1).
-			if wantPar {
-				if HebrewBefore(lu, lv) {
-					t.Fatalf("trial %d: parallel pair %v,%v must disagree across orders", trial, u, v)
-				}
-			} else if !HebrewBefore(lu, lv) {
-				t.Fatalf("trial %d: serial pair %v,%v must agree across orders", trial, u, v)
+			if wantPar := oracle.Parallel(u, v); (eng != heb) != wantPar || (revEng != revHeb) != wantPar {
+				t.Fatalf("trial %d: %v ∥ %v disagrees with oracle %v", trial, u, v, wantPar)
 			}
 		}
 		if len(leaves) <= 64 {

@@ -204,20 +204,3 @@ func SelftestProgram(progDir, work, backend string, allow []string) (*CorpusVerd
 		Report:   rep,
 	}, nil
 }
-
-// Selftest runs SelftestProgram for every program in the corpus.
-func Selftest(corpusDir, work, backend string) ([]*CorpusVerdict, error) {
-	progs, err := CorpusPrograms(corpusDir)
-	if err != nil {
-		return nil, err
-	}
-	var out []*CorpusVerdict
-	for _, p := range progs {
-		v, err := SelftestProgram(filepath.Join(corpusDir, p), filepath.Join(work, p), backend, nil)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", p, err)
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}

@@ -4,8 +4,6 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
-
-	"repro/sp/metrics"
 )
 
 // CItem is an element of a Concurrent order-maintenance list. Its local
@@ -92,16 +90,6 @@ type Concurrent struct {
 	QueryRetries atomic.Int64
 	Relabels     atomic.Int64
 	Rebalances   atomic.Int64
-
-	// MQueryRetries, MRelabels, and MRebalances optionally mirror the
-	// counters above into an external metrics registry. They are nil by
-	// default (the *metrics.Counter methods are nil-safe no-ops); an
-	// instrumented owner points them at shared registry counters so the
-	// list's amortization shows up in live exposition, not just in
-	// end-of-run atomics.
-	MQueryRetries *metrics.Counter
-	MRelabels     *metrics.Counter
-	MRebalances   *metrics.Counter
 }
 
 // NewConcurrent returns an empty concurrent order-maintenance list with
@@ -281,7 +269,7 @@ func (c *Concurrent) split(b *cbucket) {
 	it.next = nil
 	b.tail = it
 	b.n -= moved
-	c.addRelabels(moved)
+	c.Relabels.Add(int64(moved))
 }
 
 // insertBucketAfter links and returns a new, empty bucket labeled between
@@ -312,7 +300,6 @@ func (c *Concurrent) insertBucketAfter(b *cbucket) *cbucket {
 // in passes 2–5.
 func (c *Concurrent) relabelBucket(b *cbucket) {
 	c.Rebalances.Add(1)
-	c.MRebalances.Add(1)
 	b.ts.Add(1)
 	// Pass 3: item j gets label j. The old labels are distinct and
 	// increasing from 0 up, so item j's is at least j.
@@ -329,7 +316,7 @@ func (c *Concurrent) relabelBucket(b *cbucket) {
 		it.label.Store(lab)
 		lab -= gap
 	}
-	c.addRelabels(b.n)
+	c.Relabels.Add(int64(b.n))
 }
 
 // rebalanceTop relabels a range of buckets around b. Pass 1 grows
@@ -338,7 +325,6 @@ func (c *Concurrent) relabelBucket(b *cbucket) {
 // level. Caller holds c.mu.
 func (c *Concurrent) rebalanceTop(b *cbucket) {
 	c.Rebalances.Add(1)
-	c.MRebalances.Add(1)
 	for i := uint(1); i <= topUniverseBits; i++ {
 		size := uint64(1) << i
 		mask := size - 1
@@ -387,18 +373,13 @@ func (c *Concurrent) relabelBuckets(first, last *cbucket, lo, gap uint64) {
 	for bb := first; bb != last.next; bb = bb.next {
 		bb.ts.Add(1)
 	}
-	c.addRelabels(int(j))
+	c.Relabels.Add(int64(j))
 	// Pass 5: bucket j gets lo + (j+1)·gap ≥ lo + j, the last bucket
 	// first.
 	for bb := last; bb != first.prev; bb = bb.prev {
 		bb.label.Store(lo + j*gap)
 		j--
 	}
-}
-
-func (c *Concurrent) addRelabels(k int) {
-	c.Relabels.Add(int64(k))
-	c.MRelabels.Add(int64(k))
 }
 
 // Precedes reports whether x strictly precedes y, without locking. It
@@ -430,7 +411,6 @@ func (c *Concurrent) Precedes(x, y *CItem) bool {
 			}
 		}
 		c.QueryRetries.Add(1)
-		c.MQueryRetries.Add(1)
 	}
 }
 

@@ -3,7 +3,6 @@ package race
 import (
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/sched"
 	"repro/internal/shadow"
@@ -65,10 +64,8 @@ type naiveClient struct {
 	sh    *shadow.Memory[sp.ThreadID]
 	yield bool
 
-	raceMu   sync.Mutex
-	races    []Race
-	accesses atomic.Int64
-	queries  atomic.Int64
+	raceMu sync.Mutex
+	races  []Race
 }
 
 func newNaiveClient(t *spt.Tree, yield bool) *naiveClient {
@@ -188,10 +185,7 @@ func (c *naiveClient) ExecThread(w int, f *sched.Frame, leaf *spt.Node) {
 		if st.Op != spt.Read && st.Op != spt.Write {
 			continue
 		}
-		c.accesses.Add(1)
-		var q int64
-		found, ok := c.sh.AccessOrdered(uint64(st.Loc), rel, cur.id, leaf, st.Op == spt.Write, &q)
-		c.queries.Add(q)
+		found, ok := c.sh.AccessOrdered(uint64(st.Loc), rel, cur.id, leaf, st.Op == spt.Write)
 		if ok {
 			c.raceMu.Lock()
 			c.races = append(c.races, Race{Loc: st.Loc, Kind: found.Kind, First: found.PrevSite.(*spt.Node), Second: leaf})
@@ -212,7 +206,8 @@ func (c *naiveClient) ExecThread(w int, f *sched.Frame, leaf *spt.Node) {
 func DetectParallelNaive(t *spt.Tree, workers int, seed int64, yield bool) (Report, int64) {
 	c := newNaiveClient(t, yield)
 	sched.New(workers, c, seed).Run(t)
-	return buildReport(c.races, c.accesses.Load(), c.queries.Load()), c.locks
+	accesses, queries := c.sh.Totals()
+	return buildReport(c.races, accesses, queries), c.locks
 }
 
 var _ sched.Client = (*naiveClient)(nil)

@@ -3,7 +3,6 @@ package race
 import (
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/shadow"
 	"repro/internal/sphybrid"
@@ -42,7 +41,6 @@ func DetectParallel(t *spt.Tree, workers int, seed int64, yield bool) (Report, s
 	sh := shadow.NewMemory[*spt.Node](64)
 	var mu sync.Mutex
 	var races []Race
-	var accesses, queries int64
 
 	var h *sphybrid.SPHybrid
 	h = sphybrid.New(t, func(w int, u *spt.Node) {
@@ -50,10 +48,7 @@ func DetectParallel(t *spt.Tree, workers int, seed int64, yield bool) (Report, s
 		for _, st := range u.Steps {
 			switch st.Op {
 			case spt.Read, spt.Write:
-				atomic.AddInt64(&accesses, 1)
-				var q int64
-				found, ok := sh.AccessOrdered(uint64(st.Loc), rel, u, nil, st.Op == spt.Write, &q)
-				atomic.AddInt64(&queries, q)
+				found, ok := sh.AccessOrdered(uint64(st.Loc), rel, u, nil, st.Op == spt.Write)
 				if ok {
 					mu.Lock()
 					races = append(races, Race{Loc: st.Loc, Kind: found.Kind, First: found.Prev, Second: u})
@@ -66,5 +61,6 @@ func DetectParallel(t *spt.Tree, workers int, seed int64, yield bool) (Report, s
 		}
 	})
 	stats := h.Run(workers, seed)
+	accesses, queries := sh.Totals()
 	return buildReport(races, accesses, queries), stats
 }

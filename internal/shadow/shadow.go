@@ -222,21 +222,18 @@ func OnAccessOrdered[A comparable](c *Cell[A], rel Relative[A], cur A, site any,
 type Shard[A comparable] struct {
 	mu    sync.Mutex
 	cells map[uint64]*Cell[A]
-	hits  int64
+	// hits and queries count the accesses AccessOrdered applied here and
+	// the SP queries they issued, under the shard's lock.
+	hits, queries int64
 	// Pad each shard to a cache line so the shard locks of a hot Memory
-	// do not false-share (mutex 8B + map header 8B + hits 8B + 40B pad).
-	_ [40]byte
+	// do not false-share (mutex 8B + map header 8B + two counts 16B +
+	// 32B pad).
+	_ [32]byte
 }
 
-// Lock acquires the shard's mutex.
-func (s *Shard[A]) Lock() { s.mu.Lock() }
-
-// Unlock releases the shard's mutex.
-func (s *Shard[A]) Unlock() { s.mu.Unlock() }
-
-// Cell returns (creating if needed) the shadow slot for addr, which
+// cell returns (creating if needed) the shadow slot for addr, which
 // must hash to this shard. The caller must hold the shard's lock.
-func (s *Shard[A]) Cell(addr uint64) *Cell[A] {
+func (s *Shard[A]) cell(addr uint64) *Cell[A] {
 	c := s.cells[addr]
 	if c == nil {
 		c = &Cell[A]{}
@@ -275,9 +272,6 @@ func (m *Memory[A]) NumShards() int { return len(m.shards) }
 // data — land on different shards.
 func (m *Memory[A]) ShardIndex(addr uint64) int { return int(mix(addr) & m.mask) }
 
-// Shard returns shard i.
-func (m *Memory[A]) Shard(i int) *Shard[A] { return &m.shards[i] }
-
 // ShardOf returns the shard owning addr.
 func (m *Memory[A]) ShardOf(addr uint64) *Shard[A] { return &m.shards[m.ShardIndex(addr)] }
 
@@ -285,30 +279,38 @@ func (m *Memory[A]) ShardOf(addr uint64) *Shard[A] { return &m.shards[m.ShardInd
 // (OnAccessOrdered), which stays complete under concurrent, merely
 // creation-respecting execution orders, for one access by cur at addr
 // under the owning shard's lock. It returns the race found and true, if
-// any, and adds the number of SP queries issued to *queries. rel may be
-// queried while the shard lock is held, so it must be safe to call
-// concurrently with SP-structure updates when accessors are parallel.
-func (m *Memory[A]) AccessOrdered(addr uint64, rel Relative[A], cur A, site any, write bool, queries *int64) (Found[A], bool) {
+// any, and the shard counts the access and the SP queries it issued
+// (Counts). rel may be queried while the shard lock is held, so it must
+// be safe to call concurrently with SP-structure updates when accessors
+// are parallel.
+func (m *Memory[A]) AccessOrdered(addr uint64, rel Relative[A], cur A, site any, write bool) (Found[A], bool) {
 	s := m.ShardOf(addr)
 	s.mu.Lock()
 	s.hits++
-	found, ok := OnAccessOrdered(s.Cell(addr), rel, cur, site, write, queries)
+	found, ok := OnAccessOrdered(s.cell(addr), rel, cur, site, write, &s.queries)
 	s.mu.Unlock()
 	return found, ok
 }
 
-// ShardHits returns the per-shard access counts (taking each shard's
-// lock in turn), the raw data behind shard-imbalance reporting: a
-// well-mixed address distribution keeps max/mean near 1.
-func (m *Memory[A]) ShardHits() []int64 {
-	out := make([]int64, len(m.shards))
+// Counts returns the accesses AccessOrdered applied on shard i and the
+// SP queries they issued, taking the shard's lock. Per-shard hits are
+// the raw data behind shard-imbalance reporting: a well-mixed address
+// distribution keeps max/mean near 1.
+func (m *Memory[A]) Counts(i int) (hits, queries int64) {
+	s := &m.shards[i]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.hits, s.queries
+}
+
+// Totals sums Counts over every shard.
+func (m *Memory[A]) Totals() (hits, queries int64) {
 	for i := range m.shards {
-		s := &m.shards[i]
-		s.mu.Lock()
-		out[i] = s.hits
-		s.mu.Unlock()
+		h, q := m.Counts(i)
+		hits += h
+		queries += q
 	}
-	return out
+	return hits, queries
 }
 
 // mix is the splitmix64 finalizer: an invertible bit mixer that spreads

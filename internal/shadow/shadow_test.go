@@ -35,7 +35,7 @@ func TestShardIndexSpreadsAdjacentAddresses(t *testing.T) {
 		if i < 0 || i >= m.NumShards() {
 			t.Fatalf("ShardIndex(%d) = %d out of range", a, i)
 		}
-		if m.Shard(i) != m.ShardOf(a) {
+		if &m.shards[i] != m.ShardOf(a) {
 			t.Fatalf("Shard/ShardOf disagree for %d", a)
 		}
 		seen[i] = true
@@ -63,29 +63,28 @@ func TestNewMemoryRoundsUpToPowerOfTwo(t *testing.T) {
 // one-call sharded AccessOrdered path: write-write, write-read, read-write
 // races under a parallel relation, and silence under a serial one.
 func TestAccessProtocol(t *testing.T) {
-	var q int64
 	m := NewMemory[int](8)
 	// Serial accessors: no races, reader handoff costs queries.
-	if f, ok := m.AccessOrdered(7, serialRel{false}, 1, nil, true, &q); ok {
+	if f, ok := m.AccessOrdered(7, serialRel{false}, 1, nil, true); ok {
 		t.Fatalf("first write raced: %+v", f)
 	}
-	if f, ok := m.AccessOrdered(7, serialRel{false}, 2, nil, true, &q); ok {
+	if f, ok := m.AccessOrdered(7, serialRel{false}, 2, nil, true); ok {
 		t.Fatalf("serial write-write raced: %+v", f)
 	}
 	// Parallel accessors on another location.
-	if f, ok := m.AccessOrdered(9, serialRel{true}, 1, "s1", true, &q); ok {
+	if f, ok := m.AccessOrdered(9, serialRel{true}, 1, "s1", true); ok {
 		t.Fatalf("first write raced: %+v", f)
 	}
-	f, ok := m.AccessOrdered(9, serialRel{true}, 2, "s2", false, &q)
+	f, ok := m.AccessOrdered(9, serialRel{true}, 2, "s2", false)
 	if !ok || f.Kind != WriteRead || f.Prev != 1 || f.PrevSite != "s1" {
 		t.Fatalf("parallel write-read = %+v, want WriteRead by 1 at s1", f)
 	}
-	f, ok = m.AccessOrdered(9, serialRel{true}, 3, nil, true, &q)
+	f, ok = m.AccessOrdered(9, serialRel{true}, 3, nil, true)
 	if !ok || f.Kind != WriteWrite || f.Prev != 1 {
 		t.Fatalf("parallel write-write = %+v, want WriteWrite vs 1", f)
 	}
-	if q == 0 {
-		t.Fatal("protocol issued no SP queries")
+	if hits, q := m.Totals(); hits != 5 || q == 0 {
+		t.Fatalf("shards counted %d accesses and %d SP queries, want 5 and some", hits, q)
 	}
 }
 
@@ -101,27 +100,26 @@ func TestSameAddressManyGoroutines(t *testing.T) {
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	races := 0
-	var queries int64 // guarded by mu
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			var q int64
 			found := 0
 			for i := 0; i < per; i++ {
-				if _, ok := m.AccessOrdered(42, serialRel{true}, w, nil, i%3 == 0, &q); ok {
+				if _, ok := m.AccessOrdered(42, serialRel{true}, w, nil, i%3 == 0); ok {
 					found++
 				}
 			}
 			mu.Lock()
 			races += found
-			queries += q
 			mu.Unlock()
 		}(w)
 	}
 	wg.Wait()
-	if races == 0 || queries == 0 {
-		t.Fatalf("parallel hammer found races=%d queries=%d, want both > 0", races, queries)
+	hits, queries := m.Totals()
+	if races == 0 || queries == 0 || hits != int64(workers*per) {
+		t.Fatalf("parallel hammer found races=%d queries=%d hits=%d, want races and queries > 0 and %d hits",
+			races, queries, hits, workers*per)
 	}
 }
 
@@ -138,9 +136,8 @@ func TestDistinctAddressesDistinctShards(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			var q int64
 			for a := uint64(0); a < addrs; a++ {
-				m.AccessOrdered(a, serialRel{false}, w, nil, false, &q)
+				m.AccessOrdered(a, serialRel{false}, w, nil, false)
 			}
 		}(w)
 	}
@@ -148,9 +145,9 @@ func TestDistinctAddressesDistinctShards(t *testing.T) {
 	// Every address must have a retained reader now.
 	for a := uint64(0); a < addrs; a++ {
 		s := m.ShardOf(a)
-		s.Lock()
-		c := s.Cell(a)
-		s.Unlock()
+		s.mu.Lock()
+		c := s.cell(a)
+		s.mu.Unlock()
 		if !c.hasReader {
 			t.Fatalf("address %d lost its reader", a)
 		}

@@ -43,10 +43,12 @@ type depaM struct {
 func newDepa() Maintainer { return &depaM{} }
 
 // instrument points the backend's distributions at shared registry
-// histograms.
-func (d *depaM) instrument(reg *metrics.Registry) {
+// histograms, which record as the backend goes: it has nothing to
+// publish.
+func (d *depaM) instrument(reg *metrics.Registry) func() {
 	d.mxDepth = reg.Histogram("sp_depa_label_depth", "fork-nesting depth of created thread labels")
 	d.mxWalk = reg.Histogram("sp_depa_walk_steps", "hops, parent or jump, walked to answer one SP query")
+	return nil
 }
 
 // relate answers both orders for distinct labels, feeding the walk

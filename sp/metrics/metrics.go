@@ -4,15 +4,20 @@
 // in a Registry that renders both a programmatic Snapshot and the
 // Prometheus text exposition format.
 //
-// The package is built for hot paths. Every instrument method is
-// allocation-free, and every instrument (and the Registry itself) is
-// nil-safe: methods on a nil receiver are no-ops, so an instrumented
-// code path compiled against a disabled component pays exactly one
-// predictable nil-check branch. Counters are striped across padded
-// cells so concurrent writers from many goroutines do not serialize on
-// one cache line; reads sum the stripes, which keeps observed values
-// monotone (each stripe is monotone, so any interleaving of stripe
-// reads is bounded by values the counter actually passed through).
+// Every instrument method is allocation-free, and every instrument (and
+// the Registry itself) is nil-safe: methods on a nil receiver are
+// no-ops. Counters are striped across padded cells so concurrent
+// writers from many goroutines do not serialize on one cache line;
+// reads sum the stripes, which keeps observed values monotone (each
+// stripe is monotone, so any interleaving of stripe reads is bounded by
+// values the counter actually passed through). Still, an Add draws a
+// random stripe and does an atomic add, which costs more than some of
+// the work a hot path would count. So a component that already counts
+// its own work publishes that count instead of mirroring each event:
+// sp.Monitor adds to its counters, at each Report, what its layers
+// counted since the previous Report, and records as they happen only
+// the counts nothing else keeps (acquire and release events,
+// histograms, trace bytes).
 //
 // Instruments are obtained from a Registry by name plus optional
 // constant label pairs, with get-or-create semantics: asking twice for

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
+	"io"
+	"maps"
 	"os"
 	"slices"
 	"strings"
@@ -98,4 +100,140 @@ func sortedSamples(t *testing.T, reg *metrics.Registry) string {
 	}
 	slices.Sort(lines)
 	return strings.Join(lines, "\n") + "\n"
+}
+
+// TestMetricsPublishedAtReport pins when an instrumented monitor's
+// counters move. Replaying a trace on sp-order (serialized) and
+// sp-hybrid (lock-free) moves no sp_* counter or gauge before Report,
+// except the acquire and release events and the trace bytes, which
+// nothing else counts. After Report the counters equal the Report's
+// fields; a second Report adds nothing; and a second monitor replaying
+// the same trace into the same registry doubles every counter.
+func TestMetricsPublishedAtReport(t *testing.T) {
+	live := map[string]bool{
+		`sp_monitor_events_total[op acquire]`: true,
+		`sp_monitor_events_total[op release]`: true,
+		`sp_monitor_trace_bytes_total[]`:      true,
+	}
+	configs := []struct {
+		name string
+		opts []sp.Option
+	}{
+		{"sp-order", []sp.Option{sp.WithBackend("sp-order")}},
+		{"sp-order traced", []sp.Option{sp.WithBackend("sp-order"), sp.WithTrace(io.Discard)}},
+		{"sp-hybrid", []sp.Option{sp.WithBackend("sp-hybrid")}},
+		{"sp-hybrid lock-aware", []sp.Option{sp.WithBackend("sp-hybrid"), sp.WithLockAwareness(true)}},
+	}
+	for _, sc := range workload.Scenarios() {
+		var buf bytes.Buffer
+		if _, err := workload.RecordTrace(sc.Build(64, 1), &buf); err != nil {
+			t.Fatalf("%s: recording: %v", sc.Name, err)
+		}
+		events, err := trace.ReadAll(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		acquires := 0
+		for _, ev := range events {
+			if ev.Op == trace.Acquire {
+				acquires++
+			}
+		}
+		for _, cfg := range configs {
+			name := sc.Name + " on " + cfg.name
+			reg := metrics.NewRegistry()
+			replay := func() *sp.Monitor {
+				m := sp.MustMonitor(append(cfg.opts, sp.WithMetrics(reg))...)
+				before := seriesValues(reg)
+				a := trace.NewApplier(m)
+				for _, ev := range events {
+					if err := a.Apply(ev); err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+				}
+				after := seriesValues(reg)
+				for key, v := range after {
+					if v != before[key] && !live[key] {
+						t.Errorf("%s: %s moved from %v to %v before Report", name, key, before[key], v)
+					}
+				}
+				if got := after["sp_monitor_events_total[op acquire]"] - before["sp_monitor_events_total[op acquire]"]; got != float64(acquires) {
+					t.Errorf("%s: %v acquires counted as they happened, want %d", name, got, acquires)
+				}
+				return m
+			}
+			m := replay()
+			rep := m.Report()
+			once := seriesValues(reg)
+			checkReportSeries(t, name, rep, once)
+			// Report publishes only what was counted since the last one.
+			m.Report()
+			if again := seriesValues(reg); !maps.Equal(again, once) {
+				t.Errorf("%s: a second Report moved the registry:\n%v\n%v", name, once, again)
+			}
+			replay().Report()
+			for key, v := range seriesValues(reg) {
+				want := once[key]
+				if family, _, _ := strings.Cut(key, "["); strings.HasSuffix(family, "_total") {
+					want *= 2 // a counter; the gauges are a ratio and a high-water mark
+				}
+				if v != want {
+					t.Errorf("%s: %s reads %v after two monitors reported into one registry, want %v", name, key, v, want)
+				}
+			}
+		}
+	}
+}
+
+// seriesValues returns every counter and gauge series of reg, keyed by
+// name and labels.
+func seriesValues(reg *metrics.Registry) map[string]float64 {
+	out := map[string]float64{}
+	for _, f := range reg.Snapshot().Families {
+		if f.Type == metrics.TypeHistogram {
+			continue
+		}
+		for _, s := range f.Series {
+			out[f.Name+fmt.Sprint(s.Labels)] = s.Value
+		}
+	}
+	return out
+}
+
+// checkReportSeries checks that the monitor counters in series equal
+// rep's fields. The replay asks no Relation, so every query counted is
+// the detection protocol's.
+func checkReportSeries(t *testing.T, name string, rep sp.Report, series map[string]float64) {
+	t.Helper()
+	sum := func(prefix string) (total float64) {
+		for key, v := range series {
+			if strings.HasPrefix(key, prefix+"[") {
+				total += v
+			}
+		}
+		return total
+	}
+	for _, c := range []struct {
+		series string
+		got    float64
+		want   int64
+	}{
+		{"threads", series["sp_monitor_threads_total[]"], rep.Threads},
+		{"forks", series["sp_monitor_events_total[op fork]"], rep.Forks},
+		{"joins", series["sp_monitor_events_total[op join]"], rep.Joins},
+		{"puts", series["sp_monitor_events_total[op put]"], rep.Puts},
+		{"gets", series["sp_monitor_events_total[op get]"], rep.Gets},
+		{"reads and writes", series["sp_monitor_events_total[op read]"] + series["sp_monitor_events_total[op write]"], rep.Accesses},
+		{"accesses", sum("sp_monitor_access_total"), rep.Accesses},
+		{"shard accesses", sum("sp_shadow_shard_accesses_total"), rep.Accesses},
+		{"queries", series["sp_monitor_queries_total[]"], rep.Queries},
+		{"race-log emits", sum("sp_racelog_shard_emits_total"), int64(len(rep.Races))},
+	} {
+		if c.got != float64(c.want) {
+			t.Errorf("%s: registry %s read %v after Report, the Report %d", name, c.series, c.got, c.want)
+		}
+	}
+	if begins := series["sp_monitor_events_total[op begin]"]; begins < 1 || begins > float64(rep.Threads) {
+		t.Errorf("%s: %v threads began, of %d", name, begins, rep.Threads)
+	}
 }

@@ -128,8 +128,11 @@ type lockEntry struct {
 type lockShard struct {
 	mu      sync.Mutex
 	entries map[uint64][]lockEntry
+	// hits and queries count the accesses applied here and the SP
+	// queries they issued, as the shadow shards count theirs.
+	hits, queries int64
 	// Pad to a cache line so hot shard locks do not false-share.
-	_ [40]byte
+	_ [32]byte
 }
 
 // raceShard is one address-hashed partition of the race log. Detected
@@ -255,11 +258,11 @@ type threadState struct {
 	// sync-object edges over it, asking m to order the tokens.
 	CurrentRelative
 	m *Monitor
-	// accesses and queries are this thread's event counters; keeping
-	// them per thread keeps concurrent accesses off shared contended
-	// cache lines. Report sums them.
-	accesses atomic.Int64
-	queries  atomic.Int64
+	// reads and writes count this thread's accesses; keeping them per
+	// thread keeps concurrent accesses off shared contended cache lines.
+	// Report sums them. The SP queries an access issues are counted by
+	// the shard whose lock the detection protocol holds.
+	reads, writes atomic.Int64
 	// ctx holds the put-tokens this thread has observed through Get:
 	// token s here means s's Put happens-before this thread, so
 	// everything SP-preceding s is ordered before this thread too. It is
@@ -386,9 +389,9 @@ type Monitor struct {
 	gets       atomic.Int64
 	finished   atomic.Bool
 
-	// mx is the WithMetrics instrument set; nil on uninstrumented
-	// monitors, whose hot paths then pay one predictable branch per
-	// metrics block.
+	// mx is the WithMetrics instrument set, nil without one. Report
+	// publishes the counts above into it; only Acquire and Release
+	// record into it as they happen.
 	mx *monitorMetrics
 }
 
@@ -420,10 +423,12 @@ func NewMonitor(opts ...Option) (*Monitor, error) {
 			m.lockShards[i].entries = map[uint64][]lockEntry{}
 		}
 	}
+	// A recorded trace must be the order the events were applied in.
+	m.lockFree = info.Synchronized && cfg.traceW == nil
 	if cfg.reg != nil {
-		m.mx = newMonitorMetrics(cfg.reg, m.mem.NumShards())
+		m.mx = newMonitorMetrics(cfg.reg, m.mem.NumShards(), m.lockFree)
 		if ib, ok := backend.(instrumentable); ok {
-			ib.instrument(cfg.reg)
+			m.mx.backend = ib.instrument(cfg.reg)
 		}
 		if cfg.traceW != nil {
 			cfg.traceW = countingWriter{cfg.traceW, m.mx.traceBytes}
@@ -439,8 +444,6 @@ func NewMonitor(opts ...Option) (*Monitor, error) {
 		// arbitrary-pair queries exactly.
 		m.mirror = newEnglishHebrew()
 	}
-	// A recorded trace must be the order the events were applied in.
-	m.lockFree = info.Synchronized && cfg.traceW == nil
 	if cfg.traceW != nil {
 		m.trace = wire.NewEncoder(cfg.traceW)
 	}
@@ -473,9 +476,6 @@ func (m *Monitor) Main() ThreadID { return m.main }
 func (m *Monitor) newThread(fork ThreadID, spawned bool) ThreadID {
 	id := ThreadID(m.nthreads.Add(1) - 1)
 	m.threads.Put(int64(id), &threadState{fork: fork, spawned: spawned, m: m})
-	if mx := m.mx; mx != nil {
-		mx.threads.Add(1)
-	}
 	return id
 }
 
@@ -523,9 +523,6 @@ func (m *Monitor) begin(t ThreadID, st *threadState) {
 	}
 	if m.trace != nil {
 		m.trace.Begin(int64(t))
-	}
-	if mx := m.mx; mx != nil {
-		mx.evBegin.Add(1)
 	}
 }
 
@@ -581,9 +578,6 @@ func (m *Monitor) Fork(parent ThreadID) (left, right ThreadID) {
 	st.retired.Store(true)
 	st.held = nil
 	m.forks.Add(1)
-	if mx := m.mx; mx != nil {
-		mx.evFork.Add(1)
-	}
 	return left, right
 }
 
@@ -624,9 +618,6 @@ func (m *Monitor) Join(left, right ThreadID) (cont ThreadID) {
 	rst.retired.Store(true)
 	lst.held, rst.held = nil, nil
 	m.joins.Add(1)
-	if mx := m.mx; mx != nil {
-		mx.evJoin.Add(1)
-	}
 	return cont
 }
 
@@ -681,9 +672,6 @@ func (m *Monitor) Put(t ThreadID) (cont ThreadID) {
 	st.retired.Store(true)
 	st.held = nil
 	m.puts.Add(1)
-	if mx := m.mx; mx != nil {
-		mx.evPut.Add(1)
-	}
 	return cont
 }
 
@@ -742,9 +730,6 @@ func (m *Monitor) Get(t ThreadID, tokens ...ThreadID) {
 	}
 	st.ctx = m.dropPreceding(sets[0], t)
 	m.gets.Add(1)
-	if mx := m.mx; mx != nil {
-		mx.evGet.Add(1)
-	}
 }
 
 // mergeTokens returns the SP-maximal subset of a ∪ b in ascending
@@ -1021,13 +1006,10 @@ func (m *Monitor) access(t ThreadID, st *threadState, addr uint64, write bool, s
 			m.trace.Access(int64(t), addr, write, false, "")
 		}
 	}
-	st.accesses.Add(1)
-	if mx := m.mx; mx != nil {
-		idx := -1
-		if m.raceDetect {
-			idx = m.mem.ShardIndex(addr) // both protocols co-shard by this index
-		}
-		mx.countAccess(m.lockFree, write, idx)
+	if write {
+		st.writes.Add(1)
+	} else {
+		st.reads.Add(1)
 	}
 	if !m.raceDetect {
 		return
@@ -1036,12 +1018,7 @@ func (m *Monitor) access(t ThreadID, st *threadState, addr uint64, write bool, s
 		m.lockAwareAccess(t, st, addr, write, site)
 		return
 	}
-	var q int64
-	found, ok := m.mem.AccessOrdered(addr, st, t, site, write, &q)
-	st.queries.Add(q)
-	if mx := m.mx; mx != nil {
-		mx.queries.Add(q)
-	}
+	found, ok := m.mem.AccessOrdered(addr, st, t, site, write)
 	if ok {
 		m.emit(raceEntry{
 			addr: addr, kind: found.Kind,
@@ -1061,12 +1038,12 @@ func (m *Monitor) lockAwareAccess(t ThreadID, st *threadState, addr uint64, writ
 	sh := &m.lockShards[m.mem.ShardIndex(addr)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	var q int64
+	sh.hits++
 	for _, e := range sh.entries[addr] {
 		if e.t == t || !(write || e.write) {
 			continue
 		}
-		q++
+		sh.queries++
 		if !st.ParallelCurrent(e.t) {
 			continue
 		}
@@ -1085,10 +1062,6 @@ func (m *Monitor) lockAwareAccess(t ThreadID, st *threadState, addr uint64, writ
 			first: e.t, second: t,
 			firstSite: e.site, secondSite: site,
 		}, e.locks, cur)
-	}
-	st.queries.Add(q)
-	if mx := m.mx; mx != nil {
-		mx.queries.Add(q)
 	}
 	dup := false
 	for _, e := range sh.entries[addr] {
@@ -1109,13 +1082,9 @@ func (m *Monitor) lockAwareAccess(t ThreadID, st *threadState, addr uint64, writ
 // found by an access still in flight when Report ran is logged like
 // any other and appears in the next Report.
 func (m *Monitor) emit(e raceEntry, first, second LockSet) {
-	idx := m.mem.ShardIndex(e.addr)
-	sh := &m.raceShards[idx]
+	sh := &m.raceShards[m.mem.ShardIndex(e.addr)]
 	sh.mu.Lock()
 	sh.add(e, first, second)
-	if mx := m.mx; mx != nil {
-		mx.raceShardEmits[idx].Add(1)
-	}
 	sh.mu.Unlock()
 }
 
@@ -1162,7 +1131,9 @@ func (m *Monitor) Parallel(a, b ThreadID) bool { return m.Relation(a, b) == Para
 // events panic. Report may be called more than once. On a lock-free
 // monitor an access can still be in flight when Report runs: its race
 // is logged like any other and appears in the next Report, after every
-// race this one listed.
+// race this one listed. On an instrumented monitor Report also
+// publishes into the registry what every layer counted since the
+// previous Report (see WithMetrics).
 func (m *Monitor) Report() Report {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -1179,6 +1150,7 @@ func (m *Monitor) Report() Report {
 		pairs [][][2]LockSet
 	}
 	snaps := make([]shardSnap, len(m.raceShards))
+	emits := make([]int64, len(m.raceShards))
 	total := 0
 	for i := range m.raceShards {
 		sh := &m.raceShards[i]
@@ -1186,8 +1158,9 @@ func (m *Monitor) Report() Report {
 		snaps[i] = shardSnap{slices.Clone(sh.pages), slices.Clone(sh.pairs)}
 		sh.mu.Unlock()
 		for _, p := range snaps[i].pages {
-			total += len(p)
+			emits[i] += int64(len(p))
 		}
+		total += int(emits[i])
 	}
 	// Every race is built once, in place, in a list of the exact size.
 	// Shards partition addresses, so each shard's distinct addresses are
@@ -1216,14 +1189,18 @@ func (m *Monitor) Report() Report {
 	}
 	slices.Sort(locs)
 	threads := m.nthreads.Load()
-	accesses, queries := int64(0), m.relQueries.Load()
+	var begun, reads, writes int64
 	for i := int64(0); i < threads; i++ {
 		if st := m.threads.Get(i); st != nil {
-			accesses += st.accesses.Load()
-			queries += st.queries.Load()
+			if st.begun.Load() {
+				begun++
+			}
+			reads += st.reads.Load()
+			writes += st.writes.Load()
 		}
 	}
-	return Report{
+	hits, queries := m.shardCounts()
+	rep := Report{
 		Backend:   m.info.Name,
 		Races:     races,
 		Locations: locs,
@@ -1232,7 +1209,31 @@ func (m *Monitor) Report() Report {
 		Joins:     m.joins.Load(),
 		Puts:      m.puts.Load(),
 		Gets:      m.gets.Load(),
-		Accesses:  accesses,
-		Queries:   queries,
+		Accesses:  reads + writes,
+		Queries:   queries + m.relQueries.Load(),
 	}
+	if mx := m.mx; mx != nil {
+		mx.publish(&rep, begun, reads, writes, queries, hits, emits)
+	}
+	return rep
+}
+
+// shardCounts returns, per shard, the accesses the detection protocol
+// applied there, and the SP queries the protocol issued in all: the
+// shadow shards count the two-reader protocol's, the ALL-SETS history
+// shards, which share their index, the lock-aware protocol's.
+func (m *Monitor) shardCounts() (hits []int64, queries int64) {
+	hits = make([]int64, m.mem.NumShards())
+	for i := range hits {
+		h, q := m.mem.Counts(i)
+		if m.lockShards != nil {
+			sh := &m.lockShards[i]
+			sh.mu.Lock()
+			h, q = h+sh.hits, q+sh.queries
+			sh.mu.Unlock()
+		}
+		hits[i] = h
+		queries += q
+	}
+	return hits, queries
 }

@@ -1,10 +1,10 @@
 package sp
 
-// Observability integration tests: the reconciliation invariant between
-// the sharded race log and Report (satellite of the sp/metrics PR), the
-// consistency guarantees of registry snapshots taken while a monitor is
-// under concurrent load, and the guard benchmark pair pinning the cost
-// of the disabled-metrics hot path.
+// Observability integration tests: the registry's race-log and access
+// series after Report on a live lock-free monitor, the consistency
+// guarantees of registry snapshots taken while monitors sharing the
+// registry run and report, and the guard benchmark pair showing that an
+// attached registry adds nothing to the access path.
 
 import (
 	"fmt"
@@ -56,11 +56,10 @@ func hammerMonitor(m *Monitor, g, per int, racy bool) {
 	}
 }
 
-// TestRaceShardEmitsReconcileReport pins the one-layer reconciliation
-// of the race log: every emit appends to the owning shard's pages and
-// increments that shard's registry counter exactly once, under the
-// shard lock, so the per-shard page counts, the registry mirrors and
-// the length of the reported race list all agree.
+// TestRaceShardEmitsReconcileReport checks what Report publishes from a
+// racy live sp-hybrid monitor: each race-log shard's series reads its
+// page count, the counts sum to the reported races, and the access and
+// shadow-shard series read the Report's accesses and the shards' hits.
 func TestRaceShardEmitsReconcileReport(t *testing.T) {
 	g := 4 * runtime.NumCPU()
 	reg := metrics.NewRegistry()
@@ -93,33 +92,39 @@ func TestRaceShardEmitsReconcileReport(t *testing.T) {
 	if got := snap.Sum("sp_monitor_access_total"); got != float64(rep.Accesses) {
 		t.Fatalf("access_total = %v, Report.Accesses = %d", got, rep.Accesses)
 	}
-	var shardHits int64
-	for _, h := range m.mem.ShardHits() {
-		shardHits += h
-	}
+	shardHits, _ := m.mem.Totals()
 	if got := snap.Sum("sp_shadow_shard_accesses_total"); got != float64(shardHits) {
 		t.Fatalf("registry shard accesses = %v, shadow shard hit counters = %d", got, shardHits)
 	}
 }
 
 // TestMetricsSnapshotConsistencyUnderStress takes registry snapshots
-// concurrently with NumCPU×4 monitored goroutines and asserts the
-// documented snapshot guarantees: every counter series is monotone
-// across successive snapshots and high-water gauges never decrease.
+// concurrently with three sp-hybrid monitors that share the registry,
+// as sptraced's streams do: each runs NumCPU×4 monitored goroutines and
+// then reports, publishing its counts. It asserts the documented
+// snapshot guarantees: every counter series is monotone across
+// successive snapshots and high-water gauges never decrease. After the
+// last Report the access series sum the three reports.
 func TestMetricsSnapshotConsistencyUnderStress(t *testing.T) {
 	g := 4 * runtime.NumCPU()
 	reg := metrics.NewRegistry()
-	m := MustMonitor(WithBackend("sp-hybrid"), WithWorkers(g), WithMetrics(reg))
 
+	stop := make(chan struct{})
 	done := make(chan struct{})
 	var snapErr atomic.Pointer[string]
+	var snaps atomic.Int64
 	go func() {
 		defer close(done)
 		// Last-seen value per counter series and per high-water gauge.
 		prev := map[string]float64{}
 		highWater := map[string]bool{"sp_om_pending_highwater": true}
-		for i := 0; i < 200; i++ {
-			snap := m.Metrics()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			snap := reg.Snapshot()
 			for _, f := range snap.Families {
 				monotone := f.Type == metrics.TypeCounter || highWater[f.Name]
 				if !monotone {
@@ -136,20 +141,30 @@ func TestMetricsSnapshotConsistencyUnderStress(t *testing.T) {
 					prev[key] = ser.Value
 				}
 			}
+			snaps.Add(1)
 		}
 	}()
-	hammerMonitor(m, g, 200, false)
+	var accesses int64
+	for range 3 {
+		m := MustMonitor(WithBackend("sp-hybrid"), WithWorkers(g), WithMetrics(reg))
+		hammerMonitor(m, g, 200, false)
+		rep := m.Report()
+		if len(rep.Races) != 0 {
+			t.Fatalf("race-free workload reported %d races", len(rep.Races))
+		}
+		accesses += rep.Accesses
+		// Let a snapshot see this monitor's publish before the next runs.
+		for n := snaps.Load(); snaps.Load() == n && snapErr.Load() == nil; {
+			runtime.Gosched()
+		}
+	}
+	close(stop)
 	<-done
 	if msg := snapErr.Load(); msg != nil {
 		t.Fatal(*msg)
 	}
-	rep := m.Report()
-	if len(rep.Races) != 0 {
-		t.Fatalf("race-free workload reported %d races", len(rep.Races))
-	}
-	snap := m.Metrics()
-	if got := snap.Sum("sp_monitor_access_total"); got != float64(rep.Accesses) {
-		t.Fatalf("access_total = %v, Report.Accesses = %d", got, rep.Accesses)
+	if got := reg.Snapshot().Sum("sp_monitor_access_total"); got != float64(accesses) {
+		t.Fatalf("access_total = %v, the reports' accesses = %d", got, accesses)
 	}
 }
 
@@ -189,9 +204,8 @@ func benchConcurrentAccess(b *testing.B, opts ...Option) {
 
 // BenchmarkConcurrentAccess is the uninstrumented access path — the guard
 // baseline. BenchmarkConcurrentAccessMetrics is the same workload with
-// a registry attached; CI runs the pair to keep the disabled-metrics
-// cost (one predictable nil-check per hook) within noise and the
-// enabled cost honest.
+// a registry attached. An access writes no registry instrument, so CI
+// runs the pair to show that the two stay within noise.
 func BenchmarkConcurrentAccess(b *testing.B) {
 	benchConcurrentAccess(b)
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/sp"
+	"repro/sp/metrics"
 	"repro/sp/trace"
 )
 
@@ -20,12 +21,15 @@ import (
 // panic, with the documented message. The race log is lossless: every
 // race of the first Report is in the second, in the same order, and
 // the late races are what the second adds. Each Report's Locations
-// must be exactly the distinct addresses of its races.
+// must be exactly the distinct addresses of its races, and each Report
+// publishes what the late accesses counted, so the registry reads every
+// Report's counts.
 func TestReportConcurrentWithAccesses(t *testing.T) {
 	for _, backend := range []string{"sp-hybrid", "depa"} {
 		late := 0
 		for i := 0; i < 200; i++ {
-			m := sp.MustMonitor(sp.WithBackend(backend))
+			reg := metrics.NewRegistry()
+			m := sp.MustMonitor(sp.WithBackend(backend), sp.WithMetrics(reg))
 			l, r := m.Fork(m.Main())
 			var wg, started sync.WaitGroup
 			started.Add(2)
@@ -52,9 +56,11 @@ func TestReportConcurrentWithAccesses(t *testing.T) {
 			started.Wait()
 			first := m.Report()
 			checkLocations(t, backend, first)
+			checkPublished(t, backend, first, reg)
 			wg.Wait()
 			rep := m.Report()
 			checkLocations(t, backend+" with the late races", rep)
+			checkPublished(t, backend+" with the late races", rep, reg)
 			k := 0 // races of first found in rep, in order
 			for _, r := range rep.Races {
 				if k < len(first.Races) && reflect.DeepEqual(r, first.Races[k]) {
@@ -68,6 +74,18 @@ func TestReportConcurrentWithAccesses(t *testing.T) {
 			late += len(rep.Races) - len(first.Races)
 		}
 		t.Logf("%s: %d late races over 200 runs", backend, late)
+	}
+}
+
+// checkPublished checks that the access, query and race-log series of
+// reg, into which only rep's monitor publishes, read rep's counts.
+func checkPublished(t *testing.T, name string, rep sp.Report, reg *metrics.Registry) {
+	t.Helper()
+	snap := reg.Snapshot()
+	queries, _ := snap.Value("sp_monitor_queries_total")
+	got := [3]float64{snap.Sum("sp_monitor_access_total"), queries, snap.Sum("sp_racelog_shard_emits_total")}
+	if want := [3]float64{float64(rep.Accesses), float64(rep.Queries), float64(len(rep.Races))}; got != want {
+		t.Fatalf("%s: registry accesses, queries and races read %v, the Report %v", name, got, want)
 	}
 }
 

@@ -83,34 +83,49 @@ type hybrid struct {
 
 	pendMu  sync.Mutex
 	pending []hybridEvent
+	// pendingHW is the deepest pending has grown, under pendMu.
+	pendingHW int
 
 	// drains and batched count non-empty drains and the events they
 	// materialized; drains ≪ batched is the amortization made visible.
 	drains  atomic.Uint64
 	batched atomic.Uint64
 
-	// Registry mirrors of the amortization accounting, nil (no-op)
-	// unless the owning Monitor was built WithMetrics.
-	mxDrains    *metrics.Counter
-	mxBatched   *metrics.Counter
-	mxBatchSize *metrics.Histogram
-	mxPendingHW *metrics.Gauge
+	// Registry instruments, nil unless the owning Monitor was built
+	// WithMetrics: mxBatchSize records each drain as it happens, and
+	// publish feeds the rest from the counts above and the OM lists'.
+	mxBatchSize                         *metrics.Histogram
+	mxPendingHW                         *metrics.Gauge
+	mxDrains, mxBatched                 published
+	mxRetries, mxRelabels, mxRebalances published
 }
 
-// instrument points the backend's accounting at shared registry
-// instruments: the drain/batch amortization, the pending-queue depth
-// high-water, and the OM lists' rebalance/relabel/retry counters
-// (mirrored from inside internal/om).
-func (h *hybrid) instrument(reg *metrics.Registry) {
-	h.mxDrains = reg.Counter("sp_om_drains_total", "pending-queue drains (one shared-lock acquisition each)")
-	h.mxBatched = reg.Counter("sp_om_batched_events_total", "structural events materialized by drains")
+// instrument resolves the backend's registry instruments and returns
+// publish.
+func (h *hybrid) instrument(reg *metrics.Registry) func() {
+	h.mxDrains.c = reg.Counter("sp_om_drains_total", "pending-queue drains (one shared-lock acquisition each)")
+	h.mxBatched.c = reg.Counter("sp_om_batched_events_total", "structural events materialized by drains")
 	h.mxBatchSize = reg.Histogram("sp_om_batch_size", "structural events materialized per drain")
 	h.mxPendingHW = reg.Gauge("sp_om_pending_highwater", "deepest the pending structural-event queue has grown")
-	for _, l := range []*om.Concurrent{h.eng, h.heb} {
-		l.MQueryRetries = reg.Counter("sp_om_query_retries_total", "lock-free OM queries that had to retry after a concurrent relabel or split")
-		l.MRelabels = reg.Counter("sp_om_relabels_total", "OM labels rewritten: items relabeled or moved to a new bucket, and buckets relabeled")
-		l.MRebalances = reg.Counter("sp_om_rebalances_total", "OM relabelings of one bucket's items or of a range of buckets")
-	}
+	h.mxRetries.c = reg.Counter("sp_om_query_retries_total", "lock-free OM queries that had to retry after a concurrent relabel or split")
+	h.mxRelabels.c = reg.Counter("sp_om_relabels_total", "OM labels rewritten: items relabeled or moved to a new bucket, and buckets relabeled")
+	h.mxRebalances.c = reg.Counter("sp_om_rebalances_total", "OM relabelings of one bucket's items or of a range of buckets")
+	return h.publish
+}
+
+// publish adds to the registry what the backend and its two OM lists
+// counted since the last publish, and raises the high-water gauge to
+// this backend's.
+func (h *hybrid) publish() {
+	h.mxDrains.set(int64(h.drains.Load()))
+	h.mxBatched.set(int64(h.batched.Load()))
+	h.mxRetries.set(h.eng.QueryRetries.Load() + h.heb.QueryRetries.Load())
+	h.mxRelabels.set(h.eng.Relabels.Load() + h.heb.Relabels.Load())
+	h.mxRebalances.set(h.eng.Rebalances.Load() + h.heb.Rebalances.Load())
+	h.pendMu.Lock()
+	hw := h.pendingHW
+	h.pendMu.Unlock()
+	h.mxPendingHW.SetMax(float64(hw))
 }
 
 func newHybrid() Maintainer {
@@ -161,8 +176,6 @@ func (h *hybrid) drain() {
 	}
 	h.drains.Add(1)
 	h.batched.Add(uint64(len(batch)))
-	h.mxDrains.Add(1)
-	h.mxBatched.Add(int64(len(batch)))
 	h.mxBatchSize.Observe(int64(len(batch)))
 	for _, ev := range batch {
 		if ev.fork {
@@ -193,8 +206,8 @@ func (h *hybrid) drain() {
 func (h *hybrid) enqueue(ev hybridEvent) {
 	h.pendMu.Lock()
 	h.pending = append(h.pending, ev)
+	h.pendingHW = max(h.pendingHW, len(h.pending))
 	full := len(h.pending) >= batchMax
-	h.mxPendingHW.SetMax(float64(len(h.pending)))
 	h.pendMu.Unlock()
 	if full {
 		h.drain()

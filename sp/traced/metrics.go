@@ -5,9 +5,9 @@ import (
 )
 
 // serverMetrics is the server's own instrument set on the shared
-// registry. Stream monitors add the sp_* families to the same registry
-// (via sp.WithMetrics), so one scrape covers the service and the
-// detection machinery underneath it.
+// registry. Stream monitors publish the sp_* families into the same
+// registry (sp.WithMetrics) when each stream's Report runs, so one
+// scrape covers the service and the detection machinery underneath it.
 type serverMetrics struct {
 	streamsOK, streamsFailed *metrics.Counter
 	events                   *metrics.Counter

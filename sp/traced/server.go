@@ -20,7 +20,8 @@ import (
 )
 
 // Config tunes a Server. The zero value is usable: every field has a
-// production default applied by New.
+// production default applied by New. New rejects a negative MaxEvents,
+// MaxBytes or ReadTimeout.
 type Config struct {
 	// Backend is the SP-maintenance backend each stream's monitor runs
 	// on (default "sp-order" — an any-order backend, so traces recorded
@@ -170,12 +171,20 @@ type Server struct {
 	jobsClose sync.Once
 }
 
-// New validates cfg (unknown backends fail here, not per stream) and
-// starts the ingestion worker pool.
+// New validates cfg (unknown backends and negative limits fail here,
+// not per stream) and starts the ingestion worker pool.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	if _, ok := sp.Lookup(cfg.Backend); !ok {
 		return nil, fmt.Errorf("traced: unknown backend %q (available: %v)", cfg.Backend, sp.BackendNames())
+	}
+	switch {
+	case cfg.MaxEvents < 0:
+		return nil, fmt.Errorf("traced: negative MaxEvents %d", cfg.MaxEvents)
+	case cfg.MaxBytes < 0:
+		return nil, fmt.Errorf("traced: negative MaxBytes %d", cfg.MaxBytes)
+	case cfg.ReadTimeout < 0:
+		return nil, fmt.Errorf("traced: negative ReadTimeout %v", cfg.ReadTimeout)
 	}
 	s := &Server{
 		cfg:     cfg,

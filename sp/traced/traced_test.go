@@ -367,6 +367,33 @@ func TestStreamLimits(t *testing.T) {
 	_ = s2
 }
 
+// TestNewRejectsNegativeLimits checks that New fails on a negative
+// limit, which the zero-only defaults would pass through: a negative
+// MaxEvents used to fail every stream after one event, a negative
+// MaxBytes every stream at its magic, and a negative ReadTimeout every
+// ack, whose write deadline it set in the past.
+func TestNewRejectsNegativeLimits(t *testing.T) {
+	for _, tc := range []struct {
+		field string
+		cfg   traced.Config
+	}{
+		{"MaxEvents", traced.Config{MaxEvents: -1}},
+		{"MaxBytes", traced.Config{MaxBytes: -1}},
+		{"ReadTimeout", traced.Config{ReadTimeout: -time.Second}},
+	} {
+		t.Run(tc.field, func(t *testing.T) {
+			s, err := traced.New(tc.cfg)
+			if err == nil {
+				s.Shutdown(context.Background())
+				t.Fatalf("New accepted a negative %s", tc.field)
+			}
+			if !strings.Contains(err.Error(), tc.field) {
+				t.Errorf("New's error %q does not name %s", err, tc.field)
+			}
+		})
+	}
+}
+
 // TestUnixSocketIngest exercises the unix-socket listener and the
 // "unix:" client address form.
 func TestUnixSocketIngest(t *testing.T) {
