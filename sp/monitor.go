@@ -1038,12 +1038,12 @@ func (m *Monitor) lockAwareAccess(t ThreadID, st *threadState, addr uint64, writ
 	sh := &m.lockShards[m.mem.ShardIndex(addr)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	sh.hits++
+	var q int64
 	for _, e := range sh.entries[addr] {
 		if e.t == t || !(write || e.write) {
 			continue
 		}
-		sh.queries++
+		q++
 		if !st.ParallelCurrent(e.t) {
 			continue
 		}
@@ -1063,6 +1063,8 @@ func (m *Monitor) lockAwareAccess(t ThreadID, st *threadState, addr uint64, writ
 			firstSite: e.site, secondSite: site,
 		}, e.locks, cur)
 	}
+	sh.hits++
+	sh.queries += q
 	dup := false
 	for _, e := range sh.entries[addr] {
 		if e.t == t && e.write == write && e.locks.Equal(cur) {

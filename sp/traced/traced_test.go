@@ -369,9 +369,9 @@ func TestStreamLimits(t *testing.T) {
 
 // TestNewRejectsNegativeLimits checks that New fails on a negative
 // limit, which the zero-only defaults would pass through: a negative
-// MaxEvents used to fail every stream after one event, a negative
+// MaxEvents would fail every stream after one event, a negative
 // MaxBytes every stream at its magic, and a negative ReadTimeout every
-// ack, whose write deadline it set in the past.
+// ack, whose write deadline it would set in the past.
 func TestNewRejectsNegativeLimits(t *testing.T) {
 	for _, tc := range []struct {
 		field string
