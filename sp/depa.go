@@ -32,10 +32,11 @@ import (
 type depaM struct {
 	labels ctab.Table[depa.Label]
 
-	// mxDepth and mxWalk are registry mirrors of the backend's two cost
-	// drivers — fork-nesting depth of created labels and per-query
-	// divergence-walk length (the O(log d) hops actually paid). Nil
-	// (no-op) unless the owning Monitor was built WithMetrics.
+	// mxDepth and mxWalk record the distributions of the backend's two
+	// cost drivers, which nothing else keeps — fork-nesting depth of
+	// created labels and per-query divergence-walk length (the O(log d)
+	// hops actually paid). Nil (no-op) unless the owning Monitor was
+	// built WithMetrics.
 	mxDepth *metrics.Histogram
 	mxWalk  *metrics.Histogram
 }

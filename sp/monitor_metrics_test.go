@@ -88,7 +88,7 @@ func TestRaceShardEmitsReconcileReport(t *testing.T) {
 	if logged != int64(len(rep.Races)) {
 		t.Fatalf("race-log pages hold %d races, Report has %d", logged, len(rep.Races))
 	}
-	snap := reg.Snapshot()
+	snap := m.Metrics()
 	if got := snap.Sum("sp_monitor_access_total"); got != float64(rep.Accesses) {
 		t.Fatalf("access_total = %v, Report.Accesses = %d", got, rep.Accesses)
 	}
