@@ -15,12 +15,16 @@
 //     forking bumps the creator's last component into the shared base,
 //     joining bumps it again into the continuation.
 //
-// Fork is O(1): three allocations, all sharing the parent's path as an
-// immutable prefix (base = parent with seq+1; two children extend base
-// with tags left/right and seq 0). Join is O(1): one allocation (strip
-// the branch level off the continuation terminal and bump). Labels never
-// mutate, so queries are lock-free and graph-independent: no shared
-// structure is consulted at all.
+// Fork is O(1) with one allocation: the shared base (parent with
+// seq+1) extends the parent's immutable prefix, and the two children
+// extend base with tags left/right and seq 0. Join is O(1) with none:
+// strip the branch level off the continuation terminal and bump. No
+// label points at a thread's own label — children hang off the fork
+// base, and a join continuation off the base's parent — so a thread's
+// label is a value its owner keeps where it likes (sp's depa backend
+// keeps it in the thread's table slot), and only fork bases are objects
+// of their own. Labels never mutate, so queries are lock-free and
+// graph-independent: no shared structure is consulted at all.
 //
 // A query walks the two paths to their divergence level — the deepest
 // components that differ under a shared prefix (prefixes are shared
@@ -56,8 +60,10 @@ const (
 )
 
 // Label is one thread's fork path. Labels are immutable after creation
-// and share their prefixes structurally; the zero value is not valid —
-// start from Root.
+// and share their prefixes structurally. A thread's label is known by
+// its address: Relate tells labels apart by pointer, so keep each
+// thread's label in one place and pass that place's address. The zero
+// value is the root label.
 type Label struct {
 	up    *Label // enclosing nesting level; nil at the root level
 	jump  *Label // skew-binary jump to an ancestor level; nil at the root level
@@ -67,7 +73,7 @@ type Label struct {
 }
 
 // Root returns the main thread's label.
-func Root() *Label { return &Label{} }
+func Root() Label { return Label{} }
 
 // Depth returns the fork-nesting depth of the label (root = 0); queries
 // involving the label take O(log Depth) parent or jump hops.
@@ -90,25 +96,27 @@ func jumpFrom(up *Label) *Label {
 // Fork derives the labels of the two threads created when the thread
 // labeled parent forks: the spawned child (left) and the continuation
 // (right), logically parallel. O(1): the shared base bumps parent's
-// last component, and each child opens a new level at seq 0.
-func Fork(parent *Label) (left, right *Label) {
+// last component, and each child opens a new level at seq 0. The base
+// is the one allocation.
+func Fork(parent *Label) (left, right Label) {
 	base := &Label{up: parent.up, jump: parent.jump, depth: parent.depth, tag: parent.tag, seq: parent.seq + 1}
 	jump := jumpFrom(base)
-	left = &Label{up: base, jump: jump, depth: base.depth + 1, tag: tagLeft}
-	right = &Label{up: base, jump: jump, depth: base.depth + 1, tag: tagRight}
+	left = Label{up: base, jump: jump, depth: base.depth + 1, tag: tagLeft}
+	right = Label{up: base, jump: jump, depth: base.depth + 1, tag: tagRight}
 	return left, right
 }
 
 // Join derives the continuation label when threads left and right — the
-// terminals of the two branches of one fork — join. O(1): strip the
-// branch level and bump past the join. It panics if the two labels are
-// not branch terminals of the same fork (joins must be well nested).
-func Join(left, right *Label) *Label {
+// terminals of the two branches of one fork — join. O(1) and allocation
+// free: strip the branch level and bump past the join. It panics if the
+// two labels are not branch terminals of the same fork (joins must be
+// well nested).
+func Join(left, right *Label) Label {
 	if left.up == nil || left.up != right.up || left.tag != tagLeft || right.tag != tagRight {
 		panic("depa: Join of threads that are not the two branch terminals of one fork")
 	}
 	base := right.up
-	return &Label{up: base.up, jump: base.jump, depth: base.depth, tag: base.tag, seq: base.seq + 1}
+	return Label{up: base.up, jump: base.jump, depth: base.depth, tag: base.tag, seq: base.seq + 1}
 }
 
 // Relate compares u and v at their divergence level and returns whether

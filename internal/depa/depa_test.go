@@ -8,6 +8,21 @@ import (
 	"repro/internal/spt"
 )
 
+// root, fork and join give every thread label an object of its own, as
+// a caller keeping each label in its own slot does, so that the tests
+// can hold labels by address.
+func root() *Label { l := Root(); return &l }
+
+func fork(parent *Label) (*Label, *Label) {
+	l, r := Fork(parent)
+	return &l, &r
+}
+
+func join(left, right *Label) *Label {
+	c := Join(left, right)
+	return &c
+}
+
 // labelWalk replays tree n depth-first in the event model, assigning
 // every leaf the label of the thread executing it, and returns the label
 // of the thread that continues after the subtree. Serial composition
@@ -22,13 +37,13 @@ func labelWalk(n *spt.Node, cur *Label, out map[*spt.Node]*Label) *Label {
 		cur = labelWalk(n.Left(), cur, out)
 		return labelWalk(n.Right(), cur, out)
 	}
-	l, r := Fork(cur)
+	l, r := fork(cur)
 	lEnd := labelWalk(n.Left(), l, out)
 	rEnd := labelWalk(n.Right(), r, out)
 	return labelWalk0(lEnd, rEnd)
 }
 
-func labelWalk0(l, r *Label) *Label { return Join(l, r) }
+func labelWalk0(l, r *Label) *Label { return join(l, r) }
 
 // TestHandExample pins the worked example P(a, S(P(c, d), e)): a is
 // parallel to everything, c ∥ d, both precede e. Relate's two bits say
@@ -36,10 +51,10 @@ func labelWalk0(l, r *Label) *Label { return Join(l, r) }
 // runs the spawned branch first, Hebrew the continuation), serial pairs
 // agree.
 func TestHandExample(t *testing.T) {
-	main := Root()
-	a, cont := Fork(main) // a ∥ rest
-	c, d := Fork(cont)
-	e := Join(c, d) // continuation after c, d
+	main := root()
+	a, cont := fork(main) // a ∥ rest
+	c, d := fork(cont)
+	e := join(c, d) // continuation after c, d
 	for _, tc := range []struct {
 		name     string
 		u, v     *Label
@@ -71,10 +86,10 @@ func TestJoinValidation(t *testing.T) {
 			t.Fatal("Join of non-siblings did not panic")
 		}
 	}()
-	l1, r1 := Fork(Root())
-	l2, _ := Fork(l1)
+	l1, r1 := fork(root())
+	l2, _ := fork(l1)
 	_ = r1
-	Join(l2, r1) // terminals of different forks
+	join(l2, r1) // terminals of different forks
 }
 
 // TestRandomTreesAgainstOracle cross-checks Relate's two orders, both
@@ -98,7 +113,7 @@ func TestRandomTreesAgainstOracle(t *testing.T) {
 		}
 		oracle := spt.NewOracle(tree)
 		labels := map[*spt.Node]*Label{}
-		labelWalk(tree.Root(), Root(), labels)
+		labelWalk(tree.Root(), root(), labels)
 
 		leaves := tree.Threads()
 		check := func(u, v *spt.Node) {
@@ -193,9 +208,9 @@ func TestDeepLabelsAgainstWalk(t *testing.T) {
 
 	// The right spine: each fork's continuation forks again.
 	var spine []*Label
-	cur := Root()
+	cur := root()
 	for i := 0; i < 16384; i++ {
-		l, r := Fork(cur)
+		l, r := fork(cur)
 		spine = append(spine, l)
 		cur = r
 	}
@@ -206,7 +221,7 @@ func TestDeepLabelsAgainstWalk(t *testing.T) {
 	// has joined, keeping every label created.
 	type frame struct{ right, leftEnd *Label }
 	var random []*Label
-	cur = Root()
+	cur = root()
 	random = append(random, cur)
 	var stack []*frame
 	deepest := 0
@@ -217,7 +232,7 @@ func TestDeepLabelsAgainstWalk(t *testing.T) {
 		}
 		switch top := len(stack) - 1; {
 		case top < 0 || rng.Float64() < pFork:
-			l, r := Fork(cur)
+			l, r := fork(cur)
 			stack = append(stack, &frame{right: r})
 			cur = l
 			deepest = max(deepest, len(stack))
@@ -225,7 +240,7 @@ func TestDeepLabelsAgainstWalk(t *testing.T) {
 			stack[top].leftEnd = cur
 			cur = stack[top].right
 		default:
-			cur = Join(stack[top].leftEnd, cur)
+			cur = join(stack[top].leftEnd, cur)
 			stack = stack[:top]
 		}
 		random = append(random, cur)
@@ -263,22 +278,22 @@ func TestDeepLabelsAgainstWalk(t *testing.T) {
 }
 
 // TestStructuralSharing asserts the O(1)-space claim: a fork allocates
-// three nodes and a join one, with the parent path shared, so a spine
-// of n forks costs O(n) total — not O(n²) — label memory. We verify by
-// checking pointer-shared prefixes rather than counting allocations:
-// the left and right children of a fork share their up pointer, and the
-// join continuation shares the grandparent path.
+// one base, with the parent path shared, so a spine of n forks costs
+// O(n) total — not O(n²) — label memory. It checks pointer-shared
+// prefixes (TestAllocsForkJoin counts the allocations): the left and
+// right children of a fork share their up pointer, and the join
+// continuation shares the grandparent path.
 func TestStructuralSharing(t *testing.T) {
-	cur := Root()
+	cur := root()
 	for i := 0; i < 64; i++ {
-		l, r := Fork(cur)
+		l, r := fork(cur)
 		if l.up != r.up {
 			t.Fatal("fork children must share their base")
 		}
 		if l.up.up != cur.up {
 			t.Fatal("fork base must share the parent's prefix")
 		}
-		cont := Join(l, r)
+		cont := join(l, r)
 		if cont.up != cur.up || cont.Depth() != cur.Depth() {
 			t.Fatal("join continuation must return to the parent level")
 		}
@@ -286,5 +301,21 @@ func TestStructuralSharing(t *testing.T) {
 	}
 	if cur.Depth() != 0 {
 		t.Fatalf("flat fork-join spine ended at depth %d", cur.Depth())
+	}
+}
+
+// TestAllocsForkJoin pins a fork at one allocation, its base, and a
+// join at none: thread labels are values their owner stores.
+func TestAllocsForkJoin(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	cur := Root()
+	var l, r Label
+	if n := testing.AllocsPerRun(1000, func() { l, r = Fork(&cur) }); n != 1 {
+		t.Fatalf("a fork allocates %v objects, want 1", n)
+	}
+	if n := testing.AllocsPerRun(1000, func() { cur = Join(&l, &r) }); n != 0 {
+		t.Fatalf("a join allocates %v objects, want 0", n)
 	}
 }

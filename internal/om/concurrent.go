@@ -4,6 +4,8 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/paged"
 )
 
 // CItem is an element of a Concurrent order-maintenance list. Its local
@@ -80,6 +82,10 @@ type Concurrent struct {
 	mu    *sync.Mutex
 	front *cbucket
 	n     int
+	// items holds the list's items in insertion order, in pages carved
+	// under the insertion lock: an insertion allocates no object of its
+	// own.
+	items paged.Pages[CItem]
 
 	// QueryRetries counts failed query attempts that had to retry
 	// (bucket B5 of the paper's Theorem 10 accounting). Relabels counts
@@ -136,7 +142,7 @@ func (c *Concurrent) InsertFirstLocked() *CItem {
 	}
 	b := &cbucket{n: 1}
 	b.label.Store(1 << (topUniverseBits - 1))
-	it := &CItem{}
+	it := c.items.New()
 	it.label.Store(math.MaxUint64 / 2)
 	it.bkt.Store(b)
 	b.head, b.tail = it, it
@@ -211,7 +217,8 @@ func (c *Concurrent) insertAfterLocked(x *CItem) *CItem {
 			c.relabelBucket(b)
 			continue
 		}
-		it := &CItem{prev: x, next: x.next}
+		it := c.items.New()
+		it.prev, it.next = x, x.next
 		it.label.Store(lo + (hi-lo)/2)
 		it.bkt.Store(b)
 		if x.next != nil {
@@ -241,7 +248,8 @@ func (c *Concurrent) insertBeforeLocked(x *CItem) *CItem {
 			c.relabelBucket(b)
 			continue
 		}
-		it := &CItem{next: x}
+		it := c.items.New()
+		it.next = x
 		it.label.Store(x.label.Load() / 2)
 		it.bkt.Store(b)
 		x.prev = it

@@ -26,6 +26,8 @@ import (
 	"fmt"
 	"math"
 	"strings"
+
+	"repro/internal/paged"
 )
 
 // bucketCap is the maximum number of items a bottom-level bucket holds
@@ -64,6 +66,9 @@ type bucket struct {
 type List struct {
 	front  *bucket
 	nItems int
+	// items holds the list's items in insertion order, in pages: an
+	// insertion allocates no object of its own.
+	items paged.Pages[Item]
 
 	// Relabels counts item-relabel events (for the amortized-cost
 	// benchmarks); Splits counts bucket splits; TopRelabels counts
@@ -86,7 +91,7 @@ func (l *List) InsertFirst() *Item {
 		panic("om: InsertFirst on non-empty list")
 	}
 	b := &bucket{label: 1 << (topUniverseBits - 1)}
-	it := &Item{label: math.MaxUint64 / 2, bkt: b}
+	it := l.items.Append(Item{label: math.MaxUint64 / 2, bkt: b})
 	b.head, b.n = it, 1
 	l.front, l.nItems = b, 1
 	return it
@@ -116,7 +121,7 @@ func (l *List) InsertAfter(x *Item) *Item {
 			l.relabelBucket(b)
 			continue
 		}
-		it := &Item{label: lo + (hi-lo)/2, bkt: b, prev: x, next: x.next}
+		it := l.items.Append(Item{label: lo + (hi-lo)/2, bkt: b, prev: x, next: x.next})
 		if x.next != nil {
 			x.next.prev = it
 		}
@@ -146,24 +151,13 @@ func (l *List) InsertBefore(x *Item) *Item {
 			l.relabelBucket(b)
 			continue
 		}
-		it := &Item{label: x.label / 2, bkt: b, next: x}
+		it := l.items.Append(Item{label: x.label / 2, bkt: b, next: x})
 		x.prev = it
 		b.head = it
 		b.n++
 		l.nItems++
 		return it
 	}
-}
-
-// InsertAfterN inserts k new items immediately after x, in order, and
-// returns them (the paper's OM-INSERT(L, X, Y1, …, Yk)).
-func (l *List) InsertAfterN(x *Item, k int) []*Item {
-	out := make([]*Item, k)
-	for i := 0; i < k; i++ {
-		x = l.InsertAfter(x)
-		out[i] = x
-	}
-	return out
 }
 
 // Precedes reports whether x comes strictly before y in the list's order.

@@ -100,25 +100,6 @@ func TestInsertBeforeBasicOrder(t *testing.T) {
 	}
 }
 
-func TestInsertAfterN(t *testing.T) {
-	l := NewList()
-	a := l.InsertFirst()
-	ys := l.InsertAfterN(a, 5)
-	if len(ys) != 5 {
-		t.Fatalf("got %d items", len(ys))
-	}
-	prev := a
-	for i, y := range ys {
-		if !l.Precedes(prev, y) {
-			t.Fatalf("item %d out of order", i)
-		}
-		prev = y
-	}
-	if l.Len() != 6 {
-		t.Fatalf("Len = %d, want 6", l.Len())
-	}
-}
-
 func TestBucketSplitKeepsOrder(t *testing.T) {
 	l := NewList()
 	items := []*Item{l.InsertFirst()}
@@ -274,5 +255,27 @@ func TestAmortizedRelabelCostBounded(t *testing.T) {
 	perOp := float64(l.Relabels) / float64(n)
 	if perOp > 8 {
 		t.Fatalf("amortized relabels per insert = %.2f, want ≤ 8", perOp)
+	}
+}
+
+// TestAllocsInsert pins an insertion into either list at no object of
+// its own: items are carved from pages, and a page or a split's new
+// bucket costs well under one allocation per insertion.
+func TestAllocsInsert(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	l := NewList()
+	x := l.InsertFirst()
+	if n := testing.AllocsPerRun(1000, func() { x = l.InsertAfter(x) }); n != 0 {
+		t.Fatalf("List.InsertAfter allocates %v objects, want 0", n)
+	}
+	c := NewConcurrent()
+	y := c.InsertFirst()
+	if n := testing.AllocsPerRun(1000, func() { y = c.InsertAfter(y) }); n != 0 {
+		t.Fatalf("Concurrent.InsertAfter allocates %v objects, want 0", n)
+	}
+	if err := l.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }

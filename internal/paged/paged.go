@@ -1,0 +1,47 @@
+// Package paged keeps values in pages that never move, so that a
+// pointer to a value stays valid and a new value costs no heap object
+// of its own. A page's capacity is fixed when it is allocated: the
+// first holds one value, each next one twice its predecessor's, up to
+// MaxPage. A short list therefore allocates about what one growing
+// slice would, and a long one allocates a page per MaxPage values,
+// without ever copying a value it holds.
+//
+// The race log, the order-maintenance lists' items and the shadow
+// memory's cells are carved from Pages.
+package paged
+
+// MaxPage is the capacity that page capacities double up to.
+const MaxPage = 512
+
+// Pages is a list of values in pages. The zero value is empty and ready
+// to use. Pages is not safe for concurrent use; a reader that does not
+// hold the writer's lock may read a copy of the page headers, taken
+// under it, since a later New or Append writes only past the lengths
+// the copy holds.
+type Pages[T any] [][]T
+
+// New adds a zero value at the end of the list and returns a pointer to
+// it, valid for as long as the list or the pointer is reachable.
+func (p *Pages[T]) New() *T {
+	pages := *p
+	last := len(pages) - 1
+	if last < 0 || len(pages[last]) == cap(pages[last]) {
+		size := 1
+		if last >= 0 {
+			size = min(2*cap(pages[last]), MaxPage)
+		}
+		pages = append(pages, make([]T, 0, size))
+		last++
+		*p = pages
+	}
+	n := len(pages[last])
+	pages[last] = pages[last][:n+1]
+	return &pages[last][n]
+}
+
+// Append adds v at the end of the list and returns a pointer to it.
+func (p *Pages[T]) Append(v T) *T {
+	e := p.New()
+	*e = v
+	return e
+}

@@ -26,6 +26,8 @@ package shadow
 import (
 	"fmt"
 	"sync"
+
+	"repro/internal/paged"
 )
 
 // AccessKind distinguishes the two accesses of a reported race.
@@ -222,13 +224,17 @@ func OnAccessOrdered[A comparable](c *Cell[A], rel Relative[A], cur A, site any,
 type Shard[A comparable] struct {
 	mu    sync.Mutex
 	cells map[uint64]*Cell[A]
+	// pages hold the shard's cells, so a first access to an address
+	// allocates no cell of its own. They start at one cell and double,
+	// so a shard that sees few addresses stays small.
+	pages paged.Pages[Cell[A]]
 	// hits and queries count the accesses AccessOrdered applied here and
 	// the SP queries they issued, under the shard's lock.
 	hits, queries int64
 	// Pad each shard to a cache line so the shard locks of a hot Memory
-	// do not false-share (mutex 8B + map header 8B + two counts 16B +
-	// 32B pad).
-	_ [32]byte
+	// do not false-share (mutex 8B + map header 8B + page list 24B + two
+	// counts 16B + 8B pad).
+	_ [8]byte
 }
 
 // cell returns (creating if needed) the shadow slot for addr, which
@@ -236,7 +242,7 @@ type Shard[A comparable] struct {
 func (s *Shard[A]) cell(addr uint64) *Cell[A] {
 	c := s.cells[addr]
 	if c == nil {
-		c = &Cell[A]{}
+		c = s.pages.New()
 		s.cells[addr] = c
 	}
 	return c

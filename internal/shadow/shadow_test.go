@@ -233,3 +233,25 @@ func TestOrderedProtocolSerialEquivalence(t *testing.T) {
 		}
 	}
 }
+
+// TestAllocsFirstAccess pins a first access to a new address at no
+// object of its own: its cell is carved from the shard's pages, and
+// the pages and the cell map's growth cost well under one allocation
+// per new address.
+func TestAllocsFirstAccess(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	m := NewMemory[int](1)
+	addr := uint64(0)
+	access := func() {
+		m.AccessOrdered(addr, serialRel{}, 1, nil, true)
+		addr++
+	}
+	if n := testing.AllocsPerRun(1000, access); n != 0 {
+		t.Fatalf("a first access to a new address allocates %v objects, want 0", n)
+	}
+	if hits, _ := m.Totals(); hits != int64(addr) {
+		t.Fatalf("%d accesses counted, want %d", hits, addr)
+	}
+}

@@ -259,6 +259,9 @@ func (e *Encoder) Err() error {
 type Decoder struct {
 	r       *bufio.Reader
 	strings []string
+	// scratch receives each site string's bytes before they are copied
+	// into the string, so a site costs that one allocation.
+	scratch []byte
 	version uint64
 	maxStr  int
 }
@@ -350,7 +353,10 @@ func (d *Decoder) Next() (Event, error) {
 			if n > uint64(d.maxStr) {
 				return Event{}, fmt.Errorf("wire: site string length %d exceeds limit %d", n, d.maxStr)
 			}
-			buf := make([]byte, n)
+			if uint64(cap(d.scratch)) < n {
+				d.scratch = make([]byte, n)
+			}
+			buf := d.scratch[:n]
 			if _, err := io.ReadFull(d.r, buf); err != nil {
 				return Event{}, fmt.Errorf("wire: reading site string: %w", noEOF(err))
 			}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -158,3 +159,37 @@ func TestEncoderStickyError(t *testing.T) {
 type failWriter struct{}
 
 func (failWriter) Write([]byte) (int, error) { return 0, errors.New("sink closed") }
+
+// TestAllocsSiteString pins decoding a new site at one allocation, the
+// string itself: its bytes are read through the decoder's reused
+// scratch buffer. Every access names a site not seen before, as the
+// benchmark's traces do once per thread.
+func TestAllocsSiteString(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	const n = 2000
+	var buf bytes.Buffer
+	e := NewEncoder(&buf)
+	for i := range n {
+		e.Access(1, uint64(i), true, true, "main.go:"+strconv.Itoa(i))
+	}
+	if err := e.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	d, err := NewDecoder(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := func() {
+		if _, err := d.Next(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range n / 4 {
+		next()
+	}
+	if got := testing.AllocsPerRun(n/2, next); got > 1 {
+		t.Fatalf("decoding a new site allocates %v objects, want at most 1", got)
+	}
+}

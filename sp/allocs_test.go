@@ -3,6 +3,8 @@ package sp
 import (
 	"testing"
 	"unsafe"
+
+	"repro/internal/paged"
 )
 
 // The allocation guards count heap objects per event, which the race
@@ -25,7 +27,7 @@ func TestAllocsRacingWrite(t *testing.T) {
 		m.Write(writers[i&1], 7) // races with the other side's last write
 		i++
 	}
-	for range 2 * racePage {
+	for range 2 * paged.MaxPage {
 		write()
 	}
 	if n := testing.AllocsPerRun(1000, write); n != 0 {
@@ -37,16 +39,53 @@ func TestAllocsRacingWrite(t *testing.T) {
 }
 
 // TestAllocsBindRel pins binding a thread's query view at no
-// allocation on sp-order: the edge composer lives in the thread's
-// state, and the backend's handle in a page it allocated already.
+// allocation on the three AnyOrder backends: the edge composer lives in
+// the thread's state, and the backend's handle in the thread's slot of
+// a table that exists already.
 func TestAllocsBindRel(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
 	}
-	m := MustMonitor(WithBackend("sp-order"))
-	l, _ := m.Fork(m.Main())
-	if n := testing.AllocsPerRun(1000, func() { m.bindRel(l) }); n != 0 {
-		t.Fatalf("bindRel allocates %v objects, want 0", n)
+	for _, backend := range []string{"sp-order", "sp-hybrid", "depa"} {
+		m := MustMonitor(WithBackend(backend))
+		l, _ := m.Fork(m.Main())
+		st := m.state(l)
+		if n := testing.AllocsPerRun(1000, func() { m.bindRel(l, st) }); n != 0 {
+			t.Errorf("%s: bindRel allocates %v objects, want 0", backend, n)
+		}
+	}
+}
+
+// TestAllocsPerThread pins the heap objects one warmed-up step of a
+// thread's life allocates: a Fork, a Write to a new address, a Read, a
+// Join and a Put. Thread states, handles, list items, shadow cells and
+// depa's thread labels sit in pages that amortize below one object per
+// step. What remains is the Put's published token set on every backend,
+// and on depa the base label each of the step's two forks (the Fork and
+// the Put's diamond) allocates.
+func TestAllocsPerThread(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	for _, tc := range []struct {
+		backend string
+		want    float64
+	}{{"sp-order", 2}, {"sp-hybrid", 2}, {"depa", 4}} {
+		m := MustMonitor(WithBackend(tc.backend))
+		cur, addr := m.Main(), uint64(0)
+		step := func() {
+			l, r := m.Fork(cur)
+			m.Write(l, addr)
+			m.Read(r, addr)
+			cur = m.Put(m.Join(l, r))
+			addr++
+		}
+		for range 1000 {
+			step()
+		}
+		if n := testing.AllocsPerRun(1000, step); n > tc.want {
+			t.Errorf("%s: a fork, write, read, join and put allocate %v objects, want at most %v", tc.backend, n, tc.want)
+		}
 	}
 }
 
@@ -57,10 +96,11 @@ func TestAllocsRaceEntrySize(t *testing.T) {
 	}
 }
 
-// TestAllocsThreadStateSize pins a thread's bookkeeping in the 128-byte
-// allocation size class: the state embeds the backend's handle and
-// holds the Monitor its edge-aware ParallelCurrent asks, where a
-// separate composer would hold both and a pointer back to the state.
+// TestAllocsThreadStateSize pins a thread's bookkeeping, its slot in the
+// monitor's thread table, at 128 bytes: the state embeds the backend's
+// handle and holds the Monitor its edge-aware ParallelCurrent asks,
+// where a separate composer would hold both and a pointer back to the
+// state.
 func TestAllocsThreadStateSize(t *testing.T) {
 	if n := unsafe.Sizeof(threadState{}); n > 128 {
 		t.Fatalf("a thread's state takes %d bytes, want at most 128", n)

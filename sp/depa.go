@@ -2,6 +2,7 @@ package sp
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/ctab"
 	"repro/internal/depa"
@@ -12,12 +13,14 @@ import (
 // (internal/depa; Westrick–Wang–Acar, arXiv 2204.14168) to the event
 // API as the second fully concurrent backend, racing the paper's
 // SP-hybrid design head-to-head in the differential harness and
-// spbench. Every thread's state is one immutable label published
-// through a lock-free table, so the backend has no locks at all:
+// spbench. Every thread's state is one immutable label kept in place
+// in the thread's slot of a lock-free table, so the backend has no
+// locks at all:
 //
 //   - Fork/Join derive the new labels in O(1) from the creator's label
-//     (three allocations per fork, one per join, prefixes shared) and
-//     publish them with single atomic stores;
+//     (one allocation per fork, the base its two labels share, and none
+//     per join; prefixes shared) and publish each with one atomic
+//     store;
 //   - queries climb the two fork paths to their divergence component,
 //     by parent pointers and skew-binary jump pointers, and read BOTH
 //     total orders off that one comparison — no retries, no global
@@ -30,7 +33,7 @@ import (
 
 // depaM is the DePa backend: one immutable label per thread.
 type depaM struct {
-	labels ctab.Table[depa.Label]
+	rels ctab.Table[depaRel]
 
 	// mxDepth and mxWalk record the distributions of the backend's two
 	// cost drivers, which nothing else keeps — fork-nesting depth of
@@ -60,54 +63,66 @@ func (d *depaM) relate(u, v *depa.Label) (eng, heb bool) {
 	return eng, heb
 }
 
-// label returns t's fork path, panicking on unknown threads. Lock-free.
-func (d *depaM) label(t ThreadID) *depa.Label {
-	l := d.labels.Get(int64(t))
-	if l == nil {
-		panic(fmt.Sprintf("sp: depa query on unknown thread t%d", t))
+// rel returns t's slot, panicking on unknown threads. Lock-free.
+func (d *depaM) rel(t ThreadID) *depaRel {
+	if r := d.rels.At(int64(t)); r != nil && r.made.Load() {
+		return r
 	}
-	return l
+	panic(fmt.Sprintf("sp: depa query on unknown thread t%d", t))
 }
 
-func (d *depaM) Start(main ThreadID) { d.labels.Put(int64(main), depa.Root()) }
+// put stores lab in t's slot and then marks the slot made.
+func (d *depaM) put(t ThreadID, lab depa.Label) {
+	r := d.rels.Slot(int64(t))
+	r.lab = lab
+	r.made.Store(true)
+}
+
+func (d *depaM) Start(main ThreadID) { d.put(main, depa.Root()) }
 
 func (d *depaM) Begin(ThreadID) {}
 
 func (d *depaM) Fork(parent, left, right ThreadID) {
-	l, r := depa.Fork(d.label(parent))
-	d.labels.Put(int64(left), l)
-	d.labels.Put(int64(right), r)
+	l, r := depa.Fork(&d.rel(parent).lab)
+	d.put(left, l)
+	d.put(right, r)
 	d.mxDepth.Observe(int64(l.Depth()))
 }
 
 func (d *depaM) Join(left, right, cont ThreadID) {
-	lab := depa.Join(d.label(left), d.label(right))
-	d.labels.Put(int64(cont), lab)
+	lab := depa.Join(&d.rel(left).lab, &d.rel(right).lab)
+	d.put(cont, lab)
 	d.mxDepth.Observe(int64(lab.Depth()))
 }
 
-// depaRel is the cached per-thread query handle: the thread's label is
-// resolved once at thread creation (labels are immutable, so the handle
-// never goes stale), and every query is a pure pointer walk that reads
-// both orders at once.
+// depaRel is a thread's slot: its label, in place, and its query
+// handle. Labels are immutable, so the handle never goes stale, and
+// every query is a pure pointer walk that reads both orders at once.
 type depaRel struct {
+	// d is the handle's identity; only ThreadRelative writes it.
 	d   *depaM
-	lab *depa.Label
+	lab depa.Label
+	// made is stored once lab is written: a slot without it holds no
+	// thread.
+	made atomic.Bool
 }
 
 // Orders reads both orders off one walk; a thread is before itself in
 // neither.
-func (r depaRel) Orders(prev ThreadID) (english, hebrew bool) {
-	u := r.d.label(prev)
-	if u == r.lab {
+func (r *depaRel) Orders(prev ThreadID) (english, hebrew bool) {
+	u := &r.d.rel(prev).lab
+	if u == &r.lab {
 		return false, false
 	}
-	return r.d.relate(u, r.lab)
+	return r.d.relate(u, &r.lab)
 }
 
-// ThreadRelative implements Maintainer.
+// ThreadRelative implements Maintainer: it returns t's slot, writing
+// the handle's identity there.
 func (d *depaM) ThreadRelative(t ThreadID) CurrentRelative {
-	return depaRel{d: d, lab: d.label(t)}
+	r := d.rel(t)
+	r.d = d
+	return r
 }
 
 func init() {

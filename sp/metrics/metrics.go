@@ -99,19 +99,6 @@ func (g *Gauge) Set(v float64) {
 	g.bits.Store(math.Float64bits(v))
 }
 
-// Add adds delta to the gauge.
-func (g *Gauge) Add(delta float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		if g.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+delta)) {
-			return
-		}
-	}
-}
-
 // SetMax raises the gauge to v if v exceeds the current value — the
 // high-water-mark update. It never lowers the gauge.
 func (g *Gauge) SetMax(v float64) {
@@ -167,34 +154,6 @@ func (h *Histogram) Observe(v int64) {
 	h.buckets[k].Add(1)
 	h.count.Add(1)
 	h.sum.Add(v)
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
-// Sum returns the sum of all observed values.
-func (h *Histogram) Sum() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum.Load()
-}
-
-// Mean returns the mean observation (0 when empty).
-func (h *Histogram) Mean() float64 {
-	if h == nil {
-		return 0
-	}
-	n := h.count.Load()
-	if n == 0 {
-		return 0
-	}
-	return float64(h.sum.Load()) / float64(n)
 }
 
 // rateWindow is the number of one-second buckets a Rate keeps; the
@@ -569,23 +528,6 @@ func (s Snapshot) Value(name string, labels ...string) (float64, bool) {
 		}
 	}
 	return 0, false
-}
-
-// Get returns the named series and whether it exists (histograms
-// included; use this for Buckets/Sum/Count).
-func (s Snapshot) Get(name string, labels ...string) (Series, bool) {
-	key := labelKey(labels)
-	for _, f := range s.Families {
-		if f.Name != name {
-			continue
-		}
-		for _, ser := range f.Series {
-			if labelKey(ser.Labels) == key {
-				return ser, true
-			}
-		}
-	}
-	return Series{}, false
 }
 
 // Sum returns the summed Value of every series of the named family —

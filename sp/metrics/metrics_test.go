@@ -51,22 +51,35 @@ func TestGaugeSetMax(t *testing.T) {
 		t.Fatalf("SetMax failed to raise: %g", got)
 	}
 	g.Set(1.5)
-	g.Add(0.5)
-	if got := g.Value(); got != 2 {
-		t.Fatalf("Set+Add = %g, want 2", got)
+	if got := g.Value(); got != 1.5 {
+		t.Fatalf("Set = %g, want 1.5", got)
 	}
 }
 
+// firstSeries returns the first series of the named family in snap.
+func firstSeries(t *testing.T, snap Snapshot, name string) Series {
+	t.Helper()
+	for _, f := range snap.Families {
+		if f.Name == name && len(f.Series) > 0 {
+			return f.Series[0]
+		}
+	}
+	t.Fatalf("snapshot has no series %q", name)
+	return Series{}
+}
+
 func TestHistogramBuckets(t *testing.T) {
-	var h Histogram
+	reg := NewRegistry()
+	h := reg.Histogram("h", "")
 	for _, v := range []int64{0, 1, 2, 3, 4, 100, -7} {
 		h.Observe(v)
 	}
-	if got := h.Count(); got != 7 {
+	ser := firstSeries(t, reg.Snapshot(), "h")
+	if got := ser.Count; got != 7 {
 		t.Fatalf("count = %d", got)
 	}
-	if got := h.Sum(); got != 110 { // -7 clamps to 0
-		t.Fatalf("sum = %d", got)
+	if got := ser.Sum; got != 110 { // -7 clamps to 0
+		t.Fatalf("sum = %g", got)
 	}
 	// 0 and -7 → bucket 0 (le 0); 1 → bucket 1 (le 1); 2,3 → bucket 2
 	// (le 3); 4 → bucket 3 (le 7); 100 → bucket 7 (le 127).
@@ -76,7 +89,7 @@ func TestHistogramBuckets(t *testing.T) {
 			t.Errorf("bucket %d = %d, want %d", k, got, want)
 		}
 	}
-	if got, want := h.Mean(), 110.0/7; math.Abs(got-want) > 1e-9 {
+	if got, want := ser.Sum/float64(ser.Count), 110.0/7; math.Abs(got-want) > 1e-9 {
 		t.Fatalf("mean = %g, want %g", got, want)
 	}
 }
@@ -108,10 +121,9 @@ func TestNilInstrumentsSafe(t *testing.T) {
 	c.Add(1)
 	g.Set(1)
 	g.SetMax(1)
-	g.Add(1)
 	h.Observe(1)
 	r.Add(1)
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 || h.Mean() != 0 || r.Value() != 0 {
+	if c.Value() != 0 || g.Value() != 0 || r.Value() != 0 {
 		t.Fatal("nil instruments must read zero")
 	}
 	if reg.Counter("x", "") != nil || reg.Gauge("x", "") != nil ||
@@ -174,9 +186,9 @@ func TestSnapshotAccessors(t *testing.T) {
 	if v, ok := snap.Value("depth"); !ok || v != 2.5 {
 		t.Fatalf("Value(depth) = %g, %v", v, ok)
 	}
-	ser, ok := snap.Get("lat")
-	if !ok || ser.Count != 1 || ser.Sum != 5 {
-		t.Fatalf("Get(lat) = %+v, %v", ser, ok)
+	ser := firstSeries(t, snap, "lat")
+	if ser.Count != 1 || ser.Sum != 5 {
+		t.Fatalf("lat = %+v", ser)
 	}
 	if len(ser.Buckets) == 0 || !math.IsInf(ser.Buckets[len(ser.Buckets)-1].UpperBound, 1) {
 		t.Fatalf("histogram buckets must end at +Inf: %+v", ser.Buckets)

@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/ctab"
+	"repro/internal/paged"
 	"repro/internal/shadow"
 	"repro/internal/wire"
 	"repro/sp/metrics"
@@ -146,16 +147,16 @@ type lockShard struct {
 // one history, and the runs of races under one lock set, store their
 // pair once. Plain races store none.
 //
-// Both lists are paged (appendPaged) so that an emit never copies a race
+// Both lists are paged (paged.Pages) so that an emit never copies a race
 // or pair it already logged, and a racy run stops paying for copies of
 // its whole log. Paging also lets Report read the entries outside the
 // lock: an emit writes only past the page lengths Report saw.
 type raceShard struct {
 	mu sync.Mutex
 	// pages hold the races in detection order.
-	pages [][]raceEntry
+	pages paged.Pages[raceEntry]
 	// pairs hold the lock-set pairs of lock-aware races.
-	pairs [][][2]LockSet
+	pairs paged.Pages[[2]LockSet]
 }
 
 // raceEntry is one logged race: a Race with its lock sets moved to the
@@ -172,29 +173,8 @@ type raceEntry struct {
 	locks uint32
 }
 
-// racePage is the capacity a shard's log pages double up to.
-const racePage = 512
-
-// pairShift splits raceEntry.locks; 1 + racePage fits below it.
+// pairShift splits raceEntry.locks; 1 + paged.MaxPage fits below it.
 const pairShift = 10
-
-// appendPaged appends v to the last page of pages, opening a new page
-// when it is full: page capacities double from 1 up to racePage and a
-// page is never grown, so a list allocates no more than one growing
-// slice would and never copies an element it holds.
-func appendPaged[T any](pages [][]T, v T) [][]T {
-	last := len(pages) - 1
-	if last < 0 || len(pages[last]) == cap(pages[last]) {
-		size := 1
-		if last >= 0 {
-			size = min(2*cap(pages[last]), racePage)
-		}
-		pages = append(pages, make([]T, 0, size))
-		last++
-	}
-	pages[last] = append(pages[last], v)
-	return pages
-}
 
 // add logs e, whose lock sets are first and second (both nil for a
 // plain race), at the end of the shard's pages. The caller holds sh.mu.
@@ -202,12 +182,12 @@ func (sh *raceShard) add(e raceEntry, first, second LockSet) {
 	if first != nil || second != nil {
 		p := len(sh.pairs) - 1
 		if p < 0 || !samePair(sh.pairs[p][len(sh.pairs[p])-1], first, second) {
-			sh.pairs = appendPaged(sh.pairs, [2]LockSet{first, second})
+			sh.pairs.Append([2]LockSet{first, second})
 			p = len(sh.pairs) - 1
 		}
 		e.locks = uint32(p)<<pairShift | uint32(len(sh.pairs[p]))
 	}
-	sh.pages = appendPaged(sh.pages, e)
+	sh.pages.Append(e)
 }
 
 // samePair reports whether pair holds the lock sets first and second. A
@@ -221,7 +201,7 @@ func samePair(pair [2]LockSet, first, second LockSet) bool {
 // fill writes the race e logs into r, a zeroed Race, from pairs, the
 // lock-set pairs of e's shard. It writes only the fields that are not
 // zero, so a site-less plain race costs no pointer write.
-func (e *raceEntry) fill(r *Race, pairs [][][2]LockSet) {
+func (e *raceEntry) fill(r *Race, pairs paged.Pages[[2]LockSet]) {
 	r.Addr, r.Kind, r.First, r.Second = e.addr, e.kind, e.first, e.second
 	if e.firstSite != nil {
 		r.FirstSite = e.firstSite
@@ -235,21 +215,25 @@ func (e *raceEntry) fill(r *Race, pairs [][][2]LockSet) {
 	}
 }
 
-// threadState is the Monitor's per-thread bookkeeping. States are
-// published through a lock-free table, and the flags are atomics,
-// because lock-free monitors consult them without the monitor mutex;
-// held is touched only by the owning thread's own events.
+// threadState is the Monitor's per-thread bookkeeping. States sit in
+// place in a lock-free table, one slot per ThreadID, and the flags are
+// atomics, because lock-free monitors consult them without the monitor
+// mutex; held is touched only by the owning thread's own events.
 type threadState struct {
 	begun   atomic.Bool
 	retired atomic.Bool
+	// created makes the slot a thread: it is stored after every other
+	// field the creating event writes, and a slot without it is no
+	// thread, so an ID no event created fails as not live.
+	created atomic.Bool
+	spawned bool
 	held    map[int]int // lock multiset; nil until first Acquire
 	// fork is the thread whose Fork opened the branch this thread runs
-	// on (NoThread on main's level), and spawned tells whether it is
-	// that Fork's left side. A Join must end the two sides of one fork.
+	// on (NoThread on main's level), and spawned, above, tells whether it
+	// is that Fork's left side. A Join must end the two sides of one fork.
 	// Both are set before the ID escapes and never change, so lock-free
 	// monitors read them without a lock.
-	fork    ThreadID
-	spawned bool
+	fork ThreadID
 	// CurrentRelative is the backend's handle for this thread (its
 	// "label/bag reference"), bound at thread creation (see bindRel);
 	// nil for a Put's two internal threads, which never run. The state
@@ -447,12 +431,13 @@ func NewMonitor(opts ...Option) (*Monitor, error) {
 	if cfg.traceW != nil {
 		m.trace = wire.NewEncoder(cfg.traceW)
 	}
-	m.main = m.newThread(NoThread, false)
-	m.backend.Start(m.main)
+	main, mst := m.newThread(NoThread, false)
+	m.main = main
+	m.backend.Start(main)
 	if m.mirror != nil {
-		m.mirror.Start(m.main)
+		m.mirror.Start(main)
 	}
-	m.bindRel(m.main)
+	m.bindRel(main, mst)
 	return m, nil
 }
 
@@ -471,29 +456,31 @@ func (m *Monitor) Backend() BackendInfo { return m.info }
 // Main returns the main thread's ID (always 0).
 func (m *Monitor) Main() ThreadID { return m.main }
 
-// newThread allocates the next dense ThreadID and publishes its state
-// at the given position in the fork tree.
-func (m *Monitor) newThread(fork ThreadID, spawned bool) ThreadID {
+// newThread allocates the next dense ThreadID and fills its slot at the
+// given position in the fork tree. The slot becomes a thread when the
+// creating event finishes it with bindRel, or marks it created itself.
+func (m *Monitor) newThread(fork ThreadID, spawned bool) (ThreadID, *threadState) {
 	id := ThreadID(m.nthreads.Add(1) - 1)
-	m.threads.Put(int64(id), &threadState{fork: fork, spawned: spawned, m: m})
-	return id
+	st := m.threads.Slot(int64(id))
+	st.fork, st.spawned, st.m = fork, spawned, m
+	return id, st
 }
 
-// bindRel caches the backend's handle ("label/bag reference") on the
-// thread's state, before the new ThreadID escapes to the caller. Only
-// the backend's handle may allocate.
-func (m *Monitor) bindRel(t ThreadID) {
-	m.state(t).CurrentRelative = m.backend.ThreadRelative(t)
+// bindRel caches the backend's handle ("label/bag reference") on t's
+// state st and then marks st created, before the new ThreadID escapes
+// to the caller. Only the backend's handle may allocate.
+func (m *Monitor) bindRel(t ThreadID, st *threadState) {
+	st.CurrentRelative = m.backend.ThreadRelative(t)
+	st.created.Store(true)
 }
 
 // state returns t's bookkeeping, panicking on unknown IDs. The lookup
 // is lock-free.
 func (m *Monitor) state(t ThreadID) *threadState {
-	st := m.threads.Get(int64(t))
-	if st == nil {
-		panic(fmt.Sprintf("sp: thread t%d is not live (no such thread)", t))
+	if st := m.threads.At(int64(t)); st != nil && st.created.Load() {
+		return st
 	}
-	return st
+	panic(fmt.Sprintf("sp: thread t%d is not live (no such thread)", t))
 }
 
 // checkLive panics if the monitor is finished or t has ended.
@@ -558,18 +545,16 @@ func (m *Monitor) Fork(parent ThreadID) (left, right ThreadID) {
 	}
 	m.checkLive(parent, st, "Fork")
 	m.begin(parent, st)
-	left, right = m.newThread(parent, true), m.newThread(parent, false)
+	left, lst := m.newThread(parent, true)
+	right, rst := m.newThread(parent, false)
 	m.backend.Fork(parent, left, right)
 	if m.mirror != nil {
 		m.mirror.Fork(parent, left, right)
 	}
-	m.bindRel(left)
-	m.bindRel(right)
-	if len(st.ctx) > 0 {
-		// Both branches run after everything the parent observed.
-		m.state(left).ctx = st.ctx
-		m.state(right).ctx = st.ctx
-	}
+	// Both branches run after everything the parent observed.
+	lst.ctx, rst.ctx = st.ctx, st.ctx
+	m.bindRel(left, lst)
+	m.bindRel(right, rst)
 	if m.trace != nil {
 		// The spawned IDs are implicit in the trace: a fresh Monitor
 		// re-allocates them densely in record order on replay.
@@ -602,15 +587,15 @@ func (m *Monitor) Join(left, right ThreadID) (cont ThreadID) {
 		panic(fmt.Sprintf("sp: Join(t%d, t%d) is not well nested (it must end a fork's spawned branch, then that fork's continuation)", left, right))
 	}
 	pst := m.state(lst.fork)
-	cont = m.newThread(pst.fork, pst.spawned)
+	cont, cst := m.newThread(pst.fork, pst.spawned)
 	m.backend.Join(left, right, cont)
 	if m.mirror != nil {
 		m.mirror.Join(left, right, cont)
 	}
-	m.bindRel(cont)
 	// An edge into either branch orders its sources before everything
 	// after the join.
-	m.state(cont).ctx = m.mergeTokens(lst.ctx, rst.ctx)
+	cst.ctx = m.mergeTokens(lst.ctx, rst.ctx)
+	m.bindRel(cont, cst)
 	if m.trace != nil {
 		m.trace.Join(int64(left), int64(right))
 	}
@@ -650,20 +635,22 @@ func (m *Monitor) Put(t ThreadID) (cont ThreadID) {
 	m.checkLive(t, st, "Put")
 	m.begin(t, st)
 	st.snap = m.mergeTokens(st.ctx, []ThreadID{t})
-	dead, mid := m.newThread(t, true), m.newThread(t, false)
-	m.state(dead).retired.Store(true)
-	m.state(mid).retired.Store(true)
+	dead, dst := m.newThread(t, true)
+	mid, mst := m.newThread(t, false)
+	for _, s := range [2]*threadState{dst, mst} {
+		s.retired.Store(true)
+		s.created.Store(true)
+	}
 	m.backend.Fork(t, dead, mid)
-	cont = m.newThread(st.fork, st.spawned)
+	cont, cst := m.newThread(st.fork, st.spawned)
 	m.backend.Join(dead, mid, cont)
 	if m.mirror != nil {
 		m.mirror.Fork(t, dead, mid)
 		m.mirror.Join(dead, mid, cont)
 	}
-	m.bindRel(cont)
-	cst := m.state(cont)
 	cst.ctx = st.ctx
 	cst.held = st.held
+	m.bindRel(cont, cst)
 	if m.trace != nil {
 		// Only the Put is recorded; replay re-synthesizes the diamond,
 		// so the three IDs stay implicit like Fork's and Join's.
@@ -700,8 +687,8 @@ func (m *Monitor) Get(t ThreadID, tokens ...ThreadID) {
 	var buf [4][]ThreadID
 	sets := append(buf[:0], st.ctx)
 	for _, tok := range tokens {
-		ts := m.threads.Get(int64(tok))
-		if ts == nil || ts.snap == nil {
+		ts := m.threads.At(int64(tok))
+		if ts == nil || !ts.created.Load() || ts.snap == nil {
 			panic(fmt.Sprintf("sp: Get of token t%d, which was never put", tok))
 		}
 		sets = append(sets, ts.snap)
@@ -1148,8 +1135,8 @@ func (m *Monitor) Report() Report {
 	// writes only past the snapshot's lengths, so the entries are read
 	// after the locks drop.
 	type shardSnap struct {
-		pages [][]raceEntry
-		pairs [][][2]LockSet
+		pages paged.Pages[raceEntry]
+		pairs paged.Pages[[2]LockSet]
 	}
 	snaps := make([]shardSnap, len(m.raceShards))
 	emits := make([]int64, len(m.raceShards))
@@ -1193,7 +1180,7 @@ func (m *Monitor) Report() Report {
 	threads := m.nthreads.Load()
 	var begun, reads, writes int64
 	for i := int64(0); i < threads; i++ {
-		if st := m.threads.Get(i); st != nil {
+		if st := m.threads.At(i); st != nil && st.created.Load() {
 			if st.begun.Load() {
 				begun++
 			}

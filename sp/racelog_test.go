@@ -1,10 +1,14 @@
 package sp
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/paged"
+)
 
 // TestRaceLogPagedShard grows one race-log shard across many pages:
 // every race is on one address, so on one shard. Page capacities must
-// double from 1 up to racePage, every page but the last must be full,
+// double from 1 up to paged.MaxPage, every page but the last must be full,
 // and Report must list every race once, in detection order.
 func TestRaceLogPagedShard(t *testing.T) {
 	const races = 2500 // pages of 1, 2, ..., 512 races, then three more
@@ -25,7 +29,7 @@ func TestRaceLogPagedShard(t *testing.T) {
 		t.Fatalf("%d races fill %d pages, want 13", races, len(pages))
 	}
 	for i, p := range pages {
-		if want := min(1<<i, racePage); cap(p) != want || (i < len(pages)-1 && len(p) != want) {
+		if want := min(1<<i, paged.MaxPage); cap(p) != want || (i < len(pages)-1 && len(p) != want) {
 			t.Fatalf("page %d holds %d races in capacity %d, want capacity %d and full unless last",
 				i, len(p), cap(p), want)
 		}

@@ -149,7 +149,9 @@ type Maintainer interface {
 	Join(left, right, cont ThreadID)
 	// ThreadRelative returns the query handle of thread t, which must
 	// already be registered (via Start, Fork, or Join). The handle
-	// stays valid for the backend's lifetime.
+	// stays valid for the backend's lifetime. Backends may keep it in
+	// t's own slot and write it there, so concurrent calls must name
+	// distinct threads.
 	ThreadRelative(t ThreadID) CurrentRelative
 }
 
@@ -206,9 +208,9 @@ type BackendInfo struct {
 	// Replay produces.
 	AnyOrder bool
 	// Synchronized reports whether the backend takes concurrent event
-	// delivery without external locking: Start/Begin/Fork/Join for
-	// distinct threads, ThreadRelative, and queries on the handles may
-	// all run concurrently. A Monitor over a Synchronized backend that
+	// delivery without external locking: Start/Begin/Fork/Join and
+	// ThreadRelative for distinct threads, and queries on the handles,
+	// may all run concurrently. A Monitor over a Synchronized backend that
 	// records no trace applies every event without its global mutex;
 	// every other Monitor applies each event under that mutex. A
 	// Synchronized backend must also set FullQueries and AnyOrder,

@@ -44,12 +44,13 @@ import (
 // after u (English) and r, l after u (Hebrew); Join(a, b) inserts the
 // continuation after the branch maxima b (English) and a (Hebrew).
 //
-// The thread→item table is a lock-free chunked table (internal/ctab):
-// once a thread is materialized, a query is two atomic loads to find
-// the items plus the OM lists' own lock-free label reads, so an access
-// on a lock-free Monitor never takes a backend lock. Structural events
-// take only the queue mutex, so the Monitor delivers them concurrently
-// too (Synchronized).
+// Each thread's handle and its two list positions share one slot of a
+// lock-free chunked table (internal/ctab): once a thread is
+// materialized, a query is a few atomic loads to find the positions
+// plus the OM lists' own lock-free label reads, so an access on a
+// lock-free Monitor never takes a backend lock, and binding a thread
+// allocates nothing. Structural events take only the queue mutex, so
+// the Monitor delivers them concurrently too (Synchronized).
 //
 // The scheduler-coupled SP-hybrid with real work-stealing and a live
 // SP-bags local tier remains in internal/sphybrid (driven by
@@ -62,12 +63,6 @@ import (
 // amortized global-tier cost stays one lock acquisition per batch.
 const batchMax = 128
 
-// hybridItem is one thread's position in both global-tier lists.
-type hybridItem struct {
-	e *om.CItem // English order
-	h *om.CItem // Hebrew order
-}
-
 // hybridEvent is one deferred structural event: a fork
 // (parent→left∥right) or a join (left,right→cont).
 type hybridEvent struct {
@@ -79,12 +74,15 @@ type hybridEvent struct {
 type hybrid struct {
 	insMu    sync.Mutex // the single global-tier insertion lock (both lists share it)
 	eng, heb *om.Concurrent
-	items    ctab.Table[hybridItem]
+	rels     ctab.Table[hybridRel]
 
 	pendMu  sync.Mutex
 	pending []hybridEvent
 	// pendingHW is the deepest pending has grown, under pendMu.
 	pendingHW int
+	// spare is the buffer the last drain emptied, under insMu: the next
+	// drain hands it to the appenders, so batches reuse two buffers.
+	spare []hybridEvent
 
 	// drains and batched count non-empty drains and the events they
 	// materialized; drains ≪ batched is the amortization made visible.
@@ -135,42 +133,65 @@ func newHybrid() Maintainer {
 	return h
 }
 
-// mustItem returns t's materialized positions. Called only with insMu
-// held during a drain, where every anchor is guaranteed present; a miss
-// is a dependency-order bug, not a pending thread.
-func (h *hybrid) mustItem(t ThreadID) *hybridItem {
-	it := h.items.Get(int64(t))
-	if it == nil {
+// positions returns t's materialized positions in the English and
+// Hebrew lists, or nils while t is pending or unknown. It is lock-free:
+// the drain stores the Hebrew position before the English one, so a
+// reader that sees the English position sees both.
+func (h *hybrid) positions(t ThreadID) (e, hb *om.CItem) {
+	if r := h.rels.At(int64(t)); r != nil {
+		if e = r.e.Load(); e != nil {
+			return e, r.hb.Load()
+		}
+	}
+	return nil, nil
+}
+
+// mustPositions returns t's materialized positions. Called only with
+// insMu held during a drain, where every anchor is guaranteed present;
+// a miss is a dependency-order bug, not a pending thread.
+func (h *hybrid) mustPositions(t ThreadID) (e, hb *om.CItem) {
+	e, hb = h.positions(t)
+	if e == nil {
 		panic(fmt.Sprintf("sp: sp-hybrid drain found unmaterialized anchor t%d", t))
 	}
-	return it
+	return e, hb
 }
 
 // item returns t's list positions, draining the pending queue if t has
 // not been materialized yet. The fast path (already materialized) is
 // one lock-free table lookup.
-func (h *hybrid) item(t ThreadID) *hybridItem {
-	if it := h.items.Get(int64(t)); it != nil {
-		return it
+func (h *hybrid) item(t ThreadID) (e, hb *om.CItem) {
+	if e, hb = h.positions(t); e != nil {
+		return e, hb
 	}
 	h.drain()
-	if it := h.items.Get(int64(t)); it != nil {
-		return it
+	if e, hb = h.positions(t); e != nil {
+		return e, hb
 	}
 	panic(fmt.Sprintf("sp: sp-hybrid query on unknown thread t%d", t))
+}
+
+// materialize publishes t's two positions in its slot, Hebrew first.
+// The caller holds insMu.
+func (h *hybrid) materialize(t ThreadID, e, hb *om.CItem) {
+	r := h.rels.Slot(int64(t))
+	r.hb.Store(hb)
+	r.e.Store(e)
 }
 
 // drain materializes every pending structural event's threads into the
 // two OM lists under one acquisition of the shared insertion lock.
 // Concurrent drains serialize on insMu; the queue swap happens inside,
-// so batches are processed in append order.
+// so batches are processed in append order. The emptied batch buffer
+// is kept for the next drain.
 func (h *hybrid) drain() {
 	h.insMu.Lock()
 	defer h.insMu.Unlock()
 	h.pendMu.Lock()
 	batch := h.pending
-	h.pending = nil
+	h.pending = h.spare[:0]
 	h.pendMu.Unlock()
+	h.spare = batch[:0]
 	if len(batch) == 0 {
 		return
 	}
@@ -179,22 +200,20 @@ func (h *hybrid) drain() {
 	h.mxBatchSize.Observe(int64(len(batch)))
 	for _, ev := range batch {
 		if ev.fork {
-			p := h.mustItem(ev.a)
-			// OM-MULTI-INSERT with the lock already held: English
-			// ⟨u, l, r⟩, Hebrew ⟨u, r, l⟩ (the P-node swap).
-			_, eAfter := h.eng.MultiInsertAroundLocked(p.e, 0, 2)
-			_, hAfter := h.heb.MultiInsertAroundLocked(p.h, 0, 2)
-			// Publish each thread's two positions in one atomic store, so
-			// a concurrent query never sees a thread with only one list
-			// position.
-			h.items.Put(int64(ev.b), &hybridItem{e: eAfter[0], h: hAfter[1]})
-			h.items.Put(int64(ev.c), &hybridItem{e: eAfter[1], h: hAfter[0]})
+			// OM-INSERT with the lock already held, one item at a
+			// time: English ⟨u, l, r⟩, Hebrew ⟨u, r, l⟩ (the P-node
+			// swap).
+			pe, ph := h.mustPositions(ev.a)
+			le := h.eng.InsertAfterLocked(pe)
+			re := h.eng.InsertAfterLocked(le)
+			rh := h.heb.InsertAfterLocked(ph)
+			lh := h.heb.InsertAfterLocked(rh)
+			h.materialize(ev.b, le, lh)
+			h.materialize(ev.c, re, rh)
 		} else {
-			l, r := h.mustItem(ev.a), h.mustItem(ev.b)
-			h.items.Put(int64(ev.c), &hybridItem{
-				e: h.eng.InsertAfterLocked(r.e),
-				h: h.heb.InsertAfterLocked(l.h),
-			})
+			_, lh := h.mustPositions(ev.a)
+			re, _ := h.mustPositions(ev.b)
+			h.materialize(ev.c, h.eng.InsertAfterLocked(re), h.heb.InsertAfterLocked(lh))
 		}
 	}
 }
@@ -216,7 +235,7 @@ func (h *hybrid) enqueue(ev hybridEvent) {
 
 func (h *hybrid) Start(main ThreadID) {
 	h.insMu.Lock()
-	h.items.Put(int64(main), &hybridItem{e: h.eng.InsertFirstLocked(), h: h.heb.InsertFirstLocked()})
+	h.materialize(main, h.eng.InsertFirstLocked(), h.heb.InsertFirstLocked())
 	h.insMu.Unlock()
 }
 
@@ -230,40 +249,43 @@ func (h *hybrid) Join(left, right, cont ThreadID) {
 	h.enqueue(hybridEvent{a: left, b: right, c: cont})
 }
 
-// hybridRel is the cached per-thread query handle. Resolution is lazy:
-// the handle is created at the structural event that creates the
-// thread, when the thread is typically still pending — resolving there
-// would force a drain per fork and destroy the batching. The first
-// query resolves (draining if needed) and caches the items.
+// hybridRel is a thread's slot: its query handle and its positions in
+// both global-tier lists. Resolution is lazy: the handle is bound at
+// the structural event that creates the thread, when the thread is
+// typically still pending — resolving there would force a drain per
+// fork and destroy the batching. The first query drains if the
+// positions are still missing.
 type hybridRel struct {
+	// h and id are the handle's identity. Only ThreadRelative writes
+	// them, on the goroutine that creates the thread; a drain on another
+	// goroutine writes only the positions.
 	h  *hybrid
 	id ThreadID
-	it atomic.Pointer[hybridItem]
-}
-
-func (r *hybridRel) resolve() *hybridItem {
-	if it := r.it.Load(); it != nil {
-		return it
-	}
-	it := r.h.item(r.id)
-	r.it.Store(it)
-	return it
+	// e and hb are the English and Hebrew positions, stored by the drain
+	// that materializes the thread, hb first.
+	e, hb atomic.Pointer[om.CItem]
 }
 
 // Orders is two lock-free global-tier label reads (Figure 9 with
 // singleton traces: the same-trace local case never arises), exact for
 // any pair under genuinely concurrent event delivery.
 func (r *hybridRel) Orders(prev ThreadID) (english, hebrew bool) {
-	cur := r.resolve()
-	p := r.h.item(prev)
-	return r.h.eng.Precedes(p.e, cur.e), r.h.heb.Precedes(p.h, cur.h)
+	ce, ch := r.e.Load(), r.hb.Load()
+	if ce == nil {
+		ce, ch = r.h.item(r.id)
+	}
+	pe, ph := r.h.item(prev)
+	return r.h.eng.Precedes(pe, ce), r.h.heb.Precedes(ph, ch)
 }
 
-// ThreadRelative implements Maintainer. It does not resolve the
-// thread's positions — t may still be pending, and binding happens
-// inside the Monitor's Fork and Join, which may run concurrently.
+// ThreadRelative implements Maintainer: it returns t's slot, writing
+// the handle's identity there. It does not resolve the thread's
+// positions — t may still be pending, and binding happens inside the
+// Monitor's Fork and Join, which may run concurrently.
 func (h *hybrid) ThreadRelative(t ThreadID) CurrentRelative {
-	return &hybridRel{h: h, id: t}
+	r := h.rels.Slot(int64(t))
+	r.h, r.id = h, t
+	return r
 }
 
 func init() {

@@ -3,6 +3,7 @@ package sp
 import (
 	"fmt"
 
+	"repro/internal/ctab"
 	"repro/internal/om"
 )
 
@@ -35,31 +36,22 @@ import (
 // spOrder is the event-driven serial SP-order backend.
 type spOrder struct {
 	eng, heb *om.List
-	// rels holds each thread's handle, indexed by ThreadID, in pages of
-	// relPage that never move once allocated: a handle's address is
-	// stable, so binding a thread allocates nothing.
-	rels [][]orderRel
+	// rels holds each thread's handle in place, indexed by ThreadID: a
+	// handle's address is stable, so binding a thread allocates nothing.
+	rels ctab.Table[orderRel]
 }
-
-// relPage is the number of sp-order handles per page.
-const relPage = 256
 
 func newSPOrder() Maintainer { return &spOrder{eng: om.NewList(), heb: om.NewList()} }
 
-// put registers t's items in the two lists, opening pages up to t's.
+// put registers t's items in the two lists.
 func (s *spOrder) put(t ThreadID, e, h *om.Item) {
-	for int(t/relPage) >= len(s.rels) {
-		s.rels = append(s.rels, make([]orderRel, relPage))
-	}
-	s.rels[t/relPage][t%relPage] = orderRel{s: s, e: e, h: h}
+	*s.rels.Slot(int64(t)) = orderRel{s: s, e: e, h: h}
 }
 
 // rel returns t's handle, panicking if t was never registered.
 func (s *spOrder) rel(t ThreadID) *orderRel {
-	if p := uint64(t) / relPage; p < uint64(len(s.rels)) {
-		if r := &s.rels[p][uint64(t)%relPage]; r.e != nil {
-			return r
-		}
+	if r := s.rels.At(int64(t)); r != nil && r.e != nil {
+		return r
 	}
 	panic(fmt.Sprintf("sp: sp-order query on unknown thread t%d", t))
 }
@@ -68,19 +60,23 @@ func (s *spOrder) Start(main ThreadID) { s.put(main, s.eng.InsertFirst(), s.heb.
 
 func (s *spOrder) Begin(ThreadID) {}
 
+// Fork inserts English ⟨u, l, r⟩ and Hebrew ⟨u, r, l⟩ (the P-node
+// swap), one item at a time.
 func (s *spOrder) Fork(parent, left, right ThreadID) {
 	p := s.rel(parent)
-	e := s.eng.InsertAfterN(p.e, 2)
-	h := s.heb.InsertAfterN(p.h, 2)
-	s.put(left, e[0], h[1])
-	s.put(right, e[1], h[0])
+	le := s.eng.InsertAfter(p.e)
+	re := s.eng.InsertAfter(le)
+	rh := s.heb.InsertAfter(p.h)
+	lh := s.heb.InsertAfter(rh)
+	s.put(left, le, lh)
+	s.put(right, re, rh)
 }
 
 func (s *spOrder) Join(left, right, cont ThreadID) {
 	s.put(cont, s.eng.InsertAfter(s.rel(right).e), s.heb.InsertAfter(s.rel(left).h))
 }
 
-// ThreadRelative returns a pointer to t's handle in its page.
+// ThreadRelative returns a pointer to t's handle in its slot.
 func (s *spOrder) ThreadRelative(t ThreadID) CurrentRelative { return s.rel(t) }
 
 // orderRel is an sp-order thread's handle: its items in the English and
@@ -132,8 +128,8 @@ func (s *spOrderImplicit) Begin(t ThreadID) {
 
 func (s *spOrderImplicit) Fork(parent, left, right ThreadID) {
 	s.grow(right)
-	h := s.heb.InsertAfterN(s.hebIt[parent], 2)
-	s.hebIt[right], s.hebIt[left] = h[0], h[1]
+	s.hebIt[right] = s.heb.InsertAfter(s.hebIt[parent])
+	s.hebIt[left] = s.heb.InsertAfter(s.hebIt[right])
 }
 
 func (s *spOrderImplicit) Join(left, right, cont ThreadID) {
