@@ -36,6 +36,7 @@ package wire
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -254,14 +255,36 @@ func (e *Encoder) Err() error {
 	return e.err
 }
 
-// Decoder streams records from an io.Reader. It is not safe for
-// concurrent use.
+// blockSize is the size of a Decoder's buffer, the most it asks of its
+// source in one Read.
+const blockSize = 16 << 10
+
+// maxEmptyReads is how many Reads in a row may return neither bytes nor
+// an error before a Decoder gives up with io.ErrNoProgress, as bufio
+// does.
+const maxEmptyReads = 100
+
+// errOverflow is encoding/binary's error for a varint longer than 64
+// bits, which the decoder reports with the same text.
+var errOverflow = errors.New("binary: varint overflows a 64-bit integer")
+
+// Decoder streams records from an io.Reader. It reads the source in
+// blocks into a buffer of its own and decodes each record's operands
+// straight from that buffer. It is not safe for concurrent use.
 type Decoder struct {
-	r       *bufio.Reader
+	src io.Reader
+	// buf[pos:end] holds the bytes read from src and not yet decoded.
+	buf      []byte
+	pos, end int
+	// err is the error that ended src; it surfaces once the bytes read
+	// before it are decoded.
+	err     error
 	strings []string
-	// scratch receives each site string's bytes before they are copied
-	// into the string, so a site costs that one allocation.
+	// scratch assembles each site string before it is copied into the
+	// string, so a site costs that one allocation.
 	scratch []byte
+	// toks holds the tokens of the last Get decoded: every Get reuses it.
+	toks    []int64
 	version uint64
 	maxStr  int
 }
@@ -269,17 +292,19 @@ type Decoder struct {
 // NewDecoder wraps r and reads the trace header, rejecting bad magic
 // and versions newer than this codec understands.
 func NewDecoder(r io.Reader) (*Decoder, error) {
-	d := &Decoder{r: bufio.NewReader(r), maxStr: MaxStringLen}
-	var magic [len(Magic)]byte
-	if _, err := io.ReadFull(d.r, magic[:]); err != nil {
-		return nil, fmt.Errorf("wire: reading magic: %w", noEOF(err))
+	d := &Decoder{src: r, buf: make([]byte, blockSize), maxStr: MaxStringLen}
+	for d.end < len(Magic) {
+		if err := d.more(); err != nil {
+			return nil, fmt.Errorf("wire: reading magic: %w", noEOF(err))
+		}
 	}
-	if string(magic[:]) != Magic {
-		return nil, fmt.Errorf("wire: bad magic %q, not an sp trace", magic[:])
+	if magic := d.buf[:len(Magic)]; string(magic) != Magic {
+		return nil, fmt.Errorf("wire: bad magic %q, not an sp trace", magic)
 	}
-	v, err := binary.ReadUvarint(d.r)
+	d.pos = len(Magic)
+	v, err := d.uvarint()
 	if err != nil {
-		return nil, fmt.Errorf("wire: reading version: %w", noEOF(err))
+		return nil, fmt.Errorf("wire: reading version: %w", err)
 	}
 	if v == 0 || v > Version {
 		return nil, fmt.Errorf("wire: unsupported trace version %d (this reader understands <= %d)", v, Version)
@@ -310,18 +335,71 @@ func noEOF(err error) error {
 	return err
 }
 
-// uvarint reads one unsigned operand, treating EOF as truncation.
+// more reads the source once: it moves the bytes not yet decoded to the
+// front of the buffer and appends at least one more, or returns the
+// error that ended the source. Callers ask for more only when the
+// buffer holds too few bytes for what they decode, so it is never full.
+func (d *Decoder) more() error {
+	if d.err != nil {
+		return d.err
+	}
+	if d.pos > 0 {
+		d.end = copy(d.buf, d.buf[d.pos:d.end])
+		d.pos = 0
+	}
+	for range maxEmptyReads {
+		n, err := d.src.Read(d.buf[d.end:])
+		if n < 0 || n > len(d.buf)-d.end {
+			panic(fmt.Sprintf("wire: source returned count %d from a Read of %d bytes", n, len(d.buf)-d.end))
+		}
+		d.end += n
+		if err != nil {
+			d.err = err
+		}
+		if n > 0 {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+	}
+	d.err = io.ErrNoProgress
+	return d.err
+}
+
+// uvarint decodes one unsigned varint, reading more of the source only
+// when the buffer ends inside it. Its errors are errOverflow,
+// io.ErrUnexpectedEOF at the end of the source, and the source's own.
 func (d *Decoder) uvarint() (uint64, error) {
-	v, err := binary.ReadUvarint(d.r)
+	for {
+		v, n := binary.Uvarint(d.buf[d.pos:d.end])
+		if n > 0 {
+			d.pos += n
+			return v, nil
+		}
+		// Ten bytes without a final one overflow, as binary.ReadUvarint
+		// reports them, even when the source ends right after.
+		if n < 0 || d.end-d.pos >= binary.MaxVarintLen64 {
+			return 0, errOverflow
+		}
+		if err := d.more(); err != nil {
+			return 0, noEOF(err)
+		}
+	}
+}
+
+// operand decodes one unsigned operand.
+func (d *Decoder) operand() (uint64, error) {
+	v, err := d.uvarint()
 	if err != nil {
-		return 0, fmt.Errorf("wire: reading operand: %w", noEOF(err))
+		return 0, fmt.Errorf("wire: reading operand: %w", err)
 	}
 	return v, nil
 }
 
-// tid reads one thread-ID operand.
+// tid decodes one thread-ID operand.
 func (d *Decoder) tid() (int64, error) {
-	v, err := d.uvarint()
+	v, err := d.operand()
 	if err != nil {
 		return 0, err
 	}
@@ -331,120 +409,139 @@ func (d *Decoder) tid() (int64, error) {
 	return int64(v), nil
 }
 
-// Next returns the next event, io.EOF at a clean end of stream, or an
-// error describing the corruption. String-table records are consumed
-// internally.
-func (d *Decoder) Next() (Event, error) {
+// site decodes a site string of n bytes, assembled in scratch.
+func (d *Decoder) site(n int) (string, error) {
+	if cap(d.scratch) < n {
+		d.scratch = make([]byte, n)
+	}
+	b := d.scratch[:n]
+	for k := 0; k < n; {
+		if d.pos == d.end {
+			if err := d.more(); err != nil {
+				return "", err
+			}
+		}
+		c := copy(b[k:], d.buf[d.pos:d.end])
+		d.pos += c
+		k += c
+	}
+	return string(b), nil
+}
+
+// Decode decodes the next event into *ev, setting every field, and
+// returns io.EOF at a clean end of stream, or an error describing the
+// corruption. String-table records are consumed internally. A Get's
+// Tokens is the decoder's own buffer, valid until the next Decode. After
+// an error, *ev is unspecified.
+func (d *Decoder) Decode(ev *Event) error {
 	for {
-		opByte, err := d.r.ReadByte()
-		if err == io.EOF {
-			return Event{}, io.EOF
+		if d.pos == d.end {
+			if err := d.more(); err != nil {
+				return err
+			}
 		}
-		if err != nil {
-			return Event{}, err
-		}
-		op := Op(opByte)
+		op := Op(d.buf[d.pos])
+		d.pos++
 		switch op {
 		case OpString:
-			n, err := d.uvarint()
+			n, err := d.operand()
 			if err != nil {
-				return Event{}, err
+				return err
 			}
 			if n > uint64(d.maxStr) {
-				return Event{}, fmt.Errorf("wire: site string length %d exceeds limit %d", n, d.maxStr)
+				return fmt.Errorf("wire: site string length %d exceeds limit %d", n, d.maxStr)
 			}
-			if uint64(cap(d.scratch)) < n {
-				d.scratch = make([]byte, n)
+			s, err := d.site(int(n))
+			if err != nil {
+				return fmt.Errorf("wire: reading site string: %w", noEOF(err))
 			}
-			buf := d.scratch[:n]
-			if _, err := io.ReadFull(d.r, buf); err != nil {
-				return Event{}, fmt.Errorf("wire: reading site string: %w", noEOF(err))
-			}
-			d.strings = append(d.strings, string(buf))
-		case OpFork, OpBegin:
+			d.strings = append(d.strings, s)
+		case OpFork, OpBegin, OpPut:
 			t, err := d.tid()
 			if err != nil {
-				return Event{}, err
+				return err
 			}
-			return Event{Op: op, T1: t}, nil
+			*ev = Event{Op: op, T1: t}
+			return nil
 		case OpJoin:
 			l, err := d.tid()
 			if err != nil {
-				return Event{}, err
+				return err
 			}
 			r, err := d.tid()
 			if err != nil {
-				return Event{}, err
+				return err
 			}
-			return Event{Op: op, T1: l, T2: r}, nil
+			*ev = Event{Op: op, T1: l, T2: r}
+			return nil
 		case OpRead, OpWrite, OpReadSite, OpWriteSite:
 			t, err := d.tid()
 			if err != nil {
-				return Event{}, err
+				return err
 			}
-			addr, err := d.uvarint()
+			addr, err := d.operand()
 			if err != nil {
-				return Event{}, err
+				return err
 			}
-			ev := Event{Op: op, T1: t, Addr: addr}
-			if op == OpReadSite || op == OpWriteSite {
-				idx, err := d.uvarint()
-				if err != nil {
-					return Event{}, err
-				}
-				if idx >= uint64(len(d.strings)) {
-					return Event{}, fmt.Errorf("wire: site index %d out of range (table has %d)", idx, len(d.strings))
-				}
-				ev.Site, ev.HasSite = d.strings[idx], true
-				if op == OpReadSite {
-					ev.Op = OpRead
-				} else {
-					ev.Op = OpWrite
-				}
+			if op == OpRead || op == OpWrite {
+				*ev = Event{Op: op, T1: t, Addr: addr}
+				return nil
 			}
-			return ev, nil
-		case OpPut:
-			t, err := d.tid()
+			idx, err := d.operand()
 			if err != nil {
-				return Event{}, err
+				return err
 			}
-			return Event{Op: op, T1: t}, nil
+			if idx >= uint64(len(d.strings)) {
+				return fmt.Errorf("wire: site index %d out of range (table has %d)", idx, len(d.strings))
+			}
+			// Each sited opcode sits two above its plain one.
+			*ev = Event{Op: op - OpReadSite + OpRead, T1: t, Addr: addr, Site: d.strings[idx], HasSite: true}
+			return nil
 		case OpGet:
 			t, err := d.tid()
 			if err != nil {
-				return Event{}, err
+				return err
 			}
-			n, err := d.uvarint()
+			n, err := d.operand()
 			if err != nil {
-				return Event{}, err
+				return err
 			}
 			// A Get can name at most the threads retired so far; a
-			// fixed sanity bound keeps a hostile count from demanding
-			// an unbounded allocation up front.
+			// fixed sanity bound keeps a hostile count from growing the
+			// token buffer without bound.
 			const maxTokens = 1 << 20
 			if n > maxTokens {
-				return Event{}, fmt.Errorf("wire: get token count %d exceeds limit %d", n, maxTokens)
+				return fmt.Errorf("wire: get token count %d exceeds limit %d", n, maxTokens)
 			}
-			toks := make([]int64, n)
-			for i := range toks {
-				toks[i], err = d.tid()
+			toks := d.toks[:0]
+			for range n {
+				tok, err := d.tid()
 				if err != nil {
-					return Event{}, err
+					return err
 				}
+				toks = append(toks, tok)
 			}
-			return Event{Op: op, T1: t, Tokens: toks}, nil
+			d.toks = toks
+			*ev = Event{Op: op, T1: t, Tokens: toks}
+			return nil
 		case OpAcquire, OpRelease:
 			t, err := d.tid()
 			if err != nil {
-				return Event{}, err
+				return err
 			}
-			lock, err := binary.ReadVarint(d.r)
+			// The mutex is a zigzag varint, as binary.ReadVarint reads it.
+			u, err := d.uvarint()
 			if err != nil {
-				return Event{}, fmt.Errorf("wire: reading mutex id: %w", noEOF(err))
+				return fmt.Errorf("wire: reading mutex id: %w", err)
 			}
-			return Event{Op: op, T1: t, Lock: lock}, nil
+			lock := int64(u >> 1)
+			if u&1 != 0 {
+				lock = ^lock
+			}
+			*ev = Event{Op: op, T1: t, Lock: lock}
+			return nil
 		default:
-			return Event{}, fmt.Errorf("wire: unknown opcode 0x%02x", opByte)
+			return fmt.Errorf("wire: unknown opcode 0x%02x", byte(op))
 		}
 	}
 }

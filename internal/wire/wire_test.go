@@ -2,9 +2,11 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -46,20 +48,27 @@ func encodeSample(t *testing.T) ([]byte, []Event) {
 	return buf.Bytes(), want
 }
 
+// decodeAll decodes every event of data, each with tokens of its own.
 func decodeAll(data []byte) ([]Event, error) {
-	d, err := NewDecoder(bytes.NewReader(data))
+	return decodeFrom(bytes.NewReader(data))
+}
+
+func decodeFrom(r io.Reader) ([]Event, error) {
+	d, err := NewDecoder(r)
 	if err != nil {
 		return nil, err
 	}
 	var evs []Event
 	for {
-		ev, err := d.Next()
+		var ev Event
+		err := d.Decode(&ev)
 		if err == io.EOF {
 			return evs, nil
 		}
 		if err != nil {
 			return evs, err
 		}
+		ev.Tokens = slices.Clone(ev.Tokens)
 		evs = append(evs, ev)
 	}
 }
@@ -181,8 +190,9 @@ func TestAllocsSiteString(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var ev Event
 	next := func() {
-		if _, err := d.Next(); err != nil {
+		if err := d.Decode(&ev); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -191,5 +201,177 @@ func TestAllocsSiteString(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(n/2, next); got > 1 {
 		t.Fatalf("decoding a new site allocates %v objects, want at most 1", got)
+	}
+}
+
+// stallSource returns data, then neither bytes nor an error, forever.
+type stallSource struct{ data []byte }
+
+func (s *stallSource) Read(p []byte) (int, error) {
+	n := copy(p, s.data)
+	s.data = s.data[n:]
+	return n, nil
+}
+
+// TestStalledSourceNoProgress checks that a source that returns no
+// bytes and no error ends decoding with io.ErrNoProgress, as bufio
+// ends it, wherever the decoder stands: in the header, between records,
+// inside an operand, and inside a site string longer than the buffer.
+func TestStalledSourceNoProgress(t *testing.T) {
+	data, _ := encodeSample(t)
+	var long bytes.Buffer
+	e := NewEncoder(&long)
+	e.Access(1, 7, true, true, strings.Repeat("x", 3*blockSize))
+	if err := e.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		data []byte
+	}{
+		{"empty", nil},
+		{"in the magic", data[:2]},
+		{"between records", data},
+		{"inside an operand", data[:6]},
+		{"inside a long site", long.Bytes()[:2*blockSize]},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := decodeFrom(&stallSource{data: tc.data})
+			if !errors.Is(err, io.ErrNoProgress) {
+				t.Fatalf("decoding a stalled source: err = %v, want io.ErrNoProgress", err)
+			}
+		})
+	}
+}
+
+// failSource returns data, then err; with set, err comes with the last
+// bytes.
+type failSource struct {
+	data []byte
+	err  error
+	with bool
+}
+
+func (s *failSource) Read(p []byte) (int, error) {
+	if len(s.data) == 0 {
+		return 0, s.err
+	}
+	n := copy(p, s.data)
+	s.data = s.data[n:]
+	if len(s.data) == 0 && s.with {
+		return n, s.err
+	}
+	return n, nil
+}
+
+// TestSourceErrorMidRecord checks that a source failing inside a record
+// (sptraced's read deadline is one) surfaces as its own error, not as a
+// truncation, and that the records before it decode first.
+func TestSourceErrorMidRecord(t *testing.T) {
+	errSource := errors.New("i/o timeout")
+	data, want := encodeSample(t)
+	// The header, the Fork and the Begin, then an access cut after its
+	// thread operand.
+	cut := 5 + 2 + 2 + 2
+	for _, with := range []bool{false, true} {
+		evs, err := decodeFrom(&failSource{data: data[:cut], err: errSource, with: with})
+		if !errors.Is(err, errSource) || errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Fatalf("with=%v: err = %v, want the source's error", with, err)
+		}
+		if got := err.Error(); got != "wire: reading operand: i/o timeout" {
+			t.Fatalf("with=%v: err = %q", with, got)
+		}
+		if !reflect.DeepEqual(evs, want[:2]) {
+			t.Fatalf("with=%v: decoded %v before the error, want %v", with, evs, want[:2])
+		}
+	}
+}
+
+// TestOverflowText pins the decoder's varint-overflow error at the text
+// encoding/binary gives it, which Replay's messages have always carried.
+func TestOverflowText(t *testing.T) {
+	bad := []byte("\xff\xff\xff\xff\xff\xff\xff\xff\xff\x7f")
+	_, want := binary.ReadUvarint(bytes.NewReader(bad))
+	for _, data := range []string{"SPTR" + string(bad), "SPTR\x02\x01" + string(bad)} {
+		_, err := decodeAll([]byte(data))
+		if err == nil || !strings.HasSuffix(err.Error(), ": "+want.Error()) {
+			t.Fatalf("decode(%q) err = %v, want it to end in %q", data, err, want)
+		}
+	}
+}
+
+// TestAllocsGetTokens pins decoding a Get into a reused record at no
+// allocation: its tokens land in the decoder's own buffer.
+func TestAllocsGetTokens(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	const n = 2000
+	var buf bytes.Buffer
+	e := NewEncoder(&buf)
+	toks := []int64{1, 2, 300, 4000, 50000, 6, 7, 1 << 40}
+	for range n {
+		e.Get(9, toks)
+	}
+	if err := e.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	d, err := NewDecoder(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ev Event
+	next := func() {
+		if err := d.Decode(&ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	next()
+	if ev.Op != OpGet || ev.T1 != 9 || !slices.Equal(ev.Tokens, toks) {
+		t.Fatalf("decoded %+v, want a Get by 9 of %v", ev, toks)
+	}
+	if got := testing.AllocsPerRun(n/2, next); got != 0 {
+		t.Fatalf("decoding a Get of %d tokens allocates %v objects, want 0", len(toks), got)
+	}
+}
+
+// TestDecodeResetsRecord checks that a record decoded into a reused
+// Event carries no field of the one before: no site, no tokens, no
+// second operand.
+func TestDecodeResetsRecord(t *testing.T) {
+	var buf bytes.Buffer
+	e := NewEncoder(&buf)
+	e.Access(1, 7, true, true, "a.go:1")
+	e.Get(1, []int64{4, 5})
+	e.Join(2, 3)
+	e.Access(1, 8, false, false, "")
+	e.Acquire(1, -4)
+	e.Put(1)
+	if err := e.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	want := []Event{
+		{Op: OpWrite, T1: 1, Addr: 7, Site: "a.go:1", HasSite: true},
+		{Op: OpGet, T1: 1, Tokens: []int64{4, 5}},
+		{Op: OpJoin, T1: 2, T2: 3},
+		{Op: OpRead, T1: 1, Addr: 8},
+		{Op: OpAcquire, T1: 1, Lock: -4},
+		{Op: OpPut, T1: 1},
+	}
+	d, err := NewDecoder(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ev Event
+	for i, w := range want {
+		if err := d.Decode(&ev); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(ev, w) {
+			t.Fatalf("record %d = %+v, want %+v", i, ev, w)
+		}
+	}
+	if err := d.Decode(&ev); err != io.EOF {
+		t.Fatalf("after the last record: err = %v, want io.EOF", err)
 	}
 }

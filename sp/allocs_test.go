@@ -39,14 +39,14 @@ func TestAllocsRacingWrite(t *testing.T) {
 }
 
 // TestAllocsBindRel pins binding a thread's query view at no
-// allocation on the three AnyOrder backends: the edge composer lives in
-// the thread's state, and the backend's handle in the thread's slot of
-// a table that exists already.
+// allocation on every backend: the edge composer lives in the thread's
+// state, and the backend's handle in the thread's slot of a table that
+// exists already.
 func TestAllocsBindRel(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
 	}
-	for _, backend := range []string{"sp-order", "sp-hybrid", "depa"} {
+	for _, backend := range BackendNames() {
 		m := MustMonitor(WithBackend(backend))
 		l, _ := m.Fork(m.Main())
 		st := m.state(l)

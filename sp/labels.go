@@ -3,6 +3,8 @@ package sp
 import (
 	"fmt"
 	"slices"
+
+	"repro/internal/ctab"
 )
 
 // This file adapts the two static labeling baselines of Figure 3 — the
@@ -68,18 +70,25 @@ func ordersOS(a, b []osPair) (english, hebrew bool) {
 
 // englishHebrew is the event-driven Nudler–Rudolph backend.
 type englishHebrew struct {
-	eng     []int64
-	heb     [][]int32
+	// rels holds each thread's handle in place, indexed by ThreadID:
+	// binding a thread allocates nothing.
+	rels    ctab.Table[ehRel]
 	counter int64
 }
 
 func newEnglishHebrew() *englishHebrew { return &englishHebrew{} }
 
-func (e *englishHebrew) grow(t ThreadID) {
-	for int(t) >= len(e.eng) {
-		e.eng = append(e.eng, 0)
-		e.heb = append(e.heb, nil)
+// put registers t's Hebrew label; t has not begun.
+func (e *englishHebrew) put(t ThreadID, heb []int32) {
+	*e.rels.Slot(int64(t)) = ehRel{e: e, cur: t, heb: heb}
+}
+
+// rel returns t's handle, panicking if t was never registered.
+func (e *englishHebrew) rel(t ThreadID) *ehRel {
+	if r := e.rels.At(int64(t)); r != nil && r.heb != nil {
+		return r
 	}
+	panic(fmt.Sprintf("sp: english-hebrew query on unknown thread t%d", t))
 }
 
 // bumpHeb returns a copy of v with its trailing counter advanced.
@@ -98,52 +107,56 @@ func extendHeb(v []int32, tag int32) []int32 {
 	return out
 }
 
-func (e *englishHebrew) Start(main ThreadID) {
-	e.grow(main)
-	e.heb[main] = []int32{0}
-}
+func (e *englishHebrew) Start(main ThreadID) { e.put(main, []int32{0}) }
 
 func (e *englishHebrew) Begin(t ThreadID) {
-	if e.eng[t] == 0 {
+	if r := e.rel(t); r.eng == 0 {
 		e.counter++
-		e.eng[t] = e.counter
+		r.eng = e.counter
 	}
 }
 
 func (e *englishHebrew) Fork(parent, left, right ThreadID) {
-	e.grow(right)
-	base := bumpHeb(e.heb[parent])
+	base := bumpHeb(e.rel(parent).heb)
 	// Left (spawned) branch is Hebrew-later: tag 1; right earlier: tag 0.
-	e.heb[left] = extendHeb(base, 1)
-	e.heb[right] = extendHeb(base, 0)
+	e.put(left, extendHeb(base, 1))
+	e.put(right, extendHeb(base, 0))
 }
 
 func (e *englishHebrew) Join(left, right, cont ThreadID) {
-	e.grow(cont)
-	b := e.heb[right]
+	b := e.rel(right).heb
 	// Strip the branch components to recover the fork's context, then
 	// advance past the join.
-	e.heb[cont] = bumpHeb(b[:len(b)-2])
+	e.put(cont, bumpHeb(b[:len(b)-2]))
 }
 
 // orders reports a <_E b and a <_H b for any two begun threads: the
 // one query by ID, which the Monitor's edge mirror asks (see
 // Monitor.pairPrecedes).
 func (e *englishHebrew) orders(a, b ThreadID) (english, hebrew bool) {
-	return ehRel{e: e, cur: b, heb: e.heb[b]}.Orders(a)
+	return e.rel(b).Orders(a)
 }
 
 // offsetSpan is the event-driven Mellor-Crummey backend.
 type offsetSpan struct {
-	lab [][]osPair
+	// rels holds each thread's handle in place, indexed by ThreadID:
+	// binding a thread allocates nothing.
+	rels ctab.Table[osRel]
 }
 
 func newOffsetSpan() Maintainer { return &offsetSpan{} }
 
-func (o *offsetSpan) grow(t ThreadID) {
-	for int(t) >= len(o.lab) {
-		o.lab = append(o.lab, nil)
+// put registers t's label.
+func (o *offsetSpan) put(t ThreadID, lab []osPair) {
+	*o.rels.Slot(int64(t)) = osRel{o: o, lab: lab}
+}
+
+// rel returns t's handle, panicking if t was never registered.
+func (o *offsetSpan) rel(t ThreadID) *osRel {
+	if r := o.rels.At(int64(t)); r != nil && r.lab != nil {
+		return r
 	}
+	panic(fmt.Sprintf("sp: offset-span query on unknown thread t%d", t))
 }
 
 // advanceOS returns a copy of v with the last pair's offset advanced by
@@ -163,72 +176,63 @@ func extendOS(v []osPair, offset int64) []osPair {
 	return out
 }
 
-func (o *offsetSpan) Start(main ThreadID) {
-	o.grow(main)
-	o.lab[main] = []osPair{{offset: 0, span: 1}}
-}
+func (o *offsetSpan) Start(main ThreadID) { o.put(main, []osPair{{offset: 0, span: 1}}) }
 
 func (o *offsetSpan) Begin(ThreadID) {}
 
 func (o *offsetSpan) Fork(parent, left, right ThreadID) {
-	o.grow(right)
-	base := advanceOS(o.lab[parent])
-	o.lab[left] = extendOS(base, 0)
-	o.lab[right] = extendOS(base, 1)
+	base := advanceOS(o.rel(parent).lab)
+	o.put(left, extendOS(base, 0))
+	o.put(right, extendOS(base, 1))
 }
 
 func (o *offsetSpan) Join(left, right, cont ThreadID) {
-	o.grow(cont)
-	b := o.lab[right]
+	b := o.rel(right).lab
 	// Pop the branch pair and advance past the join.
-	o.lab[cont] = advanceOS(b[:len(b)-1])
+	o.put(cont, advanceOS(b[:len(b)-1]))
 }
 
-// ehRel is the cached per-thread query handle: the current thread's
-// Hebrew label is resolved once at thread creation (labels are
-// generated at the structural event and never mutate), so each query
-// compares against the cached slice instead of re-indexing the backend
-// twice. Orders reads the English order off the begin indices and the
-// Hebrew order off one label comparison.
+// ehRel is an english-hebrew thread's handle, in place in its slot: its
+// Hebrew label, generated at the structural event that creates the
+// thread and never changed, and its begin index, which is its English
+// position. Orders reads the English order off the begin indices and
+// the Hebrew order off one label comparison.
 type ehRel struct {
 	e   *englishHebrew
 	cur ThreadID
+	eng int64 // 1-based begin index; 0 = not yet begun
 	heb []int32
 }
 
-func (r ehRel) Orders(prev ThreadID) (english, hebrew bool) {
+func (r *ehRel) Orders(prev ThreadID) (english, hebrew bool) {
 	if prev == r.cur {
 		return false, false
 	}
-	ep, ec := r.e.eng[prev], r.e.eng[r.cur]
-	if ep == 0 || ec == 0 {
+	p := r.e.rel(prev)
+	if p.eng == 0 || r.eng == 0 {
 		panic(fmt.Sprintf("sp: english-hebrew query on a thread that has not begun (t%d, t%d)", prev, r.cur))
 	}
-	return ep < ec, slices.Compare(r.e.heb[prev], r.heb) < 0
+	return p.eng < r.eng, slices.Compare(p.heb, r.heb) < 0
 }
 
-// ThreadRelative implements Maintainer; the handle is consumed under
-// the Monitor's mutex.
-func (e *englishHebrew) ThreadRelative(t ThreadID) CurrentRelative {
-	return ehRel{e: e, cur: t, heb: e.heb[t]}
-}
+// ThreadRelative returns a pointer to t's handle in its slot; the
+// handle is consumed under the Monitor's mutex.
+func (e *englishHebrew) ThreadRelative(t ThreadID) CurrentRelative { return e.rel(t) }
 
-// osRel is offset-span's cached per-thread handle; the label is
-// immutable once generated.
+// osRel is an offset-span thread's handle, in place in its slot: its
+// label, immutable once generated.
 type osRel struct {
 	o   *offsetSpan
 	lab []osPair
 }
 
-func (r osRel) Orders(prev ThreadID) (english, hebrew bool) {
-	return ordersOS(r.o.lab[prev], r.lab)
+func (r *osRel) Orders(prev ThreadID) (english, hebrew bool) {
+	return ordersOS(r.o.rel(prev).lab, r.lab)
 }
 
-// ThreadRelative implements Maintainer; the handle is consumed under
-// the Monitor's mutex.
-func (o *offsetSpan) ThreadRelative(t ThreadID) CurrentRelative {
-	return osRel{o: o, lab: o.lab[t]}
-}
+// ThreadRelative returns a pointer to t's handle in its slot; the
+// handle is consumed under the Monitor's mutex.
+func (o *offsetSpan) ThreadRelative(t ThreadID) CurrentRelative { return o.rel(t) }
 
 func init() {
 	Register(BackendInfo{

@@ -3,6 +3,7 @@ package sp
 import (
 	"fmt"
 
+	"repro/internal/ctab"
 	"repro/internal/dsu"
 )
 
@@ -62,23 +63,27 @@ type bagsFrame struct {
 // spBags is the event-driven SP-bags backend.
 type spBags struct {
 	forest dsu.Forest
-	node   []*dsu.Node // per ThreadID; nil until begun
-	frame  []*bagsFrame
+	// threads holds each thread's handle in place, indexed by ThreadID:
+	// binding a thread allocates nothing.
+	threads ctab.Table[bagsRel]
 }
 
 func newSPBags() Maintainer { return &spBags{} }
 
-func (b *spBags) grow(t ThreadID) {
-	for int(t) >= len(b.node) {
-		b.node = append(b.node, nil)
-		b.frame = append(b.frame, nil)
-	}
+// put registers t as a thread of frame f; t has not begun.
+func (b *spBags) put(t ThreadID, f *bagsFrame) {
+	*b.threads.Slot(int64(t)) = bagsRel{b: b, cur: t, frame: f}
 }
 
-func (b *spBags) Start(main ThreadID) {
-	b.grow(main)
-	b.frame[main] = &bagsFrame{}
+// thread returns t's handle, or nil if t was never registered.
+func (b *spBags) thread(t ThreadID) *bagsRel {
+	if r := b.threads.At(int64(t)); r != nil && r.frame != nil {
+		return r
+	}
+	return nil
 }
+
+func (b *spBags) Start(main ThreadID) { b.put(main, &bagsFrame{}) }
 
 // fold moves the completed spawned branch into the fork's P-bag.
 func (b *spBags) fold(fork *bagsFork) {
@@ -93,17 +98,18 @@ func (b *spBags) fold(fork *bagsFork) {
 }
 
 func (b *spBags) Begin(t ThreadID) {
-	f := b.frame[t]
-	if f == nil {
+	r := b.thread(t)
+	if r == nil {
 		panic(fmt.Sprintf("sp: sp-bags Begin of unknown thread t%d", t))
 	}
+	f := r.frame
 	// If t is the continuation of the frame's newest open fork, the
 	// spawned branch has completed (serial event order): fold it.
 	if n := len(f.stack); n > 0 && f.stack[n-1].cont == t {
 		b.fold(f.stack[n-1])
 	}
 	nd := b.forest.MakeSet(sBag)
-	b.node[t] = nd
+	r.node = nd
 	if f.s == nil {
 		f.s = nd
 	} else {
@@ -112,24 +118,22 @@ func (b *spBags) Begin(t ThreadID) {
 }
 
 func (b *spBags) Fork(parent, left, right ThreadID) {
-	b.grow(right)
-	f := b.frame[parent]
+	f := b.thread(parent).frame
 	child := &bagsFrame{}
 	f.stack = append(f.stack, &bagsFork{child: child, cont: right})
-	b.frame[left] = child
-	b.frame[right] = f
+	b.put(left, child)
+	b.put(right, f)
 }
 
 func (b *spBags) Join(left, right, cont ThreadID) {
-	b.grow(cont)
-	f := b.frame[right]
+	f := b.thread(right).frame
 	n := len(f.stack)
 	if n == 0 {
 		panic("sp: sp-bags Join with no open fork (joins must be well nested)")
 	}
 	fork := f.stack[n-1]
 	f.stack = f.stack[:n-1]
-	if fork.child != b.frame[left] {
+	if fork.child != b.thread(left).frame {
 		panic("sp: sp-bags Join does not match the innermost fork (joins must be well nested)")
 	}
 	// Anything still in the branch's S-bag (threads whose first action
@@ -145,37 +149,45 @@ func (b *spBags) Join(left, right, cont ThreadID) {
 			f.s = b.forest.Union(f.s, rep, sBag)
 		}
 	}
-	b.frame[cont] = f
+	b.put(cont, f)
 }
 
 func (b *spBags) kind(t ThreadID) bagKind {
-	nd := b.node[t]
-	if nd == nil {
+	r := b.thread(t)
+	if r == nil || r.node == nil {
 		panic(fmt.Sprintf("sp: sp-bags query on a thread that has not begun (t%d)", t))
 	}
-	return b.forest.Payload(nd).(bagKind)
+	return b.forest.Payload(r.node).(bagKind)
 }
 
-// bagsRel is the per-thread query handle. SP-bags answers queries
-// against the current thread only, off its bag kinds, so the handle
-// needs no per-thread state beyond the identity guard. Every past
-// thread is English-before the current one, and it is Hebrew-before
-// iff it precedes it: iff it sits in an S-bag.
+// bagsRel is an sp-bags thread's handle, in place in its slot: the
+// frame it runs in and, once it has begun, its union-find node.
+// SP-bags answers queries against the current thread only, off its bag
+// kinds. Every past thread is English-before the current one, and it
+// is Hebrew-before iff it precedes it: iff it sits in an S-bag.
 type bagsRel struct {
-	b   *spBags
-	cur ThreadID
+	b     *spBags
+	cur   ThreadID
+	frame *bagsFrame
+	node  *dsu.Node // nil until begun
 }
 
-func (r bagsRel) Orders(prev ThreadID) (english, hebrew bool) {
+func (r *bagsRel) Orders(prev ThreadID) (english, hebrew bool) {
 	if prev == r.cur {
 		return false, false
 	}
 	return true, r.b.kind(prev) == sBag
 }
 
-// ThreadRelative implements Maintainer; the handle is consumed under
-// the Monitor's mutex (sp-bags is not Synchronized).
-func (b *spBags) ThreadRelative(t ThreadID) CurrentRelative { return bagsRel{b: b, cur: t} }
+// ThreadRelative returns a pointer to t's handle in its slot; the
+// handle is consumed under the Monitor's mutex (sp-bags is not
+// Synchronized).
+func (b *spBags) ThreadRelative(t ThreadID) CurrentRelative {
+	if r := b.thread(t); r != nil {
+		return r
+	}
+	panic(fmt.Sprintf("sp: sp-bags query on unknown thread t%d", t))
+}
 
 func init() {
 	Register(BackendInfo{

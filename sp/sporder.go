@@ -99,69 +99,71 @@ func (r *orderRel) Orders(prev ThreadID) (english, hebrew bool) {
 // needs the OM structure. This halves the OM-INSERT traffic at the cost
 // of requiring the serial (English) event order.
 type spOrderImplicit struct {
-	heb     *om.List
-	hebIt   []*om.Item
-	engIdx  []int64 // 1-based begin index; 0 = not yet begun
+	heb *om.List
+	// rels holds each thread's handle in place, indexed by ThreadID, as
+	// sp-order's does: binding a thread allocates nothing.
+	rels    ctab.Table[implicitRel]
 	counter int64
 }
 
 func newSPOrderImplicit() Maintainer { return &spOrderImplicit{heb: om.NewList()} }
 
-func (s *spOrderImplicit) grow(t ThreadID) {
-	for int(t) >= len(s.hebIt) {
-		s.hebIt = append(s.hebIt, nil)
-		s.engIdx = append(s.engIdx, 0)
-	}
+// put registers t's Hebrew item; t has not begun.
+func (s *spOrderImplicit) put(t ThreadID, h *om.Item) {
+	*s.rels.Slot(int64(t)) = implicitRel{s: s, cur: t, h: h}
 }
 
-func (s *spOrderImplicit) Start(main ThreadID) {
-	s.grow(main)
-	s.hebIt[main] = s.heb.InsertFirst()
+// rel returns t's handle, panicking if t was never registered.
+func (s *spOrderImplicit) rel(t ThreadID) *implicitRel {
+	if r := s.rels.At(int64(t)); r != nil && r.h != nil {
+		return r
+	}
+	panic(fmt.Sprintf("sp: sp-order-implicit query on unknown thread t%d", t))
 }
+
+func (s *spOrderImplicit) Start(main ThreadID) { s.put(main, s.heb.InsertFirst()) }
 
 func (s *spOrderImplicit) Begin(t ThreadID) {
-	if s.engIdx[t] == 0 {
+	if r := s.rel(t); r.eng == 0 {
 		s.counter++
-		s.engIdx[t] = s.counter
+		r.eng = s.counter
 	}
 }
 
 func (s *spOrderImplicit) Fork(parent, left, right ThreadID) {
-	s.grow(right)
-	s.hebIt[right] = s.heb.InsertAfter(s.hebIt[parent])
-	s.hebIt[left] = s.heb.InsertAfter(s.hebIt[right])
+	rh := s.heb.InsertAfter(s.rel(parent).h)
+	s.put(right, rh)
+	s.put(left, s.heb.InsertAfter(rh))
 }
 
 func (s *spOrderImplicit) Join(left, right, cont ThreadID) {
-	s.grow(cont)
-	s.hebIt[cont] = s.heb.InsertAfter(s.hebIt[left])
+	s.put(cont, s.heb.InsertAfter(s.rel(left).h))
 }
 
-// implicitRel is the cached per-thread query handle: the thread's
-// Hebrew item is resolved once, at binding. The English order is the
-// begin indices, so Orders is exact for any two begun threads.
+// implicitRel is an sp-order-implicit thread's handle: its Hebrew item
+// and its begin index, which is its English position. Orders is exact
+// for any two begun threads.
 type implicitRel struct {
 	s   *spOrderImplicit
 	cur ThreadID
 	h   *om.Item
+	eng int64 // 1-based begin index; 0 = not yet begun
 }
 
-func (r implicitRel) Orders(prev ThreadID) (english, hebrew bool) {
+func (r *implicitRel) Orders(prev ThreadID) (english, hebrew bool) {
 	if prev == r.cur {
 		return false, false
 	}
-	ep, ec := r.s.engIdx[prev], r.s.engIdx[r.cur]
-	if ep == 0 || ec == 0 {
+	p := r.s.rel(prev)
+	if p.eng == 0 || r.eng == 0 {
 		panic(fmt.Sprintf("sp: sp-order-implicit query on a thread that has not begun (t%d, t%d)", prev, r.cur))
 	}
-	return ep < ec, r.s.heb.Precedes(r.s.hebIt[prev], r.h)
+	return p.eng < r.eng, r.s.heb.Precedes(p.h, r.h)
 }
 
-// ThreadRelative implements Maintainer; the handle is consumed under
-// the Monitor's mutex.
-func (s *spOrderImplicit) ThreadRelative(t ThreadID) CurrentRelative {
-	return implicitRel{s: s, cur: t, h: s.hebIt[t]}
-}
+// ThreadRelative returns a pointer to t's handle in its slot; the
+// handle is consumed under the Monitor's mutex.
+func (s *spOrderImplicit) ThreadRelative(t ThreadID) CurrentRelative { return s.rel(t) }
 
 func init() {
 	Register(BackendInfo{

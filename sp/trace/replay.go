@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/wire"
 	"repro/sp"
 )
 
@@ -18,12 +19,14 @@ import (
 // validates every event (see Validation in the package documentation);
 // the Applier turns its panic into an error naming the event, so
 // hostile or corrupted traces cannot crash the applying process.
-// Errors are sticky: after the first failure every Apply returns it.
+// Errors are sticky: after the first failure every Apply and ApplyNext
+// returns it.
 //
 // Replay is the whole-trace convenience; long-running ingestion (an
-// sptraced stream arriving over a socket) drives an Applier one event
-// at a time and can report progress, enforce limits, and snapshot the
-// monitor between events.
+// sptraced stream arriving over a socket) drives an Applier one record
+// at a time with ApplyNext and can report progress, enforce limits, and
+// snapshot the monitor between events. Apply applies an Event the
+// caller holds, such as one from Reader.Next or ReadAll.
 type Applier struct {
 	m    *sp.Monitor
 	live int // 1 + forks - joins; a Put retires one thread and starts another
@@ -33,6 +36,9 @@ type Applier struct {
 	// consecutive accesses at one site, such as one statement's reads,
 	// share the box.
 	site any
+	// ids holds the tokens of the last Get ApplyNext applied, as thread
+	// IDs: every Get reuses it, since the monitor keeps no tokens slice.
+	ids []sp.ThreadID
 }
 
 // NewApplier returns an Applier feeding m, which must be fresh.
@@ -48,52 +54,107 @@ func (a *Applier) Live() int { return a.live }
 // Err returns the sticky validation error, if any.
 func (a *Applier) Err() error { return a.err }
 
+// wireOp maps each event kind to the record opcode it decodes from.
+var wireOp = [...]wire.Op{Fork: wire.OpFork, Join: wire.OpJoin, Begin: wire.OpBegin,
+	Read: wire.OpRead, Write: wire.OpWrite, Acquire: wire.OpAcquire, Release: wire.OpRelease,
+	Put: wire.OpPut, Get: wire.OpGet}
+
 // Apply applies ev to the monitor. A rejected event — one the Monitor
 // refuses, or one that trips a backend (e.g. a concurrent-order trace
 // applied to a serial backend) — surfaces as an error, not a crash.
-func (a *Applier) Apply(ev Event) (err error) {
+func (a *Applier) Apply(ev Event) error {
 	if a.err != nil {
 		return a.err
 	}
-	defer func() {
-		if p := recover(); p != nil {
-			err = fmt.Errorf("trace: event %d (%s): %v", a.n, ev, p)
-		}
-		a.err = err
-	}()
+	if ev.Op == 0 || int(ev.Op) >= len(wireOp) {
+		a.err = fmt.Errorf("trace: event %d (%s): unexpected op", a.n, ev)
+		return a.err
+	}
+	rec := wire.Event{Op: wireOp[ev.Op], T1: int64(ev.Thread), Addr: ev.Addr,
+		Lock: int64(ev.Lock), Site: ev.Site, HasSite: ev.HasSite}
 	switch ev.Op {
 	case Fork:
-		a.m.Fork(ev.Parent)
-		a.live++
+		rec.T1 = int64(ev.Parent)
 	case Join:
-		a.m.Join(ev.Left, ev.Right)
-		a.live--
-	case Begin:
-		a.m.Begin(ev.Thread)
-	case Read, Write:
-		switch {
-		case ev.Op == Read && ev.HasSite:
-			a.m.ReadAt(ev.Thread, ev.Addr, a.boxSite(ev.Site))
-		case ev.Op == Read:
-			a.m.Read(ev.Thread, ev.Addr)
-		case ev.HasSite:
-			a.m.WriteAt(ev.Thread, ev.Addr, a.boxSite(ev.Site))
-		default:
-			a.m.Write(ev.Thread, ev.Addr)
+		rec.T1, rec.T2 = int64(ev.Left), int64(ev.Right)
+	}
+	if p := a.apply(&rec, ev.Tokens); p != nil {
+		return a.fail(ev, p)
+	}
+	return nil
+}
+
+// ApplyNext decodes the next record from r and applies it where it
+// lies, with no Event in between: the path Replay and sptraced take. It
+// returns io.EOF at a clean end of trace; a decode error as Reader.Next
+// returns it, leaving Err nil, so that the caller can name the event
+// it failed at; or the error Apply would return for the record.
+func (a *Applier) ApplyNext(r *Reader) error {
+	if a.err != nil {
+		return a.err
+	}
+	if err := r.decode(); err != nil {
+		return err
+	}
+	rec := &r.rec
+	var toks []sp.ThreadID
+	if rec.Op == wire.OpGet {
+		toks = a.ids[:0]
+		for _, tok := range rec.Tokens {
+			toks = append(toks, sp.ThreadID(tok))
 		}
-	case Put:
-		a.m.Put(ev.Thread)
-	case Get:
-		a.m.Get(ev.Thread, ev.Tokens...)
-	case Acquire:
-		a.m.Acquire(ev.Thread, ev.Lock)
-	case Release:
-		a.m.Release(ev.Thread, ev.Lock)
-	default:
-		return fmt.Errorf("trace: event %d (%s): unexpected op", a.n, ev)
+		a.ids = toks
+	}
+	if p := a.apply(rec, toks); p != nil {
+		return a.fail(eventOf(rec), p)
+	}
+	return nil
+}
+
+// apply is the one dispatch of Apply and ApplyNext: it applies rec, with
+// a Get's tokens in toks, and returns what the monitor panicked with,
+// if it did.
+func (a *Applier) apply(rec *wire.Event, toks []sp.ThreadID) (p any) {
+	defer func() { p = recover() }()
+	t := sp.ThreadID(rec.T1)
+	switch rec.Op {
+	case wire.OpFork:
+		a.m.Fork(t)
+		a.live++
+	case wire.OpJoin:
+		a.m.Join(t, sp.ThreadID(rec.T2))
+		a.live--
+	case wire.OpBegin:
+		a.m.Begin(t)
+	case wire.OpRead:
+		if rec.HasSite {
+			a.m.ReadAt(t, rec.Addr, a.boxSite(rec.Site))
+		} else {
+			a.m.Read(t, rec.Addr)
+		}
+	case wire.OpWrite:
+		if rec.HasSite {
+			a.m.WriteAt(t, rec.Addr, a.boxSite(rec.Site))
+		} else {
+			a.m.Write(t, rec.Addr)
+		}
+	case wire.OpPut:
+		a.m.Put(t)
+	case wire.OpGet:
+		a.m.Get(t, toks...)
+	case wire.OpAcquire:
+		a.m.Acquire(t, int(rec.Lock))
+	case wire.OpRelease:
+		a.m.Release(t, int(rec.Lock))
 	}
 	a.n++
 	return nil
+}
+
+// fail makes the monitor's panic p over event ev the sticky error.
+func (a *Applier) fail(ev Event, p any) error {
+	a.err = fmt.Errorf("trace: event %d (%s): %v", a.n, ev, p)
+	return a.err
 }
 
 // boxSite returns site as the monitor's any, reusing the previous
@@ -119,15 +180,14 @@ func Replay(r io.Reader, m *sp.Monitor) error {
 	}
 	a := NewApplier(m)
 	for {
-		ev, rerr := rd.Next()
-		if rerr == io.EOF {
+		switch err := a.ApplyNext(rd); {
+		case err == nil:
+		case err == io.EOF:
 			return nil
-		}
-		if rerr != nil {
-			return fmt.Errorf("trace: event %d: %w", a.Applied(), rerr)
-		}
-		if err := a.Apply(ev); err != nil {
+		case a.Err() != nil:
 			return err
+		default:
+			return fmt.Errorf("trace: event %d: %w", a.Applied(), err)
 		}
 	}
 }

@@ -265,6 +265,9 @@ func (w *Writer) Err() error { return w.e.Err() }
 // concurrent use.
 type Reader struct {
 	d *wire.Decoder
+	// rec is the record last decoded: Next copies it out as an Event,
+	// and Applier.ApplyNext applies it where it lies.
+	rec wire.Event
 }
 
 // NewReader wraps r, validating the trace header. It rejects streams
@@ -288,47 +291,58 @@ func (r *Reader) Version() int { return r.d.Version() }
 // ignored.
 func (r *Reader) SetMaxSite(n int) { r.d.SetMaxString(n) }
 
+// decode decodes the next record into r.rec.
+func (r *Reader) decode() error {
+	if err := r.d.Decode(&r.rec); err != nil {
+		return err
+	}
+	if r.rec.Lock != int64(int(r.rec.Lock)) {
+		return fmt.Errorf("trace: mutex id %d overflows int", r.rec.Lock)
+	}
+	return nil
+}
+
 // Next returns the next event, io.EOF at a clean end of trace, or an
 // error describing the corruption. It never panics on hostile input.
+// The event is the caller's: a Get's tokens survive later calls.
 func (r *Reader) Next() (Event, error) {
-	wev, err := r.d.Next()
-	if err != nil {
+	if err := r.decode(); err != nil {
 		return Event{}, err
 	}
-	switch wev.Op {
+	return eventOf(&r.rec), nil
+}
+
+// eventOf returns a decoded record as an Event, with a Get's tokens in
+// a slice of their own.
+func eventOf(rec *wire.Event) Event {
+	t := sp.ThreadID(rec.T1)
+	switch rec.Op {
 	case wire.OpFork:
-		return Event{Op: Fork, Parent: sp.ThreadID(wev.T1)}, nil
+		return Event{Op: Fork, Parent: t}
 	case wire.OpJoin:
-		return Event{Op: Join, Left: sp.ThreadID(wev.T1), Right: sp.ThreadID(wev.T2)}, nil
+		return Event{Op: Join, Left: t, Right: sp.ThreadID(rec.T2)}
 	case wire.OpBegin:
-		return Event{Op: Begin, Thread: sp.ThreadID(wev.T1)}, nil
+		return Event{Op: Begin, Thread: t}
 	case wire.OpRead, wire.OpWrite:
 		op := Read
-		if wev.Op == wire.OpWrite {
+		if rec.Op == wire.OpWrite {
 			op = Write
 		}
-		return Event{Op: op, Thread: sp.ThreadID(wev.T1), Addr: wev.Addr,
-			Site: wev.Site, HasSite: wev.HasSite}, nil
+		return Event{Op: op, Thread: t, Addr: rec.Addr, Site: rec.Site, HasSite: rec.HasSite}
 	case wire.OpPut:
-		return Event{Op: Put, Thread: sp.ThreadID(wev.T1)}, nil
+		return Event{Op: Put, Thread: t}
 	case wire.OpGet:
-		toks := make([]sp.ThreadID, len(wev.Tokens))
-		for i, tok := range wev.Tokens {
+		toks := make([]sp.ThreadID, len(rec.Tokens))
+		for i, tok := range rec.Tokens {
 			toks[i] = sp.ThreadID(tok)
 		}
-		return Event{Op: Get, Thread: sp.ThreadID(wev.T1), Tokens: toks}, nil
-	case wire.OpAcquire, wire.OpRelease:
-		op := Acquire
-		if wev.Op == wire.OpRelease {
-			op = Release
-		}
-		if wev.Lock != int64(int(wev.Lock)) {
-			return Event{}, fmt.Errorf("trace: mutex id %d overflows int", wev.Lock)
-		}
-		return Event{Op: op, Thread: sp.ThreadID(wev.T1), Lock: int(wev.Lock)}, nil
-	default:
-		return Event{}, fmt.Errorf("trace: decoder yielded unexpected opcode %d", wev.Op)
+		return Event{Op: Get, Thread: t, Tokens: toks}
+	case wire.OpAcquire:
+		return Event{Op: Acquire, Thread: t, Lock: int(rec.Lock)}
+	case wire.OpRelease:
+		return Event{Op: Release, Thread: t, Lock: int(rec.Lock)}
 	}
+	return Event{} // the decoder yields no other opcode
 }
 
 // ReadAll decodes every event of the trace in data. It is a

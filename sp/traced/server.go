@@ -468,19 +468,20 @@ func (s *Server) ingest(st *stream, r io.Reader) error {
 	}
 	var ingestErr error
 	for {
-		ev, rerr := rd.Next()
-		if rerr == io.EOF {
+		err := a.ApplyNext(rd)
+		if err == io.EOF {
 			if counted.n > s.cfg.MaxBytes {
 				ingestErr = fmt.Errorf("traced: %w: stream exceeds %d bytes", errLimit, s.cfg.MaxBytes)
 			}
 			break
 		}
-		if rerr != nil {
-			ingestErr = fmt.Errorf("traced: event %d: %w", a.Applied(), rerr)
-			break
-		}
-		if aerr := a.Apply(ev); aerr != nil {
-			ingestErr = aerr
+		if err != nil {
+			// A decode error leaves the Applier's Err nil; a rejected
+			// event already names itself.
+			if a.Err() == nil {
+				err = fmt.Errorf("traced: event %d: %w", a.Applied(), err)
+			}
+			ingestErr = err
 			break
 		}
 		pending++

@@ -647,3 +647,34 @@ func readAckLine(c net.Conn) ([]byte, error) {
 		line = append(line, buf[0])
 	}
 }
+
+// TestReadDeadlineMidRecord checks that a client that goes silent
+// inside a record fails its stream with the connection's deadline
+// error, not as a truncated trace, after the events it did send.
+func TestReadDeadlineMidRecord(t *testing.T) {
+	_, addr := startServer(t, traced.Config{ReadTimeout: 100 * time.Millisecond})
+	c, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	// A Fork by t0, a Begin of t1, then a Read by t1 cut after its
+	// thread operand; the write side stays open.
+	fmt.Fprintf(c, "%s stalled\n", traced.ProtoHello)
+	io.WriteString(c, "SPTR\x02\x01\x00\x03\x01\x04\x01")
+	line, err := readAckLine(c)
+	if err != nil {
+		t.Fatalf("reading ack: %v", err)
+	}
+	var ack traced.StreamSummary
+	if err := json.Unmarshal(line, &ack); err != nil {
+		t.Fatalf("ack %q: %v", line, err)
+	}
+	if ack.State != "failed" || ack.Events != 2 {
+		t.Fatalf("ack %+v, want a failed stream after 2 events", ack)
+	}
+	if !strings.HasPrefix(ack.Error, "traced: event 2: wire: reading operand: ") ||
+		!strings.HasSuffix(ack.Error, "i/o timeout") {
+		t.Fatalf("ack error %q, want the read deadline inside event 2's operand", ack.Error)
+	}
+}
