@@ -61,11 +61,8 @@ type naiveClient struct {
 	forks []naiveFork // indexed by P-node ID
 	locks int64
 
-	sh    *shadow.Memory[sp.ThreadID]
+	mem   *shadow.Memory[sp.ThreadID, raceLog]
 	yield bool
-
-	raceMu sync.Mutex
-	races  []Race
 }
 
 func newNaiveClient(t *spt.Tree, yield bool) *naiveClient {
@@ -76,7 +73,7 @@ func newNaiveClient(t *spt.Tree, yield bool) *naiveClient {
 	return &naiveClient{
 		m:     m,
 		forks: make([]naiveFork, t.Len()),
-		sh:    shadow.NewMemory[sp.ThreadID](64),
+		mem:   shadow.NewMemory[sp.ThreadID, raceLog](64),
 		yield: yield,
 	}
 }
@@ -185,12 +182,11 @@ func (c *naiveClient) ExecThread(w int, f *sched.Frame, leaf *spt.Node) {
 		if st.Op != spt.Read && st.Op != spt.Write {
 			continue
 		}
-		found, ok := c.sh.AccessOrdered(uint64(st.Loc), rel, cur.id, leaf, st.Op == spt.Write)
-		if ok {
-			c.raceMu.Lock()
-			c.races = append(c.races, Race{Loc: st.Loc, Kind: found.Kind, First: found.PrevSite.(*spt.Node), Second: leaf})
-			c.raceMu.Unlock()
+		sh := c.mem.Lock(uint64(st.Loc))
+		if found, ok := sh.AccessOrdered(uint64(st.Loc), rel, cur.id, leaf, st.Op == spt.Write); ok {
+			sh.X.races = append(sh.X.races, Race{Loc: st.Loc, Kind: found.Kind, First: found.PrevSite.(*spt.Node), Second: leaf})
 		}
+		sh.Unlock()
 	}
 	if c.yield {
 		runtime.Gosched()
@@ -206,8 +202,7 @@ func (c *naiveClient) ExecThread(w int, f *sched.Frame, leaf *spt.Node) {
 func DetectParallelNaive(t *spt.Tree, workers int, seed int64, yield bool) (Report, int64) {
 	c := newNaiveClient(t, yield)
 	sched.New(workers, c, seed).Run(t)
-	accesses, queries := c.sh.Totals()
-	return buildReport(c.races, accesses, queries), c.locks
+	return shardReport(c.mem), c.locks
 }
 
 var _ sched.Client = (*naiveClient)(nil)

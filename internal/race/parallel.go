@@ -2,7 +2,6 @@ package race
 
 import (
 	"runtime"
-	"sync"
 
 	"repro/internal/shadow"
 	"repro/internal/sphybrid"
@@ -38,22 +37,18 @@ func (r *hybridRel) Orders(u *spt.Node) (english, hebrew bool) { return r.h.Orde
 // paper's scheduler-dependent statistics (steals, splits, query
 // retries).
 func DetectParallel(t *spt.Tree, workers int, seed int64, yield bool) (Report, sphybrid.Stats) {
-	sh := shadow.NewMemory[*spt.Node](64)
-	var mu sync.Mutex
-	var races []Race
-
+	mem := shadow.NewMemory[*spt.Node, raceLog](64)
 	var h *sphybrid.SPHybrid
 	h = sphybrid.New(t, func(w int, u *spt.Node) {
 		rel := &hybridRel{h: h, cur: u}
 		for _, st := range u.Steps {
 			switch st.Op {
 			case spt.Read, spt.Write:
-				found, ok := sh.AccessOrdered(uint64(st.Loc), rel, u, nil, st.Op == spt.Write)
-				if ok {
-					mu.Lock()
-					races = append(races, Race{Loc: st.Loc, Kind: found.Kind, First: found.Prev, Second: u})
-					mu.Unlock()
+				sh := mem.Lock(uint64(st.Loc))
+				if found, ok := sh.AccessOrdered(uint64(st.Loc), rel, u, nil, st.Op == spt.Write); ok {
+					sh.X.races = append(sh.X.races, Race{Loc: st.Loc, Kind: found.Kind, First: found.Prev, Second: u})
 				}
+				sh.Unlock()
 			}
 		}
 		if yield {
@@ -61,6 +56,5 @@ func DetectParallel(t *spt.Tree, workers int, seed int64, yield bool) (Report, s
 		}
 	})
 	stats := h.Run(workers, seed)
-	accesses, queries := sh.Totals()
-	return buildReport(races, accesses, queries), stats
+	return shardReport(mem), stats
 }

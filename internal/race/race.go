@@ -59,6 +59,29 @@ type Report struct {
 	Queries  int64
 }
 
+// raceLog is the races found at one shadow shard's addresses, logged
+// under the shard's lock; the pad fills the shard's second cache line.
+type raceLog struct {
+	races []Race
+	_     [40]byte
+}
+
+// shardReport builds the report of a run that logged its races in the
+// shards of mem: the races in shard order (detection order within a
+// shard), with the accesses and SP queries the shards counted.
+func shardReport[A comparable](mem *shadow.Memory[A, raceLog]) Report {
+	var races []Race
+	var accesses, queries int64
+	for i := range mem.NumShards() {
+		s := mem.LockShard(i)
+		races = append(races, s.X.races...)
+		accesses += s.Hits
+		queries += s.Queries
+		s.Unlock()
+	}
+	return buildReport(races, accesses, queries)
+}
+
 func buildReport(races []Race, accesses, queries int64) Report {
 	locSet := map[int]bool{}
 	for _, r := range races {

@@ -14,13 +14,17 @@
 // used to duplicate.
 //
 // Shadow state is sharded: Memory hashes each address onto one of N
-// power-of-two shards, each holding its own cell map under its own
-// mutex. Parallel accessors of distinct addresses therefore touch
-// disjoint locks with high probability, which is what lets a lock-free
-// sp.Monitor's accesses scale — an access synchronizes only on the
-// owning shard, never on a global structure (the partitioned
-// detector-state idea of Utterback et al.'s future-aware race
-// detection, applied to fork-join shadow memory).
+// power-of-two shards, and a shard is the one home of its addresses'
+// detector state under its one mutex: their cells, the counts of the
+// accesses applied to them, and whatever the caller keeps beside the
+// cells (sp.Monitor keeps its ALL-SETS histories and race log there).
+// Memory is the only place that maps an address to a shard. Parallel
+// accessors of distinct addresses therefore touch disjoint locks with
+// high probability, which is what lets a lock-free sp.Monitor's
+// accesses scale — an access takes the owning shard's lock, once, and
+// never a global structure (the partitioned detector-state idea of
+// Utterback et al.'s future-aware race detection, applied to fork-join
+// shadow memory).
 package shadow
 
 import (
@@ -218,52 +222,70 @@ func OnAccessOrdered[A comparable](c *Cell[A], rel Relative[A], cur A, site any,
 	return found, ok
 }
 
-// Shard is one address-hashed partition of a Memory: a private cell map
-// under a private mutex. Accessors of addresses in different shards
-// never contend.
-type Shard[A comparable] struct {
+// Shard is one address-hashed partition of a Memory: the cells of its
+// addresses, the counts of the accesses applied to them, and the
+// caller's state X for them, all under the shard's one mutex. Accessors
+// of addresses in different shards never contend.
+type Shard[A comparable, X any] struct {
 	mu    sync.Mutex
 	cells map[uint64]*Cell[A]
 	// pages hold the shard's cells, so a first access to an address
 	// allocates no cell of its own. They start at one cell and double,
 	// so a shard that sees few addresses stays small.
 	pages paged.Pages[Cell[A]]
-	// hits and queries count the accesses AccessOrdered applied here and
-	// the SP queries they issued, under the shard's lock.
-	hits, queries int64
-	// Pad each shard to a cache line so the shard locks of a hot Memory
-	// do not false-share (mutex 8B + map header 8B + page list 24B + two
-	// counts 16B + 8B pad).
+	// Hits and Queries count the accesses applied on the shard and the
+	// SP queries they issued. AccessOrdered counts its own; a caller that
+	// runs another protocol under the lock counts its accesses here too.
+	Hits, Queries int64
+	// The shard's own fields fill one 64-byte cache line (mutex 8B + map
+	// header 8B + page list 24B + two counts 16B + 8B pad), so a shard
+	// fills whole lines, and hot shard locks do not false-share, when
+	// X's size is a multiple of 64.
 	_ [8]byte
+	// X is the caller's state for the shard's addresses, such as the
+	// races found at them: read and write it only under the lock.
+	X X
 }
 
-// cell returns (creating if needed) the shadow slot for addr, which
-// must hash to this shard. The caller must hold the shard's lock.
-func (s *Shard[A]) cell(addr uint64) *Cell[A] {
+// Unlock releases the shard's lock.
+func (s *Shard[A, X]) Unlock() { s.mu.Unlock() }
+
+// AccessOrdered applies the two-reader ordered protocol
+// (OnAccessOrdered), which stays complete under concurrent, merely
+// creation-respecting execution orders, for one access by cur at addr,
+// which must hash to this shard. The caller holds the shard's lock. It
+// returns the race found and true, if any, and counts the access and
+// the SP queries it issued in Hits and Queries. rel is queried under
+// the lock, so it must be safe to call concurrently with SP-structure
+// updates when accessors are parallel.
+func (s *Shard[A, X]) AccessOrdered(addr uint64, rel Relative[A], cur A, site any, write bool) (Found[A], bool) {
 	c := s.cells[addr]
 	if c == nil {
 		c = s.pages.New()
 		s.cells[addr] = c
 	}
-	return c
+	s.Hits++
+	return OnAccessOrdered(c, rel, cur, site, write, &s.Queries)
 }
 
 // Memory is a sharded shadow-memory table keyed by location address.
-// Each address belongs to exactly one shard; an access locks only that
-// shard. Serial detectors pay one uncontended lock per access.
-type Memory[A comparable] struct {
+// Each address belongs to exactly one shard, and an access holds only
+// that shard's lock, for its cell and for whatever the caller keeps in
+// the shard's X. Serial detectors pay one uncontended lock per access.
+type Memory[A comparable, X any] struct {
 	mask   uint64
-	shards []Shard[A]
+	shards []Shard[A, X]
 }
 
 // NewMemory returns an empty shadow memory with at least the given
-// number of shards, rounded up to a power of two (minimum 1).
-func NewMemory[A comparable](shards int) *Memory[A] {
+// number of shards, rounded up to a power of two (minimum 1). Each
+// shard's X starts as its zero value.
+func NewMemory[A comparable, X any](shards int) *Memory[A, X] {
 	n := 1
 	for n < shards {
 		n <<= 1
 	}
-	m := &Memory[A]{mask: uint64(n - 1), shards: make([]Shard[A], n)}
+	m := &Memory[A, X]{mask: uint64(n - 1), shards: make([]Shard[A, X], n)}
 	for i := range m.shards {
 		m.shards[i].cells = map[uint64]*Cell[A]{}
 	}
@@ -271,52 +293,19 @@ func NewMemory[A comparable](shards int) *Memory[A] {
 }
 
 // NumShards returns the shard count (a power of two).
-func (m *Memory[A]) NumShards() int { return len(m.shards) }
+func (m *Memory[A, X]) NumShards() int { return len(m.shards) }
 
-// ShardIndex returns the shard owning addr. Addresses are mixed before
-// masking so that adjacent addresses — the common layout of program
-// data — land on different shards.
-func (m *Memory[A]) ShardIndex(addr uint64) int { return int(mix(addr) & m.mask) }
+// Lock locks and returns the shard owning addr. Addresses are mixed
+// before masking so that adjacent addresses — the common layout of
+// program data — land on different shards.
+func (m *Memory[A, X]) Lock(addr uint64) *Shard[A, X] { return m.LockShard(int(mix(addr) & m.mask)) }
 
-// ShardOf returns the shard owning addr.
-func (m *Memory[A]) ShardOf(addr uint64) *Shard[A] { return &m.shards[m.ShardIndex(addr)] }
-
-// AccessOrdered applies the two-reader ordered protocol
-// (OnAccessOrdered), which stays complete under concurrent, merely
-// creation-respecting execution orders, for one access by cur at addr
-// under the owning shard's lock. It returns the race found and true, if
-// any, and the shard counts the access and the SP queries it issued
-// (Counts). rel may be queried while the shard lock is held, so it must
-// be safe to call concurrently with SP-structure updates when accessors
-// are parallel.
-func (m *Memory[A]) AccessOrdered(addr uint64, rel Relative[A], cur A, site any, write bool) (Found[A], bool) {
-	s := m.ShardOf(addr)
-	s.mu.Lock()
-	s.hits++
-	found, ok := OnAccessOrdered(s.cell(addr), rel, cur, site, write, &s.queries)
-	s.mu.Unlock()
-	return found, ok
-}
-
-// Counts returns the accesses AccessOrdered applied on shard i and the
-// SP queries they issued, taking the shard's lock. Per-shard hits are
-// the raw data behind shard-imbalance reporting: a well-mixed address
-// distribution keeps max/mean near 1.
-func (m *Memory[A]) Counts(i int) (hits, queries int64) {
+// LockShard locks and returns shard i, for a reader of every shard,
+// such as a report.
+func (m *Memory[A, X]) LockShard(i int) *Shard[A, X] {
 	s := &m.shards[i]
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.hits, s.queries
-}
-
-// Totals sums Counts over every shard.
-func (m *Memory[A]) Totals() (hits, queries int64) {
-	for i := range m.shards {
-		h, q := m.Counts(i)
-		hits += h
-		queries += q
-	}
-	return hits, queries
+	return s
 }
 
 // mix is the splitmix64 finalizer: an invertible bit mixer that spreads

@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 // serialRel is a scripted SP relation for driving the protocol without
@@ -17,29 +18,59 @@ type serialRel struct{ parallel bool }
 func (r serialRel) ParallelCurrent(int) bool { return r.parallel }
 func (r serialRel) Orders(int) (bool, bool)  { return true, !r.parallel }
 
+// memory is a shadow memory that keeps no state of its own beside the
+// cells.
+type memory = Memory[int, struct{}]
+
+// access applies one access under the owning shard's lock, as a caller
+// that keeps nothing beside the cells does.
+func access(m *memory, addr uint64, rel Relative[int], cur int, site any, write bool) (Found[int], bool) {
+	s := m.Lock(addr)
+	defer s.Unlock()
+	return s.AccessOrdered(addr, rel, cur, site, write)
+}
+
+// totals sums the shards' access and query counts.
+func totals(m *memory) (hits, queries int64) {
+	for i := range m.NumShards() {
+		s := m.LockShard(i)
+		hits += s.Hits
+		queries += s.Queries
+		s.Unlock()
+	}
+	return hits, queries
+}
+
 // TestShardIndexSpreadsAdjacentAddresses pins the property the sharded
 // fast path depends on: consecutive addresses — the layout of real
 // program data and of the workload generators — are spread across
 // shards instead of piling onto one, and in particular adjacent
 // addresses almost always differ in shard.
 func TestShardIndexSpreadsAdjacentAddresses(t *testing.T) {
-	m := NewMemory[int](64)
+	m := NewMemory[int, struct{}](64)
 	if m.NumShards() != 64 {
 		t.Fatalf("NumShards = %d, want 64", m.NumShards())
+	}
+	index := func(a uint64) int {
+		s := m.Lock(a)
+		s.Unlock()
+		for i := range m.shards {
+			if &m.shards[i] == s {
+				return i
+			}
+		}
+		return -1
 	}
 	const n = 256
 	seen := map[int]bool{}
 	adjacentSame := 0
 	for a := uint64(0); a < n; a++ {
-		i := m.ShardIndex(a)
+		i := index(a)
 		if i < 0 || i >= m.NumShards() {
-			t.Fatalf("ShardIndex(%d) = %d out of range", a, i)
-		}
-		if &m.shards[i] != m.ShardOf(a) {
-			t.Fatalf("Shard/ShardOf disagree for %d", a)
+			t.Fatalf("Lock(%d) locked shard %d, out of range", a, i)
 		}
 		seen[i] = true
-		if a > 0 && i == m.ShardIndex(a-1) {
+		if a > 0 && i == index(a-1) {
 			adjacentSame++
 		}
 	}
@@ -53,37 +84,37 @@ func TestShardIndexSpreadsAdjacentAddresses(t *testing.T) {
 
 func TestNewMemoryRoundsUpToPowerOfTwo(t *testing.T) {
 	for _, tc := range []struct{ in, want int }{{0, 1}, {1, 1}, {3, 4}, {64, 64}, {65, 128}} {
-		if got := NewMemory[int](tc.in).NumShards(); got != tc.want {
+		if got := NewMemory[int, struct{}](tc.in).NumShards(); got != tc.want {
 			t.Fatalf("NewMemory(%d).NumShards() = %d, want %d", tc.in, got, tc.want)
 		}
 	}
 }
 
 // TestAccessProtocol replays the canonical protocol cases through the
-// one-call sharded AccessOrdered path: write-write, write-read, read-write
+// sharded AccessOrdered path: write-write, write-read, read-write
 // races under a parallel relation, and silence under a serial one.
 func TestAccessProtocol(t *testing.T) {
-	m := NewMemory[int](8)
+	m := NewMemory[int, struct{}](8)
 	// Serial accessors: no races, reader handoff costs queries.
-	if f, ok := m.AccessOrdered(7, serialRel{false}, 1, nil, true); ok {
+	if f, ok := access(m, 7, serialRel{false}, 1, nil, true); ok {
 		t.Fatalf("first write raced: %+v", f)
 	}
-	if f, ok := m.AccessOrdered(7, serialRel{false}, 2, nil, true); ok {
+	if f, ok := access(m, 7, serialRel{false}, 2, nil, true); ok {
 		t.Fatalf("serial write-write raced: %+v", f)
 	}
 	// Parallel accessors on another location.
-	if f, ok := m.AccessOrdered(9, serialRel{true}, 1, "s1", true); ok {
+	if f, ok := access(m, 9, serialRel{true}, 1, "s1", true); ok {
 		t.Fatalf("first write raced: %+v", f)
 	}
-	f, ok := m.AccessOrdered(9, serialRel{true}, 2, "s2", false)
+	f, ok := access(m, 9, serialRel{true}, 2, "s2", false)
 	if !ok || f.Kind != WriteRead || f.Prev != 1 || f.PrevSite != "s1" {
 		t.Fatalf("parallel write-read = %+v, want WriteRead by 1 at s1", f)
 	}
-	f, ok = m.AccessOrdered(9, serialRel{true}, 3, nil, true)
+	f, ok = access(m, 9, serialRel{true}, 3, nil, true)
 	if !ok || f.Kind != WriteWrite || f.Prev != 1 {
 		t.Fatalf("parallel write-write = %+v, want WriteWrite vs 1", f)
 	}
-	if hits, q := m.Totals(); hits != 5 || q == 0 {
+	if hits, q := totals(m); hits != 5 || q == 0 {
 		t.Fatalf("shards counted %d accesses and %d SP queries, want 5 and some", hits, q)
 	}
 }
@@ -94,7 +125,7 @@ func TestAccessProtocol(t *testing.T) {
 // accessors and every conflicting pair is parallel, so every goroutine
 // after the first write observes a race.
 func TestSameAddressManyGoroutines(t *testing.T) {
-	m := NewMemory[int](64)
+	m := NewMemory[int, struct{}](64)
 	workers := 4 * runtime.NumCPU()
 	const per = 200
 	var wg sync.WaitGroup
@@ -106,7 +137,7 @@ func TestSameAddressManyGoroutines(t *testing.T) {
 			defer wg.Done()
 			found := 0
 			for i := 0; i < per; i++ {
-				if _, ok := m.AccessOrdered(42, serialRel{true}, w, nil, i%3 == 0); ok {
+				if _, ok := access(m, 42, serialRel{true}, w, nil, i%3 == 0); ok {
 					found++
 				}
 			}
@@ -116,7 +147,7 @@ func TestSameAddressManyGoroutines(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	hits, queries := m.Totals()
+	hits, queries := totals(m)
 	if races == 0 || queries == 0 || hits != int64(workers*per) {
 		t.Fatalf("parallel hammer found races=%d queries=%d hits=%d, want races and queries > 0 and %d hits",
 			races, queries, hits, workers*per)
@@ -128,7 +159,7 @@ func TestSameAddressManyGoroutines(t *testing.T) {
 // accesses synchronize on many independent locks, and the per-shard
 // cell maps must never be observed torn.
 func TestDistinctAddressesDistinctShards(t *testing.T) {
-	m := NewMemory[int](64)
+	m := NewMemory[int, struct{}](64)
 	workers := 4 * runtime.NumCPU()
 	const addrs = 256
 	var wg sync.WaitGroup
@@ -137,18 +168,17 @@ func TestDistinctAddressesDistinctShards(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for a := uint64(0); a < addrs; a++ {
-				m.AccessOrdered(a, serialRel{false}, w, nil, false)
+				access(m, a, serialRel{false}, w, nil, false)
 			}
 		}(w)
 	}
 	wg.Wait()
 	// Every address must have a retained reader now.
 	for a := uint64(0); a < addrs; a++ {
-		s := m.ShardOf(a)
-		s.mu.Lock()
-		c := s.cell(a)
-		s.mu.Unlock()
-		if !c.hasReader {
+		s := m.Lock(a)
+		c := s.cells[a]
+		s.Unlock()
+		if c == nil || !c.hasReader {
 			t.Fatalf("address %d lost its reader", a)
 		}
 	}
@@ -242,16 +272,26 @@ func TestAllocsFirstAccess(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
 	}
-	m := NewMemory[int](1)
+	m := NewMemory[int, struct{}](1)
 	addr := uint64(0)
-	access := func() {
-		m.AccessOrdered(addr, serialRel{}, 1, nil, true)
+	first := func() {
+		access(m, addr, serialRel{}, 1, nil, true)
 		addr++
 	}
-	if n := testing.AllocsPerRun(1000, access); n != 0 {
+	if n := testing.AllocsPerRun(1000, first); n != 0 {
 		t.Fatalf("a first access to a new address allocates %v objects, want 0", n)
 	}
-	if hits, _ := m.Totals(); hits != int64(addr) {
+	if hits, _ := totals(m); hits != int64(addr) {
 		t.Fatalf("%d accesses counted, want %d", hits, addr)
+	}
+}
+
+// TestShardHeaderFillsCacheLine pins the shard's own fields at one
+// 64-byte cache line, so a shard fills whole lines when the caller's
+// state does.
+func TestShardHeaderFillsCacheLine(t *testing.T) {
+	var s Shard[int, [8]int64]
+	if off, n := unsafe.Offsetof(s.X), unsafe.Sizeof(s); off != 64 || n != 128 {
+		t.Fatalf("a shard keeps its caller's state at byte %d and takes %d bytes with 64 bytes of it, want 64 and 128", off, n)
 	}
 }

@@ -96,6 +96,15 @@ func TestAllocsRaceEntrySize(t *testing.T) {
 	}
 }
 
+// TestAllocsShardSize pins a shadow-memory shard with the monitor's
+// state at whole 64-byte cache lines, so the shard locks of a hot
+// monitor do not false-share.
+func TestAllocsShardSize(t *testing.T) {
+	if n := unsafe.Sizeof(monitorShard{}); n%64 != 0 {
+		t.Fatalf("a shard takes %d bytes, want a multiple of 64", n)
+	}
+}
+
 // TestAllocsThreadStateSize pins a thread's bookkeeping, its slot in the
 // monitor's thread table, at 128 bytes: the state embeds the backend's
 // handle and holds the Monitor its edge-aware ParallelCurrent asks,

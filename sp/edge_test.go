@@ -1,7 +1,9 @@
 package sp_test
 
 import (
+	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/spt"
@@ -165,5 +167,38 @@ func TestEdgeSmokeRacy(t *testing.T) {
 				t.Fatalf("want 1 race, got %v", rep.Races)
 			}
 		})
+	}
+}
+
+// TestReplayGetBeforePut replays a consumer that Gets f1 on the spawned
+// branch, English-before the producer that Puts it. The concurrent
+// replay on two workers runs the consumer on its own goroutine, where
+// the Get waits for the Put; a serial walk, which ReplayParallel on one
+// worker is too, reaches the Get first and panics instead of waiting.
+func TestReplayGetBeforePut(t *testing.T) {
+	tree := func() *spt.Tree {
+		prod := spt.NewLeaf("prod", 1)
+		prod.Steps = []spt.Step{spt.W(7), spt.PutStep(1)}
+		cons := spt.NewLeaf("cons", 1)
+		cons.Steps = []spt.Step{spt.GetStep(1), spt.R(7)}
+		return spt.MustTree(spt.Par(cons, prod))
+	}
+	m := sp.MustMonitor(sp.WithBackend("sp-hybrid"))
+	sp.ReplayParallel(tree(), m, 2)
+	if rep := m.Report(); len(rep.Races) != 0 || rep.Gets != 1 {
+		t.Fatalf("two workers: races=%v gets=%d, want none and 1", rep.Races, rep.Gets)
+	}
+	for name, replay := range map[string]func(*spt.Tree, *sp.Monitor){
+		"Replay":                       func(tr *spt.Tree, m *sp.Monitor) { sp.Replay(tr, m) },
+		"ReplayParallel on one worker": func(tr *spt.Tree, m *sp.Monitor) { sp.ReplayParallel(tr, m, 1) },
+	} {
+		func() {
+			defer func() {
+				if p := fmt.Sprint(recover()); !strings.Contains(p, "get of future f1 before its put") {
+					t.Fatalf("%s: panic %q, want the get before its put", name, p)
+				}
+			}()
+			replay(tree(), sp.MustMonitor(sp.WithBackend("sp-hybrid")))
+		}()
 	}
 }

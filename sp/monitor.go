@@ -119,45 +119,25 @@ type lockEntry struct {
 	locks LockSet
 }
 
-// lockShard is one address-hashed partition of the ALL-SETS access
-// history: a private per-location entry map under a private mutex,
-// mirroring internal/shadow's splitmix64 shard scheme (the shard index
-// comes from the same Memory, so the shadow cell and the lock history
-// of an address always co-shard). The protocol only ever consults the
-// history of the accessed address, so lock-heavy workloads touching
-// distinct addresses proceed on disjoint locks.
-type lockShard struct {
-	mu      sync.Mutex
-	entries map[uint64][]lockEntry
-	// hits and queries count the accesses applied here and the SP
-	// queries they issued, as the shadow shards count theirs.
-	hits, queries int64
-	// Pad to a cache line so hot shard locks do not false-share.
-	_ [32]byte
+// shardLog is the monitor's state for one shadow-memory shard's
+// addresses, kept beside their cells under the shard's one lock: the
+// ALL-SETS histories and the races found there. Each race is one 64-byte
+// raceEntry. A lock-aware race keeps its two lock sets in the pair list,
+// sharing the list's last pair when it is equal, so the races one access
+// finds against one history, and runs of races under one lock set, store
+// their pair once. Both lists are paged (paged.Pages): logging a race
+// copies none logged before it, and Report reads the entries outside the
+// lock, since a race logged later writes only past the page lengths it
+// saw.
+type shardLog struct {
+	entries map[uint64][]lockEntry  // ALL-SETS histories; nil until one is written
+	races   paged.Pages[raceEntry]  // in detection order
+	pairs   paged.Pages[[2]LockSet] // the lock-set pairs of lock-aware races
+	_       [8]byte                 // fills the shard's second cache line (see shadow.Shard)
 }
 
-// raceShard is one address-hashed partition of the race log. Detected
-// races append under the owning shard's lock only, so emit never
-// serializes on a global mutex; Report merges the shards in index
-// order.
-//
-// Each race is one 64-byte raceEntry. A lock-aware race keeps its two
-// lock sets in the shard's pair list, and a race whose pair equals the
-// list's last pair shares that slot: the races one access finds against
-// one history, and the runs of races under one lock set, store their
-// pair once. Plain races store none.
-//
-// Both lists are paged (paged.Pages) so that an emit never copies a race
-// or pair it already logged, and a racy run stops paying for copies of
-// its whole log. Paging also lets Report read the entries outside the
-// lock: an emit writes only past the page lengths Report saw.
-type raceShard struct {
-	mu sync.Mutex
-	// pages hold the races in detection order.
-	pages paged.Pages[raceEntry]
-	// pairs hold the lock-set pairs of lock-aware races.
-	pairs paged.Pages[[2]LockSet]
-}
+// monitorShard is a shadow-memory shard with the monitor's state.
+type monitorShard = shadow.Shard[ThreadID, shardLog]
 
 // raceEntry is one logged race: a Race with its lock sets moved to the
 // shard's pair list. It holds no pointer beyond the two sites.
@@ -177,17 +157,18 @@ type raceEntry struct {
 const pairShift = 10
 
 // add logs e, whose lock sets are first and second (both nil for a
-// plain race), at the end of the shard's pages. The caller holds sh.mu.
-func (sh *raceShard) add(e raceEntry, first, second LockSet) {
+// plain race), at the end of the log. The caller holds the shard's
+// lock.
+func (l *shardLog) add(e raceEntry, first, second LockSet) {
 	if first != nil || second != nil {
-		p := len(sh.pairs) - 1
-		if p < 0 || !samePair(sh.pairs[p][len(sh.pairs[p])-1], first, second) {
-			sh.pairs.Append([2]LockSet{first, second})
-			p = len(sh.pairs) - 1
+		p := len(l.pairs) - 1
+		if p < 0 || !samePair(l.pairs[p][len(l.pairs[p])-1], first, second) {
+			l.pairs.Append([2]LockSet{first, second})
+			p = len(l.pairs) - 1
 		}
-		e.locks = uint32(p)<<pairShift | uint32(len(sh.pairs[p]))
+		e.locks = uint32(p)<<pairShift | uint32(len(l.pairs[p]))
 	}
-	sh.pages.Append(e)
+	l.races.Append(e)
 }
 
 // samePair reports whether pair holds the lock sets first and second. A
@@ -289,7 +270,8 @@ type Option func(*config)
 func WithBackend(name string) Option { return func(c *config) { c.backend = name } }
 
 // WithWorkers hints the expected number of concurrently live threads; it
-// sizes the shadow-memory and race-log sharding.
+// sizes the shadow memory's sharding, which holds each address's cell
+// or ALL-SETS history and its races.
 func WithWorkers(n int) Option { return func(c *config) { c.workers = n } }
 
 // WithRaceDetection toggles the Nondeterminator determinacy-race
@@ -298,10 +280,11 @@ func WithRaceDetection(on bool) Option { return func(c *config) { c.raceDetect =
 
 // WithLockAwareness switches race detection to the ALL-SETS protocol: a
 // pair of parallel conflicting accesses races only if the lock sets held
-// at the two accesses are disjoint. Implies race detection. The access
-// histories are sharded by address like the shadow memory, so it keeps
-// the Monitor's locking rule: on a lock-free monitor an access still
-// synchronizes only on the history shard of its address.
+// at the two accesses are disjoint. Implies race detection. An address's
+// access history takes the place of its shadow cell, in the same shard,
+// so it keeps the Monitor's locking rule: on a lock-free monitor an
+// access takes only its address's shard lock, for the history and for
+// the races it logs.
 func WithLockAwareness(on bool) Option { return func(c *config) { c.lockAware = on } }
 
 // WithTrace records every event the Monitor applies — Fork, Join,
@@ -326,7 +309,8 @@ func WithTrace(w io.Writer) Option { return func(c *config) { c.traceW = w } }
 // read lock-free, structural events go straight to the backend
 // (sp-hybrid batches its global-tier order-maintenance insertions under
 // one shared insertion lock; depa takes no lock at all), and an access
-// synchronizes only on the shard that owns its address. Every other
+// takes only the lock of the shard that owns its address, which holds
+// the address's cell or ALL-SETS history and its races. Every other
 // monitor applies each event, queries included, under one mutex.
 // Backends whose BackendInfo.AnyOrder is false additionally require the
 // serial depth-first event order that Replay produces.
@@ -361,10 +345,7 @@ type Monitor struct {
 	nthreads atomic.Int64
 	main     ThreadID
 
-	mem        *shadow.Memory[ThreadID]
-	lockShards []lockShard // ALL-SETS access history, lock-aware monitors only
-
-	raceShards []raceShard // sharded race log; emit touches one shard
+	mem *shadow.Memory[ThreadID, shardLog] // cells or histories, races and counts
 
 	relQueries atomic.Int64 // queries issued via Relation/Precedes/Parallel
 	forks      atomic.Int64
@@ -398,14 +379,7 @@ func NewMonitor(opts ...Option) (*Monitor, error) {
 		info:       info,
 		raceDetect: cfg.raceDetect || cfg.lockAware,
 		lockAware:  cfg.lockAware,
-		mem:        shadow.NewMemory[ThreadID](8 * cfg.workers),
-	}
-	m.raceShards = make([]raceShard, m.mem.NumShards())
-	if cfg.lockAware {
-		m.lockShards = make([]lockShard, m.mem.NumShards())
-		for i := range m.lockShards {
-			m.lockShards[i].entries = map[uint64][]lockEntry{}
-		}
+		mem:        shadow.NewMemory[ThreadID, shardLog](8 * cfg.workers),
 	}
 	// A recorded trace must be the order the events were applied in.
 	m.lockFree = info.Synchronized && cfg.traceW == nil
@@ -976,9 +950,9 @@ func (m *Monitor) Release(t ThreadID, lock int) {
 // access applies one memory access to the backend and, when race
 // detection is on, to one of the two detection protocols: the
 // two-reader shadow cell, or the ALL-SETS history under
-// lock-awareness. Both synchronize only on the shard that owns addr,
-// so on a lock-free monitor that shard lock is the only one an access
-// takes.
+// lock-awareness. Either runs under the lock of the shard that owns
+// addr, and logs any race it finds there, so on a lock-free monitor
+// that shard lock is the only lock an access takes.
 func (m *Monitor) access(t ThreadID, st *threadState, addr uint64, write bool, site any) {
 	if !m.lockFree {
 		m.mu.Lock()
@@ -1001,13 +975,12 @@ func (m *Monitor) access(t ThreadID, st *threadState, addr uint64, write bool, s
 	if !m.raceDetect {
 		return
 	}
+	sh := m.mem.Lock(addr)
+	defer sh.Unlock()
 	if m.lockAware {
-		m.lockAwareAccess(t, st, addr, write, site)
-		return
-	}
-	found, ok := m.mem.AccessOrdered(addr, st, t, site, write)
-	if ok {
-		m.emit(raceEntry{
+		lockAwareAccess(sh, t, st, addr, write, site)
+	} else if found, ok := sh.AccessOrdered(addr, st, t, site, write); ok {
+		sh.X.add(raceEntry{
 			addr: addr, kind: found.Kind,
 			first: found.Prev, second: t,
 			firstSite: found.PrevSite, secondSite: site,
@@ -1015,26 +988,28 @@ func (m *Monitor) access(t ThreadID, st *threadState, addr uint64, write bool, s
 	}
 }
 
-// lockAwareAccess applies the ALL-SETS protocol: full access history per
-// location (deduplicated by thread, kind, and lock set), a race reported
-// for every logically parallel conflicting pair with disjoint lock sets.
-// The history is sharded by address hash (lockShard), so only accesses
-// of addresses on the same shard contend.
-func (m *Monitor) lockAwareAccess(t ThreadID, st *threadState, addr uint64, write bool, site any) {
+// lockAwareAccess applies the ALL-SETS protocol under sh's lock: full
+// access history per location (deduplicated by thread, kind, and lock
+// set), a race reported for every logically parallel conflicting pair
+// with disjoint lock sets. One pass over the history checks each entry
+// of another thread for a race, at one SP query per conflicting entry,
+// and each entry of t's own for the duplicate that keeps the access out
+// of the history.
+func lockAwareAccess(sh *monitorShard, t ThreadID, st *threadState, addr uint64, write bool, site any) {
 	cur := newLockSet(st.held)
-	sh := &m.lockShards[m.mem.ShardIndex(addr)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
+	hist := sh.X.entries[addr]
 	var q int64
-	for _, e := range sh.entries[addr] {
-		if e.t == t || !(write || e.write) {
+	dup := false
+	for _, e := range hist {
+		if e.t == t {
+			dup = dup || e.write == write && e.locks.Equal(cur)
+			continue
+		}
+		if !(write || e.write) {
 			continue
 		}
 		q++
-		if !st.ParallelCurrent(e.t) {
-			continue
-		}
-		if !e.locks.Disjoint(cur) {
+		if !st.ParallelCurrent(e.t) || !e.locks.Disjoint(cur) {
 			continue
 		}
 		kind := WriteWrite
@@ -1044,37 +1019,20 @@ func (m *Monitor) lockAwareAccess(t ThreadID, st *threadState, addr uint64, writ
 		case !e.write && write:
 			kind = ReadWrite
 		}
-		m.emit(raceEntry{
+		sh.X.add(raceEntry{
 			addr: addr, kind: kind,
 			first: e.t, second: t,
 			firstSite: e.site, secondSite: site,
 		}, e.locks, cur)
 	}
-	sh.hits++
-	sh.queries += q
-	dup := false
-	for _, e := range sh.entries[addr] {
-		if e.t == t && e.write == write && e.locks.Equal(cur) {
-			dup = true
-			break
-		}
-	}
+	sh.Hits++
+	sh.Queries += q
 	if !dup {
-		sh.entries[addr] = append(sh.entries[addr], lockEntry{t, site, write, cur})
+		if sh.X.entries == nil {
+			sh.X.entries = map[uint64][]lockEntry{}
+		}
+		sh.X.entries[addr] = append(hist, lockEntry{t, site, write, cur})
 	}
-}
-
-// emit logs a race, with lock sets first and second under the
-// lock-aware protocol, in the owning race-log shard, the only
-// synchronization on the emit path, so racy workloads on a lock-free
-// monitor do not funnel every race through one global mutex. A race
-// found by an access still in flight when Report ran is logged like
-// any other and appears in the next Report.
-func (m *Monitor) emit(e raceEntry, first, second LockSet) {
-	sh := &m.raceShards[m.mem.ShardIndex(e.addr)]
-	sh.mu.Lock()
-	sh.add(e, first, second)
-	sh.mu.Unlock()
 }
 
 // TraceErr returns the sticky error of the WithTrace recorder: nil
@@ -1130,23 +1088,20 @@ func (m *Monitor) Report() Report {
 	if m.trace != nil {
 		m.trace.Flush()
 	}
-	// Snapshot each shard's page headers under its lock; the last
-	// pages' headers still grow, so the snapshot is a copy. A later emit
-	// writes only past the snapshot's lengths, so the entries are read
-	// after the locks drop.
-	type shardSnap struct {
-		pages paged.Pages[raceEntry]
-		pairs paged.Pages[[2]LockSet]
-	}
-	snaps := make([]shardSnap, len(m.raceShards))
-	emits := make([]int64, len(m.raceShards))
+	// Snapshot each shard's page headers and counts under its lock, once;
+	// the last pages' headers still grow, so the snapshot is a copy. A
+	// race logged later writes only past the snapshot's lengths, so the
+	// entries are read after the locks drop.
+	snaps := make([]shardLog, m.mem.NumShards())
+	hits, emits := make([]int64, len(snaps)), make([]int64, len(snaps))
+	var queries int64
 	total := 0
-	for i := range m.raceShards {
-		sh := &m.raceShards[i]
-		sh.mu.Lock()
-		snaps[i] = shardSnap{slices.Clone(sh.pages), slices.Clone(sh.pairs)}
-		sh.mu.Unlock()
-		for _, p := range snaps[i].pages {
+	for i := range snaps {
+		sh := m.mem.LockShard(i)
+		snaps[i] = shardLog{races: slices.Clone(sh.X.races), pairs: slices.Clone(sh.X.pairs)}
+		hits[i], queries = sh.Hits, queries+sh.Queries
+		sh.Unlock()
+		for _, p := range snaps[i].races {
 			emits[i] += int64(len(p))
 		}
 		total += int(emits[i])
@@ -1163,7 +1118,7 @@ func (m *Monitor) Report() Report {
 	n := 0
 	for _, snap := range snaps {
 		addrs = addrs[:0]
-		for _, p := range snap.pages {
+		for _, p := range snap.races {
 			for i := range p {
 				e := &p[i]
 				e.fill(&races[n], snap.pairs)
@@ -1188,7 +1143,6 @@ func (m *Monitor) Report() Report {
 			writes += st.writes.Load()
 		}
 	}
-	hits, queries := m.shardCounts()
 	rep := Report{
 		Backend:   m.info.Name,
 		Races:     races,
@@ -1205,24 +1159,4 @@ func (m *Monitor) Report() Report {
 		mx.publish(&rep, begun, reads, writes, queries, hits, emits)
 	}
 	return rep
-}
-
-// shardCounts returns, per shard, the accesses the detection protocol
-// applied there, and the SP queries the protocol issued in all: the
-// shadow shards count the two-reader protocol's, the ALL-SETS history
-// shards, which share their index, the lock-aware protocol's.
-func (m *Monitor) shardCounts() (hits []int64, queries int64) {
-	hits = make([]int64, m.mem.NumShards())
-	for i := range hits {
-		h, q := m.mem.Counts(i)
-		if m.lockShards != nil {
-			sh := &m.lockShards[i]
-			sh.mu.Lock()
-			h, q = h+sh.hits, q+sh.queries
-			sh.mu.Unlock()
-		}
-		hits[i] = h
-		queries += q
-	}
-	return hits, queries
 }

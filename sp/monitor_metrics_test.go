@@ -71,15 +71,18 @@ func TestRaceShardEmitsReconcileReport(t *testing.T) {
 		t.Fatal("planted racy cells produced no races")
 	}
 	regShards := reg.CounterValues("sp_racelog_shard_emits_total")
-	if len(regShards) != len(m.raceShards) {
-		t.Fatalf("registry has %d race-log shard series, monitor %d shards", len(regShards), len(m.raceShards))
+	if len(regShards) != m.mem.NumShards() {
+		t.Fatalf("registry has %d race-log shard series, monitor %d shards", len(regShards), m.mem.NumShards())
 	}
-	var logged int64
-	for i := range m.raceShards {
+	var logged, shardHits int64
+	for i := range m.mem.NumShards() {
+		sh := m.mem.LockShard(i)
 		var n int64
-		for _, p := range m.raceShards[i].pages {
+		for _, p := range sh.X.races {
 			n += int64(len(p))
 		}
+		shardHits += sh.Hits
+		sh.Unlock()
 		if regShards[i] != n {
 			t.Fatalf("shard %d: registry counts %d emits, its pages hold %d races", i, regShards[i], n)
 		}
@@ -92,7 +95,6 @@ func TestRaceShardEmitsReconcileReport(t *testing.T) {
 	if got := snap.Sum("sp_monitor_access_total"); got != float64(rep.Accesses) {
 		t.Fatalf("access_total = %v, Report.Accesses = %d", got, rep.Accesses)
 	}
-	shardHits, _ := m.mem.Totals()
 	if got := snap.Sum("sp_shadow_shard_accesses_total"); got != float64(shardHits) {
 		t.Fatalf("registry shard accesses = %v, shadow shard hit counters = %d", got, shardHits)
 	}

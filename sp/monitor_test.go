@@ -15,21 +15,28 @@ import (
 )
 
 // TestReportConcurrentWithAccesses hammers Report against in-flight
-// accesses on the lock-free backends. An access that slipped past the
-// finished check must complete without panicking and log its race like
-// any other; only accesses that observe the finished monitor may
-// panic, with the documented message. The race log is lossless: every
-// race of the first Report is in the second, in the same order, and
-// the late races are what the second adds. Each Report's Locations
-// must be exactly the distinct addresses of its races, and each Report
-// publishes what the late accesses counted, so the registry reads every
-// Report's counts.
+// accesses on the lock-free backends, under the two-reader protocol and
+// under ALL-SETS. An access that slipped past the finished check must
+// complete without panicking and log its race like any other; only
+// accesses that observe the finished monitor may panic, with the
+// documented message. The race log is lossless: every race of the first
+// Report is in the second, in the same order, and the late races are
+// what the second adds. Each Report's Locations must be exactly the
+// distinct addresses of its races, and each Report publishes what the
+// late accesses counted, so the registry reads every Report's counts.
 func TestReportConcurrentWithAccesses(t *testing.T) {
-	for _, backend := range []string{"sp-hybrid", "depa"} {
+	for _, tc := range []struct {
+		backend   string
+		lockAware bool
+	}{{"sp-hybrid", false}, {"depa", false}, {"sp-hybrid", true}, {"depa", true}} {
+		backend := tc.backend
+		if tc.lockAware {
+			backend += " lock-aware"
+		}
 		late := 0
 		for i := 0; i < 200; i++ {
 			reg := metrics.NewRegistry()
-			m := sp.MustMonitor(sp.WithBackend(backend), sp.WithMetrics(reg))
+			m := sp.MustMonitor(sp.WithBackend(tc.backend), sp.WithLockAwareness(tc.lockAware), sp.WithMetrics(reg))
 			l, r := m.Fork(m.Main())
 			var wg, started sync.WaitGroup
 			started.Add(2)

@@ -24,7 +24,9 @@ func TestRaceLogPagedShard(t *testing.T) {
 		writers = append(writers, w)
 	}
 	rep := m.Report()
-	pages := m.raceShards[m.mem.ShardIndex(7)].pages
+	sh := m.mem.Lock(7)
+	pages := sh.X.races
+	sh.Unlock()
 	if len(pages) != 13 {
 		t.Fatalf("%d races fill %d pages, want 13", races, len(pages))
 	}
@@ -66,14 +68,16 @@ func TestRaceLogLockPairs(t *testing.T) {
 	if want := writers*(writers-1)/2 - writers/2; len(rep.Races) != want {
 		t.Fatalf("%d writers raced %d times, want %d", writers, len(rep.Races), want)
 	}
-	sh := &m.raceShards[m.mem.ShardIndex(7)]
+	sh := m.mem.Lock(7)
+	pages := sh.X.pairs
+	sh.Unlock()
 	pairs := 0
-	for _, p := range sh.pairs {
+	for _, p := range pages {
 		pairs += len(p)
 	}
-	if len(sh.pairs) < 11 || 2*pairs > len(rep.Races)+writers {
+	if len(pages) < 11 || 2*pairs > len(rep.Races)+writers {
 		t.Fatalf("%d races stored %d lock-set pairs on %d pages, want about one pair per two races on at least 11 pages",
-			len(rep.Races), pairs, len(sh.pairs))
+			len(rep.Races), pairs, len(pages))
 	}
 	for i, r := range rep.Races {
 		if !r.FirstLocks.Equal(held[r.First]) || !r.SecondLocks.Equal(held[r.Second]) {

@@ -43,8 +43,35 @@ func Replay(t *spt.Tree, m *Monitor) ReplayIDs {
 // steps have been replayed (while the leaf's thread is still current),
 // e.g. to issue SP queries mid-run.
 func ReplayObserved(t *spt.Tree, m *Monitor, obs func(leaf *spt.Node, id ThreadID)) ReplayIDs {
+	return replayTree(t, m, 1, obs)
+}
+
+// ReplayParallel replays tree t with real concurrency: each P-node's
+// spawned branch runs on its own goroutine when one of the (workers-1)
+// extra slots is free, and inline otherwise. Events therefore reach the
+// monitor in an arbitrary creation-respecting order, so the backend must
+// have AnyOrder capability ("sp-order", which the Monitor serializes, or
+// the internally synchronized "sp-hybrid"). On one worker the walk is
+// Replay's serial one, where a Get before its Put panics.
+func ReplayParallel(t *spt.Tree, m *Monitor, workers int) ReplayIDs {
+	if !m.Backend().AnyOrder {
+		panic(fmt.Sprintf("sp: ReplayParallel requires an any-order backend (%s requires the serial event order)", m.Backend().Name))
+	}
+	return replayTree(t, m, workers, nil)
+}
+
+// replayTree is the one walker behind the replays. With workers > 1 a
+// P-node's spawned branch runs on its own goroutine while one of the
+// workers-1 extra slots is free, and a Get waits for its Put; otherwise
+// the walk is serial, with no channel operation, and a Get before its
+// Put panics. obs, if not nil, sees each leaf after its steps.
+func replayTree(t *spt.Tree, m *Monitor, workers int, obs func(leaf *spt.Node, id ThreadID)) ReplayIDs {
 	ids := newReplayIDs(t)
-	fut := newFutures(false)
+	fut := &futures{wait: workers > 1, m: map[int]*futureCell{}}
+	var slots chan struct{}
+	if workers > 1 {
+		slots = make(chan struct{}, workers-1)
+	}
 	var rec func(n *spt.Node, cur ThreadID) ThreadID
 	rec = func(n *spt.Node, cur ThreadID) ThreadID {
 		switch n.Kind() {
@@ -57,41 +84,9 @@ func ReplayObserved(t *spt.Tree, m *Monitor, obs func(leaf *spt.Node, id ThreadI
 			return cur
 		case spt.SNode:
 			return rec(n.Right(), rec(n.Left(), cur))
-		default: // PNode
-			l, r := m.Fork(cur)
-			a := rec(n.Left(), l)
-			b := rec(n.Right(), r)
-			return m.Join(a, b)
 		}
-	}
-	rec(t.Root(), m.Main())
-	return ids
-}
-
-// ReplayParallel replays tree t with real concurrency: each P-node's
-// spawned branch runs on its own goroutine when one of the (workers-1)
-// extra slots is free, and inline otherwise. Events therefore reach the
-// monitor in an arbitrary creation-respecting order, so the backend must
-// have AnyOrder capability ("sp-order", which the Monitor serializes, or
-// the internally synchronized "sp-hybrid").
-func ReplayParallel(t *spt.Tree, m *Monitor, workers int) ReplayIDs {
-	if !m.Backend().AnyOrder {
-		panic(fmt.Sprintf("sp: ReplayParallel requires an any-order backend (%s requires the serial event order)", m.Backend().Name))
-	}
-	ids := newReplayIDs(t)
-	fut := newFutures(true)
-	slots := make(chan struct{}, max(workers-1, 0))
-	var rec func(n *spt.Node, cur ThreadID) ThreadID
-	rec = func(n *spt.Node, cur ThreadID) ThreadID {
-		switch n.Kind() {
-		case spt.Leaf:
-			cur = replayLeaf(m, cur, n, fut)
-			ids[n.ID] = cur
-			return cur
-		case spt.SNode:
-			return rec(n.Right(), rec(n.Left(), cur))
-		default: // PNode
-			l, r := m.Fork(cur)
+		l, r := m.Fork(cur)
+		if slots != nil {
 			select {
 			case slots <- struct{}{}:
 				ch := make(chan ThreadID, 1)
@@ -102,11 +97,10 @@ func ReplayParallel(t *spt.Tree, m *Monitor, workers int) ReplayIDs {
 				b := rec(n.Right(), r)
 				return m.Join(<-ch, b)
 			default:
-				a := rec(n.Left(), l)
-				b := rec(n.Right(), r)
-				return m.Join(a, b)
 			}
 		}
+		a := rec(n.Left(), l)
+		return m.Join(a, rec(n.Right(), r))
 	}
 	rec(t.Root(), m.Main())
 	return ids
@@ -134,46 +128,48 @@ type futures struct {
 }
 
 type futureCell struct {
-	done chan struct{} // closed by the Put
+	done chan struct{} // closed by the Put; nil in serial mode
+	put  bool
 	tok  ThreadID
 }
 
-func newFutures(wait bool) *futures {
-	return &futures{wait: wait, m: map[int]*futureCell{}}
-}
-
+// cell returns key's cell; the caller holds f.mu.
 func (f *futures) cell(key int) *futureCell {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	c := f.m[key]
 	if c == nil {
-		c = &futureCell{done: make(chan struct{})}
+		c = &futureCell{}
+		if f.wait {
+			c.done = make(chan struct{})
+		}
 		f.m[key] = c
 	}
 	return c
 }
 
 func (f *futures) put(key int, tok ThreadID) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	c := f.cell(key)
-	select {
-	case <-c.done:
+	if c.put {
 		panic(fmt.Sprintf("sp: replay: future f%d put twice", key))
-	default:
 	}
-	c.tok = tok
-	close(c.done)
+	c.tok, c.put = tok, true
+	if c.done != nil {
+		close(c.done)
+	}
 }
 
 func (f *futures) get(key int) ThreadID {
+	f.mu.Lock()
 	c := f.cell(key)
-	if !f.wait {
-		select {
-		case <-c.done:
-		default:
+	put := c.put
+	f.mu.Unlock()
+	if !put {
+		if c.done == nil {
 			panic(fmt.Sprintf("sp: replay: get of future f%d before its put in serial order", key))
 		}
+		<-c.done
 	}
-	<-c.done
 	return c.tok
 }
 

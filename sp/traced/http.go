@@ -44,7 +44,8 @@ type FleetReport struct {
 	// Entries is the deduplicated race table in first-seen order. A
 	// stream's races join it when the stream finishes.
 	Entries []RaceEntry `json:"entries"`
-	// Active and Recent list in-flight and recently finished streams.
+	// Active and Recent list in-flight and recently finished streams,
+	// Recent up to the last 64.
 	Active []StreamSummary `json:"active"`
 	Recent []StreamSummary `json:"recent"`
 }

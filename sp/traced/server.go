@@ -21,7 +21,8 @@ import (
 
 // Config tunes a Server. The zero value is usable: every field has a
 // production default applied by New. New rejects a negative MaxEvents,
-// MaxBytes or ReadTimeout.
+// MaxBytes or ReadTimeout. Reports list the last recentStreams (64)
+// completed streams, a bound no Config field sets.
 type Config struct {
 	// Backend is the SP-maintenance backend each stream's monitor runs
 	// on (default "sp-order" — an any-order backend, so traces recorded
@@ -48,10 +49,10 @@ type Config struct {
 	// a client that goes silent longer than this has its stream failed
 	// as stalled (default 30s).
 	ReadTimeout time.Duration
-	// RecentStreams bounds the completed-stream ring kept for reports
-	// (default 64).
-	RecentStreams int
 }
+
+// recentStreams bounds the ring of completed streams kept for reports.
+const recentStreams = 64
 
 func (c Config) withDefaults() Config {
 	if c.Backend == "" {
@@ -77,9 +78,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ReadTimeout == 0 {
 		c.ReadTimeout = 30 * time.Second
-	}
-	if c.RecentStreams <= 0 {
-		c.RecentStreams = 64
 	}
 	return c
 }
@@ -404,7 +402,7 @@ func (s *Server) finishStream(st *stream, err error) StreamSummary {
 		s.peak = p
 	}
 	s.recent = append(s.recent, sum)
-	if len(s.recent) > s.cfg.RecentStreams {
+	if len(s.recent) > recentStreams {
 		s.recent = s.recent[1:]
 	}
 	s.mu.Unlock()
