@@ -85,7 +85,7 @@ func genEdgeProgram(rng *rand.Rand) *spt.Tree {
 func putTokens(m *Monitor) []ThreadID {
 	var out []ThreadID
 	for i := int64(0); i < m.nthreads.Load(); i++ {
-		if st := m.threads.At(i); st != nil && st.created.Load() && st.snap != nil {
+		if st := m.threads.At(i); st != nil && st.is(threadCreated) && st.snap != nil {
 			out = append(out, ThreadID(i))
 		}
 	}
@@ -96,7 +96,7 @@ func putTokens(m *Monitor) []ThreadID {
 func begunThreads(m *Monitor) []ThreadID {
 	var out []ThreadID
 	for i := int64(0); i < m.nthreads.Load(); i++ {
-		if st := m.threads.At(i); st != nil && st.created.Load() && st.begun.Load() {
+		if st := m.threads.At(i); st != nil && st.is(threadCreated) && st.is(threadBegun) {
 			out = append(out, ThreadID(i))
 		}
 	}

@@ -1,7 +1,7 @@
 package sp
 
 import (
-	"sort"
+	"slices"
 	"strconv"
 )
 
@@ -9,16 +9,47 @@ import (
 // used by the ALL-SETS lock-aware detection protocol.
 type LockSet []int
 
-// newLockSet canonicalizes a multiset of held locks.
-func newLockSet(held map[int]int) LockSet {
-	ls := make(LockSet, 0, len(held))
-	for m, n := range held {
-		if n > 0 {
-			ls = append(ls, m)
-		}
+// noLocks is the lock set of a thread that holds no mutex. It is empty
+// but not nil: a lock-aware race renders its lock sets, empty ones too.
+var noLocks = LockSet{}
+
+// heldLocks is a thread's lock multiset. set is its canonical lock set,
+// which ALL-SETS history entries and races record as it is: Acquire and
+// Release replace it when it changes and never write it in place, so an
+// access reads it without building one.
+type heldLocks struct {
+	set   LockSet     // never nil; noLocks when empty
+	again map[int]int // re-acquisitions of a held mutex; nil until one
+}
+
+// acquire adds one acquisition of mutex m.
+func (h *heldLocks) acquire(m int) {
+	i, ok := slices.BinarySearch(h.set, m)
+	if !ok {
+		h.set = slices.Insert(slices.Clip(h.set), i, m) // a fresh set: the old one may be shared
+		return
 	}
-	sort.Ints(ls)
-	return ls
+	if h.again == nil {
+		h.again = map[int]int{}
+	}
+	h.again[m]++
+}
+
+// release removes one acquisition of mutex m, reporting false if m is
+// not held.
+func (h *heldLocks) release(m int) bool {
+	i, ok := slices.BinarySearch(h.set, m)
+	switch {
+	case !ok:
+		return false
+	case h.again[m] > 0:
+		h.again[m]--
+	case len(h.set) == 1:
+		h.set = noLocks
+	default:
+		h.set = slices.Concat(h.set[:i], h.set[i+1:])
+	}
+	return true
 }
 
 // Disjoint reports whether the two lock sets share no mutex.

@@ -35,7 +35,7 @@ import (
 	"math/bits"
 	randv2 "math/rand/v2"
 	"sort"
-	"strings"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -272,7 +272,9 @@ func NewRegistry() *Registry {
 }
 
 // labelKey renders the flattened label pairs canonically (sorted by
-// key) for dedup and exposition.
+// key) for dedup and exposition, e.g. {op="fork"}: each value quoted as
+// strconv.Quote (fmt's %q) quotes it. One pair, the common case, is
+// already sorted and costs one allocation.
 func labelKey(labels []string) string {
 	if len(labels) == 0 {
 		return ""
@@ -280,22 +282,27 @@ func labelKey(labels []string) string {
 	if len(labels)%2 != 0 {
 		panic("metrics: labels must be key-value pairs")
 	}
-	type kv struct{ k, v string }
-	pairs := make([]kv, 0, len(labels)/2)
-	for i := 0; i < len(labels); i += 2 {
-		pairs = append(pairs, kv{labels[i], labels[i+1]})
-	}
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].k < pairs[j].k })
-	var b strings.Builder
-	b.WriteByte('{')
-	for i, p := range pairs {
-		if i > 0 {
-			b.WriteByte(',')
+	if len(labels) > 2 {
+		type kv struct{ k, v string }
+		pairs := make([]kv, 0, len(labels)/2)
+		for i := 0; i < len(labels); i += 2 {
+			pairs = append(pairs, kv{labels[i], labels[i+1]})
 		}
-		fmt.Fprintf(&b, "%s=%q", p.k, p.v)
+		sort.Slice(pairs, func(i, j int) bool { return pairs[i].k < pairs[j].k })
+		labels = make([]string, 0, len(labels))
+		for _, p := range pairs {
+			labels = append(labels, p.k, p.v)
+		}
 	}
-	b.WriteByte('}')
-	return b.String()
+	var buf [64]byte
+	b := append(buf[:0], '{')
+	for i := 0; i < len(labels); i += 2 {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendQuote(append(append(b, labels[i]...), '='), labels[i+1])
+	}
+	return string(append(b, '}'))
 }
 
 // getSeries returns (creating if needed) the series for (name, labels),

@@ -198,17 +198,13 @@ func (e *raceEntry) fill(r *Race, pairs paged.Pages[[2]LockSet]) {
 
 // threadState is the Monitor's per-thread bookkeeping. States sit in
 // place in a lock-free table, one slot per ThreadID, and the flags are
-// atomics, because lock-free monitors consult them without the monitor
-// mutex; held is touched only by the owning thread's own events.
+// atomic, because lock-free monitors consult them without the monitor
+// mutex; held and self are touched only by the owning thread's own
+// events.
 type threadState struct {
-	begun   atomic.Bool
-	retired atomic.Bool
-	// created makes the slot a thread: it is stored after every other
-	// field the creating event writes, and a slot without it is no
-	// thread, so an ID no event created fails as not live.
-	created atomic.Bool
+	flags   atomic.Uint32 // threadCreated, threadBegun, threadRetired
 	spawned bool
-	held    map[int]int // lock multiset; nil until first Acquire
+	held    *heldLocks // nil until the first Acquire
 	// fork is the thread whose Fork opened the branch this thread runs
 	// on (NoThread on main's level), and spawned, above, tells whether it
 	// is that Fork's left side. A Join must end the two sides of one fork.
@@ -247,11 +243,28 @@ type threadState struct {
 	// synchronization object carrying the edge (channel send/recv,
 	// WaitGroup Done/Wait), which orders the write before every read.
 	snap []ThreadID
+	// self holds the putter's own ID, written once by its Put. A Put
+	// with an empty ctx publishes it as snap: a one-token set that sits
+	// in the thread's slot, which never moves, and costs no allocation.
+	self [1]ThreadID
 	// engSeq is the thread's begin stamp on monitors that keep the
 	// English order by counting begins (see Monitor.englishBefore);
 	// zero elsewhere. Written once, under the monitor mutex.
 	engSeq int64
 }
+
+// The flags of a threadState, each set once and never cleared.
+const (
+	// threadCreated makes the slot a thread: it is set after every other
+	// field the creating event writes, and a slot without it is no
+	// thread, so an ID no event created fails as not live.
+	threadCreated uint32 = 1 << iota
+	threadBegun
+	threadRetired
+)
+
+// is reports whether flag f of the thread is set.
+func (st *threadState) is(f uint32) bool { return st.flags.Load()&f != 0 }
 
 type config struct {
 	backend    string
@@ -445,13 +458,13 @@ func (m *Monitor) newThread(fork ThreadID, spawned bool) (ThreadID, *threadState
 // to the caller. Only the backend's handle may allocate.
 func (m *Monitor) bindRel(t ThreadID, st *threadState) {
 	st.CurrentRelative = m.backend.ThreadRelative(t)
-	st.created.Store(true)
+	st.flags.Or(threadCreated)
 }
 
 // state returns t's bookkeeping, panicking on unknown IDs. The lookup
 // is lock-free.
 func (m *Monitor) state(t ThreadID) *threadState {
-	if st := m.threads.At(int64(t)); st != nil && st.created.Load() {
+	if st := m.threads.At(int64(t)); st != nil && st.is(threadCreated) {
 		return st
 	}
 	panic(fmt.Sprintf("sp: thread t%d is not live (no such thread)", t))
@@ -462,16 +475,19 @@ func (m *Monitor) checkLive(t ThreadID, st *threadState, ev string) {
 	if m.finished.Load() {
 		panic(fmt.Sprintf("sp: %s on finished monitor", ev))
 	}
-	if st.retired.Load() {
+	if st.is(threadRetired) {
 		panic(fmt.Sprintf("sp: %s: thread t%d is not live (its serial block ended at a fork, join, or put)", ev, t))
 	}
 }
 
 // begin marks t's first action. The caller holds m.mu or, on a
-// lock-free monitor, owns t. The plain load keeps the CAS off the
-// access hot path once t has begun.
+// lock-free monitor, owns t, so no other event changes t's flags
+// meanwhile. The plain load keeps the CAS off the access hot path once
+// t has begun. It is a CAS, not a read of flags.Or's result, because
+// go1.24.0 on amd64 miscompiles atomic Or and And when their result is
+// used.
 func (m *Monitor) begin(t ThreadID, st *threadState) {
-	if st.begun.Load() || !st.begun.CompareAndSwap(false, true) {
+	if f := st.flags.Load(); f&threadBegun != 0 || !st.flags.CompareAndSwap(f, f|threadBegun) {
 		return
 	}
 	if m.stampBegins {
@@ -534,7 +550,7 @@ func (m *Monitor) Fork(parent ThreadID) (left, right ThreadID) {
 		// re-allocates them densely in record order on replay.
 		m.trace.Fork(int64(parent))
 	}
-	st.retired.Store(true)
+	st.flags.Or(threadRetired)
 	st.held = nil
 	m.forks.Add(1)
 	return left, right
@@ -573,8 +589,8 @@ func (m *Monitor) Join(left, right ThreadID) (cont ThreadID) {
 	if m.trace != nil {
 		m.trace.Join(int64(left), int64(right))
 	}
-	lst.retired.Store(true)
-	rst.retired.Store(true)
+	lst.flags.Or(threadRetired)
+	rst.flags.Or(threadRetired)
 	lst.held, rst.held = nil, nil
 	m.joins.Add(1)
 	return cont
@@ -608,13 +624,12 @@ func (m *Monitor) Put(t ThreadID) (cont ThreadID) {
 	}
 	m.checkLive(t, st, "Put")
 	m.begin(t, st)
-	st.snap = m.mergeTokens(st.ctx, []ThreadID{t})
+	st.self[0] = t
+	st.snap = m.mergeTokens(st.ctx, st.self[:])
 	dead, dst := m.newThread(t, true)
 	mid, mst := m.newThread(t, false)
-	for _, s := range [2]*threadState{dst, mst} {
-		s.retired.Store(true)
-		s.created.Store(true)
-	}
+	dst.flags.Or(threadCreated | threadRetired)
+	mst.flags.Or(threadCreated | threadRetired)
 	m.backend.Fork(t, dead, mid)
 	cont, cst := m.newThread(st.fork, st.spawned)
 	m.backend.Join(dead, mid, cont)
@@ -630,7 +645,7 @@ func (m *Monitor) Put(t ThreadID) (cont ThreadID) {
 		// so the three IDs stay implicit like Fork's and Join's.
 		m.trace.Put(int64(t))
 	}
-	st.retired.Store(true)
+	st.flags.Or(threadRetired)
 	st.held = nil
 	m.puts.Add(1)
 	return cont
@@ -662,7 +677,7 @@ func (m *Monitor) Get(t ThreadID, tokens ...ThreadID) {
 	sets := append(buf[:0], st.ctx)
 	for _, tok := range tokens {
 		ts := m.threads.At(int64(tok))
-		if ts == nil || !ts.created.Load() || ts.snap == nil {
+		if ts == nil || !ts.is(threadCreated) || ts.snap == nil {
 			panic(fmt.Sprintf("sp: Get of token t%d, which was never put", tok))
 		}
 		sets = append(sets, ts.snap)
@@ -916,9 +931,9 @@ func (m *Monitor) Acquire(t ThreadID, lock int) {
 		m.trace.Acquire(int64(t), int64(lock))
 	}
 	if st.held == nil {
-		st.held = map[int]int{}
+		st.held = &heldLocks{set: noLocks}
 	}
-	st.held[lock]++
+	st.held.acquire(lock)
 	if mx := m.mx; mx != nil {
 		mx.evAcquire.Add(1)
 	}
@@ -934,14 +949,13 @@ func (m *Monitor) Release(t ThreadID, lock int) {
 		defer m.mu.Unlock()
 	}
 	m.checkLive(t, st, "Release")
-	if st.held[lock] == 0 {
+	if st.held == nil || !st.held.release(lock) {
 		panic(fmt.Sprintf("sp: release of unheld mutex m%d by thread t%d", lock, t))
 	}
 	m.begin(t, st)
 	if m.trace != nil {
 		m.trace.Release(int64(t), int64(lock))
 	}
-	st.held[lock]--
 	if mx := m.mx; mx != nil {
 		mx.evRelease.Add(1)
 	}
@@ -994,9 +1008,12 @@ func (m *Monitor) access(t ThreadID, st *threadState, addr uint64, write bool, s
 // with disjoint lock sets. One pass over the history checks each entry
 // of another thread for a race, at one SP query per conflicting entry,
 // and each entry of t's own for the duplicate that keeps the access out
-// of the history.
+// of the history. The entry and the races share t's current lock set.
 func lockAwareAccess(sh *monitorShard, t ThreadID, st *threadState, addr uint64, write bool, site any) {
-	cur := newLockSet(st.held)
+	cur := noLocks
+	if st.held != nil {
+		cur = st.held.set
+	}
 	hist := sh.X.entries[addr]
 	var q int64
 	dup := false
@@ -1135,8 +1152,8 @@ func (m *Monitor) Report() Report {
 	threads := m.nthreads.Load()
 	var begun, reads, writes int64
 	for i := int64(0); i < threads; i++ {
-		if st := m.threads.At(i); st != nil && st.created.Load() {
-			if st.begun.Load() {
+		if st := m.threads.At(i); st != nil && st.is(threadCreated) {
+			if st.is(threadBegun) {
 				begun++
 			}
 			reads += st.reads.Load()

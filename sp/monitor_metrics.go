@@ -1,9 +1,9 @@
 package sp
 
 import (
-	"fmt"
 	"io"
 	"slices"
+	"strconv"
 
 	"repro/sp/metrics"
 )
@@ -98,10 +98,11 @@ func newMonitorMetrics(reg *metrics.Registry, shards int, lockFree bool) *monito
 	mx.shardHits = make([]published, shards)
 	mx.raceShardEmits = make([]published, shards)
 	for i := 0; i < shards; i++ {
+		shard := strconv.Itoa(i)
 		mx.shardHits[i].c = reg.Counter("sp_shadow_shard_accesses_total",
-			"accesses landing on each shadow-memory shard", "shard", fmt.Sprint(i))
+			"accesses landing on each shadow-memory shard", "shard", shard)
 		mx.raceShardEmits[i].c = reg.Counter("sp_racelog_shard_emits_total",
-			"races emitted into each race-log shard", "shard", fmt.Sprint(i))
+			"races emitted into each race-log shard", "shard", shard)
 	}
 	imb := reg.Gauge("sp_shadow_shard_imbalance", "max/mean ratio of per-shard shadow access counts (1 = perfectly balanced)")
 	reg.CollectOnce("sp_shadow_shard_imbalance", func() {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -181,31 +182,42 @@ func TestLiveMonitorDetectsRace(t *testing.T) {
 
 // TestLockAwareMonitor checks the ALL-SETS protocol through the Monitor:
 // a common mutex suppresses the race, even when one side holds more
-// locks than the other; disjoint lock sets do not.
+// locks than the other; disjoint lock sets do not. The left side may
+// release some of its acquisitions (leftDrop) before it writes: a mutex
+// acquired twice and released once is still held.
 func TestLockAwareMonitor(t *testing.T) {
 	cases := []struct {
 		name          string
 		left, right   []int
+		leftDrop      []int
 		wantRace      bool
 		leftS, rightS string // lock sets of the reported race
 	}{
 		{name: "common lock", left: []int{1}, right: []int{1}},
 		{name: "partial overlap", left: []int{1, 2}, right: []int{1}},
 		{name: "disjoint locks", left: []int{1}, right: []int{2}, wantRace: true, leftS: "{m1}", rightS: "{m2}"},
+		{name: "re-acquired lock", left: []int{1, 1}, leftDrop: []int{1}, right: []int{1}},
+		{name: "released lock", left: []int{3, 1, 2}, leftDrop: []int{2}, right: []int{2}, wantRace: true, leftS: "{m1,m3}", rightS: "{m2}"},
 	}
 	for _, tc := range cases {
 		m := sp.MustMonitor(sp.WithLockAwareness(true))
 		l, r := m.Fork(m.Main())
 		for _, side := range []struct {
-			t     sp.ThreadID
-			locks []int
-		}{{l, tc.left}, {r, tc.right}} {
+			t           sp.ThreadID
+			locks, drop []int
+		}{{l, tc.left, tc.leftDrop}, {r, tc.right, nil}} {
 			for _, lk := range side.locks {
 				m.Acquire(side.t, lk)
 			}
+			held := slices.Clone(side.locks)
+			for _, lk := range side.drop {
+				m.Release(side.t, lk)
+				i := slices.Index(held, lk)
+				held = slices.Delete(held, i, i+1)
+			}
 			m.Write(side.t, 0)
-			for i := len(side.locks) - 1; i >= 0; i-- {
-				m.Release(side.t, side.locks[i])
+			for i := len(held) - 1; i >= 0; i-- {
+				m.Release(side.t, held[i])
 			}
 		}
 		m.Join(l, r)

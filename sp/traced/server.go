@@ -427,6 +427,11 @@ func (s *Server) IngestTrace(name string, r io.Reader) StreamSummary {
 	return s.finishStream(st, err)
 }
 
+// streamWorkers sizes each stream monitor's shadow memory
+// (sp.WithWorkers): one stream is one recorded execution, replayed by
+// one worker.
+const streamWorkers = 2
+
 // ingestFlush is how often the ingest loop folds its local event count
 // into the shared meters — frequent enough for live reports, rare
 // enough to keep the hot loop free of shared atomics.
@@ -445,7 +450,7 @@ func (s *Server) ingest(st *stream, r io.Reader) error {
 		return err
 	}
 	rd.SetMaxSite(s.cfg.MaxSiteLen)
-	m, err := sp.NewMonitor(sp.WithBackend(s.cfg.Backend), sp.WithWorkers(2), sp.WithMetrics(s.reg))
+	m, err := sp.NewMonitor(sp.WithBackend(s.cfg.Backend), sp.WithWorkers(streamWorkers), sp.WithMetrics(s.reg))
 	if err != nil {
 		return err
 	}
@@ -496,10 +501,10 @@ func (s *Server) ingest(st *stream, r io.Reader) error {
 	}
 	flush()
 	// The stream's races, a failed stream's partial ones included, reach
-	// the fleet table once, grouped by key: one fold per stream, however
-	// many races it logged.
+	// the fleet table once: one fold per stream, however many races it
+	// logged.
 	rep := m.Report()
-	s.dedup.Fold(st.name, sp.Tally(rep.Races), time.Now())
+	s.dedup.Fold(st.name, rep.Races, time.Now())
 	n := int64(len(rep.Races))
 	s.mx.racesObserved.Add(n)
 	st.races.Store(n)
