@@ -33,3 +33,37 @@ func TestPagesDoubleAndStay(t *testing.T) {
 		t.Fatalf("New returned %d, want a zero value", *z)
 	}
 }
+
+// TestPagesIndex appends across many pages: after each append Len
+// must count the values and At must find the new one by its index, at
+// the pointer Append returned; At must panic on an index outside the
+// list.
+func TestPagesIndex(t *testing.T) {
+	const n = 5000
+	var p Pages[int]
+	if p.Len() != 0 {
+		t.Fatalf("an empty list has Len %d", p.Len())
+	}
+	ptrs := make([]*int, n)
+	for i := range n {
+		ptrs[i] = p.Append(i)
+		if p.Len() != i+1 || p.At(i) != ptrs[i] {
+			t.Fatalf("after %d appends: Len %d, At(%d) %p, Append returned %p", i+1, p.Len(), i, p.At(i), ptrs[i])
+		}
+	}
+	for i := range n {
+		if q := p.At(i); q != ptrs[i] || *q != i {
+			t.Fatalf("index %d: At reads %d at %p, Append returned %p", i, *q, q, ptrs[i])
+		}
+	}
+	for _, i := range []int{-1, -MaxPage, -1 << 62, n, n + MaxPage} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("At(%d) on a list of %d did not panic", i, n)
+				}
+			}()
+			p.At(i)
+		}()
+	}
+}

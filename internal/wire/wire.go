@@ -41,6 +41,8 @@ import (
 	"io"
 	"math"
 	"sync"
+
+	"repro/internal/paged"
 )
 
 const (
@@ -278,8 +280,10 @@ type Decoder struct {
 	pos, end int
 	// err is the error that ended src; it surfaces once the bytes read
 	// before it are decoded.
-	err     error
-	strings []string
+	err error
+	// strings is the site table, in pages that never move: a growing
+	// table copies no site it holds.
+	strings paged.Pages[string]
 	// scratch assembles each site string before it is copied into the
 	// string, so a site costs that one allocation.
 	scratch []byte
@@ -455,7 +459,7 @@ func (d *Decoder) Decode(ev *Event) error {
 			if err != nil {
 				return fmt.Errorf("wire: reading site string: %w", noEOF(err))
 			}
-			d.strings = append(d.strings, s)
+			d.strings.Append(s)
 		case OpFork, OpBegin, OpPut:
 			t, err := d.tid()
 			if err != nil {
@@ -491,11 +495,11 @@ func (d *Decoder) Decode(ev *Event) error {
 			if err != nil {
 				return err
 			}
-			if idx >= uint64(len(d.strings)) {
-				return fmt.Errorf("wire: site index %d out of range (table has %d)", idx, len(d.strings))
+			if idx >= uint64(d.strings.Len()) {
+				return fmt.Errorf("wire: site index %d out of range (table has %d)", idx, d.strings.Len())
 			}
 			// Each sited opcode sits two above its plain one.
-			*ev = Event{Op: op - OpReadSite + OpRead, T1: t, Addr: addr, Site: d.strings[idx], HasSite: true}
+			*ev = Event{Op: op - OpReadSite + OpRead, T1: t, Addr: addr, Site: *d.strings.At(int(idx)), HasSite: true}
 			return nil
 		case OpGet:
 			t, err := d.tid()

@@ -5,7 +5,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"math/bits"
 	"reflect"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -201,6 +203,62 @@ func TestAllocsSiteString(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(n/2, next); got > 1 {
 		t.Fatalf("decoding a new site allocates %v objects, want at most 1", got)
+	}
+}
+
+// TestAllocsSiteTable pins the decoder's site table at one string per
+// site plus pages that never move: decoding a trace of 4,096 distinct
+// sites allocates at most 2·log2(4,096) objects besides the strings,
+// apart from the decoder's own, and no more than two slots of table per
+// site, so the table never copies itself as it grows. A table that grows
+// by append stays inside the object bound but not the byte bound.
+func TestAllocsSiteTable(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	const sites = 4096
+	var buf bytes.Buffer
+	e := NewEncoder(&buf)
+	for i := range sites {
+		e.Access(1, uint64(i), true, true, "main.go:"+strconv.Itoa(i))
+	}
+	if err := e.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	decode := func() {
+		d, err := NewDecoder(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ev Event
+		for n := 0; ; n++ {
+			if err := d.Decode(&ev); err == io.EOF {
+				if n != sites {
+					t.Fatalf("decoded %d accesses, want %d", n, sites)
+				}
+				return
+			} else if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// The decoder's own: itself, its source, its block buffer, and its
+	// scratch buffer growing to the longest site.
+	const own = 8
+	pages := 2 * bits.Len(sites-1) // 2·log2(sites): the pages (17), and their list growing (6)
+	if got := testing.AllocsPerRun(5, decode); got > sites+float64(pages+own) {
+		t.Errorf("decoding %d sites allocates %v objects, want at most %d", sites, got, sites+pages+own)
+	}
+	// Each site string takes 16 bytes and each table slot a 16-byte
+	// string header; a table that grows by copying allocates several
+	// times its final size.
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	decode()
+	runtime.ReadMemStats(&after)
+	limit := uint64(sites*(16+2*16) + 2*blockSize)
+	if got := after.TotalAlloc - before.TotalAlloc; got > limit {
+		t.Errorf("decoding %d sites allocates %d bytes, want at most %d", sites, got, limit)
 	}
 }
 

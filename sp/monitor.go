@@ -108,6 +108,9 @@ type Report struct {
 	Puts, Gets int64
 	// Accesses counts memory accesses; Queries counts SP queries issued
 	// (by the detection protocol and by Relation/Precedes/Parallel).
+	// Under lock-awareness a check against a conflicting history entry
+	// counts one query, though it asks the backend only when the two
+	// accesses' lock sets are disjoint.
 	Accesses, Queries int64
 }
 
@@ -147,26 +150,22 @@ type raceEntry struct {
 	firstSite     any
 	secondSite    any
 	kind          AccessKind
-	// locks locates the race's lock-set pair in its shard's pairs: the
-	// page in the bits above pairShift, 1 + the index within the page
-	// below them. 0 marks a race of the plain protocol, which has none.
+	// locks is 1 + the index of the race's lock-set pair in its shard's
+	// pairs. 0 marks a race of the plain protocol, which has none.
 	locks uint32
 }
-
-// pairShift splits raceEntry.locks; 1 + paged.MaxPage fits below it.
-const pairShift = 10
 
 // add logs e, whose lock sets are first and second (both nil for a
 // plain race), at the end of the log. The caller holds the shard's
 // lock.
 func (l *shardLog) add(e raceEntry, first, second LockSet) {
 	if first != nil || second != nil {
-		p := len(l.pairs) - 1
-		if p < 0 || !samePair(l.pairs[p][len(l.pairs[p])-1], first, second) {
+		n := l.pairs.Len()
+		if n == 0 || !samePair(*l.pairs.At(n - 1), first, second) {
 			l.pairs.Append([2]LockSet{first, second})
-			p = len(l.pairs) - 1
+			n++
 		}
-		e.locks = uint32(p)<<pairShift | uint32(len(l.pairs[p]))
+		e.locks = uint32(n)
 	}
 	l.races.Append(e)
 }
@@ -191,7 +190,7 @@ func (e *raceEntry) fill(r *Race, pairs paged.Pages[[2]LockSet]) {
 		r.SecondSite = e.secondSite
 	}
 	if e.locks != 0 {
-		pair := &pairs[e.locks>>pairShift][e.locks&(1<<pairShift-1)-1]
+		pair := pairs.At(int(e.locks) - 1)
 		r.FirstLocks, r.SecondLocks = pair[0], pair[1]
 	}
 }
@@ -1006,9 +1005,13 @@ func (m *Monitor) access(t ThreadID, st *threadState, addr uint64, write bool, s
 // access history per location (deduplicated by thread, kind, and lock
 // set), a race reported for every logically parallel conflicting pair
 // with disjoint lock sets. One pass over the history checks each entry
-// of another thread for a race, at one SP query per conflicting entry,
-// and each entry of t's own for the duplicate that keeps the access out
-// of the history. The entry and the races share t's current lock set.
+// of another thread for a race and each entry of t's own for the
+// duplicate that keeps the access out of the history. A conflicting
+// entry counts one SP query in Report.Queries, but the check asks the
+// backend only when the two lock sets are disjoint: a merge of two
+// short sorted slices decides most checks under a common lock without
+// a walk of the SP structure. The entry and the races share t's current
+// lock set.
 func lockAwareAccess(sh *monitorShard, t ThreadID, st *threadState, addr uint64, write bool, site any) {
 	cur := noLocks
 	if st.held != nil {
@@ -1026,7 +1029,7 @@ func lockAwareAccess(sh *monitorShard, t ThreadID, st *threadState, addr uint64,
 			continue
 		}
 		q++
-		if !st.ParallelCurrent(e.t) || !e.locks.Disjoint(cur) {
+		if !e.locks.Disjoint(cur) || !st.ParallelCurrent(e.t) {
 			continue
 		}
 		kind := WriteWrite

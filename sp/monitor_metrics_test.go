@@ -215,3 +215,51 @@ func BenchmarkConcurrentAccess(b *testing.B) {
 func BenchmarkConcurrentAccessMetrics(b *testing.B) {
 	benchConcurrentAccess(b, WithMetrics(metrics.NewRegistry()))
 }
+
+// TestLockAwareCommonLockAsksNoQuery pins the order of ALL-SETS's race
+// check: a conflicting history entry whose lock set meets the access's
+// is settled without asking the backend. On a lock-aware depa monitor,
+// whose every SP query adds one sp_depa_walk_steps sample, k parallel
+// threads write one address, each holding one mutex: no write adds a
+// sample. The same writes to another address without the mutex add one
+// sample per conflicting entry, each a race. Report.Queries counts one
+// query per conflicting entry at both addresses.
+func TestLockAwareCommonLockAsksNoQuery(t *testing.T) {
+	const k = 8
+	reg := metrics.NewRegistry()
+	m := MustMonitor(WithBackend("depa"), WithLockAwareness(true), WithMetrics(reg))
+	walks := func() int64 {
+		for _, f := range reg.Snapshot().Families {
+			if f.Name == "sp_depa_walk_steps" {
+				return f.Series[0].Count
+			}
+		}
+		return 0
+	}
+	threads := make([]ThreadID, k)
+	cur := m.Main()
+	for i := range threads {
+		threads[i], cur = m.Fork(cur)
+	}
+	conflicts := int64(k * (k - 1) / 2) // the i-th write meets i entries
+	before := walks()
+	for _, th := range threads {
+		m.Acquire(th, 1)
+		m.Write(th, 7)
+		m.Release(th, 1)
+	}
+	if got := walks() - before; got != 0 {
+		t.Errorf("%d writes under one mutex asked the backend %d times, want 0", k, got)
+	}
+	before = walks()
+	for _, th := range threads {
+		m.Write(th, 9)
+	}
+	if got := walks() - before; got != conflicts {
+		t.Errorf("%d unlocked writes asked the backend %d times, want %d", k, got, conflicts)
+	}
+	if rep := m.Report(); rep.Queries != 2*conflicts || int64(len(rep.Races)) != conflicts {
+		t.Errorf("%d queries and %d races, want %d and %d: one query per conflicting entry, one race per unlocked one",
+			rep.Queries, len(rep.Races), 2*conflicts, conflicts)
+	}
+}

@@ -43,18 +43,39 @@ type RaceCount struct {
 	Count int64
 }
 
+// tallyRecent is how many of the rows it touched last Tally compares a
+// key with before it hashes the key.
+const tallyRecent = 4
+
 // Tally groups races by KeyOf, one row per key in the order each key
-// first appears. The counts sum to len(races).
+// first appears. The counts sum to len(races). A racy loop logs the
+// same few keys over and over, so Tally first compares a key with the
+// last tallyRecent rows it reached through its map, which costs at most
+// two string comparisons a row where a map lookup hashes both strings.
 func Tally(races []Race) []RaceCount {
 	var rows []RaceCount
 	index := map[RaceKey]int{}
+	var recent [tallyRecent]int // row positions, filled round-robin
+	filled, next := 0, 0
 	for _, r := range races {
 		k := KeyOf(r)
-		i, ok := index[k]
-		if !ok {
-			i = len(rows)
-			index[k] = i
-			rows = append(rows, RaceCount{Key: k, Race: r})
+		i := -1
+		for _, j := range recent[:filled] {
+			if rows[j].Key == k {
+				i = j
+				break
+			}
+		}
+		if i < 0 {
+			var ok bool
+			if i, ok = index[k]; !ok {
+				i = len(rows)
+				index[k] = i
+				rows = append(rows, RaceCount{Key: k, Race: r})
+			}
+			recent[next] = i
+			next = (next + 1) % tallyRecent
+			filled = min(filled+1, tallyRecent)
 		}
 		rows[i].Count++
 	}

@@ -1,6 +1,9 @@
 package sp_test
 
 import (
+	"fmt"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/sp"
@@ -37,6 +40,58 @@ func TestTallyGroupsByKey(t *testing.T) {
 		}
 		if k := sp.KeyOf(got[i].Race); k != got[i].Key {
 			t.Errorf("row %d: key %+v, but its first race keys as %+v", i, got[i].Key, k)
+		}
+	}
+}
+
+// TestTallyMatchesMapOnly checks Tally, which compares each key with
+// the rows it touched last before it goes to its map, against a tally
+// that looks every key up in the map, row for row: on race lists that
+// interleave a few repeated keys with unique keys and with races
+// without a site, in runs of every length.
+func TestTallyMatchesMapOnly(t *testing.T) {
+	mapOnly := func(races []sp.Race) []sp.RaceCount {
+		var rows []sp.RaceCount
+		index := map[sp.RaceKey]int{}
+		for _, r := range races {
+			k := sp.KeyOf(r)
+			i, ok := index[k]
+			if !ok {
+				i = len(rows)
+				index[k] = i
+				rows = append(rows, sp.RaceCount{Key: k, Race: r})
+			}
+			rows[i].Count++
+		}
+		return rows
+	}
+	rng := rand.New(rand.NewSource(1))
+	for trial := range 200 {
+		races := make([]sp.Race, rng.Intn(300))
+		// Repeated key k has kind k%3, first site k%2 and second site
+		// k%5, so some pairs differ in one field only; there are more or
+		// fewer of them than the rows Tally compares first.
+		repeated := 1 + rng.Intn(12)
+		for i := 0; i < len(races); {
+			run := 1 + rng.Intn(6)
+			var r sp.Race
+			switch rng.Intn(4) {
+			case 0, 1:
+				k := rng.Intn(repeated)
+				r = sp.Race{Kind: sp.AccessKind(k % 3), FirstSite: fmt.Sprintf("a.go:%d", k%2), SecondSite: fmt.Sprintf("b.go:%d", k%5)}
+			case 2:
+				r = sp.Race{Kind: sp.WriteWrite, FirstSite: fmt.Sprintf("u.go:%d", i), SecondSite: "b.go:1"}
+			default:
+				r = sp.Race{Kind: sp.WriteRead, SecondSite: "b.go:1"}
+			}
+			for ; run > 0 && i < len(races); run-- {
+				r.Addr, r.First, r.Second = uint64(rng.Intn(3)), sp.ThreadID(2*i), sp.ThreadID(2*i+1)
+				races[i] = r
+				i++
+			}
+		}
+		if got, want := sp.Tally(races), mapOnly(races); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: %d races tally to %d rows, want %d:\n%+v\nwant\n%+v", trial, len(races), len(got), len(want), got, want)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/paged"
 	"repro/sp"
 )
 
@@ -38,70 +39,160 @@ type RaceEntry struct {
 }
 
 // dedup is the fleet-wide race table: one entry per RaceKey, in
-// first-seen order.
+// first-seen order. Neither its entries nor its index hold a pointer.
+// Each site and stream name that an entry references is interned once
+// into names, and each time's location into zones, so an entry is a
+// fixed-size record of integers and the collector marks one string per
+// distinct name, not the table.
 type dedup struct {
 	mu      sync.Mutex
-	index   map[RaceKey]int // position in entries
-	entries []RaceEntry
-	// lastFold[i] is the number of the last fold that touched entries[i]
-	// (folds counts them from 1), so a stream adds one to an entry's
-	// Streams however many of its races share the entry's key.
-	lastFold []uint64
-	folds    uint64
+	index   map[entryKey]uint32 // position in entries
+	entries paged.Pages[entry]
+	names   paged.Pages[string] // by name ID
+	nameIDs map[string]uint32
+	// zones holds the locations of the fold times, by zone ID; zone 0
+	// is UTC.
+	zones []*time.Location
+	folds uint64 // numbers the folds from 1
 }
+
+// entryKey is an entry's RaceKey with its sites as name IDs.
+type entryKey struct {
+	first, second uint32
+	kind          sp.AccessKind
+}
+
+// entry is one RaceEntry as integers. Its times are Unix nanoseconds
+// and a zone ID. lastFold is the number of the last fold that touched
+// it, so a stream adds one to streams however many of its races share
+// the entry's key.
+type entry struct {
+	addr                   uint64
+	count, streams         int64
+	firstSeen, lastSeen    int64
+	lastFold               uint64
+	first, second, example uint32
+	kind                   sp.AccessKind
+	firstZone, lastZone    uint8
+}
+
+// maxZones bounds the zone table to what an entry's zone ID can name.
+const maxZones = 1 << 8
 
 func newDedup() *dedup {
-	return &dedup{index: map[RaceKey]int{}}
+	return &dedup{index: map[entryKey]uint32{}, nameIDs: map[string]uint32{}, zones: []*time.Location{time.UTC}}
 }
 
+// noName marks a stream name that Fold has not interned yet.
+const noName = ^uint32(0)
+
 // Fold adds one finished stream's races to the table in one pass under
-// the table lock, looking each race's key up once: every race adds one
-// to its entry's Count, and the first race of the stream on an entry
-// adds one to its Streams and sets its LastSeen. A key seen for the
-// first time starts an entry with that race's address, the stream's
-// name and the fold time. A report waits for the lock at most one pass
-// over one stream's races. Grouping them by key before taking the lock
-// would not shorten that pass: on a fleet whose threads each access at
-// their own site, a stream has about one key per race.
+// the table lock. It interns each race's two sites and looks up the
+// key they make with the race's kind, once: every race adds one to its
+// entry's Count, and the first race of the stream on an entry adds one
+// to its Streams and sets its LastSeen. A key seen for the first time
+// starts an entry with that race's address, the stream's name and the
+// fold time. A site not interned yet always starts an entry, so the
+// table interns only names that some entry references, and the
+// stream's name only when the stream starts an entry. Folding races
+// whose keys are all in the table allocates nothing, unless sp.SiteOf
+// must render a side that has no non-empty string site. A report waits
+// for the lock at most one pass over one stream's races.
+//
+// The table keeps at as UnixNano and its location, so the times it
+// reports equal at, less its monotonic clock reading, in the years
+// UnixNano covers (1678 to 2262). Past 255 locations besides UTC, a
+// time in a further one renders in UTC; the server folds at time.Now,
+// in one location.
 func (d *dedup) Fold(streamName string, races []sp.Race, at time.Time) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.folds++
+	seen, zone := at.UnixNano(), d.zone(at.Location())
+	example := noName
 	for i := range races {
-		k := sp.KeyOf(races[i])
-		j, ok := d.index[k]
-		if !ok {
-			j = len(d.entries)
-			d.index[k] = j
-			d.entries = append(d.entries, RaceEntry{
-				Kind: k.Kind.String(), First: k.First, Second: k.Second,
-				Addr: races[i].Addr, FirstSeen: at, ExampleStream: streamName,
+		r := &races[i]
+		k := entryKey{first: d.intern(sp.SiteOf(r.FirstSite, r.Addr)), second: d.intern(sp.SiteOf(r.SecondSite, r.Addr)), kind: r.Kind}
+		var e *entry
+		if j, ok := d.index[k]; ok {
+			e = d.entries.At(int(j))
+		} else {
+			if example == noName {
+				example = d.intern(streamName)
+			}
+			d.index[k] = uint32(d.entries.Len())
+			e = d.entries.Append(entry{
+				addr: r.Addr, firstSeen: seen, first: k.first, second: k.second,
+				example: example, kind: r.Kind, firstZone: zone,
 			})
-			d.lastFold = append(d.lastFold, 0)
 		}
-		e := &d.entries[j]
-		e.Count++
-		if d.lastFold[j] != d.folds {
-			d.lastFold[j] = d.folds
-			e.Streams++
-			e.LastSeen = at
+		e.count++
+		if e.lastFold != d.folds {
+			e.lastFold = d.folds
+			e.streams++
+			e.lastSeen, e.lastZone = seen, zone
 		}
 	}
+}
+
+// intern returns the name ID of s, adding s to the name table when it
+// is new.
+func (d *dedup) intern(s string) uint32 {
+	if id, ok := d.nameIDs[s]; ok {
+		return id
+	}
+	id := uint32(d.names.Len())
+	d.names.Append(s)
+	d.nameIDs[s] = id
+	return id
+}
+
+// zone returns the zone ID of loc, adding it to the zone table while
+// the table has room, and UTC's after that.
+func (d *dedup) zone(loc *time.Location) uint8 {
+	for z, l := range d.zones {
+		if l == loc {
+			return uint8(z)
+		}
+	}
+	if len(d.zones) == maxZones {
+		return 0
+	}
+	d.zones = append(d.zones, loc)
+	return uint8(len(d.zones) - 1)
+}
+
+// name returns the name with ID id.
+func (d *dedup) name(id uint32) string { return *d.names.At(int(id)) }
+
+// seenAt renders a time the table keeps.
+func (d *dedup) seenAt(unixNano int64, zone uint8) time.Time {
+	return time.Unix(0, unixNano).In(d.zones[zone])
 }
 
 // Unique returns the number of distinct race entries.
 func (d *dedup) Unique() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return len(d.entries)
+	return d.entries.Len()
 }
 
-// Snapshot copies the table in first-seen order.
+// Snapshot renders the table in first-seen order.
 func (d *dedup) Snapshot() []RaceEntry {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	out := make([]RaceEntry, len(d.entries))
-	copy(out, d.entries)
+	out := make([]RaceEntry, 0, d.entries.Len())
+	for _, page := range d.entries {
+		for i := range page {
+			e := &page[i]
+			out = append(out, RaceEntry{
+				Kind: e.kind.String(), First: d.name(e.first), Second: d.name(e.second),
+				Addr: e.addr, Count: e.count, Streams: int(e.streams),
+				FirstSeen: d.seenAt(e.firstSeen, e.firstZone), LastSeen: d.seenAt(e.lastSeen, e.lastZone),
+				ExampleStream: d.name(e.example),
+			})
+		}
+	}
 	return out
 }
 
@@ -116,18 +207,29 @@ type SiteCount struct {
 // most-observed first, site name breaking ties.
 func (d *dedup) BySite() []SiteCount {
 	d.mu.Lock()
-	counts := map[string]int64{}
-	for _, e := range d.entries {
-		counts[e.First] += e.Count
-		if e.Second != e.First {
-			counts[e.Second] += e.Count
+	counts := make([]int64, d.names.Len()) // by name ID
+	sites := 0
+	add := func(id uint32, n int64) {
+		if counts[id] == 0 {
+			sites++
+		}
+		counts[id] += n
+	}
+	for _, page := range d.entries {
+		for _, e := range page {
+			add(e.first, e.count)
+			if e.second != e.first {
+				add(e.second, e.count)
+			}
+		}
+	}
+	out := make([]SiteCount, 0, sites)
+	for id, c := range counts {
+		if c > 0 {
+			out = append(out, SiteCount{Site: d.name(uint32(id)), Count: c})
 		}
 	}
 	d.mu.Unlock()
-	out := make([]SiteCount, 0, len(counts))
-	for s, c := range counts {
-		out = append(out, SiteCount{Site: s, Count: c})
-	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Count != out[j].Count {
 			return out[i].Count > out[j].Count
